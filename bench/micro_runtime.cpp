@@ -15,10 +15,10 @@
 ///    schema is N-engine: adding an engine extends the `engines` array
 ///    and the per-row maps without changing any existing key.
 ///
-///  * `--pairs` — the dynamic opcode-pair histogram over all benchmarks x
-///    models, counted by the tree engine (RunConfig::OpcodePairCounts).
-///    This is the data the superinstruction set in ExecutableImage's
-///    fusion pass was chosen from.
+///  * `--pairs` — the dynamic PC-adjacent opcode-pair histogram over all
+///    benchmarks x models, collected with an execution profile
+///    (PcProfile::PairCounts). This is the data the superinstruction set
+///    in ExecutableImage's fusion pass was chosen from.
 ///
 ///  * Google-Benchmark micro-suite (when the library is available) for the
 ///    simulator's mechanisms: interpreter throughput, taint-tracking
@@ -37,6 +37,7 @@
 #include "ocelot/Toolchain.h"
 #include "runtime/Simulation.h"
 #include "telemetry/MetricsRegistry.h"
+#include "telemetry/Profile.h"
 
 #include <algorithm>
 #include <chrono>
@@ -130,19 +131,14 @@ Throughput measureThroughput(const CompiledBenchmark &CB,
 /// The engines the report measures. The baseline comes first: every other
 /// engine's speedup (and the CI gate in tools/bench_compare.py) is the
 /// steps/sec ratio against it, which normalizes out host speed.
-/// `threaded-pairs` is the same dispatch loop on an artifact compiled at
-/// the Pairs fusion tier — its gap to `threaded` is the superblock-chain
-/// contribution, reported per row as the chain tier delta.
 struct EngineSpec {
   const char *Name;
   DispatchEngine Engine;
-  bool PairsOnly; ///< Measure the FusionMode::Pairs-compiled artifact.
 };
 constexpr EngineSpec Engines[] = {
-    {"tree", DispatchEngine::Tree, false},
-    {"flat", DispatchEngine::Flat, false},
-    {"threaded", DispatchEngine::Threaded, false},
-    {"threaded-pairs", DispatchEngine::Threaded, true},
+    {"tree", DispatchEngine::Tree},
+    {"flat", DispatchEngine::Flat},
+    {"threaded", DispatchEngine::Threaded},
 };
 constexpr size_t NumEngines = sizeof(Engines) / sizeof(Engines[0]);
 
@@ -368,27 +364,15 @@ int runInterpReport(const std::string &Path) {
   for (const BenchmarkDef &B : allBenchmarks()) {
     for (ExecModel Model : ReportModels) {
       CompiledBenchmark CB = compileBenchmark(B, Model, ThroughputReps);
-      // The pair-tier artifact for the chain-delta row: same source and
-      // model, FusionMode::Pairs. Temporarily retarget the process-global
-      // fusion tier (the compile funnel reads it) and restore.
-      const FusionMode Saved = benchFusion();
-      setBenchFusion(FusionMode::Pairs);
-      CompiledBenchmark CBPairs = compileBenchmark(B, Model, ThroughputReps);
-      setBenchFusion(Saved);
       Throughput T[NumEngines];
       for (size_t E = 0; E < NumEngines; ++E)
-        T[E] = measureThroughput(Engines[E].PairsOnly ? CBPairs : CB, B,
-                                 Engines[E].Engine, MinSeconds);
+        T[E] = measureThroughput(CB, B, Engines[E].Engine, MinSeconds);
       double Speedup[NumEngines] = {};
       for (size_t E = 1; E < NumEngines; ++E) {
         Speedup[E] =
             T[0].StepsPerSec > 0 ? T[E].StepsPerSec / T[0].StepsPerSec : 0;
         LogSum[E] += std::log(Speedup[E]);
       }
-      // Chain tier delta: chains-vs-pairs on the threaded engine. > 1
-      // means the superblock chains pay for themselves on this row.
-      double ChainDelta =
-          Speedup[3] > 0 ? Speedup[2] / Speedup[3] : 0;
       std::fprintf(Out,
                    "%s    {\"benchmark\": \"%s\", \"model\": \"%s\", "
                    "\"steps_per_run\": %llu, \"steps_per_sec\": {",
@@ -402,7 +386,7 @@ int runInterpReport(const std::string &Path) {
       for (size_t E = 1; E < NumEngines; ++E)
         std::fprintf(Out, "%s\"%s\": %.3f", E > 1 ? ", " : "",
                      Engines[E].Name, Speedup[E]);
-      std::fprintf(Out, "}, \"chain_tier_delta\": %.3f}", ChainDelta);
+      std::fprintf(Out, "}}");
       std::fprintf(stderr, "%-12s %-8s", B.Name.c_str(),
                    execModelName(Model));
       for (size_t E = 0; E < NumEngines; ++E) {
@@ -411,7 +395,7 @@ int runInterpReport(const std::string &Path) {
         if (E)
           std::fprintf(stderr, " (x%.2f)", Speedup[E]);
       }
-      std::fprintf(stderr, "  chains/pairs x%.2f\n", ChainDelta);
+      std::fprintf(stderr, "\n");
       ++RowCount;
     }
   }
@@ -483,17 +467,18 @@ int runInterpReport(const std::string &Path) {
 // -- Dynamic opcode-pair histogram (--pairs) -------------------------------
 
 int runPairHistogram() {
-  std::vector<uint64_t> Hist(
-      static_cast<size_t>(NumOpcodes) * static_cast<size_t>(NumOpcodes), 0);
+  PcProfile Merged;
   const int RunsPer = benchSmokeMode() ? 1 : 8;
   for (const BenchmarkDef &B : allBenchmarks()) {
     for (ExecModel Model : ReportModels) {
       CompiledBenchmark CB = compileBenchmark(B, Model);
+      PcProfile Prof;
+      Prof.prepare(CB.Artifact.image().size(),
+                   static_cast<size_t>(NumOpcodes));
       SimulationSpec Spec;
       Spec.Config.Sensors = B.scenario(1);
       Spec.Config.Seed = 1;
-      Spec.Config.Dispatch = DispatchEngine::Tree;
-      Spec.Config.OpcodePairCounts = &Hist;
+      Spec.Config.Profile = &Prof;
       Simulation Sim(CB.Artifact, std::move(Spec));
       for (int R = 0; R < RunsPer; ++R) {
         RunResult Res = Sim.runOnce();
@@ -503,8 +488,12 @@ int runPairHistogram() {
           return 1;
         }
       }
+      Merged.merge(Prof);
     }
   }
+  // Per-PC counts of different images do not add up to anything; only the
+  // opcode-pair histogram is image-independent.
+  const std::vector<uint64_t> &Hist = Merged.PairCounts;
 
   struct PairCount {
     int Prev = 0, Cur = 0;
@@ -526,7 +515,7 @@ int runPairHistogram() {
             [](const PairCount &A, const PairCount &B) { return A.N > B.N; });
 
   std::printf("dynamic opcode pairs over all benchmarks x models "
-              "(tree engine, %llu adjacent executions)\n",
+              "(%llu PC-adjacent executions)\n",
               static_cast<unsigned long long>(Total));
   std::printf("%-24s %14s %8s %8s\n", "pair", "count", "%", "cum%");
   double Cum = 0;
@@ -695,26 +684,6 @@ BENCHMARK(BM_RegionInference);
 #endif // OCELOT_HAVE_GBENCH
 
 int main(int argc, char **argv) {
-  // --fusion= retargets the process-global tier before any compile; it
-  // composes with --json= (the `threaded` column then measures that tier;
-  // `threaded-pairs` stays pinned to the Pairs tier).
-  int Kept = 1;
-  for (int I = 1; I < argc; ++I) {
-    if (std::strncmp(argv[I], "--fusion=", 9) == 0) {
-      FusionMode F;
-      if (!parseFusionMode(argv[I] + 9, F)) {
-        std::fprintf(stderr,
-                     "error: unknown fusion tier '%s' (valid: off, pairs, "
-                     "chains)\n",
-                     argv[I] + 9);
-        return 1;
-      }
-      setBenchFusion(F);
-      continue; // Consumed; keep it away from Google Benchmark's parser.
-    }
-    argv[Kept++] = argv[I];
-  }
-  argc = Kept;
   for (int I = 1; I < argc; ++I) {
     if (std::strncmp(argv[I], "--json=", 7) == 0)
       return runInterpReport(argv[I] + 7);

@@ -15,7 +15,6 @@
 
 #include "harness/Experiment.h"
 #include "harness/TableFmt.h"
-#include "telemetry/Profile.h"
 #include "telemetry/TraceSink.h"
 
 #include <cstdio>
@@ -27,40 +26,18 @@ int main(int argc, char **argv) {
   // --trace-out=FILE attaches a TraceSink to every measured run and dumps
   // a Chrome trace_event JSON at exit; the table itself is byte-identical
   // with or without it (telemetry observes tau-time, it never spends it).
-  // --pgo-out=FILE likewise attaches an execution profile per compiled
-  // image and saves the whole grid as one PGO bundle; --pgo=FILE feeds a
-  // bundle back into superblock-chain selection. Profiles only count, so
-  // the table is byte-identical in all three configurations — which is
-  // exactly what the CI PGO drill pins.
-  std::string TracePath, PgoInPath, PgoOutPath;
+  std::string TracePath;
   for (int I = 1; I < argc; ++I) {
     std::string Arg = argv[I];
     if (Arg.rfind("--trace-out=", 0) == 0) {
       TracePath = Arg.substr(12);
-    } else if (Arg.rfind("--pgo=", 0) == 0) {
-      PgoInPath = Arg.substr(6);
-    } else if (Arg.rfind("--pgo-out=", 0) == 0) {
-      PgoOutPath = Arg.substr(10);
     } else {
-      std::fprintf(stderr,
-                   "usage: %s [--trace-out=FILE] [--pgo=FILE] "
-                   "[--pgo-out=FILE]\n",
-                   argv[0]);
+      std::fprintf(stderr, "usage: %s [--trace-out=FILE]\n", argv[0]);
       return 1;
     }
   }
   TraceSink Sink;
   TraceSink *Trace = TracePath.empty() ? nullptr : &Sink;
-  if (!PgoInPath.empty()) {
-    std::string Error;
-    auto Bundle = PgoBundle::load(PgoInPath, Error);
-    if (!Bundle) {
-      std::fprintf(stderr, "error: %s\n", Error.c_str());
-      return 1;
-    }
-    setBenchPgo(std::move(Bundle));
-  }
-  PgoBundle OutBundle;
 
   std::printf("== Table 2(a): Violating %% with pathological power failure "
               "points ==\n\n");
@@ -83,29 +60,14 @@ int main(int argc, char **argv) {
       CompiledBenchmark CB = compileBenchmark(B, Models[M]);
       if (Trace)
         Trace->compileEnd(Name);
-      PcProfile *Prof = nullptr;
-      if (!PgoOutPath.empty()) {
-        Prof = &OutBundle.entry(CB.Artifact.image().fingerprint());
-        Prof->prepare(CB.Artifact.image().size(),
-                      static_cast<size_t>(NumOpcodes));
-      }
       Row.push_back(
-          fmtPct(pathologicalViolationPct(CB, B, Runs, Seed, Trace, Prof)));
+          fmtPct(pathologicalViolationPct(CB, B, Runs, Seed, Trace)));
     }
     T.addRow(std::move(Row));
   }
   std::printf("%s\n", T.str().c_str());
   std::printf("Paper: Ocelot 0%% on all benchmarks; JIT 100%% on all "
               "benchmarks.\n");
-  if (!PgoOutPath.empty()) {
-    std::string Error;
-    if (!OutBundle.save(PgoOutPath, Error)) {
-      std::fprintf(stderr, "error: %s\n", Error.c_str());
-      return 1;
-    }
-    std::fprintf(stderr, "wrote pgo bundle (%zu image(s)) to %s\n",
-                 OutBundle.Entries.size(), PgoOutPath.c_str());
-  }
   if (Trace) {
     std::string Error;
     if (!Sink.writeChromeJson(TracePath, &Error)) {

@@ -37,12 +37,7 @@
 ///                        columns; part of the spec hash)
 ///
 /// Run flags: --format=jsonl|csv, --workers=N, --checkpoint-every=N,
-/// --max-cells=N (stop early; exit 3), --quiet,
-/// --fusion=off|pairs|chains (threaded-view fusion tier; default chains),
-/// --pgo=FILE (a `--pgo-out` bundle driving superblock-chain selection).
-/// Fusion tier and PGO change per-cell wall time only, never result
-/// bytes, so they are run-local knobs — not part of the spec hash — and
-/// shards of one sweep may legally mix them.
+/// --max-cells=N (stop early; exit 3), --quiet.
 ///
 /// All bad input exits 1 with a message on stderr; nothing here aborts.
 ///
@@ -51,7 +46,6 @@
 #include "fleet/FleetRunner.h"
 #include "fleet/ShardProgress.h"
 #include "harness/Experiment.h"
-#include "telemetry/Profile.h"
 
 #include <algorithm>
 #include <cerrno>
@@ -79,8 +73,7 @@ int usage() {
       "ranges\n"
       "  run   --shard=i/K --out=DIR      evaluate or resume one shard\n"
       "        [--format=jsonl|csv] [--workers=N] [--checkpoint-every=N]\n"
-      "        [--max-cells=N] [--quiet] [--fusion=off|pairs|chains]\n"
-      "        [--pgo=FILE]\n"
+      "        [--max-cells=N] [--quiet]\n"
       "  merge --shards=K --out=DIR       validate + merge all shards\n"
       "        [--format=jsonl|csv] [--merged=PATH]\n"
       "  status DIR                       per-shard progress of a sweep "
@@ -362,17 +355,6 @@ int main(int argc, char **argv) {
       Run.MaxCells = static_cast<size_t>(U);
     } else if (Arg.rfind("--merged=", 0) == 0) {
       Merge.MergedPath = Value("--merged=");
-    } else if (Arg.rfind("--fusion=", 0) == 0) {
-      FusionMode F;
-      if (!parseFusionMode(Value("--fusion="), F))
-        return fail("unknown fusion tier '" + Value("--fusion=") +
-                    "' (valid: off, pairs, chains)");
-      setBenchFusion(F);
-    } else if (Arg.rfind("--pgo=", 0) == 0) {
-      auto Bundle = PgoBundle::load(Value("--pgo="), Error);
-      if (!Bundle)
-        return fail(Error);
-      setBenchPgo(std::move(Bundle));
     } else if (Arg == "--quiet") {
       Run.Quiet = true;
     } else {

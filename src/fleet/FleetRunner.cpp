@@ -30,33 +30,6 @@ std::string shardStem(const std::string &OutDir, unsigned Shard,
   return OutDir + Buf;
 }
 
-/// Evaluates flat cell \p I of \p Spec against its precompiled artifact.
-SweepCellResult evaluateCell(const SweepSpec &Spec, size_t I,
-                             const CompiledBenchmark &CB,
-                             const std::shared_ptr<ArenaPool> &Arena) {
-  SweepCellResult R;
-  SweepSpec::CellCoords C = Spec.cellAt(I);
-  R.Model = C.Model;
-  R.Bench = C.Bench;
-  R.Energy = C.Energy;
-  R.Power = C.Power;
-  R.Scenario = C.Scenario;
-  R.Seed = C.Seed;
-  R.Metrics = measureIntermittent(
-      CB, *Spec.Benchmarks[R.Bench], Spec.Energies[R.Energy], Spec.TauBudget,
-      Spec.Seeds[R.Seed], Spec.Monitors,
-      Spec.Powers.empty() ? nullptr : Spec.Powers[R.Power],
-      Spec.Scenarios.empty() ? nullptr : Spec.Scenarios[R.Scenario], Arena);
-  return R;
-}
-
-/// The (model, benchmark) pair index of flat cell \p I — monotone in I,
-/// so a contiguous cell range needs a contiguous pair range.
-size_t pairOf(const SweepSpec &Spec, size_t I) {
-  SweepSpec::CellCoords C = Spec.cellAt(I);
-  return C.Model * Spec.Benchmarks.size() + C.Bench;
-}
-
 } // namespace
 
 std::string ocelot::shardResultPath(const ShardRunOptions &Opts) {
@@ -156,8 +129,8 @@ bool ocelot::runShard(const FleetSpec &Fleet, const ShardRunOptions &Opts,
   std::vector<CompiledBenchmark> Artifacts;
   size_t PairBase = 0;
   if (Todo) {
-    PairBase = pairOf(Spec, Start);
-    size_t PairLast = pairOf(Spec, End - 1);
+    PairBase = Spec.pairOf(Start);
+    size_t PairLast = Spec.pairOf(End - 1);
     Artifacts.resize(PairLast - PairBase + 1);
     for (size_t P = PairBase; P <= PairLast; ++P)
       Artifacts[P - PairBase] =
@@ -166,7 +139,7 @@ bool ocelot::runShard(const FleetSpec &Fleet, const ShardRunOptions &Opts,
   }
   auto Arena = std::make_shared<ArenaPool>();
   auto ArtifactFor = [&](size_t Cell) -> const CompiledBenchmark & {
-    return Artifacts[pairOf(Spec, Cell) - PairBase];
+    return Artifacts[Spec.pairOf(Cell) - PairBase];
   };
 
   // Progress: throttled heartbeats to the advisory `.progress` sidecar
@@ -245,7 +218,7 @@ bool ocelot::runShard(const FleetSpec &Fleet, const ShardRunOptions &Opts,
   bool Ok = true;
   if (Opts.Workers <= 1) {
     for (size_t I = Start; I < End && Ok; ++I)
-      Ok = Emit(I, evaluateCell(Spec, I, ArtifactFor(I), Arena), Error);
+      Ok = Emit(I, evaluateSweepCell(Spec, I, ArtifactFor(I), Arena), Error);
   } else {
     // Bounded reorder window: workers claim cells atomically and park
     // results; the writer (this thread) drains them in order. Workers
@@ -268,7 +241,7 @@ bool ocelot::runShard(const FleetSpec &Fleet, const ShardRunOptions &Opts,
           if (Failed)
             return;
         }
-        SweepCellResult R = evaluateCell(Spec, I, ArtifactFor(I), Arena);
+        SweepCellResult R = evaluateSweepCell(Spec, I, ArtifactFor(I), Arena);
         std::lock_guard<std::mutex> Lk(Mu);
         Parked.emplace(I, std::move(R));
         ReadyCv.notify_all();

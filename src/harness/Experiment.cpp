@@ -29,19 +29,7 @@ std::string repeatMainSource(const char *Src, int Reps) {
   return S;
 }
 
-/// Process-global knobs compileBenchmark folds into every compile; set
-/// once from CLI flags before any fan-out (see Experiment.h).
-FusionMode BenchFusion = FusionMode::Chains;
-std::shared_ptr<const PgoBundle> BenchPgo;
-
 } // namespace
-
-void ocelot::setBenchFusion(FusionMode M) { BenchFusion = M; }
-FusionMode ocelot::benchFusion() { return BenchFusion; }
-void ocelot::setBenchPgo(std::shared_ptr<const PgoBundle> Pgo) {
-  BenchPgo = std::move(Pgo);
-}
-std::shared_ptr<const PgoBundle> ocelot::benchPgo() { return BenchPgo; }
 
 CompiledBenchmark ocelot::compileBenchmark(const BenchmarkDef &B,
                                            ExecModel Model, int MainReps) {
@@ -50,8 +38,6 @@ CompiledBenchmark ocelot::compileBenchmark(const BenchmarkDef &B,
   CB.Model = Model;
   CompileOptions Opts;
   Opts.Model = Model;
-  Opts.Fusion = BenchFusion;
-  Opts.Pgo = BenchPgo;
   // Checker mode (§8) validates manual placement, so it gets the manually
   // regioned source, as does the Atomics-only build.
   bool WantManualRegions =
@@ -181,8 +167,7 @@ IntermittentMetrics ocelot::measureIntermittent(
 
 double ocelot::pathologicalViolationPct(const CompiledBenchmark &CB,
                                         const BenchmarkDef &B, int Runs,
-                                        uint64_t Seed, TraceSink *Trace,
-                                        PcProfile *Prof) {
+                                        uint64_t Seed, TraceSink *Trace) {
   SimulationSpec Spec;
   Spec.Config.Sensors = B.scenario(Seed);
   Spec.Config.Seed = Seed;
@@ -193,7 +178,6 @@ double ocelot::pathologicalViolationPct(const CompiledBenchmark &CB,
   Spec.Config.MonitorBitVector = true;
   Spec.Config.MonitorFormal = true;
   Spec.Config.Telemetry = Trace;
-  Spec.Config.Profile = Prof;
   Simulation Sim(CB.Artifact, std::move(Spec));
 
   int Violating = 0;

@@ -48,19 +48,6 @@ struct CompiledBenchmark {
 CompiledBenchmark compileBenchmark(const BenchmarkDef &B, ExecModel Model,
                                    int MainReps = 1);
 
-/// Process-global fusion tier applied by every compileBenchmark call.
-/// Bench binaries and `ocelot-fleet run` set this once from their
-/// `--fusion=` / `--pgo=` flags before the first compile; the default
-/// (FusionMode::Chains, no bundle) matches CompileOptions' defaults.
-/// Not thread-safe against concurrent compiles — set before fan-out.
-void setBenchFusion(FusionMode M);
-FusionMode benchFusion();
-
-/// Process-global PGO bundle applied by every compileBenchmark call (see
-/// CompileOptions::Pgo for match/fallback semantics). Null clears it.
-void setBenchPgo(std::shared_ptr<const PgoBundle> Pgo);
-std::shared_ptr<const PgoBundle> benchPgo();
-
 /// The §7.3 pathological failure points of a compiled benchmark: every use
 /// of a fresh variable and every non-first member of each consistent set.
 std::set<InstrRef> pathologicalPoints(const CompiledArtifact &A);
@@ -162,14 +149,11 @@ IntermittentMetrics measureIntermittent(
 
 /// Table 2(a): percentage (0–100) of runs violating any policy under
 /// pathological failure injection. \p Trace optionally attaches a
-/// telemetry sink to every run (src/telemetry/TraceSink.h); \p Prof
-/// optionally attaches an execution profile (src/telemetry/Profile.h,
-/// the `--pgo-out` collection path). The returned percentage is bitwise
-/// identical with either observer attached — both only count.
+/// telemetry sink to every run (src/telemetry/TraceSink.h); the returned
+/// percentage is bitwise identical with it attached — it only records.
 double pathologicalViolationPct(const CompiledBenchmark &CB,
                                 const BenchmarkDef &B, int Runs,
-                                uint64_t Seed, TraceSink *Trace = nullptr,
-                                PcProfile *Prof = nullptr);
+                                uint64_t Seed, TraceSink *Trace = nullptr);
 
 /// True when OCELOT_BENCH_SMOKE is set in the environment (to anything but
 /// "", "0" or "false"): bench binaries shrink their iteration counts /

@@ -52,6 +52,26 @@ void ocelot::printSweepTiming(size_t Cells, unsigned Workers,
                Cells, Workers, Seconds);
 }
 
+SweepCellResult ocelot::evaluateSweepCell(const SweepSpec &Spec, size_t I,
+                                          const CompiledBenchmark &CB,
+                                          std::shared_ptr<ArenaPool> Arena) {
+  SweepCellResult R;
+  SweepSpec::CellCoords C = Spec.cellAt(I);
+  R.Model = C.Model;
+  R.Bench = C.Bench;
+  R.Energy = C.Energy;
+  R.Power = C.Power;
+  R.Scenario = C.Scenario;
+  R.Seed = C.Seed;
+  R.Metrics = measureIntermittent(
+      CB, *Spec.Benchmarks[R.Bench], Spec.Energies[R.Energy], Spec.TauBudget,
+      Spec.Seeds[R.Seed], Spec.Monitors,
+      Spec.Powers.empty() ? nullptr : Spec.Powers[R.Power],
+      Spec.Scenarios.empty() ? nullptr : Spec.Scenarios[R.Scenario],
+      std::move(Arena), Spec.Oracle);
+  return R;
+}
+
 SweepRunner::SweepRunner(unsigned Workers) : Workers(Workers) {
   if (this->Workers == 0) {
     unsigned HW = std::thread::hardware_concurrency();
@@ -93,23 +113,8 @@ std::vector<SweepCellResult> SweepRunner::run(const SweepSpec &Spec) const {
   {
     std::atomic<size_t> Next{0};
     auto CellWorker = [&] {
-      for (size_t I = Next.fetch_add(1); I < N; I = Next.fetch_add(1)) {
-        SweepCellResult &R = Results[I];
-        SweepSpec::CellCoords C = Spec.cellAt(I);
-        R.Model = C.Model;
-        R.Bench = C.Bench;
-        R.Energy = C.Energy;
-        R.Power = C.Power;
-        R.Scenario = C.Scenario;
-        R.Seed = C.Seed;
-        const CompiledBenchmark &CB = Artifacts[R.Model * NB + R.Bench];
-        R.Metrics = measureIntermittent(
-            CB, *Spec.Benchmarks[R.Bench], Spec.Energies[R.Energy],
-            Spec.TauBudget, Spec.Seeds[R.Seed], Spec.Monitors,
-            Spec.Powers.empty() ? nullptr : Spec.Powers[R.Power],
-            Spec.Scenarios.empty() ? nullptr : Spec.Scenarios[R.Scenario],
-            nullptr, Spec.Oracle);
-      }
+      for (size_t I = Next.fetch_add(1); I < N; I = Next.fetch_add(1))
+        Results[I] = evaluateSweepCell(Spec, I, Artifacts[Spec.pairOf(I)]);
     };
     runOnPool(Workers, N, CellWorker);
   }

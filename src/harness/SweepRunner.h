@@ -104,6 +104,14 @@ struct SweepSpec {
     C.Model = I / Benchmarks.size();
     return C;
   }
+
+  /// The (model, benchmark) pair index `Model * |Benchmarks| + Bench` of
+  /// flat cell \p I — monotone in I, so a contiguous cell range needs a
+  /// contiguous pair range.
+  size_t pairOf(size_t I) const {
+    CellCoords C = cellAt(I);
+    return C.Model * Benchmarks.size() + C.Bench;
+  }
 };
 
 /// One evaluated grid cell: the spec indices it came from plus its metrics.
@@ -116,6 +124,15 @@ struct SweepCellResult {
   size_t Seed = 0;     ///< Index into SweepSpec::Seeds.
   IntermittentMetrics Metrics;
 };
+
+/// Evaluates flat cell \p I of \p Spec against \p CB, the cell's compiled
+/// (model, benchmark) pair: the one place a SweepSpec cell becomes a
+/// measureIntermittent call, shared by SweepRunner::run and the fleet's
+/// runShard so both honour every spec field (Oracle included). \p Arena
+/// optionally pools the Simulation's buffers; results do not depend on it.
+SweepCellResult evaluateSweepCell(const SweepSpec &Spec, size_t I,
+                                  const CompiledBenchmark &CB,
+                                  std::shared_ptr<ArenaPool> Arena = nullptr);
 
 /// Fans a SweepSpec across a worker pool. Stateless between run() calls;
 /// one runner can be reused for any number of sweeps.

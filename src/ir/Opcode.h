@@ -42,7 +42,7 @@ enum class Opcode {
 };
 
 /// Number of opcodes; sizes the opcode-pair histogram
-/// (RunConfig::OpcodePairCounts) and the threaded dispatch table.
+/// (PcProfile::PairCounts) and the threaded dispatch table.
 constexpr int NumOpcodes = static_cast<int>(Opcode::Nop) + 1;
 
 enum class BinOp {

@@ -30,8 +30,6 @@
 
 namespace ocelot {
 
-struct PgoBundle; // telemetry/Profile.h
-
 /// Execution models compared in the paper's evaluation (§7.2).
 enum class ExecModel {
   JitOnly,     ///< JIT checkpointing only; all regions stripped. Fast but
@@ -50,17 +48,9 @@ struct CompileOptions {
   /// For Ocelot builds: self-validate the inferred placement with the
   /// region checker (Theorem 1's premise).
   bool SelfCheck = true;
-  /// Threaded-view fusion tier for the built ExecutableImage: Chains
-  /// (the default — superblock chains on top of the pair table), Pairs
-  /// (the pair table only) or Off (plain dispatch codes).
-  FusionMode Fusion = FusionMode::Chains;
-  /// Optional execution profile consumed by the superblock-chain
-  /// selector: when set and an entry matches the built image's
-  /// fingerprint, the chain pass weighs slots by measured execution
-  /// counts instead of the static loop-depth estimator. A bundle with
-  /// no matching entry falls back to the static estimator silently at
-  /// this level (ocelotc turns that into a hard error before calling).
-  std::shared_ptr<const PgoBundle> Pgo;
+  /// Threaded-view fusion tier for the built ExecutableImage: Pairs
+  /// (the default) or Off (plain dispatch codes).
+  FusionMode Fusion = FusionMode::Pairs;
 };
 
 /// Source-derived programmer-effort statistics (Tables 3/4).

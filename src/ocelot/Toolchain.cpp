@@ -9,7 +9,6 @@
 #include "telemetry/MetricsRegistry.h"
 
 #include <chrono>
-#include <cstdio>
 #include <mutex>
 #include <unordered_map>
 
@@ -43,13 +42,6 @@ std::string cacheKey(const SourceRef &Src, const CompileOptions &Opts) {
   Key += Opts.Verify ? 'v' : '-';
   Key += Opts.SelfCheck ? 's' : '-';
   Key += static_cast<char>('0' + static_cast<int>(Opts.Fusion));
-  // Bundles are immutable once loaded, so pointer identity is a sound
-  // (conservative) key: re-loading the same file gets a fresh entry, but
-  // one loaded bundle shared across a sweep caches perfectly.
-  char Buf[32];
-  std::snprintf(Buf, sizeof(Buf), "%p",
-                static_cast<const void *>(Opts.Pgo.get()));
-  Key += Buf;
   Key += '\x1f';
   Key += Src.Text;
   return Key;
@@ -108,8 +100,7 @@ Compilation Toolchain::compile(const SourceRef &Src,
   // Precompute the flat execution form once; every Simulation built from
   // this artifact shares it read-only.
   State->Image = ExecutableImage::build(*State->Prog, &State->Regions,
-                                        &State->Monitor, Opts.Fusion,
-                                        Opts.Pgo.get());
+                                        &State->Monitor, Opts.Fusion);
   State->Effort = R.Effort;
   State->Model = Opts.Model;
   State->PlacementValid = R.PlacementValid;

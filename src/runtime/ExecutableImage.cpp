@@ -6,88 +6,16 @@
 
 #include "runtime/ExecutableImage.h"
 
-#include "telemetry/Profile.h"
-
 #include <cassert>
 #include <cstdio>
 #include <map>
 
 using namespace ocelot;
 
-namespace {
-
-/// FNV-1a over the structural fields of the flat code: what the program
-/// *is* (opcodes, operands, resolved targets, global/sensor bindings),
-/// not how it is dispatched. The threaded view is derived after the hash,
-/// so every fusion tier of the same program shares a fingerprint and a
-/// PGO profile collected under any tier matches them all.
-uint64_t hashCode(const std::vector<FlatInst> &Code) {
-  uint64_t H = 0xcbf29ce484222325ULL;
-  auto Mix = [&H](uint64_t V) {
-    H ^= V;
-    H *= 0x100000001b3ULL;
-  };
-  auto MixOperand = [&Mix](const Operand &O) {
-    Mix(static_cast<uint64_t>(O.K) ^
-        (static_cast<uint64_t>(static_cast<int64_t>(O.Reg)) << 8) ^
-        (static_cast<uint64_t>(O.Imm) << 24));
-  };
-  Mix(Code.size());
-  for (const FlatInst &FI : Code) {
-    Mix(static_cast<uint64_t>(FI.Op));
-    Mix(static_cast<uint64_t>(static_cast<int64_t>(FI.Dst)));
-    MixOperand(FI.A);
-    MixOperand(FI.B);
-    Mix(static_cast<uint64_t>(FI.BinKind) ^
-        (static_cast<uint64_t>(FI.UnKind) << 8));
-    Mix(static_cast<uint64_t>(static_cast<int64_t>(FI.GlobalId)));
-    Mix(static_cast<uint64_t>(static_cast<int64_t>(FI.SensorId)));
-    Mix(static_cast<uint64_t>(static_cast<int64_t>(FI.Func)));
-    Mix(FI.Target);
-    Mix(FI.Target2);
-    Mix(static_cast<uint64_t>(static_cast<int64_t>(FI.Callee)));
-  }
-  return H;
-}
-
-/// The static heat estimator: loop-depth-weighted block frequencies
-/// derived purely from the image's branch structure. A back edge (a
-/// branch whose target is at or before it, within one function) brackets
-/// a natural-loop body [target, branch]; every PC's heat is 8^depth,
-/// clamped, so a doubly nested loop body outweighs its preheader 64:1.
-/// Every reachable PC gets heat >= 1: under the static model all legal
-/// straight-line runs qualify for chaining, and the weighting orders
-/// them for diagnostics. A real PGO profile replaces this table with
-/// measured PC counts, whose zeros keep cold code un-chained.
-std::vector<uint64_t> staticHeat(const std::vector<FlatInst> &Code) {
-  const size_t N = Code.size();
-  std::vector<uint32_t> Depth(N, 0);
-  for (size_t Pc = 0; Pc < N; ++Pc) {
-    const FlatInst &FI = Code[Pc];
-    if (FI.Op != Opcode::Br && FI.Op != Opcode::CondBr)
-      continue;
-    auto Mark = [&](uint32_t Target) {
-      if (Target <= Pc && Code[Target].Func == FI.Func)
-        for (size_t I = Target; I <= Pc; ++I)
-          ++Depth[I];
-    };
-    Mark(FI.Target);
-    if (FI.Op == Opcode::CondBr)
-      Mark(FI.Target2);
-  }
-  std::vector<uint64_t> Heat(N, 0);
-  for (size_t Pc = 0; Pc < N; ++Pc)
-    Heat[Pc] = 1ULL << (3 * (Depth[Pc] > 6 ? 6u : Depth[Pc]));
-  return Heat;
-}
-
-} // namespace
-
 std::shared_ptr<const ExecutableImage>
 ExecutableImage::build(const Program &P,
                        const std::vector<RegionInfo> *Regions,
-                       const MonitorPlan *Plan, FusionMode Fusion,
-                       const PgoBundle *Pgo) {
+                       const MonitorPlan *Plan, FusionMode Fusion) {
   auto Img = std::shared_ptr<ExecutableImage>(new ExecutableImage());
 
   // Pass 1: layout. Blocks are laid out in id order, so every PC is known
@@ -213,24 +141,8 @@ ExecutableImage::build(const Program &P,
   }
 
   Img->DefaultCosts = Img->costTableFor(CostModel());
-  Img->Fingerprint = hashCode(Img->Code);
   Img->Fusion = Fusion;
-
-  // Heat seam: measured PC counts when the bundle profiles this exact
-  // image, else the static loop-depth estimator. A stale bundle (no
-  // matching fingerprint, or a profile sized for different code) simply
-  // falls back — the strict, user-facing rejection lives in the CLIs.
-  std::vector<uint64_t> Heat;
-  if (Fusion == FusionMode::Chains) {
-    const PcProfile *Prof = Pgo ? Pgo->find(Img->Fingerprint) : nullptr;
-    if (Prof && Prof->PcCounts.size() == Img->Code.size()) {
-      Heat = Prof->PcCounts;
-      Img->UsedPgo = true;
-    } else {
-      Heat = staticHeat(Img->Code);
-    }
-  }
-  Img->buildThreadedView(Fusion == FusionMode::Chains ? &Heat : nullptr);
+  Img->buildThreadedView();
   return Img;
 }
 
@@ -240,8 +152,6 @@ const char *ocelot::fusionModeName(FusionMode M) {
     return "off";
   case FusionMode::Pairs:
     return "pairs";
-  case FusionMode::Chains:
-    return "chains";
   }
   return "<invalid>";
 }
@@ -251,8 +161,6 @@ bool ocelot::parseFusionMode(const std::string &Text, FusionMode &M) {
     M = FusionMode::Off;
   else if (Text == "pairs")
     M = FusionMode::Pairs;
-  else if (Text == "chains")
-    M = FusionMode::Chains;
   else
     return false;
   return true;
@@ -272,15 +180,6 @@ static_assert(static_cast<int>(ThreadedOp::Nop) ==
               static_cast<int>(Opcode::Nop));
 static_assert(static_cast<size_t>(FirstFusedOp) ==
               static_cast<size_t>(Opcode::Nop) + 1);
-// Chain codes are contiguous and ordered by length: the superblock pass
-// encodes a length-L head as Chain3 + (L - MinChainLen).
-static_assert(static_cast<size_t>(ThreadedOp::Chain4) ==
-              static_cast<size_t>(ThreadedOp::Chain3) + 1);
-static_assert(static_cast<size_t>(ThreadedOp::Chain6) ==
-              static_cast<size_t>(ThreadedOp::Chain3) + MaxChainLen -
-                  MinChainLen);
-static_assert(static_cast<size_t>(FirstChainOp) + 4 == NumThreadedOps);
-
 namespace {
 
 bool readsReg(const Operand &O, int32_t Reg) {
@@ -414,52 +313,12 @@ const char *ocelot::threadedOpName(ThreadedOp Op) {
     return "mov+mov";
   case ThreadedOp::FuseFreshConsistent:
     return "fresh+consistent";
-  case ThreadedOp::Chain3:
-    return "chain3";
-  case ThreadedOp::Chain4:
-    return "chain4";
-  case ThreadedOp::Chain5:
-    return "chain5";
-  case ThreadedOp::Chain6:
-    return "chain6";
   default:
     return "<invalid>";
   }
 }
 
-namespace {
-
-/// Opcodes legal in any chain slot: straight-line register/NVM work with
-/// no out-of-line control (no Call/Ret, no region bounds, no Input or
-/// Output — those handlers leave the fast path or touch trace queues).
-/// Br/CondBr are legal only as a chain's *final* slot (they end the
-/// straight line); the builder checks that position separately.
-bool chainableMid(Opcode Op) {
-  switch (Op) {
-  case Opcode::Const:
-  case Opcode::Bin:
-  case Opcode::Un:
-  case Opcode::Mov:
-  case Opcode::LoadG:
-  case Opcode::StoreG:
-  case Opcode::LoadA:
-  case Opcode::StoreA:
-  case Opcode::Fresh:
-  case Opcode::Consistent:
-  case Opcode::Nop:
-    return true;
-  default:
-    return false;
-  }
-}
-
-bool chainTerminator(Opcode Op) {
-  return Op == Opcode::Br || Op == Opcode::CondBr;
-}
-
-} // namespace
-
-void ExecutableImage::buildThreadedView(const std::vector<uint64_t> *Heat) {
+void ExecutableImage::buildThreadedView() {
   const size_t N = Code.size();
 
   // Leaders: block starts (covers function entries and branch targets,
@@ -487,108 +346,14 @@ void ExecutableImage::buildThreadedView(const std::vector<uint64_t> *Heat) {
   TOps.resize(N);
   for (size_t Pc = 0; Pc < N; ++Pc)
     TOps[Pc] = static_cast<ThreadedOp>(Code[Pc].Op);
-  ChainLen.assign(N, 0);
   FusedPairs = 0;
-  FusedChains = 0;
   if (Fusion == FusionMode::Off)
     return;
 
-  // Superblock pass (Chains tier only): greedily chain maximal
-  // straight-line runs of hot, chainable instructions. A run may start at
-  // a leader (jumping to a chain head executes the whole chain — the
-  // point) but never *contains* one past its head, never crosses a
-  // function or region bound (AtomicStart/AtomicEnd are not chainable),
-  // and only its final slot may branch. Every slot must be hot
-  // (heat > 0): with a PGO profile that chains exactly the code that
-  // executed, leaving cold paths on the cheaper pair tier.
-  std::vector<uint8_t> Taken(N, 0);
-  if (Heat) {
-    assert(Heat->size() == N && "heat table must be PC-indexed");
-    size_t Pc = 0;
-    while (Pc < N) {
-      if (!chainableMid(Code[Pc].Op) || (*Heat)[Pc] == 0) {
-        ++Pc;
-        continue;
-      }
-      // Measure the maximal legal run [Pc, Pc + Run).
-      size_t Run = 1;
-      while (Pc + Run < N && !Leaders[Pc + Run] &&
-             Code[Pc + Run].Func == Code[Pc].Func &&
-             (*Heat)[Pc + Run] != 0) {
-        if (chainTerminator(Code[Pc + Run].Op)) {
-          ++Run; // A branch ends the straight line, inclusively.
-          break;
-        }
-        if (!chainableMid(Code[Pc + Run].Op))
-          break;
-        ++Run;
-      }
-      // Pair-aware selection: a specialized pair handler saves a
-      // dispatch *and* a step header and runs straight-line code, while
-      // a chain slot still pays the slot executor's switch — wherever
-      // the greedy pair tiling covers the run, pairs win. Simulate that
-      // tiling (the pair pass below replays it verbatim over whatever
-      // this pass leaves untaken, because every untaken position was
-      // checked here with the same matcher) and chain only the maximal
-      // pair-free gaps long enough to amortize a chain head. Each gap is
-      // chunked into chains of MinChainLen..MaxChainLen so no remainder
-      // shorter than MinChainLen is stranded: lengths 3-6 map 1:1, 7-9
-      // split as (L-3)+3, anything longer sheds 6 at a time.
-      auto ChainGap = [&](size_t GapStart, size_t GapEnd) {
-        size_t Chunk = GapStart;
-        size_t Left = GapEnd - GapStart;
-        while (Left >= MinChainLen) {
-          size_t C =
-              Left <= MaxChainLen
-                  ? Left
-                  : (Left <= MaxChainLen + MinChainLen ? Left - MinChainLen
-                                                       : MaxChainLen);
-          TOps[Chunk] = static_cast<ThreadedOp>(
-              static_cast<size_t>(ThreadedOp::Chain3) + C - MinChainLen);
-          ChainLen[Chunk] = static_cast<uint8_t>(C);
-          for (size_t I = 0; I < C; ++I)
-            Taken[Chunk + I] = 1;
-          ++FusedChains;
-          assert(!chainTerminator(Code[Chunk].Op) && "branch heads a chain");
-          Chunk += C;
-          Left -= C;
-        }
-      };
-      // The instruction just before the run (e.g. an unchainable Input
-      // feeding the run's head Mov) can pair with the run's head; leave
-      // the head to the pair pass in that case rather than chaining over
-      // it.
-      size_t GapStart = Pc;
-      if (Pc > 0 && !Taken[Pc - 1] && !Leaders[Pc] &&
-          Code[Pc - 1].Func == Code[Pc].Func &&
-          fusePattern(Code[Pc - 1], Code[Pc]) >= FirstFusedOp)
-        GapStart = Pc + 1;
-      // Symmetrically, the run's last slot can pair with the instruction
-      // just past the run (e.g. a Mov feeding an unchainable Input).
-      size_t RunEnd = Pc + Run;
-      if (RunEnd < N && !Leaders[RunEnd] &&
-          Code[RunEnd - 1].Func == Code[RunEnd].Func &&
-          fusePattern(Code[RunEnd - 1], Code[RunEnd]) >= FirstFusedOp)
-        --RunEnd;
-      for (size_t I = GapStart - Pc; Pc + I + 1 < RunEnd; ++I)
-        if (fusePattern(Code[Pc + I], Code[Pc + I + 1]) >= FirstFusedOp) {
-          ChainGap(GapStart, Pc + I);
-          GapStart = Pc + I + 2;
-          ++I;
-        }
-      if (GapStart <= RunEnd)
-        ChainGap(GapStart, RunEnd);
-      Pc += Run;
-    }
-  }
-
-  // Pair pass over the remaining gaps: greedily fuse non-overlapping
-  // adjacent pairs. Tails keep their plain code: a JIT reboot can leave
-  // the resume PC in the middle of a pair, and dispatching the tail's
-  // plain code there is the unfused semantics.
+  // Greedily fuse non-overlapping adjacent pairs. Tails keep their plain
+  // code: a JIT reboot can leave the resume PC in the middle of a pair,
+  // and dispatching the tail's plain code there is the unfused semantics.
   for (size_t Pc = 0; Pc + 1 < N; ++Pc) {
-    if (Taken[Pc] || Taken[Pc + 1])
-      continue;
     if (Leaders[Pc + 1] || Code[Pc].Func != Code[Pc + 1].Func)
       continue;
     ThreadedOp Fused = fusePattern(Code[Pc], Code[Pc + 1]);
@@ -632,9 +397,8 @@ std::string ExecutableImage::disassemble(const Program &P) const {
          " instruction(s), " + std::to_string(Funcs.size()) +
          " function(s), " + std::to_string(Globals.size()) +
          " global(s) in " + std::to_string(NvmCellCount) + " NVM cell(s), " +
-         std::to_string(FusedPairs) + " fused pair(s), " +
-         std::to_string(FusedChains) + " superblock chain(s) [fusion=" +
-         fusionModeName(Fusion) + (UsedPgo ? ", pgo" : "") + "]\n";
+         std::to_string(FusedPairs) + " fused pair(s) [fusion=" +
+         fusionModeName(Fusion) + "]\n";
   CostModel Default;
   for (int F = 0; F < numFunctions(); ++F) {
     const FuncLayout &L = func(F);
@@ -760,17 +524,6 @@ std::string ExecutableImage::disassemble(const Program &P) const {
         Out += " fused=" + std::string(threadedOpName(TOps[Pc]));
       else if (Pc > 0 && isFusedHead(Pc - 1))
         Out += " fused-tail";
-      if (isChainHead(Pc)) {
-        Out += " chain=" + std::to_string(chainLenAt(Pc));
-      } else {
-        // Interior/tail chain slots: find the owning head, if any.
-        for (uint32_t Back = 1; Back < MaxChainLen && Back <= Pc; ++Back)
-          if (isChainHead(Pc - Back) && chainLenAt(Pc - Back) > Back) {
-            Out += " chain-slot=" + std::to_string(Back) + "/" +
-                   std::to_string(chainLenAt(Pc - Back));
-            break;
-          }
-      }
       Out += "\n";
     }
   }

@@ -87,9 +87,7 @@ struct FlatInst {
 /// (InterpreterThreaded.cpp). The first block mirrors `Opcode` one-to-one;
 /// the rest are *superinstructions*: an image-build-time peephole pass
 /// (the fusion pass) marks hot adjacent opcode pairs so the threaded
-/// engine executes both with a single dispatch, and a superblock pass
-/// marks whole straight-line runs (3-6 slots) as variable-length chains
-/// dispatched once.
+/// engine executes both with a single dispatch.
 ///
 /// Fusion never rewrites the `FlatInst` array — costs, monitor flags and
 /// omega spans stay per-PC and untouched. A fused pair is encoded purely
@@ -97,10 +95,7 @@ struct FlatInst {
 /// [pc, pc+1], while the *tail* slot keeps its plain one-to-one code.
 /// That tail code is load-bearing: a JIT reboot can resume execution in
 /// the middle of a pair, and dispatching the tail's plain code there is
-/// exactly the unfused semantics. Chains follow the same discipline: only
-/// the head slot gets a `ChainN` code; every interior and tail slot keeps
-/// its plain code, so a mid-chain power failure, trap or region abort
-/// resumes with unfused semantics at the interrupted PC.
+/// exactly the unfused semantics.
 enum class ThreadedOp : uint8_t {
   // One-to-one with Opcode (same order; a FlatInst's opcode is its own
   // dispatch code when the slot is not a fused head).
@@ -152,36 +147,22 @@ enum class ThreadedOp : uint8_t {
   FuseConsistentInput, ///< Consistent + Input.
   FuseMovMov,          ///< Mov + Mov.
   FuseFreshConsistent, ///< Fresh + Consistent (two taint-off no-ops).
-  // Superblock chains (head slots only): a straight-line run of 3-6
-  // chainable instructions executed under one dispatch, with the run's
-  // most recent destination register cached in a local between slots.
-  // The chain's length is in the ChainLen side table; interior slots
-  // keep their plain codes (mid-chain resume, like pair tails).
-  Chain3,
-  Chain4,
-  Chain5,
-  Chain6,
 };
 
 /// Total number of ThreadedOp codes (jump-table size).
 constexpr size_t NumThreadedOps =
-    static_cast<size_t>(ThreadedOp::Chain6) + 1;
-/// Codes >= this are fused heads (pairs or chains).
+    static_cast<size_t>(ThreadedOp::FuseFreshConsistent) + 1;
+/// Codes >= this are fused pair heads.
 constexpr ThreadedOp FirstFusedOp = ThreadedOp::FuseBinCondBr;
-/// Codes >= this are superblock chain heads.
-constexpr ThreadedOp FirstChainOp = ThreadedOp::Chain3;
-/// Chain length bounds of the superblock pass.
-constexpr uint32_t MinChainLen = 3;
-constexpr uint32_t MaxChainLen = 6;
 
-/// How the image-build-time fusion passes run. `Chains` (the default)
-/// layers variable-length superblock chains over pair fusion; `Pairs` is
-/// the PR 6 pair-only tier; `Off` disables both (plain dispatch codes
-/// everywhere) for bisection.
-enum class FusionMode : uint8_t { Off, Pairs, Chains };
+/// Whether the image-build-time fusion pass runs. `Pairs` (the default)
+/// fuses the pattern table's adjacent pairs; `Off` keeps plain dispatch
+/// codes everywhere — the unfused reference for differential tests and
+/// `ocelotc --disasm --fusion=off`.
+enum class FusionMode : uint8_t { Off, Pairs };
 
 const char *fusionModeName(FusionMode M);
-/// Parses "off" / "pairs" / "chains"; returns false on anything else.
+/// Parses "off" / "pairs"; returns false on anything else.
 bool parseFusionMode(const std::string &Text, FusionMode &M);
 
 const char *threadedOpName(ThreadedOp Op);
@@ -199,24 +180,15 @@ struct FuncLayout {
   uint32_t NumRegs = 0; ///< Virtual register-file size.
 };
 
-struct PcProfile;
-struct PgoBundle;
-
 class ExecutableImage {
 public:
   /// Builds the image for \p P. \p Regions supplies the omega sets
   /// flattened next to each AtomicStart and \p Plan the monitor side
   /// tables; either may be null for programs without annotations.
-  /// \p Fusion selects the superinstruction tier and \p Pgo optionally
-  /// supplies measured heat: when the bundle holds a profile for this
-  /// image's fingerprint, the superblock pass chains only runs whose
-  /// every slot executed; otherwise the static loop-depth estimator
-  /// decides. A bundle without a matching entry is ignored here — strict
-  /// rejection is the CLI's job (ocelotc --pgo exits 1).
+  /// \p Fusion selects whether the pair-fusion pass runs.
   static std::shared_ptr<const ExecutableImage>
   build(const Program &P, const std::vector<RegionInfo> *Regions,
-        const MonitorPlan *Plan, FusionMode Fusion = FusionMode::Chains,
-        const PgoBundle *Pgo = nullptr);
+        const MonitorPlan *Plan, FusionMode Fusion = FusionMode::Pairs);
 
   // -- Code --------------------------------------------------------------
   const std::vector<FlatInst> &code() const { return Code; }
@@ -264,41 +236,20 @@ public:
 
   // -- Threaded dispatch view --------------------------------------------
   /// PC-indexed dispatch codes for the threaded engine. Non-fused slots
-  /// (including every fused pair's tail and every chain's interior slot)
-  /// carry their FlatInst's opcode verbatim; fused heads carry a Fuse*
-  /// code covering [pc, pc+1] and chain heads a ChainN code covering
-  /// [pc, pc+chainLenAt(pc)).
+  /// (including every fused pair's tail) carry their FlatInst's opcode
+  /// verbatim; fused heads carry a Fuse* code covering [pc, pc+1].
   const std::vector<ThreadedOp> &threadedOps() const { return TOps; }
   ThreadedOp threadedOpAt(uint32_t Pc) const {
     return TOps[static_cast<size_t>(Pc)];
   }
-  /// True when \p Pc heads a fused *pair* (chain heads excluded).
+  /// True when \p Pc heads a fused pair.
   bool isFusedHead(uint32_t Pc) const {
-    return TOps[static_cast<size_t>(Pc)] >= FirstFusedOp &&
-           TOps[static_cast<size_t>(Pc)] < FirstChainOp;
-  }
-  /// True when \p Pc heads a superblock chain.
-  bool isChainHead(uint32_t Pc) const {
-    return TOps[static_cast<size_t>(Pc)] >= FirstChainOp;
-  }
-  /// Chain length at \p Pc: 0 unless \p Pc heads a chain, else 3-6.
-  uint32_t chainLenAt(uint32_t Pc) const {
-    return ChainLen[static_cast<size_t>(Pc)];
+    return TOps[static_cast<size_t>(Pc)] >= FirstFusedOp;
   }
   /// Number of fused pairs the peephole pass formed.
   uint32_t fusedPairCount() const { return FusedPairs; }
-  /// Number of superblock chains the superblock pass formed.
-  uint32_t fusedChainCount() const { return FusedChains; }
   /// The fusion tier this image was built with.
   FusionMode fusionMode() const { return Fusion; }
-  /// True when the superblock pass consumed a matching PGO profile
-  /// (chains selected by measured heat, not the static estimator).
-  bool usedPgo() const { return UsedPgo; }
-  /// Structural hash of the flat code (opcodes, operands, targets,
-  /// globals): the key PGO profiles are stored and matched under. Two
-  /// images of the same program layout share a fingerprint regardless of
-  /// fusion tier, so a profile collected at any tier applies to all.
-  uint64_t fingerprint() const { return Fingerprint; }
   /// True when \p Pc is a *leader*: a block start (function entries and
   /// branch targets included) or the resume point after a Call. Fusion
   /// never makes a leader a pair's tail, so every control transfer lands
@@ -315,21 +266,15 @@ public:
 private:
   ExecutableImage() = default;
 
-  /// Computes the leader set and runs the fusion passes (superblock
-  /// chains, then pairs over the remaining gaps) over the finished Code
-  /// array, filling TOps/Leaders/ChainLen/FusedPairs/FusedChains.
-  /// \p Heat is the per-PC heat table (null: chain everything legal).
-  void buildThreadedView(const std::vector<uint64_t> *Heat);
+  /// Computes the leader set and runs the pair-fusion pass over the
+  /// finished Code array, filling TOps/Leaders/FusedPairs.
+  void buildThreadedView();
 
   std::vector<FlatInst> Code;
   std::vector<ThreadedOp> TOps;
   std::vector<uint8_t> Leaders;
-  std::vector<uint8_t> ChainLen;
   uint32_t FusedPairs = 0;
-  uint32_t FusedChains = 0;
-  FusionMode Fusion = FusionMode::Chains;
-  bool UsedPgo = false;
-  uint64_t Fingerprint = 0;
+  FusionMode Fusion = FusionMode::Pairs;
   std::vector<FuncLayout> Funcs;
   std::vector<Operand> ArgPool;
   std::vector<int32_t> OmegaPool;

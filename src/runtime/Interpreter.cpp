@@ -14,6 +14,7 @@
 #include "runtime/Interpreter.h"
 
 #include "runtime/ArenaPool.h"
+#include "runtime/IntegerOps.h"
 #include "telemetry/TraceSink.h"
 
 #include <cassert>
@@ -403,18 +404,6 @@ RunResult Interpreter::runOnceTree() {
     Frame &Top = Frames.back();
     InstrRef Site(Top.Func, I->Label);
 
-    // Opcode-pair profiling (the fusion pass's input). Idx > 0 means the
-    // previous slot of this block executed at the adjacent PC — exactly
-    // the pairs the image's peephole pass may fuse.
-    if (Cfg.OpcodePairCounts && Top.Idx > 0) {
-      const Instruction &Prev =
-          P.function(Top.Func)->block(Top.Block)->instructions()
-              [static_cast<size_t>(Top.Idx - 1)];
-      ++(*Cfg.OpcodePairCounts)[static_cast<size_t>(Prev.Op) *
-                                    static_cast<size_t>(NumOpcodes) +
-                                static_cast<size_t>(I->Op)];
-    }
-
     // Failure injection before the instruction (pathological / random).
     if (Cfg.Plan.firesBefore(Site, Rand)) {
       powerFail(R);
@@ -458,19 +447,7 @@ RunResult Interpreter::runOnceTree() {
       break;
     case Opcode::Un: {
       RtValue A = eval(I->A);
-      int64_t V = 0;
-      switch (I->UnKind) {
-      case UnOp::Neg:
-        V = -A.V;
-        break;
-      case UnOp::Not:
-        V = ~A.V;
-        break;
-      case UnOp::LNot:
-        V = A.V == 0 ? 1 : 0;
-        break;
-      }
-      RtValue Out(V);
+      RtValue Out(unEval(I->UnKind, A.V));
       Out.Taint = std::move(A.Taint);
       Frames.back().Regs[static_cast<size_t>(I->Dst)] = std::move(Out);
       break;
@@ -479,73 +456,9 @@ RunResult Interpreter::runOnceTree() {
       RtValue A = eval(I->A);
       RtValue B = eval(I->B);
       int64_t V = 0;
-      bool Ok = true;
-      switch (I->BinKind) {
-      case BinOp::Add:
-        V = A.V + B.V;
-        break;
-      case BinOp::Sub:
-        V = A.V - B.V;
-        break;
-      case BinOp::Mul:
-        V = A.V * B.V;
-        break;
-      case BinOp::Div:
-        if (B.V == 0)
-          Ok = false;
-        else
-          V = A.V / B.V;
-        break;
-      case BinOp::Mod:
-        if (B.V == 0)
-          Ok = false;
-        else
-          V = A.V % B.V;
-        break;
-      case BinOp::And:
-        V = A.V & B.V;
-        break;
-      case BinOp::Or:
-        V = A.V | B.V;
-        break;
-      case BinOp::Xor:
-        V = A.V ^ B.V;
-        break;
-      case BinOp::Shl:
-        V = A.V << (B.V & 63);
-        break;
-      case BinOp::Shr:
-        V = A.V >> (B.V & 63);
-        break;
-      case BinOp::Eq:
-        V = A.V == B.V;
-        break;
-      case BinOp::Ne:
-        V = A.V != B.V;
-        break;
-      case BinOp::Lt:
-        V = A.V < B.V;
-        break;
-      case BinOp::Le:
-        V = A.V <= B.V;
-        break;
-      case BinOp::Gt:
-        V = A.V > B.V;
-        break;
-      case BinOp::Ge:
-        V = A.V >= B.V;
-        break;
-      case BinOp::LAnd:
-        V = (A.V != 0) && (B.V != 0);
-        break;
-      case BinOp::LOr:
-        V = (A.V != 0) || (B.V != 0);
-        break;
-      }
-      if (!Ok) {
-        R.Trap = "division by zero at " +
-                 P.function(Site.Func)->name() + "@" +
-                 std::to_string(Site.Label);
+      if (const char *Trap = binEval(I->BinKind, A.V, B.V, V)) {
+        R.Trap = std::string(Trap) + " at " + P.function(Site.Func)->name() +
+                 "@" + std::to_string(Site.Label);
         break;
       }
       RtValue Out(V);

@@ -114,14 +114,6 @@ struct RunConfig {
   bool RecordTrace = false;
   uint64_t MaxOnCyclesPerRun = 50'000'000;
   uint64_t MaxAbortsPerRegion = 1000; ///< Starvation detector (§5.3).
-  /// Optional dynamic opcode-pair histogram, filled by the *tree* engine
-  /// only (the reference walk — profiling must not perturb the fast
-  /// paths). When non-null it must hold NumOpcodes^2 counters; the count
-  /// of executing PC-adjacent pair (prev, cur) lands at
-  /// [prev * NumOpcodes + cur]. This is the data the superinstruction set
-  /// in ExecutableImage's fusion pass was chosen from
-  /// (bench/micro_runtime --pairs).
-  std::vector<uint64_t> *OpcodePairCounts = nullptr;
   /// Optional structured run tracing (src/telemetry/TraceSink.h): when
   /// non-null the engines and the violation monitor record reboot /
   /// checkpoint / region / monitor / sensor / energy events with τ

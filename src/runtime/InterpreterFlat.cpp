@@ -21,6 +21,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "runtime/Interpreter.h"
+#include "runtime/IntegerOps.h"
 
 #include "telemetry/Profile.h"
 #include "telemetry/TraceSink.h"
@@ -287,18 +288,7 @@ template <bool TaintOn> RunResult Interpreter::runFlatLoop() {
       } else {
         AV = RawVal(FI.A);
       }
-      int64_t V = 0;
-      switch (FI.UnKind) {
-      case UnOp::Neg:
-        V = -AV;
-        break;
-      case UnOp::Not:
-        V = ~AV;
-        break;
-      case UnOp::LNot:
-        V = AV == 0 ? 1 : 0;
-        break;
-      }
+      const int64_t V = unEval(FI.UnKind, AV);
       if constexpr (TaintOn) {
         RtValue Out(V);
         Out.Taint = std::move(A.Taint);
@@ -321,71 +311,8 @@ template <bool TaintOn> RunResult Interpreter::runFlatLoop() {
         BV = RawVal(FI.B);
       }
       int64_t V = 0;
-      bool Ok = true;
-      switch (FI.BinKind) {
-      case BinOp::Add:
-        V = AV + BV;
-        break;
-      case BinOp::Sub:
-        V = AV - BV;
-        break;
-      case BinOp::Mul:
-        V = AV * BV;
-        break;
-      case BinOp::Div:
-        if (BV == 0)
-          Ok = false;
-        else
-          V = AV / BV;
-        break;
-      case BinOp::Mod:
-        if (BV == 0)
-          Ok = false;
-        else
-          V = AV % BV;
-        break;
-      case BinOp::And:
-        V = AV & BV;
-        break;
-      case BinOp::Or:
-        V = AV | BV;
-        break;
-      case BinOp::Xor:
-        V = AV ^ BV;
-        break;
-      case BinOp::Shl:
-        V = AV << (BV & 63);
-        break;
-      case BinOp::Shr:
-        V = AV >> (BV & 63);
-        break;
-      case BinOp::Eq:
-        V = AV == BV;
-        break;
-      case BinOp::Ne:
-        V = AV != BV;
-        break;
-      case BinOp::Lt:
-        V = AV < BV;
-        break;
-      case BinOp::Le:
-        V = AV <= BV;
-        break;
-      case BinOp::Gt:
-        V = AV > BV;
-        break;
-      case BinOp::Ge:
-        V = AV >= BV;
-        break;
-      case BinOp::LAnd:
-        V = (AV != 0) && (BV != 0);
-        break;
-      case BinOp::LOr:
-        V = (AV != 0) || (BV != 0);
-        break;
-      }
-      if (!Ok) {
-        R.Trap = "division by zero at " + P.function(Site.Func)->name() +
+      if (const char *Trap = binEval(FI.BinKind, AV, BV, V)) {
+        R.Trap = std::string(Trap) + " at " + P.function(Site.Func)->name() +
                  "@" + std::to_string(Site.Label);
         break;
       }

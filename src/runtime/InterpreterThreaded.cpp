@@ -9,9 +9,7 @@
 /// (with a portable switch fallback when the compiler lacks the labels-as-
 /// values extension) over the image's ThreadedOp view, in which the
 /// build-time peephole pass fused hot adjacent opcode pairs into
-/// superinstructions and the superblock pass fused straight-line runs of
-/// 3-6 instructions into variable-length chains
-/// (ExecutableImage::buildThreadedView).
+/// superinstructions (ExecutableImage::buildThreadedView).
 ///
 /// Like the flat engine it accelerates, every rule here must mirror the
 /// tree engine exactly — same cost charging, same RNG draw sequence, same
@@ -31,17 +29,6 @@
 ///    point), so every branch, return and region re-entry lands on a
 ///    plain code.
 ///
-/// Chains extend the same contract to 3-6 slots: every slot runs the full
-/// step header (a power failure can strike between any two slots, and the
-/// interrupted PC's plain code resumes it), only the final slot may
-/// branch, and region bounds are never inside a chain. What chains add
-/// over pairs is *in-chain register caching*: the run's most recent
-/// destination register is mirrored in a local, so an accumulator-style
-/// run reads its flowing value without round-tripping the register file.
-/// The register file is still written at every slot — the cache elides
-/// reads only — which is exactly what makes mid-chain resume sound: the
-/// architectural state a reboot sees is always complete.
-///
 /// The loop is only ever instantiated taint-off; runOnceThreaded routes
 /// taint-tracking configs to the flat loop's taint instantiation, where
 /// dispatch cost is noise next to taint propagation. The Hot
@@ -52,6 +39,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "runtime/Interpreter.h"
+#include "runtime/IntegerOps.h"
 
 #include "telemetry/Profile.h"
 #include "telemetry/TraceSink.h"
@@ -59,76 +47,6 @@
 #include <cassert>
 
 using namespace ocelot;
-
-namespace {
-
-/// Exactly the flat engine's Bin arithmetic. Returns false on division
-/// or modulo by zero; the caller raises the trap with its own site.
-inline bool binEval(BinOp K, int64_t AV, int64_t BV, int64_t &V) {
-  switch (K) {
-  case BinOp::Add:
-    V = AV + BV;
-    return true;
-  case BinOp::Sub:
-    V = AV - BV;
-    return true;
-  case BinOp::Mul:
-    V = AV * BV;
-    return true;
-  case BinOp::Div:
-    if (BV == 0)
-      return false;
-    V = AV / BV;
-    return true;
-  case BinOp::Mod:
-    if (BV == 0)
-      return false;
-    V = AV % BV;
-    return true;
-  case BinOp::And:
-    V = AV & BV;
-    return true;
-  case BinOp::Or:
-    V = AV | BV;
-    return true;
-  case BinOp::Xor:
-    V = AV ^ BV;
-    return true;
-  case BinOp::Shl:
-    V = AV << (BV & 63);
-    return true;
-  case BinOp::Shr:
-    V = AV >> (BV & 63);
-    return true;
-  case BinOp::Eq:
-    V = AV == BV;
-    return true;
-  case BinOp::Ne:
-    V = AV != BV;
-    return true;
-  case BinOp::Lt:
-    V = AV < BV;
-    return true;
-  case BinOp::Le:
-    V = AV <= BV;
-    return true;
-  case BinOp::Gt:
-    V = AV > BV;
-    return true;
-  case BinOp::Ge:
-    V = AV >= BV;
-    return true;
-  case BinOp::LAnd:
-    V = (AV != 0) && (BV != 0);
-    return true;
-  case BinOp::LOr:
-    V = (AV != 0) || (BV != 0);
-    return true;
-  }
-  return true; // Unreachable; silences -Wreturn-type.
-}
-
-} // namespace
 
 RunResult Interpreter::runOnceThreaded() {
   // Taint tracking (the formal monitor forces it on) runs the flat
@@ -218,12 +136,6 @@ template <bool Hot> RunResult Interpreter::runThreadedLoop() {
   // and SyncIn (a power-failure restore replaces the stack wholesale).
   RtValue *Regs = RegStack.data() + RegBase;
   const uint64_t MaxOnCycles = Cfg.MaxOnCyclesPerRun;
-  // Headroom for the Hot batched chain prologue's budget guard: besides
-  // the pre-summed base costs, each chained store can add at most one
-  // undo-log charge, and a chain has at most MaxChainLen slots. A chain
-  // whose worst case could cross the budget re-runs per-slot instead.
-  [[maybe_unused]] const uint64_t ChainSlack =
-      static_cast<uint64_t>(MaxChainLen) * Cfg.Costs.UndoLogEntryCost;
   const FlatInst *FI = Code + Pc;
   [[maybe_unused]] ThreadedOp TOp = ThreadedOp::Nop;
   uint64_t Cost = 0;
@@ -280,8 +192,8 @@ template <bool Hot> RunResult Interpreter::runThreadedLoop() {
     nvmCell(G, Index).V = V;
   };
 
-  auto DivZeroTrap = [&](const FlatInst &I) {
-    R.Trap = "division by zero at " + P.function(I.Func)->name() + "@" +
+  auto ArithTrap = [&](const FlatInst &I, const char *What) {
+    R.Trap = std::string(What) + " at " + P.function(I.Func)->name() + "@" +
              std::to_string(I.Label);
   };
   auto BoundsTrap = [&](const FlatInst &I) {
@@ -306,65 +218,6 @@ template <bool Hot> RunResult Interpreter::runThreadedLoop() {
     }                                                                          \
     FI = Code + Pc;                                                            \
     TOp = TOps[Pc];                                                            \
-    if constexpr (!Hot) {                                                      \
-      if (PlanMayFireBefore &&                                                 \
-          Cfg.Plan.firesBefore(InstrRef(FI->Func, FI->Label), Rand)) {         \
-        SyncOut();                                                             \
-        powerFailFlat(R);                                                      \
-        SyncIn();                                                              \
-        goto LTop;                                                             \
-      }                                                                        \
-    }                                                                          \
-    Cost = Costs[Pc];                                                          \
-    if constexpr (!Hot) {                                                      \
-      if (NeedEnergyCheck) {                                                   \
-        this->LifetimeOn = LifetimeOn; /* periodic plans arm against it */     \
-        if (checkEnergyAndPlan(Cost)) {                                        \
-          ++ConsecutiveFailures;                                               \
-          if (ConsecutiveFailures > Cfg.MaxAbortsPerRegion) {                  \
-            R.Starved = true;                                                  \
-            goto LDone;                                                        \
-          }                                                                    \
-          SyncOut();                                                           \
-          powerFailFlat(R);                                                    \
-          SyncIn();                                                            \
-          goto LTop;                                                           \
-        }                                                                      \
-      }                                                                        \
-      ConsecutiveFailures = 0;                                                 \
-    }                                                                          \
-    OnCycles += Cost;                                                          \
-    if constexpr (!Hot) {                                                      \
-      LifetimeOn += Cost;                                                      \
-      Tau += Cost;                                                             \
-    }                                                                          \
-    ++Steps;                                                                   \
-    if constexpr (!Hot) {                                                      \
-      if (Prof) {                                                              \
-        Prof->step(Pc, static_cast<uint16_t>(FI->Op), ProfPrevPc,              \
-                   ProfPrevOp);                                                \
-        ProfPrevPc = Pc;                                                       \
-        ProfPrevOp = static_cast<uint16_t>(FI->Op);                            \
-      }                                                                        \
-      if (BitVector && FI->HasUseCheck)                                        \
-        Monitor->onFreshUse(InstrRef(FI->Func, FI->Label), Tau);               \
-    }                                                                          \
-    ++Pc; /* Advance before executing (branches overwrite). */                 \
-  } while (0)
-
-// One chain slot's step header: OCELOT_STEP minus the dispatch-code load
-// (a chain handler already knows what each slot executes; the TOps entry
-// is only needed again when the chain ends and control re-dispatches).
-// Keeping the full failure/energy/monitor ladder per slot is what lets a
-// power failure strike between any two chain slots and resume at the
-// interrupted PC's plain code.
-#define OCELOT_CHAIN_STEP()                                                    \
-  do {                                                                         \
-    if (OnCycles > MaxOnCycles) {                                              \
-      R.Trap = "on-cycle budget exceeded";                                     \
-      goto LDone;                                                              \
-    }                                                                          \
-    FI = Code + Pc;                                                            \
     if constexpr (!Hot) {                                                      \
       if (PlanMayFireBefore &&                                                 \
           Cfg.Plan.firesBefore(InstrRef(FI->Func, FI->Label), Rand)) {         \
@@ -481,8 +334,7 @@ template <bool Hot> RunResult Interpreter::runThreadedLoop() {
       &&LOp_FuseBinLoadA,  &&LOp_FuseLoadALoadA, &&LOp_FuseMovConsistent,
       &&LOp_FuseConsistentBin, &&LOp_FuseInputMov, &&LOp_FuseMovInput,
       &&LOp_FuseConsistentInput, &&LOp_FuseMovMov,
-      &&LOp_FuseFreshConsistent, &&LOp_Chain3,   &&LOp_Chain4,
-      &&LOp_Chain5,        &&LOp_Chain6};
+      &&LOp_FuseFreshConsistent};
   static_assert(sizeof(JumpTable) / sizeof(JumpTable[0]) == NumThreadedOps,
                 "jump table must cover every ThreadedOp");
 #define OCELOT_CASE(name) LOp_##name
@@ -518,20 +370,7 @@ LSwitch:
   }
 
   OCELOT_CASE(Un) : {
-    const int64_t AV = RawVal(FI->A);
-    int64_t V = 0;
-    switch (FI->UnKind) {
-    case UnOp::Neg:
-      V = -AV;
-      break;
-    case UnOp::Not:
-      V = ~AV;
-      break;
-    case UnOp::LNot:
-      V = AV == 0 ? 1 : 0;
-      break;
-    }
-    Regs[FI->Dst].V = V;
+    Regs[FI->Dst].V = unEval(FI->UnKind, RawVal(FI->A));
     OCELOT_NEXT(*FI);
   }
 
@@ -539,8 +378,8 @@ LSwitch:
     const int64_t AV = RawVal(FI->A);
     const int64_t BV = RawVal(FI->B);
     int64_t V = 0;
-    if (!binEval(FI->BinKind, AV, BV, V)) {
-      DivZeroTrap(*FI);
+    if (const char *Trap = binEval(FI->BinKind, AV, BV, V)) {
+      ArithTrap(*FI, Trap);
       OCELOT_TRAPPED(*FI);
     }
     Regs[FI->Dst].V = V;
@@ -750,8 +589,8 @@ LSwitch:
     const int64_t AV = RawVal(H.A);
     const int64_t BV = RawVal(H.B);
     int64_t V = 0;
-    if (!binEval(H.BinKind, AV, BV, V)) {
-      DivZeroTrap(H);
+    if (const char *Trap = binEval(H.BinKind, AV, BV, V)) {
+      ArithTrap(H, Trap);
       OCELOT_TRAPPED(H);
     }
     Regs[H.Dst].V = V;
@@ -766,8 +605,8 @@ LSwitch:
     const int64_t AV = RawVal(H.A);
     const int64_t BV = RawVal(H.B);
     int64_t V = 0;
-    if (!binEval(H.BinKind, AV, BV, V)) {
-      DivZeroTrap(H);
+    if (const char *Trap = binEval(H.BinKind, AV, BV, V)) {
+      ArithTrap(H, Trap);
       OCELOT_TRAPPED(H);
     }
     Regs[H.Dst].V = V;
@@ -782,8 +621,8 @@ LSwitch:
     const int64_t AV = RawVal(H.A);
     const int64_t BV = RawVal(H.B);
     int64_t V = 0;
-    if (!binEval(H.BinKind, AV, BV, V)) {
-      DivZeroTrap(H);
+    if (const char *Trap = binEval(H.BinKind, AV, BV, V)) {
+      ArithTrap(H, Trap);
       OCELOT_TRAPPED(H);
     }
     Regs[H.Dst].V = V;
@@ -806,8 +645,8 @@ LSwitch:
     OCELOT_STEP(); // Tail: the Bin whose A operand is H.Dst.
     const int64_t BV = RawVal(FI->B);
     int64_t V = 0;
-    if (!binEval(FI->BinKind, V0, BV, V)) {
-      DivZeroTrap(*FI);
+    if (const char *Trap = binEval(FI->BinKind, V0, BV, V)) {
+      ArithTrap(*FI, Trap);
       OCELOT_TRAPPED(*FI);
     }
     Regs[FI->Dst].V = V;
@@ -827,8 +666,8 @@ LSwitch:
     OCELOT_STEP(); // Tail: the Bin whose A operand is H.Dst.
     const int64_t BV = RawVal(FI->B);
     int64_t V = 0;
-    if (!binEval(FI->BinKind, V0, BV, V)) {
-      DivZeroTrap(*FI);
+    if (const char *Trap = binEval(FI->BinKind, V0, BV, V)) {
+      ArithTrap(*FI, Trap);
       OCELOT_TRAPPED(*FI);
     }
     Regs[FI->Dst].V = V;
@@ -861,8 +700,8 @@ LSwitch:
     OCELOT_STEP(); // Tail: the Bin whose A operand is H.Dst.
     const int64_t BV = RawVal(FI->B);
     int64_t V = 0;
-    if (!binEval(FI->BinKind, V0, BV, V)) {
-      DivZeroTrap(*FI);
+    if (const char *Trap = binEval(FI->BinKind, V0, BV, V)) {
+      ArithTrap(*FI, Trap);
       OCELOT_TRAPPED(*FI);
     }
     Regs[FI->Dst].V = V;
@@ -874,8 +713,8 @@ LSwitch:
     const int64_t AV = RawVal(H.A);
     const int64_t BV = RawVal(H.B);
     int64_t V = 0;
-    if (!binEval(H.BinKind, AV, BV, V)) {
-      DivZeroTrap(H);
+    if (const char *Trap = binEval(H.BinKind, AV, BV, V)) {
+      ArithTrap(H, Trap);
       OCELOT_TRAPPED(H);
     }
     Regs[H.Dst].V = V;
@@ -899,8 +738,8 @@ LSwitch:
     const int64_t AV = RawVal(H.A);
     const int64_t BV = RawVal(H.B);
     int64_t V0 = 0;
-    if (!binEval(H.BinKind, AV, BV, V0)) {
-      DivZeroTrap(H);
+    if (const char *Trap = binEval(H.BinKind, AV, BV, V0)) {
+      ArithTrap(H, Trap);
       OCELOT_TRAPPED(H);
     }
     Regs[H.Dst].V = V0;
@@ -908,8 +747,8 @@ LSwitch:
     OCELOT_STEP(); // Tail: the Bin whose A operand is H.Dst.
     const int64_t BV2 = RawVal(FI->B);
     int64_t V = 0;
-    if (!binEval(FI->BinKind, V0, BV2, V)) {
-      DivZeroTrap(*FI);
+    if (const char *Trap = binEval(FI->BinKind, V0, BV2, V)) {
+      ArithTrap(*FI, Trap);
       OCELOT_TRAPPED(*FI);
     }
     Regs[FI->Dst].V = V;
@@ -940,8 +779,8 @@ LSwitch:
     const int64_t AV = RawVal(H.A);
     const int64_t BV = RawVal(H.B);
     int64_t V = 0;
-    if (!binEval(H.BinKind, AV, BV, V)) {
-      DivZeroTrap(H);
+    if (const char *Trap = binEval(H.BinKind, AV, BV, V)) {
+      ArithTrap(H, Trap);
       OCELOT_TRAPPED(H);
     }
     Regs[H.Dst].V = V;
@@ -994,8 +833,8 @@ LSwitch:
     const int64_t AV = RawVal(FI->A);
     const int64_t BV = RawVal(FI->B);
     int64_t V = 0;
-    if (!binEval(FI->BinKind, AV, BV, V)) {
-      DivZeroTrap(*FI);
+    if (const char *Trap = binEval(FI->BinKind, AV, BV, V)) {
+      ArithTrap(*FI, Trap);
       OCELOT_TRAPPED(*FI);
     }
     Regs[FI->Dst].V = V;
@@ -1041,298 +880,6 @@ LSwitch:
     OCELOT_NEXT_NOCHECK();
   }
 
-  // -- Superblock chains --------------------------------------------------
-  // A ChainN head covers N straight-line slots under one dispatch. Each
-  // slot runs the full step header (OCELOT_CHAIN_STEP) then one arm of
-  // the slot executor below. The executor mirrors the plain handlers of
-  // every chainable opcode exactly — same trap strings, same undo-log
-  // charges, same kind-less conversion points — plus the in-chain
-  // register cache: CacheReg/CacheVal mirror the most recently written
-  // destination register, so a slot reading its predecessor's result
-  // skips the register-file load. The register file itself is written at
-  // every slot (reads are elided, writes never), keeping mid-chain
-  // power-failure resume and region snapshots sound.
-
-// Operand read through the chain cache: a register operand that names the
-// cached destination reads the local; anything else falls back to the
-// plain path (register file, immediate, or the kind-less conversion).
-#define OCELOT_CHAIN_VAL(O)                                                    \
-  ((O).isReg()                                                                 \
-       ? ((O).Reg == CacheReg                                                  \
-              ? CacheVal                                                       \
-              : Regs[(O).Reg].V)            \
-       : ((O).isImm() ? (O).Imm : evalKindless().V))
-
-// Undoes the pre-charged accounting of the chain slots that will *not*
-// execute because the current slot trapped (Hot batched mode only; see
-// the chain handlers). At a trap in slot k the header has advanced Pc to
-// k+1, and interior slots never overwrite Pc (Br/CondBr only occupy the
-// final slot, which uses the plain trap macros), so [Pc, ChainEnd) is
-// exactly the unexecuted remainder.
-#define OCELOT_CHAIN_UNDO_REST()                                               \
-  do {                                                                         \
-    uint64_t GiveBack = 0;                                                     \
-    for (uint32_t Q = Pc; Q < ChainEnd; ++Q)                                   \
-      GiveBack += Costs[Q];                                                    \
-    OnCycles -= GiveBack; /* Hot-only: tau/lifetime derive from this. */       \
-    Steps -= ChainEnd - Pc;                                                    \
-  } while (0)
-
-// Trap enders for batch-charged interior slots: give back the unexecuted
-// remainder, then trap exactly like the per-slot path.
-#define OCELOT_CHAIN_TRAPPED_FIXUP(INST)                                       \
-  do {                                                                         \
-    OCELOT_CHAIN_UNDO_REST();                                                  \
-    OCELOT_TRAPPED(INST);                                                      \
-  } while (0)
-#define OCELOT_CHAIN_KINDCHECK_FIXUP(INST)                                     \
-  if (SawKindlessOperand) {                                                    \
-    OCELOT_CHAIN_UNDO_REST();                                                  \
-  }                                                                            \
-  OCELOT_KINDCHECK(INST)
-
-// One chain slot's execution, switching on the slot's base opcode. Every
-// expansion is its own switch site, so each unrolled slot position gets
-// its own branch-prediction state (the same reason OCELOT_NEXT replicates
-// the dispatch). Only the builder-whitelisted opcodes appear; Br/CondBr
-// only ever occupy a chain's final slot (builder invariant). The trap
-// enders are parameters so the Hot batched path can substitute the
-// accounting-fixup variants on interior slots.
-#define OCELOT_CHAIN_EXEC(TRAP_, KC_)                                          \
-  switch (FI->Op) {                                                            \
-  case Opcode::Const: {                                                        \
-    const int64_t V = FI->A.Imm;                                               \
-    Regs[FI->Dst].V = V;                    \
-    CacheReg = FI->Dst;                                                        \
-    CacheVal = V;                                                              \
-    break;                                                                     \
-  }                                                                            \
-  case Opcode::Mov: {                                                          \
-    const int64_t V = OCELOT_CHAIN_VAL(FI->A);                                 \
-    Regs[FI->Dst].V = V;                    \
-    CacheReg = FI->Dst;                                                        \
-    CacheVal = V;                                                              \
-    KC_(*FI)                                                                   \
-    break;                                                                     \
-  }                                                                            \
-  case Opcode::Un: {                                                           \
-    const int64_t AV = OCELOT_CHAIN_VAL(FI->A);                                \
-    int64_t V = 0;                                                             \
-    switch (FI->UnKind) {                                                      \
-    case UnOp::Neg:                                                            \
-      V = -AV;                                                                 \
-      break;                                                                   \
-    case UnOp::Not:                                                            \
-      V = ~AV;                                                                 \
-      break;                                                                   \
-    case UnOp::LNot:                                                           \
-      V = AV == 0 ? 1 : 0;                                                     \
-      break;                                                                   \
-    }                                                                          \
-    Regs[FI->Dst].V = V;                    \
-    CacheReg = FI->Dst;                                                        \
-    CacheVal = V;                                                              \
-    KC_(*FI)                                                                   \
-    break;                                                                     \
-  }                                                                            \
-  case Opcode::Bin: {                                                          \
-    const int64_t AV = OCELOT_CHAIN_VAL(FI->A);                                \
-    const int64_t BV = OCELOT_CHAIN_VAL(FI->B);                                \
-    int64_t V = 0;                                                             \
-    if (!binEval(FI->BinKind, AV, BV, V)) {                                    \
-      DivZeroTrap(*FI);                                                        \
-      TRAP_(*FI);                                                              \
-    }                                                                          \
-    Regs[FI->Dst].V = V;                    \
-    CacheReg = FI->Dst;                                                        \
-    CacheVal = V;                                                              \
-    KC_(*FI)                                                                   \
-    break;                                                                     \
-  }                                                                            \
-  case Opcode::LoadG: {                                                        \
-    const int64_t V = nvmCell(FI->GlobalId, 0).V;                              \
-    Regs[FI->Dst].V = V;                    \
-    CacheReg = FI->Dst;                                                        \
-    CacheVal = V;                                                              \
-    break;                                                                     \
-  }                                                                            \
-  case Opcode::StoreG: {                                                       \
-    StoreNvmRaw(FI->GlobalId, 0, OCELOT_CHAIN_VAL(FI->A));                     \
-    KC_(*FI)                                                                   \
-    break;                                                                     \
-  }                                                                            \
-  case Opcode::LoadA: {                                                        \
-    const int64_t Idx = OCELOT_CHAIN_VAL(FI->A);                               \
-    if (Idx < 0 ||                                                             \
-        Idx >= static_cast<int64_t>(Img->globalSize(FI->GlobalId))) {          \
-      BoundsTrap(*FI);                                                         \
-      TRAP_(*FI);                                                              \
-    }                                                                          \
-    const int64_t V = nvmCell(FI->GlobalId, Idx).V;                            \
-    Regs[FI->Dst].V = V;                    \
-    CacheReg = FI->Dst;                                                        \
-    CacheVal = V;                                                              \
-    KC_(*FI)                                                                   \
-    break;                                                                     \
-  }                                                                            \
-  case Opcode::StoreA: {                                                       \
-    const int64_t Idx = OCELOT_CHAIN_VAL(FI->A);                               \
-    if (Idx < 0 ||                                                             \
-        Idx >= static_cast<int64_t>(Img->globalSize(FI->GlobalId))) {          \
-      BoundsTrap(*FI);                                                         \
-      TRAP_(*FI);                                                              \
-    }                                                                          \
-    StoreNvmRaw(FI->GlobalId, Idx, OCELOT_CHAIN_VAL(FI->B));                   \
-    KC_(*FI)                                                                   \
-    break;                                                                     \
-  }                                                                            \
-  case Opcode::Br: {                                                           \
-    Pc = FI->Target;                                                           \
-    break;                                                                     \
-  }                                                                            \
-  case Opcode::CondBr: {                                                       \
-    const int64_t V = OCELOT_CHAIN_VAL(FI->A);                                 \
-    Pc = V != 0 ? FI->Target : FI->Target2;                                    \
-    KC_(*FI)                                                                   \
-    break;                                                                     \
-  }                                                                            \
-  default: /* Fresh / Consistent / Nop: no-ops off the taint path. */          \
-    break;                                                                     \
-  }
-
-// One interior/final chain slot: full step header, then the executor.
-// This is the exact-accounting path — every instantiation that can
-// observe per-slot state (failure plans, energy, monitors, profiling)
-// runs it, as does the Hot path when a chain might brush the budget.
-#define OCELOT_CHAIN_SLOT()                                                    \
-  do {                                                                         \
-    OCELOT_CHAIN_STEP();                                                       \
-    OCELOT_CHAIN_EXEC(OCELOT_TRAPPED, OCELOT_KINDCHECK)                        \
-  } while (0)
-
-// The Hot batched chain prologue, run right after slot 0's executor.
-// Charges the remaining NSLOTS slots' base costs in one shot so the
-// interior slots can skip the per-slot accounting ladder entirely.
-//
-// Soundness: in the Hot instantiation nothing observes OnCycles / Tau /
-// LifetimeOn / Steps between slots (no failure plan, no energy model, no
-// monitors, no profiler; Input/Output are not chainable so no handler
-// reads Tau), so charging early commutes with the slots' own effects
-// (undo-log charges are additions, additions commute). The only per-slot
-// check the ladder performs in Hot mode is the budget check — the guard
-// below proves every skipped check false by requiring headroom for the
-// batched costs plus the worst-case undo-log charges (ChainSlack). A
-// chain too close to the budget falls back to plain re-dispatch at the
-// next slot: OCELOT_NEXT_NOCHECK() re-enters the fully-checked per-slot
-// path, which is exact. Traps inside the batch give back the unexecuted
-// remainder (OCELOT_CHAIN_UNDO_REST), restoring per-slot totals.
-#define OCELOT_CHAIN_BATCH(NSLOTS)                                             \
-  uint64_t Rest = 0;                                                           \
-  for (uint32_t Q = Pc; Q < Pc + (NSLOTS); ++Q)                                \
-    Rest += Costs[Q];                                                          \
-  if (OnCycles > MaxOnCycles || Rest + ChainSlack > MaxOnCycles - OnCycles) {  \
-    OCELOT_NEXT_NOCHECK();                                                     \
-  }                                                                            \
-  const uint32_t ChainEnd = Pc + (NSLOTS);                                     \
-  OnCycles += Rest; /* Hot-only: tau/lifetime derive from this. */             \
-  Steps += (NSLOTS)
-
-// A batch-charged interior slot: just the instruction fetch and the PC
-// advance — accounting already happened in OCELOT_CHAIN_BATCH. Interior
-// slots are never branches (builder invariant), so Pc is never
-// overwritten and the trap fixups can name [Pc, ChainEnd) as the
-// unexecuted remainder.
-#define OCELOT_CHAIN_FAST_SLOT()                                               \
-  do {                                                                         \
-    FI = Code + Pc;                                                            \
-    ++Pc;                                                                      \
-    OCELOT_CHAIN_EXEC(OCELOT_CHAIN_TRAPPED_FIXUP,                              \
-                      OCELOT_CHAIN_KINDCHECK_FIXUP)                            \
-  } while (0)
-
-// The batch-charged final slot. Nothing after it is pre-charged, so it
-// traps through the plain macros — which also sidesteps the fixup's
-// Pc-window arithmetic when a Br/CondBr here overwrites Pc.
-#define OCELOT_CHAIN_FINAL_SLOT()                                              \
-  do {                                                                         \
-    FI = Code + Pc;                                                            \
-    ++Pc;                                                                      \
-    OCELOT_CHAIN_EXEC(OCELOT_TRAPPED, OCELOT_KINDCHECK)                        \
-  } while (0)
-
-  OCELOT_CASE(Chain3) : {
-    int32_t CacheReg = -1;
-    int64_t CacheVal = 0;
-    // Slot 0: stepped by the dispatching OCELOT_STEP.
-    OCELOT_CHAIN_EXEC(OCELOT_TRAPPED, OCELOT_KINDCHECK)
-    if constexpr (Hot) {
-      OCELOT_CHAIN_BATCH(2);
-      OCELOT_CHAIN_FAST_SLOT();
-      OCELOT_CHAIN_FINAL_SLOT();
-    } else {
-      OCELOT_CHAIN_SLOT();
-      OCELOT_CHAIN_SLOT();
-    }
-    OCELOT_NEXT_NOCHECK();
-  }
-
-  OCELOT_CASE(Chain4) : {
-    int32_t CacheReg = -1;
-    int64_t CacheVal = 0;
-    OCELOT_CHAIN_EXEC(OCELOT_TRAPPED, OCELOT_KINDCHECK)
-    if constexpr (Hot) {
-      OCELOT_CHAIN_BATCH(3);
-      OCELOT_CHAIN_FAST_SLOT();
-      OCELOT_CHAIN_FAST_SLOT();
-      OCELOT_CHAIN_FINAL_SLOT();
-    } else {
-      OCELOT_CHAIN_SLOT();
-      OCELOT_CHAIN_SLOT();
-      OCELOT_CHAIN_SLOT();
-    }
-    OCELOT_NEXT_NOCHECK();
-  }
-
-  OCELOT_CASE(Chain5) : {
-    int32_t CacheReg = -1;
-    int64_t CacheVal = 0;
-    OCELOT_CHAIN_EXEC(OCELOT_TRAPPED, OCELOT_KINDCHECK)
-    if constexpr (Hot) {
-      OCELOT_CHAIN_BATCH(4);
-      OCELOT_CHAIN_FAST_SLOT();
-      OCELOT_CHAIN_FAST_SLOT();
-      OCELOT_CHAIN_FAST_SLOT();
-      OCELOT_CHAIN_FINAL_SLOT();
-    } else {
-      OCELOT_CHAIN_SLOT();
-      OCELOT_CHAIN_SLOT();
-      OCELOT_CHAIN_SLOT();
-      OCELOT_CHAIN_SLOT();
-    }
-    OCELOT_NEXT_NOCHECK();
-  }
-
-  OCELOT_CASE(Chain6) : {
-    int32_t CacheReg = -1;
-    int64_t CacheVal = 0;
-    OCELOT_CHAIN_EXEC(OCELOT_TRAPPED, OCELOT_KINDCHECK)
-    if constexpr (Hot) {
-      OCELOT_CHAIN_BATCH(5);
-      OCELOT_CHAIN_FAST_SLOT();
-      OCELOT_CHAIN_FAST_SLOT();
-      OCELOT_CHAIN_FAST_SLOT();
-      OCELOT_CHAIN_FAST_SLOT();
-      OCELOT_CHAIN_FINAL_SLOT();
-    } else {
-      OCELOT_CHAIN_SLOT();
-      OCELOT_CHAIN_SLOT();
-      OCELOT_CHAIN_SLOT();
-      OCELOT_CHAIN_SLOT();
-      OCELOT_CHAIN_SLOT();
-    }
-    OCELOT_NEXT_NOCHECK();
-  }
-
 #if !defined(OCELOT_HAVE_COMPUTED_GOTO)
   }
   goto LDone; // Unreachable: every ThreadedOp has a case.
@@ -1355,16 +902,6 @@ LDone:
 
 #undef OCELOT_TAU
 #undef OCELOT_STEP
-#undef OCELOT_CHAIN_STEP
-#undef OCELOT_CHAIN_VAL
-#undef OCELOT_CHAIN_EXEC
-#undef OCELOT_CHAIN_SLOT
-#undef OCELOT_CHAIN_UNDO_REST
-#undef OCELOT_CHAIN_TRAPPED_FIXUP
-#undef OCELOT_CHAIN_KINDCHECK_FIXUP
-#undef OCELOT_CHAIN_BATCH
-#undef OCELOT_CHAIN_FAST_SLOT
-#undef OCELOT_CHAIN_FINAL_SLOT
 #undef OCELOT_INPUT_BODY
 #undef OCELOT_KINDCHECK
 #undef OCELOT_TRAPPED

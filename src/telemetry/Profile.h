@@ -27,9 +27,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <map>
-#include <memory>
-#include <string>
 #include <vector>
 
 namespace ocelot {
@@ -81,49 +78,6 @@ struct PcProfile {
       PairCounts[I] += O.PairCounts[I];
     Steps += O.Steps;
   }
-};
-
-/// An on-disk collection of PcProfiles keyed by the fingerprint of the
-/// ExecutableImage each was measured on (`ExecutableImage::fingerprint`).
-/// One sweep compiles many artifacts (benchmark x model), so a single
-/// `--pgo-out` file bundles a profile per image; feeding it back via
-/// `--pgo` lets every recompiled image find its own counts, and an image
-/// the bundle has never seen simply is not in the map — the consumer
-/// decides whether that is a hard error (ocelotc) or a quiet fallback to
-/// the static heat estimator (the image builder).
-///
-/// The text format is deterministic: entries sorted by fingerprint,
-/// counts emitted sparsely in ascending index order, no floats, no
-/// timestamps — serializing a reloaded bundle reproduces the input
-/// byte-for-byte (pinned by PgoTest).
-struct PgoBundle {
-  std::map<uint64_t, PcProfile> Entries;
-
-  /// The profile for \p Fingerprint, creating an empty one on demand
-  /// (collection side).
-  PcProfile &entry(uint64_t Fingerprint) { return Entries[Fingerprint]; }
-  /// The profile for \p Fingerprint, or null (consumption side).
-  const PcProfile *find(uint64_t Fingerprint) const {
-    auto It = Entries.find(Fingerprint);
-    return It == Entries.end() ? nullptr : &It->second;
-  }
-  /// Per-image PcProfile::merge across two bundles (associative and
-  /// commutative, like the per-profile merge it lifts).
-  void merge(const PgoBundle &O);
-
-  /// Deterministic text serialization (see file comment).
-  std::string serialize() const;
-  /// Parses text produced by serialize. On failure returns false and
-  /// leaves an actionable message (line number + expectation) in
-  /// \p Error.
-  static bool deserialize(const std::string &Text, PgoBundle &Out,
-                          std::string &Error);
-
-  /// Writes serialize() to \p Path. False + \p Error on I/O failure.
-  bool save(const std::string &Path, std::string &Error) const;
-  /// Reads and parses \p Path. Null + \p Error on I/O or parse failure.
-  static std::shared_ptr<const PgoBundle> load(const std::string &Path,
-                                               std::string &Error);
 };
 
 } // namespace ocelot

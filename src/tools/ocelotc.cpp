@@ -40,22 +40,13 @@
 ///                                      opcode-pair execution counts and
 ///                                      how the superinstruction pattern
 ///                                      table covers the measured pairs
-///   --fusion=off|pairs|chains          threaded-view fusion tier
-///                                      (default chains: superblock
-///                                      chains on top of the pair table)
-///   --pgo-out=FILE                     after --run, save the execution
-///                                      profile as a PGO bundle keyed by
-///                                      the image fingerprint
-///   --pgo=FILE                         feed a --pgo-out bundle back into
-///                                      superblock-chain selection; a
-///                                      bundle with no entry for this
-///                                      image (stale profile / different
-///                                      source) is a hard error
+///   --fusion=off|pairs                 threaded-view fusion tier (default
+///                                      pairs; off is the unfused
+///                                      reference)
 ///
 /// Exit status: 0 on success; 1 on compile/check/run failure (including an
-/// unknown --model=, --power= or --sensors= value, an unreadable or stale
-/// --pgo= bundle, or an unwritable --pgo-out= path); for --monitor runs, 2
-/// when any timing violation was detected.
+/// unknown --model=, --dispatch=, --fusion=, --power= or --sensors=
+/// value); for --monitor runs, 2 when any timing violation was detected.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -110,9 +101,7 @@ void usage() {
       "               [--intermittent] [--power=profile|trace.csv]\n"
       "               [--sensors=scenario|trace.csv] [--monitor] "
       "[--seed=S]\n"
-      "               [--trace-out=FILE] [--profile]\n"
-      "               [--fusion=off|pairs|chains] [--pgo=FILE] "
-      "[--pgo-out=FILE]\n");
+      "               [--trace-out=FILE] [--profile] [--fusion=off|pairs]\n");
 }
 
 /// `--profile` report: per-PC execution counts with disassembly context,
@@ -143,11 +132,7 @@ void printProfile(const CompiledArtifact &A, const PcProfile &Prof) {
     const FlatInst &FI = Code[Pc];
     ThreadedOp TOp = Img.threadedOps()[Pc];
     std::string FusedNote;
-    if (Img.isChainHead(Pc))
-      FusedNote = "  [chain head: " +
-                  std::to_string(static_cast<int>(Img.chainLenAt(Pc))) +
-                  " slot(s)]";
-    else if (TOp >= FirstFusedOp)
+    if (TOp >= FirstFusedOp)
       FusedNote = std::string("  [fused head: ") + threadedOpName(TOp) + "]";
     std::printf("  pc %5u  %12llu  %-9s %s@%u%s\n", Pc,
                 static_cast<unsigned long long>(Prof.PcCounts[Pc]),
@@ -185,11 +170,10 @@ void printProfile(const CompiledArtifact &A, const PcProfile &Prof) {
     std::string Name = std::string(opcodeName(static_cast<Opcode>(Row.Prev))) +
                        "+" + opcodeName(static_cast<Opcode>(Row.Cur));
     // A pair is covered when the pattern table has a superinstruction of
-    // exactly this spelling (fused names are "head+tail"; the chain codes
-    // above FirstChainOp are variable-length, not pair patterns).
+    // exactly this spelling (fused names are "head+tail").
     bool Covered = false;
-    for (size_t Op = static_cast<size_t>(FirstFusedOp);
-         Op < static_cast<size_t>(FirstChainOp); ++Op)
+    for (size_t Op = static_cast<size_t>(FirstFusedOp); Op < NumThreadedOps;
+         ++Op)
       if (Name == threadedOpName(static_cast<ThreadedOp>(Op))) {
         Covered = true;
         break;
@@ -208,8 +192,8 @@ int main(int argc, char **argv) {
   DispatchEngine Engine = RunConfig().Dispatch;
   bool EmitIr = false, Disasm = false, EmitPolicies = false,
        Intermittent = false, Monitor = false, Profile = false;
-  FusionMode Fusion = FusionMode::Chains;
-  std::string TracePath, PgoInPath, PgoOutPath;
+  FusionMode Fusion = FusionMode::Pairs;
+  std::string TracePath;
   std::shared_ptr<const PowerSource> Power;
   std::shared_ptr<const SensorScenario> Sensors;
   int Runs = 0;
@@ -254,15 +238,10 @@ int main(int argc, char **argv) {
       std::string F = Arg.substr(9);
       if (!parseFusionMode(F, Fusion)) {
         std::fprintf(stderr,
-                     "error: unknown fusion tier '%s' (valid: off, pairs, "
-                     "chains)\n",
+                     "error: unknown fusion tier '%s' (valid: off, pairs)\n",
                      F.c_str());
         return 1;
       }
-    } else if (Arg.rfind("--pgo=", 0) == 0) {
-      PgoInPath = Arg.substr(6);
-    } else if (Arg.rfind("--pgo-out=", 0) == 0) {
-      PgoOutPath = Arg.substr(10);
     } else if (Arg.rfind("--seed=", 0) == 0) {
       Seed = std::strtoull(Arg.c_str() + 7, nullptr, 10);
     } else if (Arg.rfind("--dispatch=", 0) == 0) {
@@ -328,20 +307,6 @@ int main(int argc, char **argv) {
   CompileOptions Opts;
   Opts.Model = Model;
   Opts.Fusion = Fusion;
-  if (!PgoInPath.empty()) {
-    if (Fusion != FusionMode::Chains) {
-      std::fprintf(stderr, "error: --pgo= requires --fusion=chains (the "
-                           "profile only drives superblock-chain "
-                           "selection)\n");
-      return 1;
-    }
-    std::string Error;
-    Opts.Pgo = PgoBundle::load(PgoInPath, Error);
-    if (!Opts.Pgo) {
-      std::fprintf(stderr, "error: %s\n", Error.c_str());
-      return 1;
-    }
-  }
   if (Tracing)
     Sink.compileStart(Path);
   Compilation C = Toolchain().compile(Source, Opts);
@@ -353,19 +318,6 @@ int main(int argc, char **argv) {
   if (!C.ok())
     return 1;
   const CompiledArtifact &A = C.artifact();
-  if (!PgoInPath.empty() && !A.image().usedPgo()) {
-    // The image builder falls back to the static heat estimator silently;
-    // at the CLI a profile that does not match the program being compiled
-    // is operator error worth stopping for.
-    std::fprintf(stderr,
-                 "error: %s has no profile for this image (fingerprint "
-                 "%016llx) — the program or compilation options changed "
-                 "since the profile was collected; re-collect it with "
-                 "--pgo-out on this exact build\n",
-                 PgoInPath.c_str(),
-                 static_cast<unsigned long long>(A.image().fingerprint()));
-    return 1;
-  }
 
   std::printf("compiled %s under model '%s': %zu policies, %zu inferred "
               "region(s)\n",
@@ -433,11 +385,6 @@ int main(int argc, char **argv) {
     if (Profile)
       std::fprintf(stderr,
                    "note: --profile needs --run to collect any data\n");
-    if (!PgoOutPath.empty()) {
-      std::fprintf(stderr,
-                   "error: --pgo-out needs --run to collect any data\n");
-      return 1;
-    }
     return WriteTrace() ? 0 : 1;
   }
 
@@ -457,7 +404,7 @@ int main(int argc, char **argv) {
   if (Tracing)
     Spec.Config.Telemetry = &Sink;
   PcProfile Prof;
-  if (Profile || !PgoOutPath.empty()) {
+  if (Profile) {
     Prof.prepare(A.image().size(), static_cast<size_t>(NumOpcodes));
     Spec.Config.Profile = &Prof;
   }
@@ -492,20 +439,6 @@ int main(int argc, char **argv) {
   std::printf("\n");
   if (Profile)
     printProfile(A, Prof);
-  if (!PgoOutPath.empty()) {
-    PgoBundle Bundle;
-    Bundle.entry(A.image().fingerprint()) = Prof;
-    std::string Error;
-    if (!Bundle.save(PgoOutPath, Error)) {
-      std::fprintf(stderr, "error: %s\n", Error.c_str());
-      return 1;
-    }
-    std::fprintf(stderr,
-                 "wrote pgo profile (%llu step(s), image %016llx) to %s\n",
-                 static_cast<unsigned long long>(Prof.Steps),
-                 static_cast<unsigned long long>(A.image().fingerprint()),
-                 PgoOutPath.c_str());
-  }
   if (!WriteTrace())
     return 1;
   return Monitor && Violations ? 2 : 0;

@@ -22,11 +22,12 @@
 /// (Sema distinguishes bool from int) and respects the structural rules:
 /// no recursion, no address-of on parameters or loop variables, no return
 /// inside atomic regions, break/continue only from loops opened inside the
-/// innermost region. Runtime traps (division by zero, out-of-bounds
-/// indices) are still generated on purpose -- trap behavior must agree
-/// across engines too. A program the toolchain rejects under some model is
-/// counted and skipped: the contract is "reject cleanly, never crash", and
-/// the test fails only if the acceptance rate collapses to zero.
+/// innermost region. Runtime traps (division by zero, division overflow,
+/// out-of-bounds indices) are still generated on purpose -- trap behavior
+/// must agree across engines too. A program the toolchain rejects under
+/// some model is counted and skipped: the contract is "reject cleanly,
+/// never crash", and the test fails only if the acceptance rate collapses
+/// to zero.
 ///
 /// The config matrix is chosen to reach every dispatch specialization of
 /// the threaded engine: continuous power without monitors (the Hot loop
@@ -48,6 +49,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <limits>
 #include <random>
 #include <sstream>
 #include <string>
@@ -144,9 +146,17 @@ private:
 
   // -- Expressions ---------------------------------------------------------
 
+  /// A literal from a small pool that includes the wrap-around and
+  /// division-overflow edges (INT64_MAX, -1), so the shared integer
+  /// semantics (runtime/IntegerOps.h) gets differential coverage.
   std::string intLiteral() {
-    static const int Pool[] = {0, 1, 2, 3, 5, 7, 8, 16, 63, 100, 255};
-    int V = Pool[rnd(11)];
+    static const int64_t Pool[] = {0,   1,   2,  3,
+                                   5,   7,   8,  16,
+                                   63,  100, 255, -1,
+                                   std::numeric_limits<int64_t>::max()};
+    int64_t V = Pool[rnd(13)];
+    if (V < 0)
+      return "(" + std::to_string(V) + ")";
     if (chance(15))
       return "(-" + std::to_string(V) + ")";
     return std::to_string(V);
@@ -698,7 +708,9 @@ TEST(DifferentialFuzz, TreeFlatThreadedAgreeOnRandomPrograms) {
 
 // A fixed regression corpus: hand-written programs that previously needed
 // care in the threaded engine (trap paths, mid-pair resume shapes, fused
-// candidates around region bounds). Cheap enough to run unconditionally.
+// candidates around region bounds, traps and reboots deep in straight-line
+// runs). Each runs with pair fusion on and off. Cheap enough to run
+// unconditionally.
 TEST(DifferentialFuzz, RegressionCorpus) {
   static const char *Corpus[] = {
       // Division by zero behind a fusable bin+condbr pair.
@@ -717,29 +729,29 @@ TEST(DifferentialFuzz, RegressionCorpus) {
       // Reference parameter with a store through it.
       "fn bump(r: &int) -> int { *r += 5; return (*r); }\n"
       "fn main() { let x = 1; let y = bump(&x); log(x, y); }\n",
-      // Mid-chain trap: a long chainable run whose interior divides by
-      // zero — the threaded engine must unwind from inside a superblock
-      // chain with the same state the unfused engines leave.
+      // Trap mid-run: a long straight-line run whose interior divides by
+      // zero — the threaded engine must unwind from inside the run with
+      // the same state the other engines leave.
       "io s;\nstatic n = 0;\nfn main() { let x = s(); let a = x + 1;\n"
       "  let b = a * 2; let c = (b / (x - x)); let d = c + a;\n"
       "  n = d; log(n); }\n",
-      // Mid-chain bounds trap: chainable loads around an out-of-range
-      // array store deep in a straight-line run.
+      // Bounds trap mid-run: loads around an out-of-range array store
+      // deep in a straight-line run.
       "static a: [int; 4];\nstatic n = 0;\nfn main() { let i = 2;\n"
       "  let u = a[i]; let v = u + 7; let w = v * 3; a[i + 9] = w;\n"
       "  n = w; log(n); }\n",
-      // Reboot-resume inside a chain: a hot straight-line body long
-      // enough that energy-driven failures interrupt it mid-chain; the
-      // resume PC lands on a plain interior code and must replay to the
-      // same state as the unfused engines (exercised across the
-      // energy-driven runThreeWay below).
+      // Reboot-resume inside a run: a hot straight-line body long enough
+      // that energy-driven failures interrupt it, possibly mid-pair; the
+      // resume PC lands on a plain code and must replay to the same state
+      // as the other engines (exercised across the energy-driven
+      // runThreeWay below).
       "io s;\nstatic n = 0;\nstatic m = 0;\nfn main() { let x = s();\n"
       "  let a = x + 1; let b = a + 2; let c = b + 3; let d = c + 4;\n"
       "  let e = d + 5; let f = e + 6; let g = f + 7; let h = g + 8;\n"
       "  n = h; m = (n * 2); log(n, m); }\n",
-      // Chain head as a branch target: looping control re-enters the
-      // chained body at its head every iteration while the final CondBr
-      // terminates a chain.
+      // Run head as a branch target: looping control re-enters the
+      // straight-line body at its head every iteration, and a CondBr
+      // ends it.
       "io s;\nstatic n = 0;\nfn main() {\n"
       "  for i in 0..6 { let x = s(); let a = x + i; let b = a * 2;\n"
       "    n += b; }\n  log(n); }\n",
@@ -748,19 +760,22 @@ TEST(DifferentialFuzz, RegressionCorpus) {
   for (const char *Src : Corpus) {
     SCOPED_TRACE("corpus program " + std::to_string(Idx++) + ":\n" + Src);
     for (ExecModel Model :
-         {ExecModel::Ocelot, ExecModel::JitOnly, ExecModel::AtomicsOnly}) {
-      CompileOptions Opts;
-      Opts.Model = Model;
-      Compilation C = Toolchain().compile(Src, Opts);
-      if (!C.ok())
-        continue;
-      RunConfig Cfg;
-      Cfg.MonitorBitVector = true;
-      Cfg.RecordTrace = true;
-      Cfg.Plan = FailurePlan::energyDriven();
-      runThreeWay(C.artifact(), Cfg, 42, 4,
-                  std::string("corpus/") + execModelName(Model));
-    }
+         {ExecModel::Ocelot, ExecModel::JitOnly, ExecModel::AtomicsOnly})
+      for (FusionMode Fusion : {FusionMode::Off, FusionMode::Pairs}) {
+        CompileOptions Opts;
+        Opts.Model = Model;
+        Opts.Fusion = Fusion;
+        Compilation C = Toolchain().compile(Src, Opts);
+        if (!C.ok())
+          continue;
+        RunConfig Cfg;
+        Cfg.MonitorBitVector = true;
+        Cfg.RecordTrace = true;
+        Cfg.Plan = FailurePlan::energyDriven();
+        runThreeWay(C.artifact(), Cfg, 42, 4,
+                    std::string("corpus/") + execModelName(Model) + "/" +
+                        fusionModeName(Fusion));
+      }
   }
 }
 

@@ -30,19 +30,13 @@
 ///    destination, tails keep plain dispatch codes, no pair covers a
 ///    leader, crosses a function, or contains a region bound, and the
 ///    per-PC side tables (folded costs, monitor flags, omega spans,
-///    resolved branch targets) are untouched at fused sites. The
-///    superblock pass gets the same treatment: chain lengths within
-///    bounds, chainable opcodes only (branches only as the final slot),
-///    interior slots on plain codes and never leaders, no chain/pair
-///    overlap, and chain selection steered by PGO heat when a matching
-///    profile is supplied.
+///    resolved branch targets) are untouched at fused sites.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "harness/Experiment.h"
 #include "ocelot/Toolchain.h"
 #include "runtime/Simulation.h"
-#include "telemetry/Profile.h"
 #include "telemetry/TraceSink.h"
 
 #include <gtest/gtest.h>
@@ -290,19 +284,33 @@ TEST(ExecImageDifferentialFocused, TracedRunsStayPinned) {
 }
 
 TEST(ExecImageDifferentialFocused, TrapsMatch) {
-  CompileOptions Opts;
-  Opts.Model = ExecModel::AtomicsOnly;
-  Compilation C = Toolchain().compile(
-      "static a: [int; 2];\nfn main() { let i = 5; a[i] = 1; }", Opts);
-  ASSERT_TRUE(C.ok()) << C.status().str();
-  for (DispatchEngine E : {DispatchEngine::Flat, DispatchEngine::Tree,
-                           DispatchEngine::Threaded}) {
-    SimulationSpec Spec;
-    Spec.Config.Dispatch = E;
-    Simulation Sim(C.artifact(), std::move(Spec));
-    RunResult R = Sim.runOnce();
-    EXPECT_FALSE(R.Completed);
-    EXPECT_NE(R.Trap.find("out of bounds"), std::string::npos) << R.Trap;
+  // Each program ends its first run with the given trap on every engine.
+  // INT64_MIN / -1 and INT64_MIN % -1 would raise SIGFPE on the host.
+  const struct {
+    const char *Src;
+    const char *Trap;
+  } Cases[] = {
+      {"static a: [int; 2];\nfn main() { let i = 5; a[i] = 1; }",
+       "array index out of bounds in main"},
+      {"fn main() { let a = -9223372036854775807 - 1; let b = -1;\n"
+       "  log(a / b); }",
+       "integer overflow in division at main@6"},
+      {"fn main() { let a = -9223372036854775807 - 1; let b = -1;\n"
+       "  log(a % b); }",
+       "integer overflow in division at main@6"},
+  };
+  for (const auto &Case : Cases) {
+    Compilation C = Toolchain().compile(Case.Src);
+    ASSERT_TRUE(C.ok()) << C.status().str();
+    for (DispatchEngine E : {DispatchEngine::Flat, DispatchEngine::Tree,
+                             DispatchEngine::Threaded}) {
+      SimulationSpec Spec;
+      Spec.Config.Dispatch = E;
+      Simulation Sim(C.artifact(), std::move(Spec));
+      RunResult R = Sim.runOnce();
+      EXPECT_FALSE(R.Completed) << Case.Src;
+      EXPECT_EQ(R.Trap, Case.Trap) << Case.Src;
+    }
   }
 }
 
@@ -458,43 +466,18 @@ TEST(ExecImage, MainEntryAndDisassembly) {
 
 // -- Superinstruction fusion pass ------------------------------------------
 
-/// True for the opcodes the superblock pass may place in any chain slot
-/// (mirrors the builder's whitelist: register/NVM data movement and
-/// taint-off no-ops — nothing that leaves the fast path).
-bool chainSlotOk(Opcode Op) {
-  switch (Op) {
-  case Opcode::Const:
-  case Opcode::Bin:
-  case Opcode::Un:
-  case Opcode::Mov:
-  case Opcode::LoadG:
-  case Opcode::StoreG:
-  case Opcode::LoadA:
-  case Opcode::StoreA:
-  case Opcode::Fresh:
-  case Opcode::Consistent:
-  case Opcode::Nop:
-    return true;
-  default:
-    return false;
-  }
-}
-
 /// Re-derives the legality of every fusion decision in \p A's image from
 /// public state: structural rules (no leader tails, no cross-function or
 /// cross-region pairs, plain tail codes, non-overlap), the per-pattern
-/// opcode/dataflow conditions, the superblock chains' structural rules
-/// (length bounds, chainable opcodes, branches only as the final slot,
-/// plain interior codes, no leaders or pair overlap inside a chain), and
-/// the invariant that fusion left the per-PC side tables (costs, monitor
-/// flags, omega spans, branch targets) untouched.
+/// opcode/dataflow conditions, and the invariant that fusion left the
+/// per-PC side tables (costs, monitor flags, omega spans, branch targets)
+/// untouched.
 void checkThreadedView(const CompiledArtifact &A) {
   const ExecutableImage &Img = A.image();
   ASSERT_EQ(Img.threadedOps().size(), Img.code().size());
 
   CostModel Default;
   uint32_t Fused = 0;
-  uint32_t Chains = 0;
   for (uint32_t Pc = 0; Pc < Img.size(); ++Pc) {
     const FlatInst &FI = Img.code()[Pc];
 
@@ -511,64 +494,11 @@ void checkThreadedView(const CompiledArtifact &A) {
       EXPECT_FALSE(Img.isFusedHead(Pc - 1)) << "leader pc " << Pc;
     }
 
-    if (Img.isChainHead(Pc)) {
-      ++Chains;
-      uint32_t Len = Img.chainLenAt(Pc);
-      ASSERT_GE(Len, MinChainLen) << "pc " << Pc;
-      ASSERT_LE(Len, MaxChainLen) << "pc " << Pc;
-      ASSERT_LE(Pc + Len, Img.size()) << "pc " << Pc;
-      // The head code encodes the length.
-      EXPECT_EQ(static_cast<int>(Img.threadedOpAt(Pc)),
-                static_cast<int>(ThreadedOp::Chain3) +
-                    static_cast<int>(Len - MinChainLen))
-          << "pc " << Pc;
-      for (uint32_t I = 0; I < Len; ++I) {
-        const FlatInst &Slot = Img.code()[Pc + I];
-        bool Last = I + 1 == Len;
-        // Chainable opcodes only; a branch may appear only as the final
-        // slot (it ends the straight line).
-        if (Slot.Op == Opcode::Br || Slot.Op == Opcode::CondBr) {
-          EXPECT_TRUE(Last) << "branch mid-chain at pc " << Pc + I;
-        } else {
-          EXPECT_TRUE(chainSlotOk(Slot.Op))
-              << "unchainable op at pc " << Pc + I;
-        }
-        EXPECT_EQ(Slot.Func, FI.Func) << "pc " << Pc + I;
-        if (I > 0) {
-          // Interior and tail slots keep their plain code (mid-chain
-          // reboot/trap resume is the unfused semantics), are not
-          // leaders (no control transfer lands mid-chain), and belong
-          // to exactly this chain (no chain/pair overlap).
-          EXPECT_EQ(static_cast<int>(Img.threadedOpAt(Pc + I)),
-                    static_cast<int>(Slot.Op))
-              << "pc " << Pc + I;
-          EXPECT_FALSE(Img.isLeader(Pc + I)) << "pc " << Pc + I;
-          EXPECT_FALSE(Img.isChainHead(Pc + I)) << "pc " << Pc + I;
-          EXPECT_FALSE(Img.isFusedHead(Pc + I)) << "pc " << Pc + I;
-          EXPECT_EQ(Img.chainLenAt(Pc + I), 0u) << "pc " << Pc + I;
-        }
-        // Chains are a side table too: per-slot folded costs survive.
-        EXPECT_EQ(Img.defaultCosts()[Pc + I], Default.costOfOp(Slot.Op))
-            << "pc " << Pc + I;
-        if (Slot.Op == Opcode::Br || Slot.Op == Opcode::CondBr) {
-          ASSERT_LT(Slot.Target, Img.size());
-          EXPECT_TRUE(Img.isLeader(Slot.Target)) << "pc " << Pc + I;
-          if (Slot.Op == Opcode::CondBr) {
-            ASSERT_LT(Slot.Target2, Img.size());
-            EXPECT_TRUE(Img.isLeader(Slot.Target2)) << "pc " << Pc + I;
-          }
-        }
-      }
-      continue;
-    }
-
     if (!Img.isFusedHead(Pc)) {
-      // Non-head slots (including tails) carry their opcode verbatim,
-      // and only chain heads have a chain length.
+      // Non-head slots (including tails) carry their opcode verbatim.
       EXPECT_EQ(static_cast<int>(Img.threadedOpAt(Pc)),
                 static_cast<int>(FI.Op))
           << "pc " << Pc;
-      EXPECT_EQ(Img.chainLenAt(Pc), 0u) << "pc " << Pc;
       continue;
     }
 
@@ -578,8 +508,6 @@ void checkThreadedView(const CompiledArtifact &A) {
     EXPECT_FALSE(Img.isLeader(Pc + 1)) << "pc " << Pc;
     EXPECT_EQ(FI.Func, Tail.Func) << "pc " << Pc;
     EXPECT_FALSE(Img.isFusedHead(Pc + 1)) << "pc " << Pc; // non-overlap
-    EXPECT_FALSE(Img.isChainHead(Pc + 1)) << "pc " << Pc; // pairs/chains
-    EXPECT_EQ(Img.chainLenAt(Pc), 0u) << "pc " << Pc;
 
     // The pattern's opcode pair and (for forwarding patterns) the
     // dataflow condition: the tail consumes the head's destination.
@@ -688,12 +616,10 @@ void checkThreadedView(const CompiledArtifact &A) {
     }
   }
   EXPECT_EQ(Fused, Img.fusedPairCount());
-  EXPECT_EQ(Chains, Img.fusedChainCount());
 }
 
 TEST(FusionPass, LegalOnAllBenchmarks) {
   uint32_t TotalFused = 0;
-  uint32_t TotalChains = 0;
   for (const BenchmarkDef &B : allBenchmarks())
     for (ExecModel Model :
          {ExecModel::Ocelot, ExecModel::JitOnly, ExecModel::AtomicsOnly}) {
@@ -701,18 +627,16 @@ TEST(FusionPass, LegalOnAllBenchmarks) {
       CompiledBenchmark CB = compileBenchmark(B, Model);
       checkThreadedView(CB.Artifact);
       TotalFused += CB.Artifact.image().fusedPairCount();
-      TotalChains += CB.Artifact.image().fusedChainCount();
     }
-  // The passes exist because the benchmarks exhibit these shapes; a zero
-  // here means a pattern table silently stopped matching real code.
+  // The pass exists because the benchmarks exhibit these shapes; a zero
+  // here means the pattern table silently stopped matching real code.
   EXPECT_GT(TotalFused, 0u);
-  EXPECT_GT(TotalChains, 0u);
 }
 
 /// Compiles \p Src under \p Model at \p Fusion tier and returns the
 /// artifact, asserting success.
 CompiledArtifact compileSource(const std::string &Src, ExecModel Model,
-                               FusionMode Fusion = FusionMode::Chains) {
+                               FusionMode Fusion = FusionMode::Pairs) {
   CompileOptions Opts;
   Opts.Model = Model;
   Opts.Fusion = Fusion;
@@ -722,16 +646,13 @@ CompiledArtifact compileSource(const std::string &Src, ExecModel Model,
 }
 
 TEST(FusionPass, FusesAdjacentDataflowPairs) {
-  // `let x = s(); n = x * 2 + 1;` lowers to input/mov/bin/bin/storeg: at
-  // the Pairs tier the greedy pass forms input+mov over the sample and
-  // its copy, then bin+bin over the arithmetic -- both forwarding
-  // patterns, back to back. (At the Chains tier the superblock pass
-  // would swallow the arithmetic run instead; see the SuperblockPass
-  // tests.)
+  // `let x = s(); n = x * 2 + 1;` lowers to input/mov/bin/bin/storeg:
+  // the greedy pass forms input+mov over the sample and its copy, then
+  // bin+bin over the arithmetic -- both forwarding patterns, back to back.
   CompiledArtifact A = compileSource(
       "io s;\nstatic n = 0;\n"
       "fn main() { let x = s(); n = x * 2 + 1; log(n); }",
-      ExecModel::JitOnly, FusionMode::Pairs);
+      ExecModel::JitOnly);
   checkThreadedView(A);
   const ExecutableImage &Img = A.image();
   EXPECT_EQ(Img.fusedPairCount(), 2u);
@@ -772,7 +693,7 @@ TEST(FusionPass, NeverFusesAcrossRegionBounds) {
       "static n = 0;\nfn main() { let x = 1;\n"
       "  atomic { let y = x * 2; n = y; }\n  let z = n + 1; n = z;\n"
       "  log(n); }",
-      ExecModel::AtomicsOnly, FusionMode::Pairs);
+      ExecModel::AtomicsOnly);
   checkThreadedView(A); // includes the region-bound assertions
   const ExecutableImage &Img = A.image();
   bool SawRegion = false;
@@ -810,107 +731,29 @@ TEST(FusionPass, NeverFusesAcrossBlockLeaders) {
   }
 }
 
-// -- Superblock chain pass -------------------------------------------------
+TEST(FusionPass, OffTierFormsNothingPairsIsTheDefault) {
+  // Pairs is the default tier and fuses; Off is the unfused reference:
+  // every slot keeps its plain code, and the disassembly names the tier.
+  const std::string Src = "io s;\nstatic n = 0;\n"
+                          "fn main() { let x = s(); let a = x * 2;\n"
+                          "  let b = a + 3; n = b - x; log(n); }";
+  CompiledArtifact Pairs = compileSource(Src, ExecModel::JitOnly);
+  checkThreadedView(Pairs);
+  EXPECT_EQ(Pairs.image().fusionMode(), FusionMode::Pairs);
+  EXPECT_GT(Pairs.image().fusedPairCount(), 0u);
+  EXPECT_NE(Pairs.image().disassemble(Pairs.program()).find("fusion=pairs"),
+            std::string::npos);
 
-TEST(SuperblockPass, ChainsStraightLineRuns) {
-  // A long straight-line unary-negation body: no pair pattern matches a
-  // Un head or tail, so under the Chains tier (static heat — everything
-  // hot) the run is swallowed by chains, none shorter than MinChainLen,
-  // and the chain structure passes the full legality re-derivation.
-  // (A body of dependent Bins would instead pair-tile densely and the
-  // pair-aware selection would correctly leave it to the pair pass; see
-  // FusesAdjacentDataflowPairs.)
-  CompiledArtifact A = compileSource(
-      "io s;\nstatic n = 0;\n"
-      "fn main() { let x = s(); let a = -x; let b = -a;\n"
-      "  let c = -b; n = -c; log(n); }",
-      ExecModel::JitOnly);
-  checkThreadedView(A);
-  const ExecutableImage &Img = A.image();
-  EXPECT_GT(Img.fusedChainCount(), 0u);
-  // Chains and pairs never overlap; with this body pair-free the
-  // negation run belongs to chains.
-  uint32_t Chained = 0;
-  for (uint32_t Pc = 0; Pc < Img.size(); ++Pc)
-    Chained += Img.chainLenAt(Pc);
-  EXPECT_GE(Chained, 6u);
-}
-
-TEST(SuperblockPass, LongRunsChunkWithoutShortRemainder) {
-  // A dozen pair-free chainable slots in one run: the chunker must emit
-  // only lengths 3-6 (asserted by checkThreadedView) and never strand a
-  // remainder of 1-2 unchained slots between chains of the same run.
-  CompiledArtifact A = compileSource(
-      "io s;\nstatic n = 0;\n"
-      "fn main() { let x = s();\n"
-      "  let a = -x; let b = -a; let c = -b; let d = -c;\n"
-      "  let e = -d; let f = -e; n = -f; log(n); }",
-      ExecModel::JitOnly);
-  checkThreadedView(A);
-  EXPECT_GE(A.image().fusedChainCount(), 2u);
-}
-
-TEST(SuperblockPass, PairsTierFormsNoChains) {
-  CompiledArtifact A = compileSource(
-      "io s;\nstatic n = 0;\n"
-      "fn main() { let x = s(); let a = x * 2; let b = a + 3;\n"
-      "  n = b - x; log(n); }",
-      ExecModel::JitOnly, FusionMode::Pairs);
-  checkThreadedView(A);
-  EXPECT_EQ(A.image().fusedChainCount(), 0u);
-  EXPECT_GT(A.image().fusedPairCount(), 0u);
-}
-
-TEST(SuperblockPass, OffTierFormsNothing) {
-  CompiledArtifact A = compileSource(
-      "io s;\nstatic n = 0;\n"
-      "fn main() { let x = s(); let a = x * 2; let b = a + 3;\n"
-      "  n = b - x; log(n); }",
-      ExecModel::JitOnly, FusionMode::Off);
-  checkThreadedView(A);
-  EXPECT_EQ(A.image().fusedChainCount(), 0u);
-  EXPECT_EQ(A.image().fusedPairCount(), 0u);
-}
-
-TEST(SuperblockPass, ZeroHeatProfileKeepsColdCodeOnPairTier) {
-  // A matching PGO profile whose counts are all zero says "nothing
-  // executed": no chains form, but pair fusion (heat-independent) still
-  // runs — cold code stays on the cheaper tier.
-  const std::string Src =
-      "io s;\nstatic n = 0;\n"
-      "fn main() { let x = s(); let a = -x; let b = -a;\n"
-      "  n = -b; log(n); }";
-  CompiledArtifact Plain = compileSource(Src, ExecModel::JitOnly);
-  ASSERT_GT(Plain.image().fusedChainCount(), 0u); // static heat chains it
-
-  auto Bundle = std::make_shared<PgoBundle>();
-  Bundle->entry(Plain.image().fingerprint())
-      .prepare(Plain.image().size(), static_cast<size_t>(NumOpcodes));
-
-  CompileOptions Opts;
-  Opts.Model = ExecModel::JitOnly;
-  Opts.Pgo = Bundle;
-  Compilation C = Toolchain(Opts).compile(Src);
-  ASSERT_TRUE(C.ok()) << C.status().str();
-  checkThreadedView(C.artifact());
-  const ExecutableImage &Img = C.artifact().image();
-  EXPECT_TRUE(Img.usedPgo());
-  EXPECT_EQ(Img.fusedChainCount(), 0u);
-  EXPECT_GT(Img.fusedPairCount(), 0u);
-}
-
-TEST(SuperblockPass, DisassemblyAnnotatesChains) {
-  CompiledArtifact A = compileSource(
-      "io s;\nstatic n = 0;\n"
-      "fn main() { let x = s(); let a = -x; let b = -a;\n"
-      "  n = -b; log(n); }",
-      ExecModel::JitOnly);
-  ASSERT_GT(A.image().fusedChainCount(), 0u);
-  std::string Dis = A.image().disassemble(A.program());
-  EXPECT_NE(Dis.find(" chain="), std::string::npos) << Dis;
-  EXPECT_NE(Dis.find(" chain-slot="), std::string::npos) << Dis;
-  EXPECT_NE(Dis.find("superblock chain(s)"), std::string::npos);
-  EXPECT_NE(Dis.find("fusion=chains"), std::string::npos);
+  CompiledArtifact Off = compileSource(Src, ExecModel::JitOnly,
+                                       FusionMode::Off);
+  checkThreadedView(Off);
+  EXPECT_EQ(Off.image().fusedPairCount(), 0u);
+  for (uint32_t Pc = 0; Pc < Off.image().size(); ++Pc)
+    EXPECT_EQ(static_cast<int>(Off.image().threadedOpAt(Pc)),
+              static_cast<int>(Off.image().code()[Pc].Op))
+        << "pc " << Pc;
+  EXPECT_NE(Off.image().disassemble(Off.program()).find("fusion=off"),
+            std::string::npos);
 }
 
 // -- Kind-less operand handling (lowering-bug detector) --------------------

@@ -8,9 +8,10 @@
 /// Contract tests for src/fleet/: the shard plan partition, sink
 /// round-trips (every SweepCellResult field, both formats), the
 /// determinism spine (shard + merge ≡ sequential, bitwise — including
-/// after a mid-shard kill and resume over a torn sink), the error paths
-/// (corrupt manifest, spec-hash mismatch, incomplete merge), the
-/// process-wide compiled-artifact cache, and arena pooling.
+/// after a mid-shard kill and resume over a torn sink, and with the
+/// input-epoch oracle armed), the error paths (corrupt manifest,
+/// spec-hash mismatch, incomplete merge), the process-wide
+/// compiled-artifact cache, and arena pooling.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -282,6 +283,49 @@ TEST_P(FleetDeterminism, ShardsPlusMergeMatchSequentialBitwise) {
 INSTANTIATE_TEST_SUITE_P(Formats, FleetDeterminism,
                          ::testing::Values(SinkFormat::Jsonl,
                                            SinkFormat::Csv));
+
+TEST(FleetOracle, ShardedOracleGridMatchesSweepRunner) {
+  // A table7-shaped grid with the input-epoch oracle armed: the shards
+  // must carry the oracle columns exactly as the in-memory runner
+  // computes them, not leave them zero.
+  FleetSpec Fleet;
+  Fleet.Models = {"ocelot", "jit"};
+  Fleet.Benchmarks = {"ekf_fusion", "alarm_voting"};
+  Fleet.Energies = {EnergyConfig()};
+  Fleet.Scenarios = {"fusion-calm", "fusion-storm"};
+  Fleet.Seeds = {7};
+  Fleet.TauBudget = 300000;
+  Fleet.Oracle = true;
+
+  std::string Dir = freshDir("oracle");
+  std::string Err;
+  ShardOutcome Outcome;
+  for (unsigned S = 0; S < 2; ++S) {
+    ASSERT_TRUE(runShard(Fleet, shardOpts(Dir, S, 2, SinkFormat::Jsonl),
+                         Outcome, Err))
+        << Err;
+    EXPECT_EQ(Outcome, ShardOutcome::Complete);
+  }
+  MergeOptions M;
+  M.OutDir = Dir;
+  M.ShardCount = 2;
+  MergeSummary Summary;
+  ASSERT_TRUE(mergeShards(Fleet, M, Summary, Err)) << Err;
+
+  SweepSpec Spec;
+  ASSERT_TRUE(Fleet.resolve(Spec, Err)) << Err;
+  std::vector<SweepCellResult> Want = SweepRunner(1).run(Spec);
+  std::string WantBytes;
+  uint64_t OracleOutputs = 0;
+  for (size_t I = 0; I < Want.size(); ++I) {
+    WantBytes += formatCellRecord(CellRecord{I, Want[I]}, SinkFormat::Jsonl);
+    OracleOutputs += Want[I].Metrics.OracleFreshOutputs +
+                     Want[I].Metrics.OracleStaleOutputs +
+                     Want[I].Metrics.OracleCrossEpochOutputs;
+  }
+  EXPECT_GT(OracleOutputs, 0u);
+  EXPECT_EQ(slurp(Dir + "/merged.jsonl"), WantBytes);
+}
 
 TEST(FleetResume, KilledShardResumesOverTornTailBitIdentical) {
   FleetSpec Fleet = tinySpec();

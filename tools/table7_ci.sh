@@ -9,9 +9,9 @@
 # for any --workers=N).
 #
 # When a second argument names the ocelot-fleet binary, a small --oracle
-# grid is additionally run under --fusion=off and --fusion=chains and the
-# two result files byte-compared: the fusion tier is a wall-clock knob
-# and must never reach oracle verdicts.
+# grid is additionally run as two shards and merged, once with
+# --workers=1 and once with --workers=2: the merged results must carry
+# non-zero oracle columns and be byte-identical across worker counts.
 #
 # Usage: tools/table7_ci.sh PATH/TO/table7_fusion [PATH/TO/ocelot-fleet]
 set -euo pipefail
@@ -36,16 +36,20 @@ echo "== golden diff =="
 diff -u "$GOLDEN" "$WORK/table7.out"
 
 if [ -n "$FLEET" ]; then
-  echo "== oracle grid must be fusion-tier invariant (off vs chains) =="
+  echo "== sharded oracle grid: non-zero oracle columns, worker-invariant =="
   GRID=(--tau=300000 --seeds=7 --energy=2200:350
         --benchmarks=ekf_fusion,alarm_voting --models=ocelot,jit
         --scenarios=fusion-calm,fusion-storm --oracle)
-  "$FLEET" run "${GRID[@]}" --shard=0/1 --out="$WORK/off" --quiet \
-    --fusion=off
-  "$FLEET" run "${GRID[@]}" --shard=0/1 --out="$WORK/chains" --quiet \
-    --fusion=chains
-  cmp "$WORK/off/shard-0-of-1.jsonl" "$WORK/chains/shard-0-of-1.jsonl"
+  for W in 1 2; do
+    for S in 0 1; do
+      "$FLEET" run "${GRID[@]}" --shard=$S/2 --out="$WORK/w$W" --quiet \
+        --workers=$W
+    done
+    "$FLEET" merge "${GRID[@]}" --shards=2 --out="$WORK/w$W" > /dev/null
+  done
+  cmp "$WORK/w1/merged.jsonl" "$WORK/w2/merged.jsonl"
+  grep -q '"oracle_fresh_outputs": [1-9]' "$WORK/w1/merged.jsonl"
 fi
 
 echo "PASS: table7 output matches the golden and oracle verdicts are" \
-     "worker- and fusion-tier-invariant"
+     "worker-invariant"
