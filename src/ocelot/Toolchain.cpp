@@ -70,6 +70,40 @@ bool Status::contains(std::string_view Needle) const {
   return false;
 }
 
+std::string ocelot::renderPolicies(const CompiledArtifact &A) {
+  const Program &P = A.program();
+  std::string Out;
+  for (const FreshPolicy &Pol : A.policies().Fresh) {
+    Out += "fresh policy #" + std::to_string(Pol.Id) + " on '" +
+           Pol.VarName + "' in " + P.function(Pol.DeclFunc)->name() + ": " +
+           std::to_string(Pol.Inputs.size()) + " input(s), " +
+           std::to_string(Pol.Uses.size()) + " use(s)\n";
+    for (const ProvChain &Ch : Pol.Inputs)
+      Out += "  input " + chainToString(P, Ch) + "\n";
+  }
+  for (const ConsistentPolicy &Pol : A.policies().Consistent) {
+    Out += "consistent policy #" + std::to_string(Pol.Id) + " (set " +
+           std::to_string(Pol.SetId) + "): " +
+           std::to_string(Pol.Decls.size()) + " member(s), " +
+           std::to_string(Pol.Inputs.size()) + " input(s)\n";
+    for (const ProvChain &Ch : Pol.Inputs)
+      Out += "  input " + chainToString(P, Ch) + "\n";
+  }
+  for (const InferredRegion &Reg : A.inferredRegions())
+    Out += "region r" + std::to_string(Reg.RegionId) + " placed in " +
+           P.function(Reg.Func)->name() + "\n";
+  for (const RegionInfo &Info : A.regions()) {
+    Out += "region r" + std::to_string(Info.RegionId) + " omega = {";
+    const char *Sep = "";
+    for (int G : Info.Omega) {
+      Out += Sep + P.global(G).Name;
+      Sep = ", ";
+    }
+    Out += "}\n";
+  }
+  return Out;
+}
+
 Compilation Toolchain::compile(const SourceRef &Src,
                                const CompileOptions &Opts) const {
   // The pipeline itself has no shared state: every invocation works on its

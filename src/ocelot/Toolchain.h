@@ -159,6 +159,12 @@ private:
   CompiledArtifact A;
 };
 
+/// Renders the policies and regions of \p A exactly as `ocelotc
+/// --emit-policies` prints them: one line per fresh/consistent policy
+/// followed by its input chains, then each inferred region's function and
+/// every region's undo-log omega set.
+std::string renderPolicies(const CompiledArtifact &A);
+
 /// Counters for the process-wide compiled-artifact cache (see
 /// Toolchain::compileCached).
 struct ToolchainCacheStats {

@@ -335,37 +335,8 @@ int main(int argc, char **argv) {
   if (Disasm)
     std::printf("\n%s", A.image().disassemble(A.program()).c_str());
 
-  if (EmitPolicies) {
-    for (const FreshPolicy &Pol : A.policies().Fresh) {
-      std::printf("fresh policy #%d on '%s' in %s: %zu input(s), %zu "
-                  "use(s)\n",
-                  Pol.Id, Pol.VarName.c_str(),
-                  A.program().function(Pol.DeclFunc)->name().c_str(),
-                  Pol.Inputs.size(), Pol.Uses.size());
-      for (const ProvChain &Ch : Pol.Inputs)
-        std::printf("  input %s\n", chainToString(A.program(), Ch).c_str());
-    }
-    for (const ConsistentPolicy &Pol : A.policies().Consistent) {
-      std::printf("consistent policy #%d (set %d): %zu member(s), %zu "
-                  "input(s)\n",
-                  Pol.Id, Pol.SetId, Pol.Decls.size(), Pol.Inputs.size());
-      for (const ProvChain &Ch : Pol.Inputs)
-        std::printf("  input %s\n", chainToString(A.program(), Ch).c_str());
-    }
-    for (const InferredRegion &Reg : A.inferredRegions())
-      std::printf("region r%d placed in %s\n", Reg.RegionId,
-                  A.program().function(Reg.Func)->name().c_str());
-    for (const RegionInfo &Info : A.regions()) {
-      std::printf("region r%d omega = {", Info.RegionId);
-      bool First = true;
-      for (int G : Info.Omega) {
-        std::printf("%s%s", First ? "" : ", ",
-                    A.program().global(G).Name.c_str());
-        First = false;
-      }
-      std::printf("}\n");
-    }
-  }
+  if (EmitPolicies)
+    std::fputs(renderPolicies(A).c_str(), stdout);
 
   auto WriteTrace = [&]() -> bool {
     if (!Tracing)
