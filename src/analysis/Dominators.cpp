@@ -64,32 +64,57 @@ struct Graph {
 
 } // namespace
 
+std::vector<int>
+ocelot::reversePostOrder(const std::vector<std::vector<int>> &Succs,
+                         int Root) {
+  std::vector<int> Order; // postorder, reversed at the end
+  std::vector<std::pair<int, size_t>> Stack;
+  std::vector<char> Visited(Succs.size(), 0);
+  Stack.push_back({Root, 0});
+  Visited[Root] = 1;
+  while (!Stack.empty()) {
+    auto &[Node, EdgeIdx] = Stack.back();
+    const std::vector<int> &Out = Succs[Node];
+    if (EdgeIdx < Out.size()) {
+      int Next = Out[EdgeIdx++];
+      if (!Visited[Next]) {
+        Visited[Next] = 1;
+        Stack.push_back({Next, 0});
+      }
+    } else {
+      Order.push_back(Node);
+      Stack.pop_back();
+    }
+  }
+  std::reverse(Order.begin(), Order.end());
+  return Order;
+}
+
+std::vector<int> ocelot::reversePostOrder(const Function &F) {
+  int NB = F.numBlocks();
+  if (NB == 0)
+    return {};
+  std::vector<std::vector<int>> Succs(NB);
+  for (int B = 0; B < NB; ++B)
+    Succs[B] = F.block(B)->successors();
+  std::vector<int> Order = reversePostOrder(Succs, 0);
+  std::vector<char> Placed(NB, 0);
+  for (int B : Order)
+    Placed[B] = 1;
+  for (int B = 0; B < NB; ++B)
+    if (!Placed[B])
+      Order.push_back(B);
+  return Order;
+}
+
 DominatorTree DominatorTree::compute(const Function &F, bool Post) {
   Graph G = Post ? Graph::reverse(F) : Graph::forward(F);
 
-  // Reverse postorder from the root.
-  std::vector<int> Order; // postorder
+  // PostIndex orders nodes for Intersect; -1 marks unreachable nodes.
+  std::vector<int> Order = reversePostOrder(G.Succs, G.Root);
   std::vector<int> PostIndex(G.NumNodes, -1);
-  {
-    std::vector<std::pair<int, size_t>> Stack;
-    std::vector<char> Visited(G.NumNodes, 0);
-    Stack.push_back({G.Root, 0});
-    Visited[G.Root] = 1;
-    while (!Stack.empty()) {
-      auto &[Node, EdgeIdx] = Stack.back();
-      if (EdgeIdx < G.Succs[Node].size()) {
-        int Next = G.Succs[Node][EdgeIdx++];
-        if (!Visited[Next]) {
-          Visited[Next] = 1;
-          Stack.push_back({Next, 0});
-        }
-      } else {
-        PostIndex[Node] = static_cast<int>(Order.size());
-        Order.push_back(Node);
-        Stack.pop_back();
-      }
-    }
-  }
+  for (size_t I = 0; I < Order.size(); ++I)
+    PostIndex[Order[I]] = static_cast<int>(Order.size() - 1 - I);
 
   std::vector<int> Idom(G.NumNodes, -1);
   Idom[G.Root] = G.Root;
@@ -108,8 +133,7 @@ DominatorTree DominatorTree::compute(const Function &F, bool Post) {
   while (Changed) {
     Changed = false;
     // Iterate in reverse postorder, skipping the root.
-    for (auto It = Order.rbegin(); It != Order.rend(); ++It) {
-      int Node = *It;
+    for (int Node : Order) {
       if (Node == G.Root)
         continue;
       int NewIdom = -1;

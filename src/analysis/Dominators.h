@@ -22,6 +22,16 @@
 
 namespace ocelot {
 
+/// Reverse postorder of the nodes reachable from \p Root in the graph whose
+/// successor lists are \p Succs (depth-first, successors taken in list
+/// order). Unreachable nodes are left out.
+std::vector<int> reversePostOrder(const std::vector<std::vector<int>> &Succs,
+                                  int Root);
+
+/// Reverse postorder of \p F's blocks from the entry block, followed by the
+/// blocks the entry cannot reach, in id order. Every block appears once.
+std::vector<int> reversePostOrder(const Function &F);
+
 /// A dominator (or post-dominator) tree for one function.
 class DominatorTree {
 public:

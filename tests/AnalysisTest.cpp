@@ -104,6 +104,18 @@ TEST(Dominators, UnreachableBlocks) {
   EXPECT_TRUE(DT.isReachable(3));
 }
 
+TEST(Dominators, ReversePostOrderAppendsUnreachable) {
+  auto P = diamond();
+  Function *F = P->function(0);
+  BasicBlock *Dead = F->addBlock("dead");
+  IRBuilder B(*P);
+  B.setFunction(F);
+  B.setBlock(Dead);
+  B.emitBr(3);
+  // Entry first, the join after both arms, the dead block last.
+  EXPECT_EQ(reversePostOrder(*F), (std::vector<int>{0, 2, 1, 3, 4}));
+}
+
 TEST(CallGraph, BottomUpOrderAndReach) {
   auto P = lower("io s;\n"
                  "fn leaf() -> int { return s(); }\n"
@@ -248,6 +260,85 @@ TEST(Taint, GlobalContentUnion) {
                    "Fresh(v); }");
   int G = A.P->findGlobal("cell");
   EXPECT_EQ(A.TA->globalContent(G).size(), 2u);
+}
+
+TEST(Taint, LoadThroughRefSeesLaterStores) {
+  // Ref contents are flow-insensitive: the load of *r precedes the store
+  // in the same block, yet a's taint still includes what is stored.
+  auto A = analyze("io s;\n"
+                   "fn swap(r: &int, x: int) -> int { let a = *r; *r = x; "
+                   "return a; }\n"
+                   "fn main() { let y = 0; let v = swap(&y, s()); log(v); }");
+  const Function *Swap = A.P->functionByName("swap");
+  const FunctionTaint &FT = A.TA->functionTaint(Swap->id());
+  EXPECT_TRUE(FT.Ret.RefContents.count(0));
+  EXPECT_TRUE(FT.Ret.Params.count(1));
+}
+
+TEST(Taint, ControlTaintReachesLastUnrolledIteration) {
+  // 512 unrolled iterations, each branching on a fresh input: only the
+  // last iteration's branch decides flag, so its input alone taints it.
+  auto A = analyze("io s;\n"
+                   "fn main() { let mut flag = 0; for i in 0..512 { "
+                   "let c = s(); flag = 0; if c > i { flag = 1; } } "
+                   "Fresh(flag); }");
+  TokenSet T = annotTaint(A, "main");
+  ASSERT_EQ(T.Locals.size(), 1u);
+  const ProvChain &C = *T.Locals.begin();
+  ASSERT_EQ(C.size(), 1u);
+  const Function *Main = A.P->functionByName("main");
+  uint32_t LastInput = 0;
+  for (int B = 0; B < Main->numBlocks(); ++B)
+    for (const Instruction &I : Main->block(B)->instructions())
+      if (I.Op == Opcode::Input)
+        LastInput = std::max(LastInput, I.Label);
+  EXPECT_EQ(C[0].Label, LastInput);
+}
+
+TEST(Taint, GrownBranchConditionRevisitsDependents) {
+  // OCL lowers to acyclic CFGs; hand-built IR may loop. Here the branch in
+  // block 1 tests r2, which only reaches it over the back edge 4 -> 1.
+  // Block 3 is control-dependent on that branch, but its predecessor 2
+  // already saw r2 through block 5, so its in-state never grows: only the
+  // branch's condition taint can send block 3 round again.
+  //
+  //   0: in = s(); br 1 | 5     5: r2 = in; br 2
+  //   1: br r2 ? 2 : 4          2: br 3
+  //   3: r3 = 7; br 4           4: br 1 | 6         6: ret
+  auto P = std::make_unique<Program>();
+  P->addSensor({"s", {}});
+  Function *F = P->addFunction("main");
+  P->setMainFunction(F->id());
+  IRBuilder B(*P);
+  B.setFunction(F);
+  std::vector<BasicBlock *> Bl;
+  for (int I = 0; I < 7; ++I)
+    Bl.push_back(F->addBlock("b" + std::to_string(I)));
+  int R2 = F->newReg();
+  B.setBlock(Bl[0]);
+  int In = B.emitInput(0);
+  B.emitCondBr(Operand::reg(B.emitConst(1)), 1, 5);
+  B.setBlock(Bl[5]);
+  B.emitMovTo(R2, Operand::reg(In));
+  B.emitBr(2);
+  B.setBlock(Bl[1]);
+  B.emitCondBr(Operand::reg(R2), 2, 4);
+  B.setBlock(Bl[2]);
+  B.emitBr(3);
+  B.setBlock(Bl[3]);
+  int R3 = B.emitConst(7);
+  B.emitBr(4);
+  B.setBlock(Bl[4]);
+  B.emitCondBr(Operand::reg(B.emitConst(0)), 1, 6);
+  B.setBlock(Bl[6]);
+  B.emitRet(Operand::none());
+
+  CallGraph CG(*P);
+  TaintAnalysis TA(*P, CG);
+  const TokenSet &T = TA.functionTaint(F->id()).RegTaint[R3];
+  ASSERT_EQ(T.Locals.size(), 1u);
+  EXPECT_EQ(*T.Locals.begin(),
+            (ProvChain{InstrRef(F->id(), F->block(0)->instructions()[0].Label)}));
 }
 
 TEST(Taint, UntaintedValuesStayClean) {
