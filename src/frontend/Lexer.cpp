@@ -7,6 +7,7 @@
 #include "frontend/Lexer.h"
 
 #include <cctype>
+#include <limits>
 #include <map>
 
 using namespace ocelot;
@@ -251,30 +252,42 @@ Token Lexer::lexToken() {
   }
 
   if (std::isdigit(static_cast<unsigned char>(C))) {
+    size_t Start = Pos - 1;
     int64_t V = C - '0';
     bool Hex = false;
+    bool TooLarge = false;
     if (C == '0' && (peek() == 'x' || peek() == 'X')) {
       advance();
       Hex = true;
       V = 0;
     }
+    // Appends one digit unless the literal would exceed INT64_MAX.
+    auto Append = [&](int Base, int Digit) {
+      if (V > (std::numeric_limits<int64_t>::max() - Digit) / Base)
+        TooLarge = true;
+      else
+        V = V * Base + Digit;
+    };
     while (!atEnd()) {
       char D = peek();
       if (Hex && std::isxdigit(static_cast<unsigned char>(D))) {
         advance();
-        int Digit = std::isdigit(static_cast<unsigned char>(D))
-                        ? D - '0'
-                        : std::tolower(D) - 'a' + 10;
-        V = V * 16 + Digit;
+        Append(16, std::isdigit(static_cast<unsigned char>(D))
+                       ? D - '0'
+                       : std::tolower(D) - 'a' + 10);
       } else if (!Hex && std::isdigit(static_cast<unsigned char>(D))) {
         advance();
-        V = V * 10 + (D - '0');
+        Append(10, D - '0');
       } else if (D == '_') {
         advance(); // digit separator
       } else {
         break;
       }
     }
+    if (TooLarge)
+      Diags.error(L, "integer literal " + Src.substr(Start, Pos - Start) +
+                         " is larger than the largest int "
+                         "(9223372036854775807)");
     Token T = makeToken(TokKind::IntLit, L);
     T.IntValue = V;
     return T;

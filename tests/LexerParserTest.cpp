@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 using namespace ocelot;
 
 namespace {
@@ -54,6 +56,45 @@ TEST(Lexer, NumbersAndSeparators) {
   EXPECT_EQ(Toks[1].IntValue, 123);
   EXPECT_EQ(Toks[2].IntValue, 1000);
   EXPECT_EQ(Toks[3].IntValue, 0x1F);
+}
+
+TEST(Lexer, LargestIntLiteralsAccepted) {
+  DiagnosticEngine Diags;
+  auto Toks = lex("9223372036854775807 0x7fff_ffff_ffff_ffff", Diags);
+  ASSERT_FALSE(Diags.hasErrors()) << Diags.str();
+  EXPECT_EQ(Toks[0].IntValue, std::numeric_limits<int64_t>::max());
+  EXPECT_EQ(Toks[1].IntValue, std::numeric_limits<int64_t>::max());
+}
+
+TEST(Lexer, DecimalLiteralAboveInt64MaxRejected) {
+  DiagnosticEngine Diags;
+  lex("let x =\n  99999999999999999999999;", Diags);
+  ASSERT_EQ(Diags.diagnostics().size(), 1u);
+  const Diagnostic &D = Diags.diagnostics()[0];
+  EXPECT_EQ(D.Kind, DiagKind::Error);
+  EXPECT_EQ(D.Loc.Line, 2u);
+  EXPECT_EQ(D.Loc.Col, 3u);
+  EXPECT_NE(D.Message.find("99999999999999999999999 is larger than the "
+                           "largest int"),
+            std::string::npos)
+      << D.Message;
+
+  DiagnosticEngine OneOver;
+  lex("9223372036854775808", OneOver);
+  EXPECT_TRUE(OneOver.contains("larger than the largest int"));
+}
+
+TEST(Lexer, HexLiteralAboveInt64MaxRejected) {
+  DiagnosticEngine Diags;
+  lex("x = 0x8000_0000_0000_0000;", Diags);
+  ASSERT_EQ(Diags.diagnostics().size(), 1u);
+  const Diagnostic &D = Diags.diagnostics()[0];
+  EXPECT_EQ(D.Loc.Line, 1u);
+  EXPECT_EQ(D.Loc.Col, 5u);
+  EXPECT_NE(D.Message.find("0x8000_0000_0000_0000 is larger than the "
+                           "largest int"),
+            std::string::npos)
+      << D.Message;
 }
 
 TEST(Lexer, CommentsSkipped) {
