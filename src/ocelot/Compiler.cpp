@@ -14,6 +14,8 @@
 #include "ocelot/RegionChecker.h"
 
 #include <cassert>
+#include <chrono>
+#include <optional>
 
 using namespace ocelot;
 
@@ -31,7 +33,50 @@ const char *ocelot::execModelName(ExecModel M) {
   return "?";
 }
 
+const char *ocelot::compilePassName(CompilePass P) {
+  switch (P) {
+  case CompilePass::Parse:
+    return "parse";
+  case CompilePass::Sema:
+    return "sema";
+  case CompilePass::Lower:
+    return "lower";
+  case CompilePass::Verify:
+    return "verify";
+  case CompilePass::CallGraph:
+    return "callgraph";
+  case CompilePass::Taint:
+    return "taint";
+  case CompilePass::Policies:
+    return "policies";
+  case CompilePass::Regions:
+    return "regions";
+  case CompilePass::War:
+    return "war";
+  case CompilePass::Image:
+    return "image";
+  }
+  return "?";
+}
+
 namespace {
+
+/// Adds the wall time of its scope to one pass's slot in PassMs.
+class PassTimer {
+public:
+  PassTimer(CompileResult &R, CompilePass P)
+      : Slot(R.PassMs[static_cast<size_t>(P)]),
+        Start(std::chrono::steady_clock::now()) {}
+  ~PassTimer() {
+    Slot += std::chrono::duration<double, std::milli>(
+                std::chrono::steady_clock::now() - Start)
+                .count();
+  }
+
+private:
+  double &Slot;
+  std::chrono::steady_clock::time_point Start;
+};
 
 void stripRegions(Program &P) {
   for (int F = 0; F < P.numFunctions(); ++F) {
@@ -167,63 +212,95 @@ CompileResult ocelot::detail::runCompilePipeline(const std::string &Source,
                                                  const CompileOptions &Opts,
                                                  DiagnosticEngine &Diags) {
   CompileResult R;
+  auto Verify = [&] {
+    PassTimer T(R, CompilePass::Verify);
+    return verifyProgram(*R.Prog, Diags);
+  };
 
-  std::unique_ptr<Module> M = Parser::parseSource(Source, Diags);
+  std::unique_ptr<Module> M;
+  {
+    PassTimer T(R, CompilePass::Parse);
+    M = Parser::parseSource(Source, Diags);
+  }
   if (Diags.hasErrors())
     return R;
-  if (!checkModule(*M, Diags))
-    return R;
+  {
+    PassTimer T(R, CompilePass::Sema);
+    if (!checkModule(*M, Diags))
+      return R;
+  }
   R.Effort = computeEffort(Source, *M);
 
-  R.Prog = lowerModule(*M, Diags);
+  {
+    PassTimer T(R, CompilePass::Lower);
+    R.Prog = lowerModule(*M, Diags);
+  }
   if (!R.Prog)
     return R;
-  if (Opts.Verify && !verifyProgram(*R.Prog, Diags))
+  if (Opts.Verify && !Verify())
     return R;
 
-  CallGraph CG(*R.Prog);
-  if (CG.hasCycle()) {
+  std::optional<CallGraph> CG;
+  {
+    PassTimer T(R, CompilePass::CallGraph);
+    CG.emplace(*R.Prog);
+  }
+  if (CG->hasCycle()) {
     Diags.error({}, "call graph is cyclic after lowering");
     return R;
   }
-  TaintAnalysis TA(*R.Prog, CG);
-  R.Policies = buildPolicies(*R.Prog, CG, TA, Diags);
+  std::optional<TaintAnalysis> TA;
+  {
+    PassTimer T(R, CompilePass::Taint);
+    TA.emplace(*R.Prog, *CG);
+  }
+  {
+    PassTimer T(R, CompilePass::Policies);
+    R.Policies = buildPolicies(*R.Prog, *CG, *TA, Diags);
+  }
   if (Diags.hasErrors())
     return R;
 
-  switch (Opts.Model) {
-  case ExecModel::JitOnly:
-    stripRegions(*R.Prog);
-    break;
-  case ExecModel::AtomicsOnly:
-    break; // Manual regions stay; nothing inferred.
-  case ExecModel::Ocelot:
-    R.InferredRegions = inferAtomicRegions(*R.Prog, TA, R.Policies, Diags);
-    if (Diags.hasErrors())
-      return R;
-    break;
-  case ExecModel::CheckOnly: {
-    DiagnosticEngine CheckDiags;
-    R.PlacementValid =
-        checkRegionPlacement(*R.Prog, TA, R.Policies, CheckDiags);
-    for (const Diagnostic &D : CheckDiags.diagnostics())
-      Diags.warning(D.Loc, D.Message);
-    break;
-  }
+  {
+    PassTimer T(R, CompilePass::Regions);
+    switch (Opts.Model) {
+    case ExecModel::JitOnly:
+      stripRegions(*R.Prog);
+      break;
+    case ExecModel::AtomicsOnly:
+      break; // Manual regions stay; nothing inferred.
+    case ExecModel::Ocelot:
+      R.InferredRegions = inferAtomicRegions(*R.Prog, *TA, R.Policies, Diags);
+      if (Diags.hasErrors())
+        return R;
+      break;
+    case ExecModel::CheckOnly: {
+      DiagnosticEngine CheckDiags;
+      R.PlacementValid =
+          checkRegionPlacement(*R.Prog, *TA, R.Policies, CheckDiags);
+      for (const Diagnostic &D : CheckDiags.diagnostics())
+        Diags.warning(D.Loc, D.Message);
+      break;
+    }
+    }
   }
 
-  if (Opts.Verify && !verifyProgram(*R.Prog, Diags))
+  if (Opts.Verify && !Verify())
     return R;
 
   if (Opts.Model == ExecModel::Ocelot && Opts.SelfCheck) {
-    if (!checkRegionPlacement(*R.Prog, TA, R.Policies, Diags))
+    PassTimer T(R, CompilePass::Regions);
+    if (!checkRegionPlacement(*R.Prog, *TA, R.Policies, Diags))
       return R;
     R.PlacementValid = true;
   }
 
-  WarAnalysis WA(*R.Prog, CG);
-  R.Regions = WA.regions();
-  R.Monitor = buildMonitorPlan(*R.Prog, TA, R.Policies);
+  {
+    PassTimer T(R, CompilePass::War);
+    WarAnalysis WA(*R.Prog, *CG);
+    R.Regions = WA.regions();
+    R.Monitor = buildMonitorPlan(*R.Prog, *TA, R.Policies);
+  }
   R.Ok = true;
   return R;
 }

@@ -25,6 +25,7 @@
 #include "runtime/MonitorPlan.h"
 #include "support/Diagnostics.h"
 
+#include <array>
 #include <memory>
 #include <string>
 
@@ -65,6 +66,26 @@ struct EffortStats {
                                   ///< (Samoyed's scaling/fallback cases).
 };
 
+/// The timed passes of `Toolchain::compile`, in pipeline order. Image is
+/// the ExecutableImage build, which Toolchain::compile runs after the
+/// pipeline proper.
+enum class CompilePass {
+  Parse,
+  Sema,
+  Lower,
+  Verify,    ///< Both IR verifier runs.
+  CallGraph,
+  Taint,
+  Policies,
+  Regions,   ///< Inference, stripping or checking, plus the self-check.
+  War,       ///< WAR/EMW analysis and the monitor plan.
+  Image,
+};
+constexpr size_t NumCompilePasses = 10;
+
+/// Lower-case pass name, e.g. "callgraph".
+const char *compilePassName(CompilePass P);
+
 struct CompileResult {
   bool Ok = false;
   std::unique_ptr<Program> Prog;
@@ -75,6 +96,9 @@ struct CompileResult {
   EffortStats Effort;
   /// CheckOnly: whether existing regions enforce all policies.
   bool PlacementValid = false;
+  /// Wall time per pass in milliseconds, indexed by CompilePass; passes
+  /// that did not run stay 0.
+  std::array<double, NumCompilePasses> PassMs{};
 };
 
 namespace detail {

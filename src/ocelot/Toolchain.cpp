@@ -109,39 +109,49 @@ Compilation Toolchain::compile(const SourceRef &Src,
   // The pipeline itself has no shared state: every invocation works on its
   // own DiagnosticEngine and freshly built IR, which is what makes this
   // entry point safe to call from many threads at once.
+  auto Since = [](std::chrono::steady_clock::time_point T) {
+    return std::chrono::duration<double, std::milli>(
+               std::chrono::steady_clock::now() - T)
+        .count();
+  };
   auto Start = std::chrono::steady_clock::now();
   DiagnosticEngine Diags;
   CompileResult R = detail::runCompilePipeline(std::string(Src.Text), Opts,
                                                Diags);
-  double WallMs = std::chrono::duration<double, std::milli>(
-                      std::chrono::steady_clock::now() - Start)
-                      .count();
-  MetricsRegistry &M = MetricsRegistry::global();
-  M.add("toolchain.compile.count");
-  M.observe("toolchain.compile.wall_ms", WallMs);
   Compilation C;
-  if (!R.Ok) {
+  if (R.Ok) {
+    auto State = std::make_shared<CompiledArtifact::State>();
+    State->Prog = std::move(R.Prog);
+    State->Policies = std::move(R.Policies);
+    State->InferredRegions = std::move(R.InferredRegions);
+    State->Regions = std::move(R.Regions);
+    State->Monitor = std::move(R.Monitor);
+    // Precompute the flat execution form once; every Simulation built
+    // from this artifact shares it read-only.
+    auto ImageStart = std::chrono::steady_clock::now();
+    State->Image = ExecutableImage::build(*State->Prog, &State->Regions,
+                                          &State->Monitor, Opts.Fusion);
+    R.PassMs[static_cast<size_t>(CompilePass::Image)] = Since(ImageStart);
+    State->Effort = R.Effort;
+    State->Model = Opts.Model;
+    State->PlacementValid = R.PlacementValid;
+
+    C.S = Status::success(Diags.diagnostics());
+    C.A = CompiledArtifact(
+        std::shared_ptr<const CompiledArtifact::State>(std::move(State)));
+  } else {
     C.S = Status::failure(Diags.diagnostics());
-    return C;
   }
 
-  auto State = std::make_shared<CompiledArtifact::State>();
-  State->Prog = std::move(R.Prog);
-  State->Policies = std::move(R.Policies);
-  State->InferredRegions = std::move(R.InferredRegions);
-  State->Regions = std::move(R.Regions);
-  State->Monitor = std::move(R.Monitor);
-  // Precompute the flat execution form once; every Simulation built from
-  // this artifact shares it read-only.
-  State->Image = ExecutableImage::build(*State->Prog, &State->Regions,
-                                        &State->Monitor, Opts.Fusion);
-  State->Effort = R.Effort;
-  State->Model = Opts.Model;
-  State->PlacementValid = R.PlacementValid;
-
-  C.S = Status::success(Diags.diagnostics());
-  C.A = CompiledArtifact(
-      std::shared_ptr<const CompiledArtifact::State>(std::move(State)));
+  // Every compile feeds every pass summary (0 for passes that did not
+  // run), so each summary's count equals toolchain.compile.count.
+  MetricsRegistry &M = MetricsRegistry::global();
+  M.add("toolchain.compile.count");
+  M.observe("toolchain.compile.wall_ms", Since(Start));
+  for (size_t P = 0; P < NumCompilePasses; ++P)
+    M.observe(std::string("toolchain.compile.") +
+                  compilePassName(static_cast<CompilePass>(P)) + "_ms",
+              R.PassMs[P]);
   return C;
 }
 

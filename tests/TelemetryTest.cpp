@@ -34,6 +34,8 @@
 
 #include <cctype>
 #include <cstdio>
+#include <iterator>
+#include <map>
 #include <numeric>
 #include <string>
 #include <vector>
@@ -413,6 +415,38 @@ TEST(MetricsRegistryTest, ToolchainFeedsGlobalRegistry) {
   ASSERT_TRUE(C.ok());
   EXPECT_EQ(M.counter("toolchain.compile.count"), Before + 1);
   EXPECT_GE(M.summary("toolchain.compile.wall_ms").Sum, SumBefore);
+}
+
+TEST(MetricsRegistryTest, ToolchainFeedsOneSummaryPerPass) {
+  const char *const Passes[] = {"parse",    "sema",     "lower",
+                                "verify",   "callgraph", "taint",
+                                "policies", "regions",  "war",
+                                "image"};
+  ASSERT_EQ(std::size(Passes), NumCompilePasses);
+  MetricsRegistry &M = MetricsRegistry::global();
+  std::map<std::string, MetricsRegistry::Summary> Before;
+  for (const char *P : Passes) {
+    std::string Name = std::string("toolchain.compile.") + P + "_ms";
+    Before[Name] = M.summary(Name);
+  }
+  MetricsRegistry::Summary WallBefore = M.summary("toolchain.compile.wall_ms");
+
+  Compilation C = Toolchain().compile(findBenchmark("cem")->AnnotatedSrc);
+  ASSERT_TRUE(C.ok());
+
+  double PassSum = 0;
+  for (const auto &[Name, B] : Before) {
+    MetricsRegistry::Summary S = M.summary(Name);
+    EXPECT_EQ(S.Count, B.Count + 1) << Name;
+    EXPECT_GE(S.Sum, B.Sum) << Name;
+    PassSum += S.Sum - B.Sum;
+  }
+  // The passes, image build included, all lie inside the wall time.
+  double Wall = M.summary("toolchain.compile.wall_ms").Sum - WallBefore.Sum;
+  EXPECT_LE(PassSum, Wall + 1e-6);
+  EXPECT_GT(M.summary("toolchain.compile.image_ms").Sum -
+                Before["toolchain.compile.image_ms"].Sum,
+            0.0);
 }
 
 } // namespace
