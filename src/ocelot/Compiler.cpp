@@ -15,7 +15,6 @@
 
 #include <cassert>
 #include <chrono>
-#include <optional>
 
 using namespace ocelot;
 
@@ -67,6 +66,8 @@ public:
   PassTimer(CompileResult &R, CompilePass P)
       : Slot(R.PassMs[static_cast<size_t>(P)]),
         Start(std::chrono::steady_clock::now()) {}
+  PassTimer(const PassTimer &) = delete;
+  PassTimer &operator=(const PassTimer &) = delete;
   ~PassTimer() {
     Slot += std::chrono::duration<double, std::milli>(
                 std::chrono::steady_clock::now() - Start)
@@ -212,57 +213,44 @@ CompileResult ocelot::detail::runCompilePipeline(const std::string &Source,
                                                  const CompileOptions &Opts,
                                                  DiagnosticEngine &Diags) {
   CompileResult R;
+  auto Timed = [&](CompilePass Pass, auto &&Fn) {
+    PassTimer T(R, Pass);
+    return Fn();
+  };
   auto Verify = [&] {
-    PassTimer T(R, CompilePass::Verify);
-    return verifyProgram(*R.Prog, Diags);
+    return Timed(CompilePass::Verify,
+                 [&] { return verifyProgram(*R.Prog, Diags); });
   };
 
-  std::unique_ptr<Module> M;
-  {
-    PassTimer T(R, CompilePass::Parse);
-    M = Parser::parseSource(Source, Diags);
-  }
+  std::unique_ptr<Module> M = Timed(
+      CompilePass::Parse, [&] { return Parser::parseSource(Source, Diags); });
   if (Diags.hasErrors())
     return R;
-  {
-    PassTimer T(R, CompilePass::Sema);
-    if (!checkModule(*M, Diags))
-      return R;
-  }
+  if (!Timed(CompilePass::Sema, [&] { return checkModule(*M, Diags); }))
+    return R;
   R.Effort = computeEffort(Source, *M);
 
-  {
-    PassTimer T(R, CompilePass::Lower);
-    R.Prog = lowerModule(*M, Diags);
-  }
+  R.Prog = Timed(CompilePass::Lower, [&] { return lowerModule(*M, Diags); });
   if (!R.Prog)
     return R;
   if (Opts.Verify && !Verify())
     return R;
 
-  std::optional<CallGraph> CG;
-  {
-    PassTimer T(R, CompilePass::CallGraph);
-    CG.emplace(*R.Prog);
-  }
-  if (CG->hasCycle()) {
+  CallGraph CG =
+      Timed(CompilePass::CallGraph, [&] { return CallGraph(*R.Prog); });
+  if (CG.hasCycle()) {
     Diags.error({}, "call graph is cyclic after lowering");
     return R;
   }
-  std::optional<TaintAnalysis> TA;
-  {
-    PassTimer T(R, CompilePass::Taint);
-    TA.emplace(*R.Prog, *CG);
-  }
-  {
-    PassTimer T(R, CompilePass::Policies);
-    R.Policies = buildPolicies(*R.Prog, *CG, *TA, Diags);
-  }
+  TaintAnalysis TA =
+      Timed(CompilePass::Taint, [&] { return TaintAnalysis(*R.Prog, CG); });
+  R.Policies = Timed(CompilePass::Policies, [&] {
+    return buildPolicies(*R.Prog, CG, TA, Diags);
+  });
   if (Diags.hasErrors())
     return R;
 
-  {
-    PassTimer T(R, CompilePass::Regions);
+  Timed(CompilePass::Regions, [&] {
     switch (Opts.Model) {
     case ExecModel::JitOnly:
       stripRegions(*R.Prog);
@@ -270,37 +258,36 @@ CompileResult ocelot::detail::runCompilePipeline(const std::string &Source,
     case ExecModel::AtomicsOnly:
       break; // Manual regions stay; nothing inferred.
     case ExecModel::Ocelot:
-      R.InferredRegions = inferAtomicRegions(*R.Prog, *TA, R.Policies, Diags);
-      if (Diags.hasErrors())
-        return R;
+      R.InferredRegions = inferAtomicRegions(*R.Prog, TA, R.Policies, Diags);
       break;
     case ExecModel::CheckOnly: {
       DiagnosticEngine CheckDiags;
       R.PlacementValid =
-          checkRegionPlacement(*R.Prog, *TA, R.Policies, CheckDiags);
+          checkRegionPlacement(*R.Prog, TA, R.Policies, CheckDiags);
       for (const Diagnostic &D : CheckDiags.diagnostics())
         Diags.warning(D.Loc, D.Message);
       break;
     }
     }
-  }
+  });
+  if (Diags.hasErrors())
+    return R;
 
   if (Opts.Verify && !Verify())
     return R;
 
   if (Opts.Model == ExecModel::Ocelot && Opts.SelfCheck) {
-    PassTimer T(R, CompilePass::Regions);
-    if (!checkRegionPlacement(*R.Prog, *TA, R.Policies, Diags))
+    if (!Timed(CompilePass::Regions, [&] {
+          return checkRegionPlacement(*R.Prog, TA, R.Policies, Diags);
+        }))
       return R;
     R.PlacementValid = true;
   }
 
-  {
-    PassTimer T(R, CompilePass::War);
-    WarAnalysis WA(*R.Prog, *CG);
-    R.Regions = WA.regions();
-    R.Monitor = buildMonitorPlan(*R.Prog, *TA, R.Policies);
-  }
+  Timed(CompilePass::War, [&] {
+    R.Regions = WarAnalysis(*R.Prog, CG).regions();
+    R.Monitor = buildMonitorPlan(*R.Prog, TA, R.Policies);
+  });
   R.Ok = true;
   return R;
 }
