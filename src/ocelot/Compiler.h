@@ -81,7 +81,8 @@ enum class CompilePass {
   War,       ///< WAR/EMW analysis and the monitor plan.
   Image,
 };
-constexpr size_t NumCompilePasses = 10;
+constexpr size_t NumCompilePasses =
+    static_cast<size_t>(CompilePass::Image) + 1;
 
 /// Lower-case pass name, e.g. "callgraph".
 const char *compilePassName(CompilePass P);
