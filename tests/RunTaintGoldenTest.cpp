@@ -1,0 +1,132 @@
+//===- RunTaintGoldenTest.cpp - Run-level taint observables golden -----------===//
+//
+// Part of the Ocelot reproduction, released under the MIT license.
+//
+//===----------------------------------------------------------------------===//
+//
+// Pins every run-level observable that depends on dynamic input taint, byte
+// for byte. For every paper and fusion benchmark under Ocelot, JIT-only and
+// Atomics-only, on the tree and threaded engines, one fixed-seed device runs
+// a few dozen activations under an energy-driven failure plan with both
+// monitors and the input-epoch oracle armed. The test renders each run's
+// ViolationRecords (kind, site, set, tau, Detail) and OracleRecords (tau,
+// epoch, verdict, inputs in order) and compares the text against
+// tests/goldens/run_taint.golden.
+//
+// Detail names the *first* event of a value's taint that fails a check, so
+// this golden is what pins the order in which taint merges keep events.
+//
+// To re-bless after an intended change of run output:
+//   OCELOT_BLESS_GOLDEN=1 ./RunTaintGoldenTest
+//
+//===----------------------------------------------------------------------===//
+
+#include "apps/Benchmarks.h"
+#include "fusion/FusionBenchmarks.h"
+#include "harness/Experiment.h"
+#include "runtime/Simulation.h"
+
+#include <gtest/gtest.h>
+
+#include <cstdlib>
+#include <fstream>
+#include <sstream>
+
+using namespace ocelot;
+
+namespace {
+
+const char *const GoldenPath = OCELOT_GOLDEN_DIR "/run_taint.golden";
+constexpr uint64_t Seed = 2021;
+constexpr int Runs = 40;
+
+void renderCell(const BenchmarkDef &B, ExecModel Model, DispatchEngine E,
+                std::ostream &Out) {
+  CompiledBenchmark CB = compileBenchmark(B, Model);
+  const Program &P = CB.Artifact.program();
+  auto Ref = [&](const InstrRef &R) {
+    return P.function(R.Func)->name() + "@" + std::to_string(R.Label);
+  };
+
+  SimulationSpec Spec;
+  Spec.Config.Sensors = B.scenario(Seed);
+  Spec.Config.Seed = Seed;
+  Spec.Config.Plan = FailurePlan::energyDriven();
+  Spec.Config.MonitorBitVector = true;
+  Spec.Config.MonitorFormal = true;
+  Spec.Config.Oracle = true;
+  Spec.Config.Dispatch = E;
+  Simulation Sim(CB.Artifact, std::move(Spec));
+
+  Out << "=== " << B.Name << " " << execModelName(Model) << " "
+      << (E == DispatchEngine::Tree ? "tree" : "threaded") << "\n";
+  for (int Run = 0; Run < Runs; ++Run) {
+    RunResult R = Sim.runOnce();
+    Out << "run " << Run << " completed=" << R.Completed
+        << " starved=" << R.Starved << " reboots=" << R.Reboots
+        << " tau=" << R.FinalTau << "\n";
+    for (const ViolationRecord &V : R.Violations)
+      Out << "  violation " << violationKindName(V.K) << " site="
+          << (V.Site.Func >= 0 ? Ref(V.Site) : std::string("-"))
+          << " set=" << V.SetId << " tau=" << V.Tau << " " << V.Detail
+          << "\n";
+    for (const OracleRecord &O : R.OracleRecords) {
+      Out << "  oracle " << outputKindName(O.Kind) << " tau=" << O.Tau
+          << " epoch=" << O.Epoch << " " << oracleVerdictName(O.Verdict)
+          << ":";
+      for (const InputEvent &I : O.Inputs)
+        Out << " (s" << I.Sensor << " t" << I.Tau << " e" << I.Epoch << " v"
+            << I.Value << ")";
+      Out << "\n";
+    }
+    if (R.Starved || !R.Trap.empty())
+      break;
+  }
+}
+
+std::string renderAll() {
+  std::ostringstream Out;
+  std::vector<const BenchmarkDef *> Benches;
+  for (const BenchmarkDef &B : allBenchmarks())
+    Benches.push_back(&B);
+  for (const BenchmarkDef &B : fusionBenchmarks())
+    Benches.push_back(&B);
+  for (const BenchmarkDef *B : Benches)
+    for (ExecModel Model :
+         {ExecModel::Ocelot, ExecModel::JitOnly, ExecModel::AtomicsOnly})
+      for (DispatchEngine E : {DispatchEngine::Tree, DispatchEngine::Threaded})
+        renderCell(*B, Model, E, Out);
+  return Out.str();
+}
+
+TEST(RunTaintGolden, RunObservablesMatchGolden) {
+  std::string Actual = renderAll();
+  const char *Bless = std::getenv("OCELOT_BLESS_GOLDEN");
+  if (Bless && *Bless && std::string(Bless) != "0") {
+    std::ofstream(GoldenPath, std::ios::binary) << Actual;
+    GTEST_SKIP() << "wrote " << GoldenPath;
+  }
+  std::ifstream In(GoldenPath, std::ios::binary);
+  ASSERT_TRUE(In) << "missing golden " << GoldenPath;
+  std::stringstream Expected;
+  Expected << In.rdbuf();
+  if (Expected.str() == Actual)
+    return;
+  // Point at the first differing line instead of dumping the whole file.
+  std::istringstream EIn(Expected.str()), AIn(Actual);
+  std::string EL, AL;
+  for (int Line = 1;; ++Line) {
+    bool HasE = static_cast<bool>(std::getline(EIn, EL));
+    bool HasA = static_cast<bool>(std::getline(AIn, AL));
+    if (!HasE && !HasA)
+      break;
+    if (!HasE || !HasA || EL != AL) {
+      FAIL() << "run output differs from " << GoldenPath << " at line "
+             << Line << "\n  golden: " << (HasE ? EL : "<eof>")
+             << "\n  actual: " << (HasA ? AL : "<eof>");
+    }
+  }
+  FAIL() << "run output differs from " << GoldenPath;
+}
+
+} // namespace
