@@ -53,9 +53,10 @@ public:
     return Buf;
   }
 
-  /// Returns a retired buffer's capacity to the pool. The elements are
-  /// destroyed here (per-value taint vectors are freed); only the outer
-  /// allocation is retained.
+  /// Returns a retired buffer's capacity to the pool, cleared: RtValue is
+  /// plain data, so only the outer allocation is retained. (Taint ids in
+  /// the buffer named sequences of the retiring interpreter's table and
+  /// mean nothing to the next taker, which re-initializes every cell.)
   void giveBack(std::vector<RtValue> &&Buf) {
     if (Buf.capacity() == 0)
       return;

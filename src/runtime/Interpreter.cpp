@@ -176,9 +176,7 @@ void Interpreter::writeGlobal(int G, int64_t Index, RtValue V, RunResult &R) {
       Tau += Cfg.Costs.UndoLogEntryCost;
     }
   }
-  if (!Cfg.TrackTaint)
-    V.Taint.clear();
-  nvmCell(G, Index) = std::move(V);
+  nvmCell(G, Index) = V;
 }
 
 void Interpreter::enterAtomic(const Instruction &I, RunResult &R) {
@@ -360,6 +358,11 @@ bool Interpreter::checkEnergyAndPlan(uint64_t Cost) {
 }
 
 RunResult Interpreter::runOnce() {
+  // Only NVM outlives a run: registers, the undo log, the region snapshot
+  // and the monitor's set records are all reset before they are read
+  // again, so NVM is the whole root set of the taint table here.
+  if (Cfg.TrackTaint)
+    Taints.compactIfGrown(Nvm);
   switch (Cfg.Dispatch) {
   case DispatchEngine::Tree:
     return runOnceTree();
@@ -433,7 +436,8 @@ RunResult Interpreter::runOnceTree() {
       if (It != Monitor->plan().UseRegs.end())
         for (int Reg : It->second)
           Monitor->onFreshUseFormal(
-              Site, Top.Regs[static_cast<size_t>(Reg)].Taint, Epoch, Tau);
+              Site, Taints, Top.Regs[static_cast<size_t>(Reg)].Taint, Epoch,
+              Tau);
     }
 
     ++Frames.back().Idx; // Advance before executing (branches overwrite).
@@ -447,9 +451,8 @@ RunResult Interpreter::runOnceTree() {
       break;
     case Opcode::Un: {
       RtValue A = eval(I->A);
-      RtValue Out(unEval(I->UnKind, A.V));
-      Out.Taint = std::move(A.Taint);
-      Frames.back().Regs[static_cast<size_t>(I->Dst)] = std::move(Out);
+      Frames.back().Regs[static_cast<size_t>(I->Dst)] =
+          RtValue(unEval(I->UnKind, A.V), A.Taint);
       break;
     }
     case Opcode::Bin: {
@@ -462,11 +465,9 @@ RunResult Interpreter::runOnceTree() {
         break;
       }
       RtValue Out(V);
-      if (Cfg.TrackTaint) {
-        Out.Taint = A.Taint;
-        Out.mergeTaint(B);
-      }
-      Frames.back().Regs[static_cast<size_t>(I->Dst)] = std::move(Out);
+      if (Cfg.TrackTaint)
+        Out.Taint = Taints.merge(A.Taint, B.Taint);
+      Frames.back().Regs[static_cast<size_t>(I->Dst)] = Out;
       break;
     }
     case Opcode::LoadG:
@@ -535,8 +536,8 @@ RunResult Interpreter::runOnceTree() {
       E.Value = V;
       RtValue Out(V);
       if (Cfg.TrackTaint)
-        Out.Taint.push_back(E);
-      Frames.back().Regs[static_cast<size_t>(I->Dst)] = std::move(Out);
+        Out.Taint = Taints.single(E);
+      Frames.back().Regs[static_cast<size_t>(I->Dst)] = Out;
       if (TraceSink *T = Cfg.Telemetry)
         T->sensorRead(Tau, I->SensorId, V);
       if (Cfg.MonitorBitVector)
@@ -583,8 +584,8 @@ RunResult Interpreter::runOnceTree() {
       break; // Checked at uses.
     case Opcode::Consistent:
       if (Cfg.MonitorFormal)
-        Monitor->onConsistentMarker(I->SetId, I->Label, eval(I->A).Taint,
-                                    Epoch, Tau);
+        Monitor->onConsistentMarker(I->SetId, I->Label, Taints,
+                                    eval(I->A).Taint, Tau);
       break;
     case Opcode::AtomicStart:
       enterAtomic(*I, R);
@@ -608,8 +609,7 @@ RunResult Interpreter::runOnceTree() {
         const RtValue V = eval(A);
         E.Args.push_back(V.V);
         if (Cfg.Oracle)
-          for (const InputEvent &T : V.Taint)
-            Fused.push_back(T);
+          Taints.appendTo(V.Taint, Fused);
       }
       if (Cfg.Oracle)
         recordOracleOutput(E.Kind, std::move(Fused));

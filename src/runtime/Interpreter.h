@@ -196,6 +196,8 @@ public:
   uint64_t tau() const { return Tau; }
   uint64_t epoch() const { return Epoch; }
   const ViolationMonitor &monitor() const { return *Monitor; }
+  /// The device's interned taint (empty unless taint tracking is on).
+  const TaintTable &taints() const { return Taints; }
   const ExecutableImage &image() const { return *Img; }
 
 private:
@@ -231,15 +233,15 @@ private:
   RunResult runOnceFlat();
   RunResult runOnceThreaded();
   /// The flat dispatch loop, specialized on taint tracking: the taint-off
-  /// instantiation (the default hot path) moves raw int64 payloads with no
-  /// RtValue temporaries — legal because with TrackTaint off every taint
-  /// vector in registers and NVM is empty by construction.
+  /// instantiation (the default hot path) moves raw int64 payloads and
+  /// never touches a taint id — legal because with TrackTaint off every id
+  /// in registers and NVM is 0 (the empty sequence) by construction.
   template <bool TaintOn> RunResult runFlatLoop();
   /// The threaded dispatch loop (InterpreterThreaded.cpp): computed-goto
   /// (or switch-fallback) dispatch over the image's ThreadedOp view. Only
   /// ever instantiated taint-off — runOnceThreaded routes taint-tracking
-  /// configs to runFlatLoop<true>, where dispatch cost is noise next to
-  /// taint propagation. The Hot instantiation additionally assumes no
+  /// configs to runFlatLoop<true>, which carries a TaintId next to every
+  /// payload and merges them through the TaintTable. The Hot instantiation additionally assumes no
   /// failure plan, no energy model and no monitors (the steady-state
   /// throughput configuration), dropping the per-step failure/energy/
   /// monitor checks that the non-Hot instantiation performs exactly like
@@ -304,6 +306,9 @@ private:
   /// plans arm against this, not the per-run counter).
   uint64_t LifetimeOn = 0;
   std::unique_ptr<ViolationMonitor> Monitor;
+  /// Every RtValue::Taint id of this device names a sequence here. Lives
+  /// as long as NVM; compacted at the start of runOnce.
+  TaintTable Taints;
   std::unique_ptr<EnergyModel> Energy;
   Rng Rand;
 

@@ -11,7 +11,8 @@
 /// absolute PCs, and the monitor/region side tables replace the per-step
 /// map lookups and linear scans of the tree engine (Interpreter.cpp). The
 /// loop is specialized on taint tracking: with taint off (the default),
-/// values move as raw int64 payloads with no RtValue temporaries.
+/// values move as raw int64 payloads; with it on, every value carries a
+/// TaintId that Bin merges through the interpreter's TaintTable.
 ///
 /// Every rule here must mirror the tree engine exactly — same cost
 /// charging, same RNG draw sequence, same monitor callbacks, same trap
@@ -63,8 +64,8 @@ void Interpreter::writeGlobalRaw(int G, int64_t Index, int64_t V,
       Tau += Cfg.Costs.UndoLogEntryCost;
     }
   }
-  // Taint is empty everywhere by the !TrackTaint invariant, so only the
-  // payload moves (writeGlobal would clear-and-assign the same state).
+  // Every taint id is 0 by the !TrackTaint invariant, so only the payload
+  // moves (writeGlobal would assign the same state).
   nvmCell(G, Index).V = V;
 }
 
@@ -258,7 +259,7 @@ template <bool TaintOn> RunResult Interpreter::runFlatLoop() {
         const int32_t *Regs = Img->useRegs(FI);
         for (uint16_t RI = 0; RI < FI.UseRegsCount; ++RI)
           Monitor->onFreshUseFormal(
-              Site,
+              Site, Taints,
               RegStack[RegBase + static_cast<size_t>(Regs[RI])].Taint,
               Epoch, Tau);
       }
@@ -279,25 +280,16 @@ template <bool TaintOn> RunResult Interpreter::runFlatLoop() {
       else
         RegStack[RegBase + static_cast<size_t>(FI.Dst)].V = RawVal(FI.A);
       break;
-    case Opcode::Un: {
-      int64_t AV;
-      RtValue A;
+    case Opcode::Un:
       if constexpr (TaintOn) {
-        A = evalFlat(FI.A);
-        AV = A.V;
+        const RtValue A = evalFlat(FI.A);
+        RegStack[RegBase + static_cast<size_t>(FI.Dst)] =
+            RtValue(unEval(FI.UnKind, A.V), A.Taint);
       } else {
-        AV = RawVal(FI.A);
-      }
-      const int64_t V = unEval(FI.UnKind, AV);
-      if constexpr (TaintOn) {
-        RtValue Out(V);
-        Out.Taint = std::move(A.Taint);
-        RegStack[RegBase + static_cast<size_t>(FI.Dst)] = std::move(Out);
-      } else {
-        RegStack[RegBase + static_cast<size_t>(FI.Dst)].V = V;
+        RegStack[RegBase + static_cast<size_t>(FI.Dst)].V =
+            unEval(FI.UnKind, RawVal(FI.A));
       }
       break;
-    }
     case Opcode::Bin: {
       int64_t AV, BV;
       RtValue A, B;
@@ -317,10 +309,8 @@ template <bool TaintOn> RunResult Interpreter::runFlatLoop() {
         break;
       }
       if constexpr (TaintOn) {
-        RtValue Out(V);
-        Out.Taint = A.Taint;
-        Out.mergeTaint(B);
-        RegStack[RegBase + static_cast<size_t>(FI.Dst)] = std::move(Out);
+        RegStack[RegBase + static_cast<size_t>(FI.Dst)] =
+            RtValue(V, Taints.merge(A.Taint, B.Taint));
       } else {
         RegStack[RegBase + static_cast<size_t>(FI.Dst)].V = V;
       }
@@ -412,9 +402,8 @@ template <bool TaintOn> RunResult Interpreter::runFlatLoop() {
       E.Epoch = Epoch;
       E.Value = V;
       if constexpr (TaintOn) {
-        RtValue Out(V);
-        Out.Taint.push_back(E);
-        RegStack[RegBase + static_cast<size_t>(FI.Dst)] = std::move(Out);
+        RegStack[RegBase + static_cast<size_t>(FI.Dst)] =
+            RtValue(V, Taints.single(E));
       } else {
         RegStack[RegBase + static_cast<size_t>(FI.Dst)].V = V;
       }
@@ -489,8 +478,8 @@ template <bool TaintOn> RunResult Interpreter::runFlatLoop() {
     case Opcode::Consistent:
       if constexpr (TaintOn) {
         if (Formal)
-          Monitor->onConsistentMarker(FI.SetId, FI.Label,
-                                      evalFlat(FI.A).Taint, Epoch, Tau);
+          Monitor->onConsistentMarker(FI.SetId, FI.Label, Taints,
+                                      evalFlat(FI.A).Taint, Tau);
       }
       break;
     case Opcode::AtomicStart:
@@ -522,8 +511,7 @@ template <bool TaintOn> RunResult Interpreter::runFlatLoop() {
           const RtValue V = evalFlat(Args[A]);
           E.Args.push_back(V.V);
           if (OracleOn)
-            for (const InputEvent &T : V.Taint)
-              Fused.push_back(T);
+            Taints.appendTo(V.Taint, Fused);
         } else {
           E.Args.push_back(RawVal(Args[A]));
         }

@@ -5,11 +5,16 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Runtime values optionally carry *dynamic input taint* — the set of input
-/// events (sensor, logical time, reboot epoch) the value depends on. This
+/// Runtime values optionally carry *dynamic input taint* — the input events
+/// (sensor, logical time, reboot epoch) the value depends on. This
 /// implements the paper's taint-augmented semantics (Appendix B), which the
 /// formal freshness / temporal-consistency checker (Definitions 2 and 3)
 /// evaluates directly at run time.
+///
+/// A value does not hold its events itself: it holds a `TaintId` naming an
+/// insertion-ordered event sequence interned in its interpreter's
+/// `TaintTable` (runtime/TaintTable.h). Id 0 is the empty sequence, which
+/// every value carries while taint tracking is off.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -19,6 +24,7 @@
 #include "ir/Opcode.h"
 
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 namespace ocelot {
@@ -36,28 +42,23 @@ struct InputEvent {
   }
 };
 
+/// Handle to an interned taint sequence in a `TaintTable`; 0 is empty.
+using TaintId = uint32_t;
+
 /// A runtime value: the 64-bit payload plus (when taint tracking is on) the
-/// input events it depends on.
+/// id of the input events it depends on. Plain data, copied by value.
 struct RtValue {
   int64_t V = 0;
-  std::vector<InputEvent> Taint;
+  TaintId Taint = 0;
 
   RtValue() = default;
-  explicit RtValue(int64_t V) : V(V) {}
-
-  /// Merges another value's taint into this one (deduplicated).
-  void mergeTaint(const RtValue &O) {
-    for (const InputEvent &E : O.Taint)
-      addTaint(E);
-  }
-
-  void addTaint(const InputEvent &E) {
-    for (const InputEvent &Have : Taint)
-      if (Have == E)
-        return;
-    Taint.push_back(E);
-  }
+  explicit RtValue(int64_t V, TaintId Taint = 0) : V(V), Taint(Taint) {}
 };
+
+static_assert(sizeof(RtValue) == 16 &&
+                  std::is_trivially_copyable_v<RtValue> &&
+                  std::is_standard_layout_v<RtValue>,
+              "RtValue must stay a 16-byte POD");
 
 /// One observable output (log / alarm / send / uart).
 struct OutputEvent {

@@ -124,11 +124,15 @@ void ViolationMonitor::onFreshUse(InstrRef Site, uint64_t Tau) {
 }
 
 void ViolationMonitor::onFreshUseFormal(InstrRef Site,
-                                        const std::vector<InputEvent> &Taint,
-                                        uint64_t Epoch, uint64_t Tau) {
+                                        const TaintTable &Taints,
+                                        TaintId Taint, uint64_t Epoch,
+                                        uint64_t Tau) {
   bool Failed = false;
-  for (const InputEvent &E : Taint) {
-    if (E.Epoch != Epoch) {
+  if (!Taints.allInEpoch(Taint, Epoch)) {
+    for (size_t I = 0, N = Taints.length(Taint); I < N; ++I) {
+      const InputEvent &E = Taints.at(Taint, I);
+      if (E.Epoch == Epoch)
+        continue;
       Failed = true;
       ViolationRecord R;
       R.K = ViolationRecord::Kind::FreshFormal;
@@ -146,9 +150,8 @@ void ViolationMonitor::onFreshUseFormal(InstrRef Site,
 }
 
 void ViolationMonitor::onConsistentMarker(int SetId, uint32_t MarkerLabel,
-                                          const std::vector<InputEvent> &Taint,
-                                          uint64_t Epoch, uint64_t Tau) {
-  (void)Epoch;
+                                          const TaintTable &Taints,
+                                          TaintId Taint, uint64_t Tau) {
   auto Key = std::make_pair(SetId, MarkerLabel);
   if (SetRecords.count(Key)) {
     // New dynamic activation of the set: drop the previous instance.
@@ -161,30 +164,35 @@ void ViolationMonitor::onConsistentMarker(int SetId, uint32_t MarkerLabel,
   }
   SetRecords[Key] = Taint;
 
-  // All events across the set's recorded members must share one epoch.
+  // All events across the set's recorded members must share one epoch:
+  // the first event's, in (marker label, insertion) order.
   bool HaveEpoch = false;
   uint64_t SetEpoch = 0;
-  for (const auto &[K, Events] : SetRecords) {
-    if (K.first != SetId)
+  for (const auto &[K, T] : SetRecords) {
+    if (K.first != SetId || Taints.length(T) == 0)
       continue;
-    for (const InputEvent &E : Events) {
-      if (!HaveEpoch) {
-        SetEpoch = E.Epoch;
-        HaveEpoch = true;
-      } else if (E.Epoch != SetEpoch) {
-        ViolationRecord R;
-        R.K = ViolationRecord::Kind::ConsistentFormal;
-        R.SetId = SetId;
-        R.Tau = Tau;
-        R.Detail = "consistent set " + std::to_string(SetId) +
-                   " holds inputs from reboot epochs " +
-                   std::to_string(SetEpoch) + " and " +
-                   std::to_string(E.Epoch);
-        record(std::move(R));
-        if (Sink)
-          Sink->monitorCheck(Tau, MarkerLabel, true);
-        return;
-      }
+    if (!HaveEpoch) {
+      SetEpoch = Taints.at(T, 0).Epoch;
+      HaveEpoch = true;
+    }
+    if (Taints.allInEpoch(T, SetEpoch))
+      continue;
+    for (size_t I = 0, N = Taints.length(T); I < N; ++I) {
+      const InputEvent &E = Taints.at(T, I);
+      if (E.Epoch == SetEpoch)
+        continue;
+      ViolationRecord R;
+      R.K = ViolationRecord::Kind::ConsistentFormal;
+      R.SetId = SetId;
+      R.Tau = Tau;
+      R.Detail = "consistent set " + std::to_string(SetId) +
+                 " holds inputs from reboot epochs " +
+                 std::to_string(SetEpoch) + " and " +
+                 std::to_string(E.Epoch);
+      record(std::move(R));
+      if (Sink)
+        Sink->monitorCheck(Tau, MarkerLabel, true);
+      return;
     }
   }
   if (Sink)

@@ -13,10 +13,11 @@
 ///    consistent set the other executed members' bits must be set.
 ///
 ///  * Formal (Definitions 2/3 over the taint-augmented semantics of
-///    Appendix B): every value carries its input events (sensor, tau,
-///    reboot epoch). A fresh use whose value carries an event from an
-///    earlier epoch crossed a power failure; a consistent set whose
-///    members' events span different epochs was split by one.
+///    Appendix B): every value carries the id of its input events (sensor,
+///    tau, reboot epoch) in the interpreter's TaintTable. A fresh use
+///    whose value carries an event from an earlier epoch crossed a power
+///    failure; a consistent set whose members' events span different
+///    epochs was split by one.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -24,7 +25,7 @@
 #define OCELOT_RUNTIME_VIOLATIONMONITOR_H
 
 #include "runtime/MonitorPlan.h"
-#include "runtime/Value.h"
+#include "runtime/TaintTable.h"
 
 #include <string>
 #include <vector>
@@ -76,15 +77,17 @@ public:
   /// check.
   void onFreshUse(InstrRef Site, uint64_t Tau);
 
-  /// Formal freshness check: \p Taint is the used value's input events and
-  /// \p Epoch the current reboot epoch.
-  void onFreshUseFormal(InstrRef Site, const std::vector<InputEvent> &Taint,
-                        uint64_t Epoch, uint64_t Tau);
+  /// Formal freshness check: \p Taint names the used value's input events
+  /// in \p Taints and \p Epoch is the current reboot epoch.
+  void onFreshUseFormal(InstrRef Site, const TaintTable &Taints,
+                        TaintId Taint, uint64_t Epoch, uint64_t Tau);
 
-  /// Formal consistency check at a Consistent marker execution.
+  /// Formal consistency check at a Consistent marker execution. The
+  /// recorded id must stay valid until beginRun (the interpreter compacts
+  /// its table only at run start).
   void onConsistentMarker(int SetId, uint32_t MarkerLabel,
-                          const std::vector<InputEvent> &Taint,
-                          uint64_t Epoch, uint64_t Tau);
+                          const TaintTable &Taints, TaintId Taint,
+                          uint64_t Tau);
 
   /// Violation records of the current run (cleared by beginRun).
   const std::vector<ViolationRecord> &violations() const { return Records; }
@@ -115,8 +118,8 @@ private:
   std::set<InstrRef> Bits;
   /// Per consistent set: which members executed in the current activation.
   std::vector<std::vector<bool>> MemberExecuted;
-  /// Formal per-set records: (setId, marker label) -> events.
-  std::map<std::pair<int, uint32_t>, std::vector<InputEvent>> SetRecords;
+  /// Formal per-set records: (setId, marker label) -> taint id.
+  std::map<std::pair<int, uint32_t>, TaintId> SetRecords;
   std::vector<ViolationRecord> Records;
   bool FreshViolated = false;
   bool ConsistentViolated = false;
