@@ -39,6 +39,25 @@ ExecutableImage::build(const Program &P,
     L.EndPc = Pc;
   }
 
+  // Input ordinals: every Input instruction first, in PC order, then the
+  // plan's input sites that are not Input instructions (never set).
+  for (int F = 0; F < P.numFunctions(); ++F)
+    for (int B = 0; B < P.function(F)->numBlocks(); ++B)
+      for (const Instruction &I : P.function(F)->block(B)->instructions())
+        if (I.Op == Opcode::Input) {
+          Img->InputOrdinals.emplace(InstrRef(F, I.Label),
+                                     static_cast<uint32_t>(
+                                         Img->InputSites.size()));
+          Img->InputSites.emplace_back(F, I.Label);
+        }
+  auto OrdinalOf = [&](InstrRef Site) {
+    auto [It, New] = Img->InputOrdinals.emplace(
+        Site, static_cast<uint32_t>(Img->InputSites.size()));
+    if (New)
+      Img->InputSites.push_back(Site);
+    return It->second;
+  };
+
   std::map<int, const RegionInfo *> RegionById;
   if (Regions)
     for (const RegionInfo &R : *Regions)
@@ -65,6 +84,8 @@ ExecutableImage::build(const Program &P,
         FI.SetId = I.SetId;
         FI.RegionId = I.RegionId;
         FI.OutKind = I.OutKind;
+        if (I.Op == Opcode::Input)
+          FI.InputOrd = Img->InputOrdinals.at(InstrRef(F, I.Label));
 
         if (!I.Args.empty()) {
           FI.ArgsBegin = static_cast<uint32_t>(Img->ArgPool.size());
@@ -108,7 +129,15 @@ ExecutableImage::build(const Program &P,
         // lookups per executed instruction becomes a flag and a span.
         if (Plan) {
           InstrRef Site(F, I.Label);
-          FI.HasUseCheck = Plan->UseChecks.count(Site) != 0;
+          auto UC = Plan->UseChecks.find(Site);
+          if (UC != Plan->UseChecks.end()) {
+            FI.HasUseCheck = true;
+            FI.UseChecksBegin =
+                static_cast<uint32_t>(Img->UseCheckPool.size());
+            FI.UseChecksCount = static_cast<uint16_t>(UC->second.size());
+            for (const InstrRef &In : UC->second)
+              Img->UseCheckPool.push_back(OrdinalOf(In));
+          }
           auto UR = Plan->UseRegs.find(Site);
           if (UR != Plan->UseRegs.end() && !UR->second.empty()) {
             FI.UseRegsBegin = static_cast<uint32_t>(Img->UseRegPool.size());
@@ -140,10 +169,21 @@ ExecutableImage::build(const Program &P,
     Img->MainRegs = Img->Funcs[static_cast<size_t>(P.mainFunction())].NumRegs;
   }
 
+  if (Plan)
+    for (const ConsistentSetPlan &S : Plan->Sets)
+      for (const ProvChain &C : S.Members)
+        if (!C.empty())
+          OrdinalOf(C.back());
+
   Img->DefaultCosts = Img->costTableFor(CostModel());
   Img->Fusion = Fusion;
   Img->buildThreadedView();
   return Img;
+}
+
+uint32_t ExecutableImage::inputOrdinal(InstrRef Site) const {
+  auto It = InputOrdinals.find(Site);
+  return It == InputOrdinals.end() ? NoInputOrdinal : It->second;
 }
 
 const char *ocelot::fusionModeName(FusionMode M) {

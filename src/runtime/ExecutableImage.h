@@ -20,6 +20,8 @@
 ///    fresh-use checks, formal-checker use registers) and each
 ///    `AtomicStart` to its region's flattened omega set, replacing the
 ///    per-step `MonitorPlan` map lookups and `RegionInfo` linear scans.
+///  * Every static input operation gets a dense *input ordinal*: its
+///    position in the bit-vector monitor's bit vector.
 ///  * A global-variable layout table assigns every non-volatile global a
 ///    base offset in one flat NVM array.
 ///
@@ -39,6 +41,7 @@
 #include "runtime/MonitorPlan.h"
 
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -55,6 +58,7 @@ struct FlatInst {
   Opcode Op = Opcode::Nop;
   bool HasUseCheck = false;  ///< Site is in MonitorPlan::UseChecks.
   uint16_t UseRegsCount = 0; ///< Formal-checker registers at this site.
+  uint16_t UseChecksCount = 0; ///< Bit-vector inputs checked at this site.
   uint32_t Label = 0;        ///< Stable label (the paper's l in (f, l)).
   int32_t Func = -1;         ///< Enclosing function id (the paper's f).
   int32_t Block = -1;        ///< Source basic-block id (for disassembly).
@@ -81,6 +85,8 @@ struct FlatInst {
   uint32_t ArgsBegin = 0, ArgsCount = 0;   ///< Call/Output args span.
   uint32_t OmegaBegin = 0, OmegaCount = 0; ///< AtomicStart omega span.
   uint32_t UseRegsBegin = 0;               ///< Formal use-regs span.
+  uint32_t UseChecksBegin = 0;             ///< Use-check ordinals span.
+  uint32_t InputOrd = 0;                   ///< Input: its input ordinal.
 };
 
 /// Dispatch codes consumed by the threaded engine
@@ -215,6 +221,23 @@ public:
   const int32_t *useRegs(const FlatInst &I) const {
     return UseRegPool.data() + I.UseRegsBegin;
   }
+  /// Input ordinals whose bits a fresh-use site checks, in the order of
+  /// MonitorPlan::UseChecks' std::set (the first cleared one is reported).
+  const uint32_t *useChecks(const FlatInst &I) const {
+    return UseCheckPool.data() + I.UseChecksBegin;
+  }
+
+  // -- Input ordinals ----------------------------------------------------
+  /// Input operations are numbered densely: every Input instruction in PC
+  /// order, then any input site the monitor plan names that is not an
+  /// Input instruction of this program (its bit is never set).
+  uint32_t numInputOrdinals() const {
+    return static_cast<uint32_t>(InputSites.size());
+  }
+  InstrRef inputSite(uint32_t Ord) const { return InputSites[Ord]; }
+  /// The ordinal of input site \p Site, or NoInputOrdinal.
+  uint32_t inputOrdinal(InstrRef Site) const;
+  static constexpr uint32_t NoInputOrdinal = ~0u;
 
   // -- NVM layout --------------------------------------------------------
   const std::vector<GlobalSlot> &globals() const { return Globals; }
@@ -279,6 +302,9 @@ private:
   std::vector<Operand> ArgPool;
   std::vector<int32_t> OmegaPool;
   std::vector<int32_t> UseRegPool;
+  std::vector<uint32_t> UseCheckPool;
+  std::vector<InstrRef> InputSites;
+  std::map<InstrRef, uint32_t> InputOrdinals;
   std::vector<GlobalSlot> Globals;
   std::vector<uint64_t> DefaultCosts;
   uint32_t NvmCellCount = 0;

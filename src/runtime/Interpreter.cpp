@@ -55,8 +55,8 @@ Interpreter::Interpreter(const Program &P, RunConfig Cfg,
                 : ExecutableImage::build(P, Regions, Plan)),
       Rand(this->Cfg.Seed) {
   static const MonitorPlan EmptyPlan;
-  Monitor = std::make_unique<ViolationMonitor>(Plan ? *Plan : EmptyPlan,
-                                               P.numSensors());
+  Monitor =
+      std::make_unique<ViolationMonitor>(Plan ? *Plan : EmptyPlan, *Img);
   Monitor->setTraceSink(this->Cfg.Telemetry);
   if (this->Cfg.Plan.isEnergyDriven())
     Energy = std::make_unique<EnergyModel>(
@@ -146,14 +146,6 @@ RtValue Interpreter::eval(Operand O) const {
   if (O.isReg())
     return Frames.back().Regs[static_cast<size_t>(O.Reg)];
   return evalKindless();
-}
-
-ProvChain Interpreter::currentChain(uint32_t FinalLabel) const {
-  ProvChain C;
-  for (size_t I = 1; I < Frames.size(); ++I)
-    C.push_back(InstrRef(Frames[I - 1].Func, Frames[I].CallSiteLabel));
-  C.push_back(InstrRef(Frames.back().Func, FinalLabel));
-  return C;
 }
 
 const RegionInfo *Interpreter::regionInfo(int RegionId) const {
@@ -429,8 +421,15 @@ RunResult Interpreter::runOnceTree() {
     ++R.Steps;
 
     // Freshness checks fire when a use of a fresh variable executes.
-    if (Cfg.MonitorBitVector)
-      Monitor->onFreshUse(Site, Tau);
+    if (Cfg.MonitorBitVector) {
+      auto It = Monitor->plan().UseChecks.find(Site);
+      if (It != Monitor->plan().UseChecks.end()) {
+        std::vector<uint32_t> Ords;
+        for (const InstrRef &In : It->second)
+          Ords.push_back(Img->inputOrdinal(In));
+        Monitor->onFreshUse(Site, Ords.data(), Ords.size(), Tau);
+      }
+    }
     if (Cfg.MonitorFormal) {
       auto It = Monitor->plan().UseRegs.find(Site);
       if (It != Monitor->plan().UseRegs.end())
@@ -541,7 +540,14 @@ RunResult Interpreter::runOnceTree() {
       if (TraceSink *T = Cfg.Telemetry)
         T->sensorRead(Tau, I->SensorId, V);
       if (Cfg.MonitorBitVector)
-        Monitor->onInput(Site, currentChain(I->Label), I->SensorId, Tau);
+        // Chain element K < depth-1 is the call site that created frame
+        // K+1, in the caller's function.
+        Monitor->onInput(
+            Img->inputOrdinal(Site), Site, Frames.size(),
+            [&](size_t K) {
+              return InstrRef(Frames[K].Func, Frames[K + 1].CallSiteLabel);
+            },
+            Tau);
       if (Cfg.RecordTrace) {
         if (ExecMode == Mode::Atomic)
           PendingInputs.push_back(E);

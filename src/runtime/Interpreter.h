@@ -269,8 +269,9 @@ private:
   /// (same undo-log sequence and cost charging) without materializing an
   /// RtValue.
   void writeGlobalRaw(int G, int64_t Index, int64_t V, RunResult &R);
-  ProvChain currentChain(uint32_t FinalLabel) const;
-  ProvChain currentChainFlat(int Func, uint32_t FinalLabel) const;
+  /// Flat and threaded engines: the bit-vector monitor's input hook for
+  /// \p FI, reading the call chain off the flat frame stack in place.
+  void onInputFlat(const FlatInst &FI, uint64_t Tau);
   const RegionInfo *regionInfo(int RegionId) const;
   bool checkEnergyAndPlan(uint64_t Cost);
 

@@ -39,18 +39,19 @@ RtValue Interpreter::evalFlat(Operand O) const {
   return evalKindless();
 }
 
-ProvChain Interpreter::currentChainFlat(int Func, uint32_t FinalLabel) const {
-  // Frame I was created by the call instruction at FFrames[I].ReturnPc - 1;
-  // that instruction's Func field is the caller, mirroring the tree
-  // engine's (Frames[I-1].Func, Frames[I].CallSiteLabel) pairs.
-  ProvChain C;
+void Interpreter::onInputFlat(const FlatInst &FI, uint64_t Tau) {
+  // Frame K+1 was created by the call instruction at
+  // FFrames[K+1].ReturnPc - 1, whose Func field is the caller: chain
+  // element K, mirroring the tree engine's
+  // (Frames[K].Func, Frames[K+1].CallSiteLabel) pairs.
   const FlatInst *Code = Img->code().data();
-  for (size_t I = 1; I < FFrames.size(); ++I) {
-    const FlatInst &CallI = Code[FFrames[I].ReturnPc - 1];
-    C.push_back(InstrRef(CallI.Func, CallI.Label));
-  }
-  C.push_back(InstrRef(Func, FinalLabel));
-  return C;
+  Monitor->onInput(
+      FI.InputOrd, InstrRef(FI.Func, FI.Label), FFrames.size(),
+      [&](size_t K) {
+        const FlatInst &CallI = Code[FFrames[K + 1].ReturnPc - 1];
+        return InstrRef(CallI.Func, CallI.Label);
+      },
+      Tau);
 }
 
 void Interpreter::writeGlobalRaw(int G, int64_t Index, int64_t V,
@@ -253,7 +254,7 @@ template <bool TaintOn> RunResult Interpreter::runFlatLoop() {
     // side tables make the common case (no check at this PC) two flag
     // tests instead of two map lookups.
     if (BitVector && FI.HasUseCheck)
-      Monitor->onFreshUse(Site, Tau);
+      Monitor->onFreshUse(Site, Img->useChecks(FI), FI.UseChecksCount, Tau);
     if constexpr (TaintOn) {
       if (Formal && FI.UseRegsCount) {
         const int32_t *Regs = Img->useRegs(FI);
@@ -410,8 +411,7 @@ template <bool TaintOn> RunResult Interpreter::runFlatLoop() {
       if (Telem)
         Telem->sensorRead(Tau, FI.SensorId, V);
       if (BitVector)
-        Monitor->onInput(Site, currentChainFlat(FI.Func, FI.Label),
-                         FI.SensorId, Tau);
+        onInputFlat(FI, Tau);
       if (Cfg.RecordTrace) {
         if (ExecMode == Mode::Atomic)
           PendingInputs.push_back(E);

@@ -259,7 +259,8 @@ template <bool Hot> RunResult Interpreter::runThreadedLoop() {
         ProfPrevOp = static_cast<uint16_t>(FI->Op);                            \
       }                                                                        \
       if (BitVector && FI->HasUseCheck)                                        \
-        Monitor->onFreshUse(InstrRef(FI->Func, FI->Label), Tau);               \
+        Monitor->onFreshUse(InstrRef(FI->Func, FI->Label),                     \
+                            Img->useChecks(*FI), FI->UseChecksCount, Tau);     \
     }                                                                          \
     ++Pc; /* Advance before executing (branches overwrite). */                 \
   } while (0)
@@ -463,9 +464,7 @@ LSwitch:
         Telem->sensorRead(Tau, FI->SensorId, RESULT_);                         \
     }                                                                          \
     if (BitVector)                                                             \
-      Monitor->onInput(InstrRef(FI->Func, FI->Label),                          \
-                       currentChainFlat(FI->Func, FI->Label), FI->SensorId,    \
-                       OCELOT_TAU());                                          \
+      onInputFlat(*FI, OCELOT_TAU());                                          \
     if (Cfg.RecordTrace) {                                                     \
       InputEvent E;                                                            \
       E.Sensor = FI->SensorId;                                                 \

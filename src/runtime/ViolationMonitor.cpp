@@ -24,6 +24,37 @@ const char *ocelot::violationKindName(ViolationRecord::Kind K) {
   return "?";
 }
 
+ViolationMonitor::ViolationMonitor(const MonitorPlan &Plan,
+                                   const ExecutableImage &Img)
+    : Plan(Plan), Img(Img), NumBits(Img.numInputOrdinals()) {
+  Bits.assign((NumBits + 63) / 64, 0);
+  MemberExecuted.resize(Plan.Sets.size());
+  MemberBit.resize(Plan.Sets.size());
+  // Bucket every member under the ordinal its chain ends at (counting
+  // sort, so each bucket keeps (set, member) order).
+  EndsBegin.assign(NumBits + 1, 0);
+  for (size_t SI = 0; SI < Plan.Sets.size(); ++SI) {
+    const ConsistentSetPlan &SP = Plan.Sets[SI];
+    MemberExecuted[SI].assign(SP.Members.size(), false);
+    for (const ProvChain &C : SP.Members) {
+      uint32_t Ord = C.empty() ? ExecutableImage::NoInputOrdinal
+                               : Img.inputOrdinal(C.back());
+      MemberBit[SI].push_back(Ord);
+      if (Ord < NumBits)
+        ++EndsBegin[Ord + 1];
+    }
+  }
+  for (uint32_t O = 0; O < NumBits; ++O)
+    EndsBegin[O + 1] += EndsBegin[O];
+  Ends.resize(EndsBegin[NumBits]);
+  std::vector<uint32_t> Fill(EndsBegin.begin(), EndsBegin.end() - 1);
+  for (size_t SI = 0; SI < MemberBit.size(); ++SI)
+    for (size_t MI = 0; MI < MemberBit[SI].size(); ++MI)
+      if (MemberBit[SI][MI] < NumBits)
+        Ends[Fill[MemberBit[SI][MI]]++] =
+            MemberRef{static_cast<uint32_t>(SI), static_cast<uint32_t>(MI)};
+}
+
 void ViolationMonitor::beginRun() {
   for (auto &Flags : MemberExecuted)
     std::fill(Flags.begin(), Flags.end(), false);
@@ -35,7 +66,9 @@ void ViolationMonitor::beginRun() {
   Records.clear();
 }
 
-void ViolationMonitor::onPowerFailure() { Bits.clear(); }
+void ViolationMonitor::onPowerFailure() {
+  std::fill(Bits.begin(), Bits.end(), 0);
+}
 
 void ViolationMonitor::record(ViolationRecord R) {
   if (Sink)
@@ -52,72 +85,65 @@ void ViolationMonitor::record(ViolationRecord R) {
     Records.push_back(std::move(R));
 }
 
-void ViolationMonitor::onInput(InstrRef Site, const ProvChain &AbsChain,
-                               int Sensor, uint64_t Tau) {
-  (void)Sensor;
-  // Consistent-set membership: match the dynamic call chain against the
-  // plan's member chains. Checks run before this operation's bit is set,
-  // since members reached through different call sites can share the same
-  // static input instruction.
-  bool Checked = false, Failed = false;
-  for (size_t SI = 0; SI < Plan.Sets.size(); ++SI) {
-    const ConsistentSetPlan &SP = Plan.Sets[SI];
-    for (size_t MI = 0; MI < SP.Members.size(); ++MI) {
-      if (SP.Members[MI] != AbsChain)
-        continue;
-      Checked = true;
-      auto &Executed = MemberExecuted[SI];
-      // Re-execution of an already-executed member starts a new dynamic
-      // activation of the set (Definition 3 scopes consistency to one
-      // activation of the declaring function).
-      if (Executed[MI])
-        std::fill(Executed.begin(), Executed.end(), false);
-      // Check every *other* executed member: its operation's bit must
-      // still be set, i.e. no power failure separated it from this input
-      // (§7.3).
-      for (size_t Other = 0; Other < SP.Members.size(); ++Other) {
-        if (Other == MI || !Executed[Other])
-          continue;
-        if (!Bits.count(SP.Members[Other].back())) {
-          Failed = true;
-          ViolationRecord R;
-          R.K = ViolationRecord::Kind::ConsistentBitVec;
-          R.Site = Site;
-          R.SetId = SP.SetId;
-          R.Tau = Tau;
-          R.Detail = "input collected after a power failure split "
-                     "consistent set " +
-                     std::to_string(SP.SetId);
-          record(std::move(R));
-          break;
-        }
-      }
-      Executed[MI] = true;
-    }
-  }
-  if (Sink && Checked)
-    Sink->monitorCheck(Tau, Site.Label, Failed);
-  Bits.insert(Site);
-}
-
-void ViolationMonitor::onFreshUse(InstrRef Site, uint64_t Tau) {
-  auto It = Plan.UseChecks.find(Site);
-  if (It == Plan.UseChecks.end())
-    return;
+bool ViolationMonitor::memberExecuted(MemberRef M, InstrRef Site,
+                                      uint64_t Tau) {
+  // Checks run before this operation's bit is set, since members reached
+  // through different call sites can share the same static input
+  // instruction.
+  const ConsistentSetPlan &SP = Plan.Sets[M.Set];
+  auto &Executed = MemberExecuted[M.Set];
+  // Re-execution of an already-executed member starts a new dynamic
+  // activation of the set (Definition 3 scopes consistency to one
+  // activation of the declaring function).
+  if (Executed[M.Member])
+    std::fill(Executed.begin(), Executed.end(), false);
+  // Check every *other* executed member: its operation's bit must still
+  // be set, i.e. no power failure separated it from this input (§7.3).
   bool Failed = false;
-  for (const InstrRef &InputOp : It->second) {
-    if (!Bits.count(InputOp)) {
+  for (size_t Other = 0; Other < SP.Members.size(); ++Other) {
+    if (Other == M.Member || !Executed[Other])
+      continue;
+    if (!bit(MemberBit[M.Set][Other])) {
       Failed = true;
       ViolationRecord R;
-      R.K = ViolationRecord::Kind::FreshBitVec;
+      R.K = ViolationRecord::Kind::ConsistentBitVec;
       R.Site = Site;
+      R.SetId = SP.SetId;
       R.Tau = Tau;
-      R.Detail = "use of stale input: operation @" +
-                 std::to_string(InputOp.Label) +
-                 "'s bit cleared by a power failure";
+      R.Detail = "input collected after a power failure split "
+                 "consistent set " +
+                 std::to_string(SP.SetId);
       record(std::move(R));
       break;
     }
+  }
+  Executed[M.Member] = true;
+  return Failed;
+}
+
+void ViolationMonitor::finishInput(uint32_t InputOrd, InstrRef Site,
+                                   bool Checked, bool Failed, uint64_t Tau) {
+  if (Sink && Checked)
+    Sink->monitorCheck(Tau, Site.Label, Failed);
+  Bits[InputOrd / 64] |= uint64_t{1} << (InputOrd % 64);
+}
+
+void ViolationMonitor::onFreshUse(InstrRef Site, const uint32_t *InputOrds,
+                                  size_t Count, uint64_t Tau) {
+  bool Failed = false;
+  for (size_t I = 0; I < Count; ++I) {
+    if (bit(InputOrds[I]))
+      continue;
+    Failed = true;
+    ViolationRecord R;
+    R.K = ViolationRecord::Kind::FreshBitVec;
+    R.Site = Site;
+    R.Tau = Tau;
+    R.Detail = "use of stale input: operation @" +
+               std::to_string(Img.inputSite(InputOrds[I]).Label) +
+               "'s bit cleared by a power failure";
+    record(std::move(R));
+    break;
   }
   if (Sink)
     Sink->monitorCheck(Tau, Site.Label, Failed);

@@ -8,7 +8,8 @@
 /// Two independent violation detectors, which tests cross-validate:
 ///
 ///  * Bit vector (the paper's §7.3 mechanism): one non-volatile bit per
-///    sensor, set on input, cleared on power failure. On a use of a fresh
+///    static input operation (its ExecutableImage input ordinal), set on
+///    input, cleared on power failure. On a use of a fresh
 ///    variable the dependent sensors' bits must be set; on an input in a
 ///    consistent set the other executed members' bits must be set.
 ///
@@ -24,6 +25,7 @@
 #ifndef OCELOT_RUNTIME_VIOLATIONMONITOR_H
 #define OCELOT_RUNTIME_VIOLATIONMONITOR_H
 
+#include "runtime/ExecutableImage.h"
 #include "runtime/MonitorPlan.h"
 #include "runtime/TaintTable.h"
 
@@ -52,13 +54,9 @@ const char *violationKindName(ViolationRecord::Kind K);
 
 class ViolationMonitor {
 public:
-  ViolationMonitor(const MonitorPlan &Plan, int NumSensors)
-      : Plan(Plan) {
-    (void)NumSensors;
-    MemberExecuted.resize(Plan.Sets.size());
-    for (size_t I = 0; I < Plan.Sets.size(); ++I)
-      MemberExecuted[I].assign(Plan.Sets[I].Members.size(), false);
-  }
+  /// \p Img numbers the input operations (the bit positions); it must
+  /// outlive the monitor.
+  ViolationMonitor(const MonitorPlan &Plan, const ExecutableImage &Img);
 
   /// Clears per-run state (executed flags, formal set records). Called at
   /// the start of each main() activation.
@@ -68,14 +66,37 @@ public:
   /// is cleared").
   void onPowerFailure();
 
-  /// Input executed: sets the sensor bit, then runs the consistent-set
-  /// member check for the dynamic instance identified by \p AbsChain.
-  void onInput(InstrRef Site, const ProvChain &AbsChain, int Sensor,
-               uint64_t Tau);
+  /// Input operation \p InputOrd executed at \p Site: runs the
+  /// consistent-set member checks for the dynamic instance whose absolute
+  /// call chain has \p Depth elements, the I-th being \p ChainAt(I) (the
+  /// last is \p Site itself and is never asked for), then sets the
+  /// operation's bit. Engines read the chain off their frame stacks in
+  /// place; an input that ends no member chain costs one span test.
+  template <typename ChainFn>
+  void onInput(uint32_t InputOrd, InstrRef Site, size_t Depth,
+               const ChainFn &ChainAt, uint64_t Tau) {
+    bool Checked = false, Failed = false;
+    for (uint32_t E = EndsBegin[InputOrd]; E < EndsBegin[InputOrd + 1];
+         ++E) {
+      const MemberRef M = Ends[E];
+      const ProvChain &C = Plan.Sets[M.Set].Members[M.Member];
+      if (C.size() != Depth)
+        continue;
+      bool Match = true;
+      for (size_t I = 0; Match && I + 1 < Depth; ++I)
+        Match = C[I] == ChainAt(I);
+      if (!Match)
+        continue;
+      Checked = true;
+      Failed |= memberExecuted(M, Site, Tau);
+    }
+    finishInput(InputOrd, Site, Checked, Failed, Tau);
+  }
 
   /// About to execute a use of a fresh variable: bit-vector freshness
-  /// check.
-  void onFreshUse(InstrRef Site, uint64_t Tau);
+  /// check of the \p Count input ordinals at \p InputOrds, in order.
+  void onFreshUse(InstrRef Site, const uint32_t *InputOrds, size_t Count,
+                  uint64_t Tau);
 
   /// Formal freshness check: \p Taint names the used value's input events
   /// in \p Taints and \p Epoch is the current reboot epoch.
@@ -108,14 +129,38 @@ public:
   void setTraceSink(TraceSink *T) { Sink = T; }
 
 private:
+  /// A consistent-set member: Plan.Sets[Set].Members[Member].
+  struct MemberRef {
+    uint32_t Set = 0, Member = 0;
+  };
+
   void record(ViolationRecord R);
+  bool bit(uint32_t Ord) const {
+    return Ord < NumBits && (Bits[Ord / 64] >> (Ord % 64) & 1);
+  }
+  /// Member \p M's input executed: starts a new activation of its set if
+  /// the member already ran, checks every other executed member's bit,
+  /// marks it executed. \returns true when a check failed.
+  bool memberExecuted(MemberRef M, InstrRef Site, uint64_t Tau);
+  /// onInput's tail: the telemetry event and setting the bit.
+  void finishInput(uint32_t InputOrd, InstrRef Site, bool Checked,
+                   bool Failed, uint64_t Tau);
 
   TraceSink *Sink = nullptr;
   MonitorPlan Plan;
+  const ExecutableImage &Img;
   /// Non-volatile bit vector: one position per static input operation
   /// (§7.3: "Each sensor operation has a unique position in the bit
-  /// vector"). Present = bit set.
-  std::set<InstrRef> Bits;
+  /// vector"), indexed by input ordinal.
+  std::vector<uint64_t> Bits;
+  uint32_t NumBits = 0;
+  /// Per consistent set: each member's input ordinal (the bit checked
+  /// when another member executes).
+  std::vector<std::vector<uint32_t>> MemberBit;
+  /// Members whose chain ends at input ordinal O are
+  /// Ends[EndsBegin[O] .. EndsBegin[O + 1]), in (set, member) order.
+  std::vector<uint32_t> EndsBegin;
+  std::vector<MemberRef> Ends;
   /// Per consistent set: which members executed in the current activation.
   std::vector<std::vector<bool>> MemberExecuted;
   /// Formal per-set records: (setId, marker label) -> taint id.

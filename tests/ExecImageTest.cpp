@@ -336,6 +336,7 @@ void checkImageAgainstProgram(const CompiledArtifact &A) {
   ASSERT_EQ(CustomTable.size(), Expected);
 
   uint32_t Pc = 0;
+  uint32_t NextInputOrd = 0;
   for (int F = 0; F < P.numFunctions(); ++F) {
     const Function *Fn = P.function(F);
     EXPECT_EQ(Img.entryPc(F), Pc) << Fn->name();
@@ -388,6 +389,27 @@ void checkImageAgainstProgram(const CompiledArtifact &A) {
         InstrRef Site(F, I.Label);
         EXPECT_EQ(FI.HasUseCheck, Plan.UseChecks.count(Site) != 0)
             << "pc " << Pc;
+        auto UC = Plan.UseChecks.find(Site);
+        if (UC != Plan.UseChecks.end()) {
+          // The bit-vector check list keeps the plan's set order.
+          ASSERT_EQ(FI.UseChecksCount, UC->second.size()) << "pc " << Pc;
+          const uint32_t *Ords = Img.useChecks(FI);
+          size_t K = 0;
+          for (const InstrRef &In : UC->second) {
+            EXPECT_TRUE(Img.inputSite(Ords[K]) == In) << "pc " << Pc;
+            EXPECT_EQ(Img.inputOrdinal(In), Ords[K]) << "pc " << Pc;
+            ++K;
+          }
+        } else {
+          EXPECT_EQ(FI.UseChecksCount, 0u) << "pc " << Pc;
+        }
+        // Input ordinals number the Input instructions densely in PC
+        // order: each is its operation's bit position.
+        if (I.Op == Opcode::Input) {
+          EXPECT_EQ(FI.InputOrd, NextInputOrd++) << "pc " << Pc;
+          EXPECT_TRUE(Img.inputSite(FI.InputOrd) == Site) << "pc " << Pc;
+          EXPECT_EQ(Img.inputOrdinal(Site), FI.InputOrd) << "pc " << Pc;
+        }
         auto UR = Plan.UseRegs.find(Site);
         size_t WantRegs = UR == Plan.UseRegs.end() ? 0 : UR->second.size();
         ASSERT_EQ(FI.UseRegsCount, WantRegs) << "pc " << Pc;
@@ -418,6 +440,12 @@ void checkImageAgainstProgram(const CompiledArtifact &A) {
     }
     EXPECT_EQ(Img.func(F).EndPc, Pc) << Fn->name();
   }
+
+  // Every member chain of a consistent set ends at a numbered input.
+  EXPECT_LE(NextInputOrd, Img.numInputOrdinals());
+  for (const ConsistentSetPlan &S : Plan.Sets)
+    for (const ProvChain &C : S.Members)
+      EXPECT_NE(Img.inputOrdinal(C.back()), ExecutableImage::NoInputOrdinal);
 
   // NVM layout: contiguous, in declaration order, sizes preserved.
   uint32_t Cell = 0;
