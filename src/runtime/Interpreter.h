@@ -269,6 +269,11 @@ private:
   /// (same undo-log sequence and cost charging) without materializing an
   /// RtValue.
   void writeGlobalRaw(int G, int64_t Index, int64_t V, RunResult &R);
+  /// Flat and threaded engines: executes Output \p FI at the member tau —
+  /// evaluates its arguments and, under RecordTrace or Oracle, records the
+  /// event (pending inside a region) and scores it. Out of line so no
+  /// dispatch loop holds an OutputEvent across a computed goto.
+  void outputFlat(const FlatInst &FI);
   /// Flat and threaded engines: the bit-vector monitor's input hook for
   /// \p FI, reading the call chain off the flat frame stack in place.
   void onInputFlat(const FlatInst &FI, uint64_t Tau);

@@ -54,6 +54,37 @@ void Interpreter::onInputFlat(const FlatInst &FI, uint64_t Tau) {
       Tau);
 }
 
+void Interpreter::outputFlat(const FlatInst &FI) {
+  const Operand *Args = Img->args(FI);
+  if (!Cfg.RecordTrace && !Cfg.Oracle) {
+    // Args are still evaluated (kind-less operands must convert to the
+    // same trap), but the event is never materialized.
+    for (uint32_t A = 0; A < FI.ArgsCount; ++A)
+      (void)evalFlat(Args[A]);
+    return;
+  }
+  OutputEvent E;
+  E.Kind = FI.OutKind;
+  E.Tau = Tau;
+  E.Args.reserve(FI.ArgsCount);
+  // Oracle implies TrackTaint, so the ids read here are live.
+  std::vector<InputEvent> Fused;
+  for (uint32_t A = 0; A < FI.ArgsCount; ++A) {
+    const RtValue V = evalFlat(Args[A]);
+    E.Args.push_back(V.V);
+    if (Cfg.Oracle)
+      Taints.appendTo(V.Taint, Fused);
+  }
+  if (Cfg.Oracle)
+    recordOracleOutput(E.Kind, std::move(Fused));
+  if (Cfg.RecordTrace) {
+    if (ExecMode == Mode::Atomic)
+      PendingOutputs.push_back(std::move(E));
+    else
+      Committed.Outputs.push_back(std::move(E));
+  }
+}
+
 void Interpreter::writeGlobalRaw(int G, int64_t Index, int64_t V,
                                  RunResult &R) {
   assert(Index >= 0 && Index < static_cast<int64_t>(Img->globalSize(G)));
@@ -488,44 +519,9 @@ template <bool TaintOn> RunResult Interpreter::runFlatLoop() {
     case Opcode::AtomicEnd:
       commitAtomic(R);
       break;
-    case Opcode::Output: {
-      const Operand *Args = Img->args(FI);
-      // The oracle needs taint, which only the TaintOn instantiation
-      // carries (RunConfig::Oracle implies TrackTaint, so taint-off loops
-      // never see Cfg.Oracle set).
-      const bool OracleOn = TaintOn && Cfg.Oracle;
-      if (!Cfg.RecordTrace && !OracleOn) {
-        // Args are still evaluated (kind-less operands must convert to
-        // the same trap), but the event is never materialized.
-        for (uint32_t A = 0; A < FI.ArgsCount; ++A)
-          (void)(TaintOn ? evalFlat(Args[A]).V : RawVal(Args[A]));
-        break;
-      }
-      OutputEvent E;
-      E.Kind = FI.OutKind;
-      E.Tau = Tau;
-      E.Args.reserve(FI.ArgsCount);
-      std::vector<InputEvent> Fused;
-      for (uint32_t A = 0; A < FI.ArgsCount; ++A) {
-        if constexpr (TaintOn) {
-          const RtValue V = evalFlat(Args[A]);
-          E.Args.push_back(V.V);
-          if (OracleOn)
-            Taints.appendTo(V.Taint, Fused);
-        } else {
-          E.Args.push_back(RawVal(Args[A]));
-        }
-      }
-      if (OracleOn)
-        recordOracleOutput(E.Kind, std::move(Fused));
-      if (Cfg.RecordTrace) {
-        if (ExecMode == Mode::Atomic)
-          PendingOutputs.push_back(E);
-        else
-          Committed.Outputs.push_back(std::move(E));
-      }
+    case Opcode::Output:
+      outputFlat(FI);
       break;
-    }
     case Opcode::Nop:
       break;
     }

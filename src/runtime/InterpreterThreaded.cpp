@@ -30,11 +30,15 @@
 ///    plain code.
 ///
 /// The loop is only ever instantiated taint-off; runOnceThreaded routes
-/// taint-tracking configs to the flat loop's taint instantiation, where
-/// dispatch cost is noise next to taint propagation. The Hot
+/// taint-tracking configs to the flat loop's taint instantiation, which
+/// carries a TaintId next to every payload. The Hot
 /// instantiation additionally assumes no failure plan, no energy model
 /// and no monitors — the steady-state throughput configuration — and
 /// keeps PC/tau/lifetime counters in locals the whole run.
+///
+/// A computed goto leaves a handler's scope without running destructors,
+/// so no handler may hold a local that owns memory: Output, the one
+/// handler that builds a vector, calls the out-of-line outputFlat.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -49,9 +53,8 @@
 using namespace ocelot;
 
 RunResult Interpreter::runOnceThreaded() {
-  // Taint tracking (the formal monitor forces it on) runs the flat
-  // loop's taint instantiation: identical machine behavior, and taint
-  // propagation dwarfs dispatch cost anyway.
+  // Taint tracking (the formal monitor and the oracle force it on) runs
+  // the flat loop's taint instantiation: identical machine behavior.
   if (Cfg.TrackTaint)
     return runFlatLoop<true>();
   const bool Hot = Cfg.Plan.kind() == FailurePlan::Kind::None &&
@@ -553,24 +556,11 @@ LSwitch:
   }
 
   OCELOT_CASE(Output) : {
-    const Operand *Args = Img->args(*FI);
-    if (!Cfg.RecordTrace) {
-      // Args are still evaluated (same trap conversion for kind-less
-      // operands), but the event is never materialized.
-      for (uint32_t A = 0; A < FI->ArgsCount; ++A)
-        (void)RawVal(Args[A]);
-      OCELOT_NEXT(*FI);
-    }
-    OutputEvent E;
-    E.Kind = FI->OutKind;
-    E.Tau = OCELOT_TAU();
-    E.Args.reserve(FI->ArgsCount);
-    for (uint32_t A = 0; A < FI->ArgsCount; ++A)
-      E.Args.push_back(RawVal(Args[A]));
-    if (ExecMode == Mode::Atomic)
-      PendingOutputs.push_back(E);
-    else
-      Committed.Outputs.push_back(std::move(E));
+    // Out of line: the event owns a vector, and a computed-goto dispatch
+    // leaves a handler's scope without running destructors. outputFlat
+    // stamps the event with the member tau.
+    this->Tau = OCELOT_TAU();
+    outputFlat(*FI);
     OCELOT_NEXT(*FI);
   }
 
