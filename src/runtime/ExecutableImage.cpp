@@ -129,21 +129,20 @@ ExecutableImage::build(const Program &P,
         // lookups per executed instruction becomes a flag and a span.
         if (Plan) {
           InstrRef Site(F, I.Label);
+          FI.MonitorBegin = static_cast<uint32_t>(Img->MonitorPool.size());
+          auto UR = Plan->UseRegs.find(Site);
+          if (UR != Plan->UseRegs.end()) {
+            FI.UseRegsCount = static_cast<uint16_t>(UR->second.size());
+            for (int Reg : UR->second)
+              Img->MonitorPool.push_back(static_cast<uint32_t>(Reg));
+          }
           auto UC = Plan->UseChecks.find(Site);
           if (UC != Plan->UseChecks.end()) {
             FI.HasUseCheck = true;
-            FI.UseChecksBegin =
-                static_cast<uint32_t>(Img->UseCheckPool.size());
-            FI.UseChecksCount = static_cast<uint16_t>(UC->second.size());
+            Img->MonitorPool.push_back(
+                static_cast<uint32_t>(UC->second.size()));
             for (const InstrRef &In : UC->second)
-              Img->UseCheckPool.push_back(OrdinalOf(In));
-          }
-          auto UR = Plan->UseRegs.find(Site);
-          if (UR != Plan->UseRegs.end() && !UR->second.empty()) {
-            FI.UseRegsBegin = static_cast<uint32_t>(Img->UseRegPool.size());
-            FI.UseRegsCount = static_cast<uint16_t>(UR->second.size());
-            for (int Reg : UR->second)
-              Img->UseRegPool.push_back(Reg);
+              Img->MonitorPool.push_back(OrdinalOf(In));
           }
         }
 
@@ -552,11 +551,10 @@ std::string ExecutableImage::disassemble(const Program &P) const {
         Out += " monitor=fresh-use";
       if (FI.UseRegsCount) {
         Out += " monitor-regs=[";
-        const int32_t *Regs = useRegs(FI);
-        for (uint32_t R = 0; R < FI.UseRegsCount; ++R) {
-          if (R)
-            Out += ", ";
-          Out += regName(Regs[R]);
+        const char *Sep = "";
+        for (uint32_t Reg : useRegs(FI)) {
+          Out += Sep + regName(static_cast<int32_t>(Reg));
+          Sep = ", ";
         }
         Out += "]";
       }

@@ -43,6 +43,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -58,7 +59,6 @@ struct FlatInst {
   Opcode Op = Opcode::Nop;
   bool HasUseCheck = false;  ///< Site is in MonitorPlan::UseChecks.
   uint16_t UseRegsCount = 0; ///< Formal-checker registers at this site.
-  uint16_t UseChecksCount = 0; ///< Bit-vector inputs checked at this site.
   uint32_t Label = 0;        ///< Stable label (the paper's l in (f, l)).
   int32_t Func = -1;         ///< Enclosing function id (the paper's f).
   int32_t Block = -1;        ///< Source basic-block id (for disassembly).
@@ -84,10 +84,12 @@ struct FlatInst {
 
   uint32_t ArgsBegin = 0, ArgsCount = 0;   ///< Call/Output args span.
   uint32_t OmegaBegin = 0, OmegaCount = 0; ///< AtomicStart omega span.
-  uint32_t UseRegsBegin = 0;               ///< Formal use-regs span.
-  uint32_t UseChecksBegin = 0;             ///< Use-check ordinals span.
-  uint32_t InputOrd = 0;                   ///< Input: its input ordinal.
+  uint32_t MonitorBegin = 0; ///< This site's lists in the monitor pool.
+  uint32_t InputOrd = 0;     ///< Input: its input ordinal (bit position).
 };
+
+// The bit-vector fields fit in what was padding; keep it that way.
+static_assert(sizeof(FlatInst) <= 128, "FlatInst outgrew two cache lines");
 
 /// Dispatch codes consumed by the threaded engine
 /// (InterpreterThreaded.cpp). The first block mirrors `Opcode` one-to-one;
@@ -218,13 +220,16 @@ public:
   }
   /// Formal-checker registers at a fresh-use site, ascending (the same
   /// order as MonitorPlan::UseRegs' std::set).
-  const int32_t *useRegs(const FlatInst &I) const {
-    return UseRegPool.data() + I.UseRegsBegin;
+  std::span<const uint32_t> useRegs(const FlatInst &I) const {
+    return {MonitorPool.data() + I.MonitorBegin, I.UseRegsCount};
   }
-  /// Input ordinals whose bits a fresh-use site checks, in the order of
-  /// MonitorPlan::UseChecks' std::set (the first cleared one is reported).
-  const uint32_t *useChecks(const FlatInst &I) const {
-    return UseCheckPool.data() + I.UseChecksBegin;
+  /// Input ordinals whose bits a fresh-use site checks (HasUseCheck), in
+  /// the order of MonitorPlan::UseChecks' std::set (the first cleared one
+  /// is reported).
+  std::span<const uint32_t> useChecks(const FlatInst &I) const {
+    const uint32_t *List =
+        MonitorPool.data() + I.MonitorBegin + I.UseRegsCount;
+    return {List + 1, List[0]};
   }
 
   // -- Input ordinals ----------------------------------------------------
@@ -301,8 +306,10 @@ private:
   std::vector<FuncLayout> Funcs;
   std::vector<Operand> ArgPool;
   std::vector<int32_t> OmegaPool;
-  std::vector<int32_t> UseRegPool;
-  std::vector<uint32_t> UseCheckPool;
+  /// Per monitored site, from FlatInst::MonitorBegin: its UseRegsCount
+  /// formal-checker registers, then (HasUseCheck) a length and that many
+  /// use-check input ordinals.
+  std::vector<uint32_t> MonitorPool;
   std::vector<InstrRef> InputSites;
   std::map<InstrRef, uint32_t> InputOrdinals;
   std::vector<GlobalSlot> Globals;

@@ -427,7 +427,7 @@ RunResult Interpreter::runOnceTree() {
         std::vector<uint32_t> Ords;
         for (const InstrRef &In : It->second)
           Ords.push_back(Img->inputOrdinal(In));
-        Monitor->onFreshUse(Site, Ords.data(), Ords.size(), Tau);
+        Monitor->onFreshUse(Site, Ords, Tau);
       }
     }
     if (Cfg.MonitorFormal) {

@@ -285,15 +285,13 @@ template <bool TaintOn> RunResult Interpreter::runFlatLoop() {
     // side tables make the common case (no check at this PC) two flag
     // tests instead of two map lookups.
     if (BitVector && FI.HasUseCheck)
-      Monitor->onFreshUse(Site, Img->useChecks(FI), FI.UseChecksCount, Tau);
+      Monitor->onFreshUse(Site, Img->useChecks(FI), Tau);
     if constexpr (TaintOn) {
       if (Formal && FI.UseRegsCount) {
-        const int32_t *Regs = Img->useRegs(FI);
-        for (uint16_t RI = 0; RI < FI.UseRegsCount; ++RI)
-          Monitor->onFreshUseFormal(
-              Site, Taints,
-              RegStack[RegBase + static_cast<size_t>(Regs[RI])].Taint,
-              Epoch, Tau);
+        for (uint32_t Reg : Img->useRegs(FI))
+          Monitor->onFreshUseFormal(Site, Taints,
+                                    RegStack[RegBase + Reg].Taint, Epoch,
+                                    Tau);
       }
     }
 

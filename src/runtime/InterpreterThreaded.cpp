@@ -263,7 +263,7 @@ template <bool Hot> RunResult Interpreter::runThreadedLoop() {
       }                                                                        \
       if (BitVector && FI->HasUseCheck)                                        \
         Monitor->onFreshUse(InstrRef(FI->Func, FI->Label),                     \
-                            Img->useChecks(*FI), FI->UseChecksCount, Tau);     \
+                            Img->useChecks(*FI), Tau);                         \
     }                                                                          \
     ++Pc; /* Advance before executing (branches overwrite). */                 \
   } while (0)

@@ -128,10 +128,11 @@ void ViolationMonitor::finishInput(uint32_t InputOrd, InstrRef Site,
   Bits[InputOrd / 64] |= uint64_t{1} << (InputOrd % 64);
 }
 
-void ViolationMonitor::onFreshUse(InstrRef Site, const uint32_t *InputOrds,
-                                  size_t Count, uint64_t Tau) {
+void ViolationMonitor::onFreshUse(InstrRef Site,
+                                  std::span<const uint32_t> InputOrds,
+                                  uint64_t Tau) {
   bool Failed = false;
-  for (size_t I = 0; I < Count; ++I) {
+  for (size_t I = 0; I < InputOrds.size(); ++I) {
     if (bit(InputOrds[I]))
       continue;
     Failed = true;

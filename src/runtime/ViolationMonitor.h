@@ -94,8 +94,8 @@ public:
   }
 
   /// About to execute a use of a fresh variable: bit-vector freshness
-  /// check of the \p Count input ordinals at \p InputOrds, in order.
-  void onFreshUse(InstrRef Site, const uint32_t *InputOrds, size_t Count,
+  /// check of the input ordinals \p InputOrds, in order.
+  void onFreshUse(InstrRef Site, std::span<const uint32_t> InputOrds,
                   uint64_t Tau);
 
   /// Formal freshness check: \p Taint names the used value's input events
