@@ -29,6 +29,7 @@
 #include "runtime/MonitorPlan.h"
 #include "runtime/TaintTable.h"
 
+#include <cassert>
 #include <string>
 #include <vector>
 
@@ -75,6 +76,7 @@ public:
   template <typename ChainFn>
   void onInput(uint32_t InputOrd, InstrRef Site, size_t Depth,
                const ChainFn &ChainAt, uint64_t Tau) {
+    assert(InputOrd < NumBits && "input site without an ordinal");
     bool Checked = false, Failed = false;
     for (uint32_t E = EndsBegin[InputOrd]; E < EndsBegin[InputOrd + 1];
          ++E) {

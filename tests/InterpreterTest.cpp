@@ -18,6 +18,8 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
 using namespace ocelot;
 
 namespace {
@@ -307,6 +309,101 @@ TEST(Interp, CheckpointCostsCounted) {
   }
   ASSERT_GT(Ckpts, 0u);
   EXPECT_GT(FailCycles, CleanCycles);
+}
+
+/// Runs one activation of \p A under the bit-vector monitor alone on every
+/// engine, failing once before each call to \p Callee from main (none when
+/// empty), and returns the tree engine's violations after checking the
+/// other engines report the same ones.
+std::vector<ViolationRecord> bitVectorViolations(const CompiledArtifact &A,
+                                                 const std::string &Callee) {
+  const Program &P = A.program();
+  std::set<InstrRef> Points;
+  const Function *Main = P.function(P.mainFunction());
+  for (int B = 0; B < Main->numBlocks(); ++B)
+    for (const Instruction &I : Main->block(B)->instructions())
+      if (I.Op == Opcode::Call && P.function(I.Callee)->name() == Callee)
+        Points.insert(InstrRef(P.mainFunction(), I.Label));
+  EXPECT_EQ(Points.empty(), Callee.empty());
+  std::vector<std::vector<ViolationRecord>> PerEngine;
+  for (DispatchEngine E : {DispatchEngine::Tree, DispatchEngine::Flat,
+                           DispatchEngine::Threaded}) {
+    RunConfig Cfg;
+    Cfg.Plan = Points.empty() ? FailurePlan::none()
+                              : FailurePlan::pathological(Points);
+    Cfg.MonitorBitVector = true;
+    Cfg.Dispatch = E;
+    Simulation I(A, Cfg);
+    RunResult Res = I.runOnce();
+    EXPECT_TRUE(Res.Completed) << Res.Trap;
+    PerEngine.push_back(Res.Violations);
+  }
+  for (size_t E = 1; E < PerEngine.size(); ++E) {
+    EXPECT_EQ(PerEngine[E].size(), PerEngine[0].size()) << "engine " << E;
+    for (size_t V = 0; V < PerEngine[E].size() && V < PerEngine[0].size();
+         ++V)
+      EXPECT_EQ(PerEngine[E][V].Detail, PerEngine[0][V].Detail);
+  }
+  return PerEngine[0];
+}
+
+TEST(Interp, BitVectorMembersMatchTheirCallChain) {
+  // One wrapper reached from two call sites: two members of set 1 that
+  // share a static input operation (and so a bit). Only the member whose
+  // call chain matches the frame stack runs its check.
+  CompiledArtifact A = compile("io tmp;\n"
+                               "fn read() -> int { return tmp(); }\n"
+                               "fn main() {\n"
+                               "  let a = read();\n"
+                               "  let b = read();\n"
+                               "  Consistent(a, 1);\n"
+                               "  Consistent(b, 1);\n"
+                               "  log(a + b);\n"
+                               "}\n",
+                               ExecModel::JitOnly);
+  ASSERT_EQ(A.monitorPlan().Sets.size(), 1u);
+  ASSERT_EQ(A.monitorPlan().Sets[0].Members.size(), 2u);
+  EXPECT_TRUE(bitVectorViolations(A, "").empty());
+  // A failure before the second call clears the first member's bit.
+  std::vector<ViolationRecord> V = bitVectorViolations(A, "read");
+  ASSERT_EQ(V.size(), 1u);
+  EXPECT_EQ(V[0].K, ViolationRecord::Kind::ConsistentBitVec);
+}
+
+TEST(Interp, BitVectorFreshUseChecksEveryInput) {
+  // The use of z checks the bits of both inputs, readT's first (lower
+  // function id). After a failure before the call to readT, that bit is
+  // set again but hum's is not: the second check must report it.
+  CompiledArtifact A = compile("io tmp, hum;\n"
+                               "fn readT() -> int { return tmp(); }\n"
+                               "fn main() {\n"
+                               "  let y = hum();\n"
+                               "  let x = readT();\n"
+                               "  let z = x + y;\n"
+                               "  Fresh(z);\n"
+                               "  log(z);\n"
+                               "}\n",
+                               ExecModel::JitOnly);
+  const Program &P = A.program();
+  int ReadT = -1;
+  for (int F = 0; F < P.numFunctions(); ++F)
+    if (P.function(F)->name() == "readT")
+      ReadT = F;
+  ASSERT_LT(ReadT, P.mainFunction());
+  EXPECT_TRUE(bitVectorViolations(A, "").empty());
+  std::vector<ViolationRecord> V = bitVectorViolations(A, "readT");
+  ASSERT_FALSE(V.empty());
+  EXPECT_EQ(V[0].K, ViolationRecord::Kind::FreshBitVec);
+  EXPECT_NE(V[0].Detail.find("operation @"), std::string::npos);
+  for (const auto &[Use, Inputs] : A.monitorPlan().UseChecks) {
+    ASSERT_EQ(Inputs.size(), 2u);
+    EXPECT_EQ(Inputs.begin()->Func, ReadT);
+    // The reported operation is hum's input in main, not readT's.
+    InstrRef Hum = *std::next(Inputs.begin());
+    EXPECT_EQ(V[0].Detail, "use of stale input: operation @" +
+                               std::to_string(Hum.Label) +
+                               "'s bit cleared by a power failure");
+  }
 }
 
 TEST(Interp, RandomFailurePlanCompletes) {
