@@ -39,8 +39,9 @@ ExecutableImage::build(const Program &P,
     L.EndPc = Pc;
   }
 
-  // Input ordinals: every Input instruction first, in PC order, then the
-  // plan's input sites that are not Input instructions (never set).
+  // Input ordinals: every Input instruction first, in PC order, then any
+  // use-check input site that is not an Input instruction (its bit is
+  // never set; the ordinal only names it in violation details).
   for (int F = 0; F < P.numFunctions(); ++F)
     for (int B = 0; B < P.function(F)->numBlocks(); ++B)
       for (const Instruction &I : P.function(F)->block(B)->instructions())
@@ -167,12 +168,6 @@ ExecutableImage::build(const Program &P,
     Img->MainEntry = Img->Funcs[static_cast<size_t>(P.mainFunction())].EntryPc;
     Img->MainRegs = Img->Funcs[static_cast<size_t>(P.mainFunction())].NumRegs;
   }
-
-  if (Plan)
-    for (const ConsistentSetPlan &S : Plan->Sets)
-      for (const ProvChain &C : S.Members)
-        if (!C.empty())
-          OrdinalOf(C.back());
 
   Img->DefaultCosts = Img->costTableFor(CostModel());
   Img->Fusion = Fusion;

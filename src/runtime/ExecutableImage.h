@@ -234,8 +234,8 @@ public:
 
   // -- Input ordinals ----------------------------------------------------
   /// Input operations are numbered densely: every Input instruction in PC
-  /// order, then any input site the monitor plan names that is not an
-  /// Input instruction of this program (its bit is never set).
+  /// order, then any use-check input site of the monitor plan that is not
+  /// an Input instruction of this program (its bit is never set).
   uint32_t numInputOrdinals() const {
     return static_cast<uint32_t>(InputSites.size());
   }
