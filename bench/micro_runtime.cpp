@@ -137,7 +137,6 @@ struct EngineSpec {
 };
 constexpr EngineSpec Engines[] = {
     {"tree", DispatchEngine::Tree},
-    {"flat", DispatchEngine::Flat},
     {"threaded", DispatchEngine::Threaded},
 };
 constexpr size_t NumEngines = sizeof(Engines) / sizeof(Engines[0]);
@@ -591,11 +590,6 @@ void BM_InterpretContinuousThreaded(benchmark::State &State) {
   interpretContinuous(State, DispatchEngine::Threaded);
 }
 BENCHMARK(BM_InterpretContinuousThreaded);
-
-void BM_InterpretContinuousFlat(benchmark::State &State) {
-  interpretContinuous(State, DispatchEngine::Flat);
-}
-BENCHMARK(BM_InterpretContinuousFlat);
 
 void BM_InterpretContinuousTree(benchmark::State &State) {
   interpretContinuous(State, DispatchEngine::Tree);

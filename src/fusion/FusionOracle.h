@@ -28,9 +28,9 @@
 /// The oracle sees *committed* outputs only: work rolled back by an
 /// aborted atomic region never produced an observable output, so it is
 /// not scored. Because classification is a pure function of the taint
-/// sets that all three engines already compute identically, oracle
-/// verdicts are byte-identical across tree / flat / threaded dispatch
-/// and with superinstruction fusion on or off.
+/// sets that both engines already compute identically, oracle verdicts
+/// are byte-identical across tree / threaded dispatch and with
+/// superinstruction fusion on or off.
 ///
 //===----------------------------------------------------------------------===//
 

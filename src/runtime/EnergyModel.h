@@ -22,6 +22,7 @@
 
 #include "support/Rng.h"
 
+#include <cassert>
 #include <cstdint>
 #include <memory>
 
@@ -73,6 +74,20 @@ public:
 
   bool low() const { return Energy <= Cfg.ReserveCycles; }
   uint64_t remaining() const { return Energy; }
+
+  /// The comparator headroom: energy above the reserve, or 0 when the
+  /// level is at or below it. consume(C) fires exactly when C >= headroom()
+  /// and otherwise leaves headroom() - C, which lets a dispatch loop count
+  /// the comparator down in a local.
+  uint64_t headroom() const {
+    return Energy > Cfg.ReserveCycles ? Energy - Cfg.ReserveCycles : 0;
+  }
+  /// Writes a counted-down headroom \p H > 0 back as the level
+  /// ReserveCycles + H (the inverse of headroom() above the reserve).
+  void setHeadroom(uint64_t H) {
+    assert(H > 0 && "a level at or below the reserve is not recoverable");
+    Energy = Cfg.ReserveCycles + H;
+  }
 
   /// Recharges from the power source and \returns the off-time (tau units)
   /// it took — the paper's arbitrary "pick(n)" at reboot, here tied to

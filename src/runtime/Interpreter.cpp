@@ -6,8 +6,9 @@
 ///
 /// \file
 /// Engine-independent interpreter state plus the tree-walking reference
-/// engine. The flat PC-indexed engine lives in InterpreterFlat.cpp; the two
-/// must stay observationally identical (ExecImageTest pins this).
+/// engine. The threaded engine lives in InterpreterThreaded.cpp; the two
+/// must stay observationally identical (ExecImageTest and
+/// DifferentialFuzzTest pin this).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -355,22 +356,14 @@ RunResult Interpreter::runOnce() {
   // again, so NVM is the whole root set of the taint table here.
   if (Cfg.TrackTaint)
     Taints.compactIfGrown(Nvm);
-  switch (Cfg.Dispatch) {
-  case DispatchEngine::Tree:
-    return runOnceTree();
-  case DispatchEngine::Flat:
-    return runOnceFlat();
-  case DispatchEngine::Threaded:
-    return runOnceThreaded();
-  }
-  return runOnceFlat(); // Unreachable; silences -Wreturn-type.
+  return Cfg.Dispatch == DispatchEngine::Tree ? runOnceTree()
+                                              : runOnceThreaded();
 }
 
 RunResult Interpreter::runOnceTree() {
   RunResult R;
   Cfg.Plan.resetRun();
   Monitor->beginRun();
-  size_t ViolationsBefore = Monitor->violations().size();
 
   Frames.clear();
   Frame Main;
@@ -648,9 +641,7 @@ RunResult Interpreter::runOnceTree() {
 
   R.ViolatedFresh = Monitor->runFreshViolation();
   R.ViolatedConsistent = Monitor->runConsistentViolation();
-  const auto &AllViolations = Monitor->violations();
-  for (size_t I = ViolationsBefore; I < AllViolations.size(); ++I)
-    R.Violations.push_back(AllViolations[I]);
+  R.Violations = Monitor->takeViolations();
   return R;
 }
 

@@ -21,19 +21,18 @@
 ///  * Optional dynamic taint (Appendix B) feeds the formal violation
 ///    checker; the bit-vector detector (§7.3) runs independently.
 ///
-/// Three dispatch engines implement these semantics and are pinned to
+/// Two dispatch engines implement these semantics and are pinned to
 /// bitwise-identical results by differential tests (ExecImageTest,
-/// DifferentialFuzzTest):
+/// DifferentialFuzzTest), with superinstruction fusion off and on:
 ///
-///  * Threaded (the default) — computed-goto direct-threaded dispatch
-///    (with a portable switch fallback) over the image's ThreadedOp view,
-///    in which a build-time peephole pass fused hot adjacent opcode pairs
-///    into superinstructions. Shares the flat engine's volatile state and
-///    slow paths (power failure, region entry, commit).
-///  * Flat — PC-indexed dispatch over the artifact's `ExecutableImage`:
-///    one contiguous instruction array, pre-resolved branch/call targets,
-///    a folded cost table, and dense monitor/region side tables. Frames
-///    shrink to {ReturnPc, RegBase} over one shared register stack.
+///  * Threaded (the default, and the only production loop) —
+///    computed-goto direct-threaded dispatch (with a portable switch
+///    fallback) over the artifact's `ExecutableImage`: one contiguous
+///    instruction array, pre-resolved branch/call targets, a folded cost
+///    table, dense monitor/region side tables, and the ThreadedOp view in
+///    which a build-time peephole pass fused hot adjacent opcode pairs
+///    into superinstructions. Frames shrink to {ReturnPc, RegBase} over
+///    one shared register stack. See InterpreterThreaded.cpp.
 ///  * Tree — the original tree-walking engine chasing
 ///    Program→Function→Block→Instruction pointers. Retained as the
 ///    reference semantics for differential tests and as the baseline for
@@ -67,12 +66,11 @@ class PowerSource;
 class TraceSink;
 struct PcProfile;
 
-/// Which dispatch loop executes the program. All engines implement the
-/// same semantics; Flat and Threaded are strictly accelerations.
+/// Which dispatch loop executes the program. Both implement the same
+/// semantics; Threaded is strictly an acceleration of Tree.
 enum class DispatchEngine {
-  Flat,     ///< PC-indexed dispatch over the ExecutableImage.
   Tree,     ///< Original pointer-chasing walk of the Program (reference).
-  Threaded, ///< Computed-goto dispatch with superinstructions (default).
+  Threaded, ///< Computed-goto dispatch over the ExecutableImage (default).
 };
 
 struct RunConfig {
@@ -107,7 +105,7 @@ struct RunConfig {
   /// every committed output against the reboot epochs of the inputs fused
   /// into it, independent of the monitors' enforcement. Implies
   /// TrackTaint; verdicts land in RunResult::OracleRecords and are
-  /// byte-identical across all three engines.
+  /// byte-identical across both engines.
   bool Oracle = false;
   bool StaticOmega = false;   ///< Back up omega at region entry instead of
                               ///< first-write logging.
@@ -122,7 +120,7 @@ struct RunConfig {
   /// non-Hot loop); results are bitwise identical either way.
   TraceSink *Telemetry = nullptr;
   /// Optional per-PC / per-opcode-pair execution profile
-  /// (src/telemetry/Profile.h), filled by the flat and threaded engines.
+  /// (src/telemetry/Profile.h), filled by the threaded engine.
   /// Callers size it via PcProfile::prepare(image size, NumOpcodes). Same
   /// cost discipline as Telemetry; results are unaffected.
   PcProfile *Profile = nullptr;
@@ -211,16 +209,16 @@ private:
     uint32_t CallSiteLabel = 0; ///< Label of the call in the caller.
   };
 
-  // -- Flat engine (PC-indexed dispatch) ---------------------------------
-  /// A call frame under flat dispatch: where to resume in the caller and
-  /// where this frame's registers start on the shared register stack.
-  /// Everything else (function id, call-site label, return destination) is
+  // -- Threaded engine (PC-indexed dispatch over the image) ---------------
+  /// A call frame over the image: where to resume in the caller and where
+  /// this frame's registers start on the shared register stack. Everything
+  /// else (function id, call-site label, return destination) is
   /// recomputed from the image: the call instruction sits at ReturnPc - 1.
   struct FlatFrame {
     uint32_t ReturnPc = 0;
     uint32_t RegBase = 0;
   };
-  /// Region-entry snapshot of the flat engine's volatile state.
+  /// Region-entry snapshot of the threaded engine's volatile state.
   struct FlatSnapshot {
     std::vector<FlatFrame> Frames;
     std::vector<RtValue> Regs;
@@ -230,27 +228,22 @@ private:
   enum class Mode { Jit, Atomic };
 
   RunResult runOnceTree();
-  RunResult runOnceFlat();
   RunResult runOnceThreaded();
-  /// The flat dispatch loop, specialized on taint tracking: the taint-off
-  /// instantiation (the default hot path) moves raw int64 payloads and
-  /// never touches a taint id — legal because with TrackTaint off every id
-  /// in registers and NVM is 0 (the empty sequence) by construction.
-  template <bool TaintOn> RunResult runFlatLoop();
   /// The threaded dispatch loop (InterpreterThreaded.cpp): computed-goto
-  /// (or switch-fallback) dispatch over the image's ThreadedOp view. Only
-  /// ever instantiated taint-off — runOnceThreaded routes taint-tracking
-  /// configs to runFlatLoop<true>, which carries a TaintId next to every
-  /// payload and merges them through the TaintTable. The Hot instantiation additionally assumes no
-  /// failure plan, no energy model and no monitors (the steady-state
-  /// throughput configuration), dropping the per-step failure/energy/
-  /// monitor checks that the non-Hot instantiation performs exactly like
-  /// the flat loop.
-  template <bool Hot> RunResult runThreadedLoop();
+  /// (or switch-fallback) dispatch over the image's ThreadedOp view. The
+  /// TaintOn instantiation carries a TaintId next to every payload and
+  /// merges ids through the TaintTable; taint-off, values move as raw
+  /// int64 payloads, legal because with TrackTaint off every id in
+  /// registers and NVM is 0 (the empty sequence) by construction. The Hot
+  /// (taint-off) instantiation additionally assumes no failure plan, no
+  /// energy model, no monitors and no observers (the steady-state
+  /// throughput configuration), dropping the per-step failure, energy and
+  /// monitor checks the other two perform.
+  template <bool Hot, bool TaintOn> RunResult runThreadedLoop();
 
   const Instruction *fetch() const;
   RtValue eval(Operand O) const;     ///< Tree engine operand read.
-  RtValue evalFlat(Operand O) const; ///< Flat engine operand read.
+  RtValue evalFlat(Operand O) const; ///< Threaded engine operand read.
   /// Both engines: a kind-less operand reaching eval is a lowering bug —
   /// assert in debug; in release the step loop turns it into a trap
   /// instead of silently yielding 0.
@@ -265,17 +258,13 @@ private:
   void enterAtomicFlat(const FlatInst &I, RunResult &R);
   void commitAtomic(RunResult &R);
   void writeGlobal(int G, int64_t Index, RtValue V, RunResult &R);
-  /// Taint-off fast path: identical to writeGlobal for a taint-free value
-  /// (same undo-log sequence and cost charging) without materializing an
-  /// RtValue.
-  void writeGlobalRaw(int G, int64_t Index, int64_t V, RunResult &R);
-  /// Flat and threaded engines: executes Output \p FI at the member tau —
-  /// evaluates its arguments and, under RecordTrace or Oracle, records the
-  /// event (pending inside a region) and scores it. Out of line so no
-  /// dispatch loop holds an OutputEvent across a computed goto.
+  /// Threaded engine: executes Output \p FI at the member tau — evaluates
+  /// its arguments and, under RecordTrace or Oracle, records the event
+  /// (pending inside a region) and scores it. Out of line so the dispatch
+  /// loop never holds an OutputEvent across a computed goto.
   void outputFlat(const FlatInst &FI);
-  /// Flat and threaded engines: the bit-vector monitor's input hook for
-  /// \p FI, reading the call chain off the flat frame stack in place.
+  /// Threaded engine: the bit-vector monitor's input hook for \p FI,
+  /// reading the call chain off the flat frame stack in place.
   void onInputFlat(const FlatInst &FI, uint64_t Tau);
   const RegionInfo *regionInfo(int RegionId) const;
   bool checkEnergyAndPlan(uint64_t Cost);
@@ -321,7 +310,7 @@ private:
   // Volatile execution state (tree engine).
   std::vector<Frame> Frames;
   std::vector<Frame> AtomicSnapshot;
-  // Volatile execution state (flat engine).
+  // Volatile execution state (threaded engine).
   std::vector<FlatFrame> FFrames;
   std::vector<RtValue> RegStack;
   uint32_t Pc = 0;

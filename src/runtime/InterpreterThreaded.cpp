@@ -5,18 +5,22 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The threaded dispatch engine: computed-goto direct-threaded dispatch
-/// (with a portable switch fallback when the compiler lacks the labels-as-
-/// values extension) over the image's ThreadedOp view, in which the
+/// The threaded dispatch engine, the production loop every run executes
+/// on: computed-goto direct-threaded dispatch (with a portable switch
+/// fallback when the compiler lacks the labels-as-values extension) over
+/// the artifact's `ExecutableImage` — one contiguous instruction array,
+/// pre-resolved branch/call targets, a folded cost table, dense
+/// monitor/region side tables, and the ThreadedOp view in which the
 /// build-time peephole pass fused hot adjacent opcode pairs into
-/// superinstructions (ExecutableImage::buildThreadedView).
+/// superinstructions (ExecutableImage::buildThreadedView). Frames shrink
+/// to {ReturnPc, RegBase} over one shared register stack.
 ///
-/// Like the flat engine it accelerates, every rule here must mirror the
-/// tree engine exactly — same cost charging, same RNG draw sequence, same
-/// monitor callbacks, same trap strings — so the three engines stay
-/// bitwise-identical on every benchmark x model x plan x seed cell
-/// (pinned by ExecImageTest and DifferentialFuzzTest). Three properties
-/// carry that guarantee through fusion:
+/// Every rule here must mirror the tree engine (Interpreter.cpp) exactly
+/// — same cost charging, same RNG draw sequence, same monitor callbacks,
+/// same trap strings — so the two engines stay bitwise-identical on every
+/// benchmark x model x plan x seed cell, with fusion off and on (pinned by
+/// ExecImageTest and DifferentialFuzzTest). Three properties carry that
+/// guarantee through fusion:
 ///
 ///  * A fused handler replicates the complete per-instruction step
 ///    header (failure injection, energy draw, cost/tau charging, monitor
@@ -29,12 +33,27 @@
 ///    point), so every branch, return and region re-entry lands on a
 ///    plain code.
 ///
-/// The loop is only ever instantiated taint-off; runOnceThreaded routes
-/// taint-tracking configs to the flat loop's taint instantiation, which
-/// carries a TaintId next to every payload. The Hot
-/// instantiation additionally assumes no failure plan, no energy model
-/// and no monitors — the steady-state throughput configuration — and
-/// keeps PC/tau/lifetime counters in locals the whole run.
+/// The loop has three instantiations:
+///
+///  * Hot (taint off) assumes no failure plan, no energy model, no
+///    monitors and no observers — the steady-state throughput
+///    configuration — and drops the checks they would need.
+///  * Checked (taint off) adds failure injection, the energy comparator,
+///    the bit-vector monitor and the observers. Values move as raw int64
+///    payloads: with TrackTaint off every taint id is 0 by construction.
+///  * TaintOn (the formal monitor and the oracle force it) moves whole
+///    `RtValue`s, merges ids through the TaintTable, runs the formal
+///    checks, and dispatches every slot's plain code: a fused head is
+///    never taken, which is exact because each pair's tail keeps its
+///    plain code too.
+///
+/// PC, the on-cycle and step counters and (non-Hot) the comparator
+/// headroom live in locals for the whole run; tau and the lifetime
+/// counter are derived from offsets against the on-cycle counter. The
+/// sync invariant: SyncOut writes all of them back (the energy level as
+/// ReserveCycles + headroom) before any out-of-line call that reads or
+/// writes them, and SyncIn re-reads them after any that may have changed
+/// them (power failure, region entry).
 ///
 /// A computed goto leaves a handler's scope without running destructors,
 /// so no handler may hold a local that owns memory: Output, the one
@@ -52,22 +71,162 @@
 
 using namespace ocelot;
 
-RunResult Interpreter::runOnceThreaded() {
-  // Taint tracking (the formal monitor and the oracle force it on) runs
-  // the flat loop's taint instantiation: identical machine behavior.
-  if (Cfg.TrackTaint)
-    return runFlatLoop<true>();
-  const bool Hot = Cfg.Plan.kind() == FailurePlan::Kind::None &&
-                   Energy == nullptr && !Cfg.MonitorBitVector &&
-                   !Cfg.MonitorFormal && !Cfg.Telemetry && !Cfg.Profile;
-  return Hot ? runThreadedLoop<true>() : runThreadedLoop<false>();
+RtValue Interpreter::evalFlat(Operand O) const {
+  if (O.isImm())
+    return RtValue(O.Imm);
+  if (O.isReg())
+    return RegStack[FFrames.back().RegBase + static_cast<size_t>(O.Reg)];
+  return evalKindless();
 }
 
-template <bool Hot> RunResult Interpreter::runThreadedLoop() {
+void Interpreter::onInputFlat(const FlatInst &FI, uint64_t Tau) {
+  // Frame K+1 was created by the call instruction at
+  // FFrames[K+1].ReturnPc - 1, whose Func field is the caller: chain
+  // element K, mirroring the tree engine's
+  // (Frames[K].Func, Frames[K+1].CallSiteLabel) pairs.
+  const FlatInst *Code = Img->code().data();
+  Monitor->onInput(
+      FI.InputOrd, InstrRef(FI.Func, FI.Label), FFrames.size(),
+      [&](size_t K) {
+        const FlatInst &CallI = Code[FFrames[K + 1].ReturnPc - 1];
+        return InstrRef(CallI.Func, CallI.Label);
+      },
+      Tau);
+}
+
+void Interpreter::outputFlat(const FlatInst &FI) {
+  const Operand *Args = Img->args(FI);
+  if (!Cfg.RecordTrace && !Cfg.Oracle) {
+    // Args are still evaluated (kind-less operands must convert to the
+    // same trap), but the event is never materialized.
+    for (uint32_t A = 0; A < FI.ArgsCount; ++A)
+      (void)evalFlat(Args[A]);
+    return;
+  }
+  OutputEvent E;
+  E.Kind = FI.OutKind;
+  E.Tau = Tau;
+  E.Args.reserve(FI.ArgsCount);
+  // Oracle implies TrackTaint, so the ids read here are live.
+  std::vector<InputEvent> Fused;
+  for (uint32_t A = 0; A < FI.ArgsCount; ++A) {
+    const RtValue V = evalFlat(Args[A]);
+    E.Args.push_back(V.V);
+    if (Cfg.Oracle)
+      Taints.appendTo(V.Taint, Fused);
+  }
+  if (Cfg.Oracle)
+    recordOracleOutput(E.Kind, std::move(Fused));
+  if (Cfg.RecordTrace) {
+    if (ExecMode == Mode::Atomic)
+      PendingOutputs.push_back(std::move(E));
+    else
+      Committed.Outputs.push_back(std::move(E));
+  }
+}
+
+void Interpreter::enterAtomicFlat(const FlatInst &I, RunResult &R) {
+  if (ExecMode == Mode::Atomic) {
+    ++Natom; // Atom-Start-Inner: flattening counter only.
+    return;
+  }
+  // Atom-Start-Outer: snapshot volatile state positioned after the start
+  // (Pc has already advanced past the AtomicStart, like the tree engine's
+  // Idx). Saving the volatile context costs like a JIT checkpoint (§6.3).
+  uint64_t SaveCost = Cfg.Costs.RegionEntryPerFrame * FFrames.size();
+  R.OnCycles += SaveCost;
+  LifetimeOn += SaveCost;
+  Tau += SaveCost;
+  if (Energy)
+    Energy->consume(SaveCost);
+  ExecMode = Mode::Atomic;
+  CurrentRegion = I.RegionId;
+  Natom = 0;
+  AbortsThisRegion = 0;
+  FlatAtomicSnapshot.Frames = FFrames;
+  FlatAtomicSnapshot.Regs = RegStack;
+  FlatAtomicSnapshot.Pc = Pc;
+  Undo.clear();
+  if (Cfg.StaticOmega && I.OmegaCount) {
+    // The omega set was flattened next to the region start at image build
+    // time, in the same ascending order the tree engine reads out of
+    // RegionInfo::Omega — identical undo-log entry sequence.
+    const int32_t *Omega = Img->omegaGlobals(I);
+    for (uint32_t OI = 0; OI < I.OmegaCount; ++OI) {
+      int G = Omega[OI];
+      uint32_t Size = Img->globalSize(G);
+      for (uint32_t Idx = 0; Idx < Size; ++Idx) {
+        if (Undo.logIfFirst(G, static_cast<int64_t>(Idx), nvmCell(G, Idx))) {
+          ++R.UndoLogEntries;
+          R.OnCycles += Cfg.Costs.AtomicOmegaPerCell;
+          LifetimeOn += Cfg.Costs.AtomicOmegaPerCell;
+          Tau += Cfg.Costs.AtomicOmegaPerCell;
+        }
+      }
+    }
+  }
+  if (TraceSink *T = Cfg.Telemetry)
+    T->regionEnter(Tau, CurrentRegion);
+}
+
+void Interpreter::powerFailFlat(RunResult &R) {
+  // The register stack holds exactly every live frame's register file, so
+  // its size equals the tree engine's per-frame sum.
+  uint64_t TotalRegs = RegStack.size();
+  rebootCommon(R, TotalRegs);
+
+  if (ExecMode == Mode::Atomic) {
+    // Atom-Reboot: apply the undo log, restore the region-entry context.
+    Undo.restore([&](int G, int64_t Index, const RtValue &Old) {
+      nvmCell(G, Index) = Old;
+    });
+    // In static mode the log *is* the region's backup and is retained for
+    // the next attempt; dynamic mode re-logs on first write.
+    if (!Cfg.StaticOmega)
+      Undo.clear();
+    FFrames = FlatAtomicSnapshot.Frames;
+    RegStack = FlatAtomicSnapshot.Regs;
+    Pc = FlatAtomicSnapshot.Pc;
+    Natom = 0;
+    PendingInputs.clear();
+    PendingOutputs.clear();
+    PendingOracle.clear();
+    ++R.AtomicAborts;
+    ++AbortsThisRegion;
+    if (TraceSink *T = Cfg.Telemetry)
+      T->regionRetry(Tau, CurrentRegion, AbortsThisRegion);
+    if (AbortsThisRegion > Cfg.MaxAbortsPerRegion) {
+      R.Starved = true;
+      FFrames.clear();
+      RegStack.clear();
+    }
+  } else {
+    // JIT-Reboot: restore volatile state (identity here; costed). Pc is
+    // untouched: execution resumes at the interrupted instruction.
+    uint64_t RestCost =
+        Cfg.Costs.RestoreBase + Cfg.Costs.RestorePerReg * TotalRegs;
+    R.OnCycles += RestCost;
+    LifetimeOn += RestCost;
+    Tau += RestCost;
+  }
+}
+
+RunResult Interpreter::runOnceThreaded() {
+  // TrackTaint is fixed at construction (MonitorFormal and Oracle force it
+  // on), so each interpreter always runs one taint instantiation.
+  if (Cfg.TrackTaint)
+    return runThreadedLoop</*Hot=*/false, /*TaintOn=*/true>();
+  const bool Hot = Cfg.Plan.kind() == FailurePlan::Kind::None &&
+                   Energy == nullptr && !Cfg.MonitorBitVector &&
+                   !Cfg.Telemetry && !Cfg.Profile;
+  return Hot ? runThreadedLoop<true, false>() : runThreadedLoop<false, false>();
+}
+
+template <bool Hot, bool TaintOn> RunResult Interpreter::runThreadedLoop() {
+  static_assert(!(Hot && TaintOn), "taint tracking runs the checked loop");
   RunResult R;
   Cfg.Plan.resetRun();
   Monitor->beginRun();
-  size_t ViolationsBefore = Monitor->violations().size();
 
   FFrames.clear();
   FFrames.push_back(FlatFrame{/*ReturnPc=*/0, /*RegBase=*/0});
@@ -78,26 +237,32 @@ template <bool Hot> RunResult Interpreter::runThreadedLoop() {
   Undo.clear();
   PendingInputs.clear();
   PendingOutputs.clear();
+  PendingOracle.clear();
+  CommittedOracle.clear();
   Committed.clear();
   AbortsThisRegion = 0;
   CurrentRegion = -1;
   [[maybe_unused]] uint64_t ConsecutiveFailures = 0;
 
   const FlatInst *const Code = Img->code().data();
-  const ThreadedOp *const TOps = Img->threadedOps().data();
+  [[maybe_unused]] const ThreadedOp *const TOps = Img->threadedOps().data();
   const uint64_t *const Costs = CostTable;
   assert(Img->threadedOps().size() == Img->code().size());
-  assert(!Cfg.TrackTaint && "threaded loop is the taint-free fast path");
+  assert(TaintOn == Cfg.TrackTaint && "one instantiation per taint setting");
 
-  // Per-run constants, hoisted exactly like the flat loop's; the Hot
+  // Per-run constants, hoisted out of the step header; the Hot
   // instantiation drops the checks they guard entirely (asserted below).
   [[maybe_unused]] const FailurePlan::Kind PlanKind = Cfg.Plan.kind();
   [[maybe_unused]] const bool PlanMayFireBefore =
       PlanKind == FailurePlan::Kind::Pathological ||
       PlanKind == FailurePlan::Kind::Random;
-  [[maybe_unused]] const bool NeedEnergyCheck =
-      Energy != nullptr || PlanKind == FailurePlan::Kind::Periodic;
+  [[maybe_unused]] EnergyModel *const Store = Energy.get();
+  // Periodic plans arm against the lifetime counter out of line
+  // (checkEnergyAndPlan); energy-driven plans count down Headroom below.
+  [[maybe_unused]] const bool PeriodicPlan =
+      !Store && PlanKind == FailurePlan::Kind::Periodic;
   const bool BitVector = Cfg.MonitorBitVector;
+  [[maybe_unused]] const bool Formal = Cfg.MonitorFormal;
   // Telemetry/profiling observers: the Hot instantiation excludes them
   // (runOnceThreaded routes observed runs here as non-Hot), so the Hot
   // fast path carries not even the null tests.
@@ -105,30 +270,37 @@ template <bool Hot> RunResult Interpreter::runThreadedLoop() {
   [[maybe_unused]] PcProfile *const Prof = Cfg.Profile;
   [[maybe_unused]] uint32_t ProfPrevPc = ~0u;
   [[maybe_unused]] uint16_t ProfPrevOp = 0;
-  assert(!(Hot && (PlanMayFireBefore || NeedEnergyCheck || BitVector ||
-                   Telem || Prof)) &&
+  assert(!(Hot && (PlanMayFireBefore || PeriodicPlan || Store || BitVector ||
+                   Formal || Telem || Prof)) &&
          "Hot instantiation requires no plan, no energy, no monitors, no "
          "telemetry");
 
-  // Hot-loop state mirrored into locals (the members stay authoritative
-  // for everything out of line): synced out before and back in after
-  // every call that reads or writes Pc / tau / lifetime counters or can
-  // replace the frame stack.
+  // Loop state mirrored into locals (the members stay authoritative for
+  // everything out of line; see SyncOut/SyncIn). Every charge lands on
+  // OnCycles, Tau and LifetimeOn alike (step costs and undo-log entries),
+  // so the loop keeps only OnCycles as a running counter and derives the
+  // other two on demand from their entry offsets — two fewer adds on
+  // every step. The offsets are wrap-exact: (Tau - OnCycles) + OnCycles
+  // == Tau in uint64 even when the subtraction wraps. Everything that
+  // diverges them (off time, reboot and region-entry charges) happens out
+  // of line, between a SyncOut and a SyncIn.
   uint32_t Pc = this->Pc;
-  uint64_t Tau = this->Tau;
-  uint64_t LifetimeOn = this->LifetimeOn;
   uint64_t OnCycles = R.OnCycles;
-  // In the Hot instantiation every charge lands on OnCycles, Tau and
-  // LifetimeOn alike (step costs and undo-log entries; there is no energy
-  // model or failure plan to diverge them), so the loop keeps only
-  // OnCycles as a running counter and derives the other two on demand
-  // from their entry offsets — two fewer adds on every step. The offsets
-  // are wrap-exact: (Tau - OnCycles) + OnCycles == Tau in uint64 even
-  // when the subtraction wraps. Non-Hot keeps all three live (plans and
-  // energy accounting read and reset them mid-run).
-  uint64_t TauMinusOn = Tau - OnCycles;
-  uint64_t LifeMinusOn = LifetimeOn - OnCycles;
+  uint64_t TauMinusOn = this->Tau - OnCycles;
+  uint64_t LifeMinusOn = this->LifetimeOn - OnCycles;
   uint64_t Steps = R.Steps;
+  // The energy comparator as a countdown: the energy above the reserve.
+  // A step of cost C fires it when C >= Headroom, exactly when
+  // EnergyModel::consume(C) would leave the level at or below the
+  // reserve; otherwise Headroom -= C. 0 means the level is already at or
+  // below the reserve (the next step fires whatever its cost) and the
+  // model holds the exact level; a positive Headroom is the level minus
+  // ReserveCycles, written back by SyncOut.
+  [[maybe_unused]] uint64_t Headroom = Store ? Store->headroom() : 0;
+  // Why the step header stopped short of its instruction; handled once,
+  // out of the handlers, at the loop head (non-Hot only).
+  enum class Stop : uint8_t { None, FailBefore, PowerLow };
+  [[maybe_unused]] Stop Pending = Stop::None;
   uint32_t RegBase = FFrames.back().RegBase;
   // Current frame's register window. Every operand access previously went
   // through RegStack[RegBase + i] — re-loading the vector's data pointer
@@ -145,32 +317,28 @@ template <bool Hot> RunResult Interpreter::runThreadedLoop() {
 
   auto SyncOut = [&] {
     this->Pc = Pc;
-    if constexpr (Hot) {
-      this->Tau = TauMinusOn + OnCycles;
-      this->LifetimeOn = LifeMinusOn + OnCycles;
-    } else {
-      this->Tau = Tau;
-      this->LifetimeOn = LifetimeOn;
-    }
+    this->Tau = TauMinusOn + OnCycles;
+    this->LifetimeOn = LifeMinusOn + OnCycles;
     R.OnCycles = OnCycles;
     R.Steps = Steps;
+    if constexpr (!Hot) {
+      if (Headroom)
+        Store->setHeadroom(Headroom);
+    }
   };
   auto SyncIn = [&] {
     Pc = this->Pc;
     OnCycles = R.OnCycles;
-    if constexpr (Hot) {
-      TauMinusOn = this->Tau - OnCycles;
-      LifeMinusOn = this->LifetimeOn - OnCycles;
-    } else {
-      Tau = this->Tau;
-      LifetimeOn = this->LifetimeOn;
-    }
+    TauMinusOn = this->Tau - OnCycles;
+    LifeMinusOn = this->LifetimeOn - OnCycles;
     Steps = R.Steps;
+    if constexpr (!Hot)
+      Headroom = Store ? Store->headroom() : 0;
     RegBase = FFrames.empty() ? 0 : FFrames.back().RegBase;
     Regs = RegStack.data() + RegBase;
   };
 
-  // Raw operand payload — mirrors the flat loop's taint-off RawVal.
+  // Raw operand payload: what the taint-off fast paths read.
   auto RawVal = [&](const Operand &O) -> int64_t {
     if (O.isImm())
       return O.Imm;
@@ -178,21 +346,44 @@ template <bool Hot> RunResult Interpreter::runThreadedLoop() {
       return Regs[O.Reg].V;
     return evalKindless().V;
   };
-
-  // writeGlobalRaw with the tau/lifetime charges applied to the locals.
-  auto StoreNvmRaw = [&](int G, int64_t Index, int64_t V) {
-    assert(Index >= 0 && Index < static_cast<int64_t>(Img->globalSize(G)));
-    if (ExecMode == Mode::Atomic) {
-      if (Undo.logIfFirst(G, Index, nvmCell(G, Index))) {
-        ++R.UndoLogEntries;
-        OnCycles += Cfg.Costs.UndoLogEntryCost;
-        if constexpr (!Hot) {
-          LifetimeOn += Cfg.Costs.UndoLogEntryCost;
-          Tau += Cfg.Costs.UndoLogEntryCost;
-        }
-      }
+  // A whole operand value. Taint-off its id is 0 by construction and
+  // never read, so this compiles down to RawVal.
+  auto Val = [&](const Operand &O) -> RtValue {
+    if constexpr (TaintOn) {
+      if (O.isImm())
+        return RtValue(O.Imm);
+      if (O.isReg())
+        return Regs[O.Reg];
+      return evalKindless();
+    } else {
+      return RtValue(RawVal(O));
     }
-    nvmCell(G, Index).V = V;
+  };
+  // Writes a register or NVM cell: the whole value under TaintOn, only the
+  // payload otherwise (every id stays 0 by the !TrackTaint invariant).
+  auto Put = [](RtValue &Slot, const RtValue &V) {
+    if constexpr (TaintOn)
+      Slot = V;
+    else
+      Slot.V = V.V;
+  };
+
+  // writeGlobal, but \returns the undo-log charge (0 without a new
+  // entry) for the caller to add to OnCycles. It captures no loop local:
+  // the compiler keeps it out of line (the loop is far past GCC's
+  // large-function growth limit), and a captured counter would then live
+  // in memory for the whole loop.
+  auto StoreNvm = [this, &R, &Put](int G, int64_t Index,
+                                   const RtValue &V) -> uint64_t {
+    assert(Index >= 0 && Index < static_cast<int64_t>(Img->globalSize(G)));
+    uint64_t Charge = 0;
+    if (ExecMode == Mode::Atomic &&
+        Undo.logIfFirst(G, Index, nvmCell(G, Index))) {
+      ++R.UndoLogEntries;
+      Charge = Cfg.Costs.UndoLogEntryCost;
+    }
+    Put(nvmCell(G, Index), V);
+    return Charge;
   };
 
   auto ArithTrap = [&](const FlatInst &I, const char *What) {
@@ -203,16 +394,33 @@ template <bool Hot> RunResult Interpreter::runThreadedLoop() {
     R.Trap = "array index out of bounds in " + P.function(I.Func)->name();
   };
 
-// Current simulated time, valid in both instantiations: the Hot loop
-// only advances OnCycles (see the locals above), so tau is its entry
-// offset plus the counter; the non-Hot loop keeps Tau itself live.
-#define OCELOT_TAU() (Hot ? TauMinusOn + OnCycles : Tau)
+// Current simulated time: the entry offset plus the on-cycle counter.
+#define OCELOT_TAU() (TauMinusOn + OnCycles)
 
-// One instruction's step header, identical to one flat-loop iteration
+  // The formal checker's use-register checks at \p I (TaintOn only), and
+  // the input event \p I collects at \p Tau with value \p V. Both capture
+  // only `this`, so no loop local escapes should they stay out of line.
+  [[maybe_unused]] auto FormalUses = [this](const FlatInst &I, uint64_t Tau) {
+    const RtValue *Frame = RegStack.data() + FFrames.back().RegBase;
+    for (uint32_t Reg : Img->useRegs(I))
+      Monitor->onFreshUseFormal(InstrRef(I.Func, I.Label), Taints,
+                                Frame[Reg].Taint, Epoch, Tau);
+  };
+  auto InputAt = [this](const FlatInst &I, int64_t V, uint64_t Tau) {
+    InputEvent E;
+    E.Sensor = I.SensorId;
+    E.Tau = Tau;
+    E.Epoch = Epoch;
+    E.Value = V;
+    return E;
+  };
+
+// One instruction's step header, identical to one tree-engine iteration
 // header: budget check, failure injection, energy draw, cost/tau/step
-// accounting, bit-vector use check, PC advance. Fused handlers invoke it
-// a second time for their tail slot, so a power failure can still strike
-// between the two halves (resuming at the tail's plain code).
+// accounting, monitor use checks, PC advance. Fused handlers invoke it a
+// second time for their tail slot, so a power failure can still strike
+// between the two halves (resuming at the tail's plain code). A failure
+// leaves through the loop head, which handles it out of the handlers.
 #define OCELOT_STEP()                                                          \
   do {                                                                         \
     if (OnCycles > MaxOnCycles) {                                              \
@@ -220,39 +428,30 @@ template <bool Hot> RunResult Interpreter::runThreadedLoop() {
       goto LDone;                                                              \
     }                                                                          \
     FI = Code + Pc;                                                            \
-    TOp = TOps[Pc];                                                            \
+    TOp = TaintOn ? static_cast<ThreadedOp>(FI->Op) : TOps[Pc];                \
+    Cost = Costs[Pc];                                                          \
     if constexpr (!Hot) {                                                      \
       if (PlanMayFireBefore &&                                                 \
           Cfg.Plan.firesBefore(InstrRef(FI->Func, FI->Label), Rand)) {         \
-        SyncOut();                                                             \
-        powerFailFlat(R);                                                      \
-        SyncIn();                                                              \
+        Pending = Stop::FailBefore;                                            \
         goto LTop;                                                             \
       }                                                                        \
-    }                                                                          \
-    Cost = Costs[Pc];                                                          \
-    if constexpr (!Hot) {                                                      \
-      if (NeedEnergyCheck) {                                                   \
-        this->LifetimeOn = LifetimeOn; /* periodic plans arm against it */     \
+      if (Store) {                                                             \
+        if (Cost >= Headroom) {                                                \
+          Pending = Stop::PowerLow;                                            \
+          goto LTop;                                                           \
+        }                                                                      \
+        Headroom -= Cost;                                                      \
+      } else if (PeriodicPlan) {                                               \
+        this->LifetimeOn = LifeMinusOn + OnCycles;                             \
         if (checkEnergyAndPlan(Cost)) {                                        \
-          ++ConsecutiveFailures;                                               \
-          if (ConsecutiveFailures > Cfg.MaxAbortsPerRegion) {                  \
-            R.Starved = true;                                                  \
-            goto LDone;                                                        \
-          }                                                                    \
-          SyncOut();                                                           \
-          powerFailFlat(R);                                                    \
-          SyncIn();                                                            \
+          Pending = Stop::PowerLow;                                            \
           goto LTop;                                                           \
         }                                                                      \
       }                                                                        \
       ConsecutiveFailures = 0;                                                 \
     }                                                                          \
     OnCycles += Cost;                                                          \
-    if constexpr (!Hot) {                                                      \
-      LifetimeOn += Cost;                                                      \
-      Tau += Cost;                                                             \
-    }                                                                          \
     ++Steps;                                                                   \
     if constexpr (!Hot) {                                                      \
       if (Prof) {                                                              \
@@ -263,16 +462,20 @@ template <bool Hot> RunResult Interpreter::runThreadedLoop() {
       }                                                                        \
       if (BitVector && FI->HasUseCheck)                                        \
         Monitor->onFreshUse(InstrRef(FI->Func, FI->Label),                     \
-                            Img->useChecks(*FI), Tau);                         \
+                            Img->useChecks(*FI), OCELOT_TAU());                \
+      if constexpr (TaintOn) {                                                 \
+        if (Formal && FI->UseRegsCount)                                        \
+          FormalUses(*FI, OCELOT_TAU());                                       \
+      }                                                                        \
     }                                                                          \
     ++Pc; /* Advance before executing (branches overwrite). */                 \
   } while (0)
 
-// The flat loop's post-instruction kind-less-operand conversion, with the
-// site of \p INST (the instruction whose handler just ran). When the flag
-// fired the run is over (the flat loop's next top-of-iteration check
-// would exit), so this jumps straight to the epilogue — which lets the
-// handler enders below skip the per-step trap re-check entirely.
+// The tree engine's post-instruction kind-less-operand conversion, with
+// the site of \p INST (the instruction whose handler just ran). When the
+// flag fired the run is over (the next loop-head check would exit), so
+// this jumps straight to the epilogue — which lets the handler enders
+// below skip the per-step trap re-check entirely.
 #define OCELOT_KINDCHECK(INST)                                                 \
   if (SawKindlessOperand) {                                                    \
     SawKindlessOperand = false;                                                \
@@ -283,7 +486,7 @@ template <bool Hot> RunResult Interpreter::runThreadedLoop() {
     goto LDone;                                                                \
   }
 
-// Ends a handler that just raised a trap. The flat loop sets the trap,
+// Ends a handler that just raised a trap. The tree engine sets the trap,
 // runs the kind-less conversion (which must still clear the flag, and
 // keeps the first trap), then exits at the next loop check — so: clear
 // the flag, keep the trap, stop.
@@ -294,8 +497,8 @@ template <bool Hot> RunResult Interpreter::runThreadedLoop() {
   } while (0)
 
 // Handler enders. OCELOT_NEXT for handlers that may have read a kind-less
-// operand (any RawVal call); NOCHECK for handlers that provably cannot
-// have set the flag.
+// operand (any RawVal/Val call); NOCHECK for handlers that provably
+// cannot have set the flag.
 //
 // Both *replicate* the step header + dispatch instead of jumping back to
 // a single shared loop head: with computed goto this gives every handler
@@ -303,12 +506,11 @@ template <bool Hot> RunResult Interpreter::runThreadedLoop() {
 // successor distributions (the classic threaded-dispatch win; a shared
 // dispatch site collapses them all into one unpredictable branch).
 //
-// Neither re-checks the flat loop's exit condition — every path that can
-// make it true leaves the fast path on the spot: traps jump to LDone
-// (budget and kind-less in the macros above, explicit ones via
-// OCELOT_TRAPPED), Ret checks frame emptiness itself, and starvation and
-// power failures happen out of line and resume through the fully-checked
-// LTop.
+// Neither re-checks the loop's exit condition — every path that can make
+// it true leaves the fast path on the spot: traps jump to LDone (budget
+// and kind-less in the macros above, explicit ones via OCELOT_TRAPPED),
+// Ret checks frame emptiness itself, and starvation and power failures
+// are handled at the fully-checked LTop.
 #define OCELOT_NEXT_NOCHECK()                                                  \
   do {                                                                         \
     OCELOT_STEP();                                                             \
@@ -353,6 +555,29 @@ template <bool Hot> RunResult Interpreter::runThreadedLoop() {
   goto LTop;
 
 LTop:
+  if constexpr (!Hot) {
+    if (Pending != Stop::None) {
+      // The step header stopped before charging its instruction.
+      SyncOut();
+      if (Pending == Stop::PowerLow) {
+        if (Store) {
+          // The comparator fired: apply consume's clamp to the exact
+          // level SyncOut just wrote back. It leaves the level at or below
+          // the reserve, so the model is authoritative again.
+          [[maybe_unused]] const bool Fired = Store->consume(Cost);
+          assert(Fired && "the countdown fired where consume does not");
+          Headroom = 0;
+        }
+        if (++ConsecutiveFailures > Cfg.MaxAbortsPerRegion)
+          R.Starved = true;
+      }
+      Pending = Stop::None;
+      if (R.Starved)
+        goto LDone;
+      powerFailFlat(R);
+      SyncIn();
+    }
+  }
   if (FFrames.empty() || R.Starved || !R.Trap.empty())
     goto LDone;
   OCELOT_STEP();
@@ -364,78 +589,77 @@ LSwitch:
 #endif
 
   OCELOT_CASE(Const) : {
-    Regs[FI->Dst].V = FI->A.Imm;
+    Put(Regs[FI->Dst], RtValue(FI->A.Imm));
     OCELOT_NEXT_NOCHECK();
   }
 
   OCELOT_CASE(Mov) : {
-    Regs[FI->Dst].V = RawVal(FI->A);
+    Put(Regs[FI->Dst], Val(FI->A));
     OCELOT_NEXT(*FI);
   }
 
   OCELOT_CASE(Un) : {
-    Regs[FI->Dst].V = unEval(FI->UnKind, RawVal(FI->A));
+    const RtValue A = Val(FI->A);
+    Put(Regs[FI->Dst], RtValue(unEval(FI->UnKind, A.V), A.Taint));
     OCELOT_NEXT(*FI);
   }
 
   OCELOT_CASE(Bin) : {
-    const int64_t AV = RawVal(FI->A);
-    const int64_t BV = RawVal(FI->B);
+    const RtValue A = Val(FI->A);
+    const RtValue B = Val(FI->B);
     int64_t V = 0;
-    if (const char *Trap = binEval(FI->BinKind, AV, BV, V)) {
+    if (const char *Trap = binEval(FI->BinKind, A.V, B.V, V)) {
       ArithTrap(*FI, Trap);
       OCELOT_TRAPPED(*FI);
     }
-    Regs[FI->Dst].V = V;
+    Put(Regs[FI->Dst],
+        RtValue(V, TaintOn ? Taints.merge(A.Taint, B.Taint) : 0));
     OCELOT_NEXT(*FI);
   }
 
   OCELOT_CASE(LoadG) : {
-    Regs[FI->Dst].V =
-        nvmCell(FI->GlobalId, 0).V;
+    Put(Regs[FI->Dst], nvmCell(FI->GlobalId, 0));
     OCELOT_NEXT_NOCHECK();
   }
 
   OCELOT_CASE(StoreG) : {
-    StoreNvmRaw(FI->GlobalId, 0, RawVal(FI->A));
+    OnCycles += StoreNvm(FI->GlobalId, 0, Val(FI->A));
     OCELOT_NEXT(*FI);
   }
 
   OCELOT_CASE(LoadA) : {
-    const int64_t Idx = RawVal(FI->A);
+    const int64_t Idx = Val(FI->A).V;
     if (Idx < 0 ||
         Idx >= static_cast<int64_t>(Img->globalSize(FI->GlobalId))) {
       BoundsTrap(*FI);
       OCELOT_TRAPPED(*FI);
     }
-    Regs[FI->Dst].V =
-        nvmCell(FI->GlobalId, Idx).V;
+    Put(Regs[FI->Dst], nvmCell(FI->GlobalId, Idx));
     OCELOT_NEXT(*FI);
   }
 
   OCELOT_CASE(StoreA) : {
-    const int64_t Idx = RawVal(FI->A);
+    const int64_t Idx = Val(FI->A).V;
     if (Idx < 0 ||
         Idx >= static_cast<int64_t>(Img->globalSize(FI->GlobalId))) {
       BoundsTrap(*FI);
       OCELOT_TRAPPED(*FI);
     }
-    StoreNvmRaw(FI->GlobalId, Idx, RawVal(FI->B));
+    OnCycles += StoreNvm(FI->GlobalId, Idx, Val(FI->B));
     OCELOT_NEXT(*FI);
   }
 
   OCELOT_CASE(LoadInd) : {
-    const int64_t G = RawVal(FI->A);
+    const int64_t G = Val(FI->A).V;
     assert(G >= 0 && G < P.numGlobals() && "bad reference value");
-    Regs[FI->Dst].V =
-        nvmCell(static_cast<int>(G), 0).V;
+    Put(Regs[FI->Dst], nvmCell(static_cast<int>(G), 0));
     OCELOT_NEXT(*FI);
   }
 
   OCELOT_CASE(StoreInd) : {
-    const int64_t G = RawVal(FI->A);
+    const int64_t G = Val(FI->A).V;
     assert(G >= 0 && G < P.numGlobals() && "bad reference value");
-    StoreNvmRaw(static_cast<int>(G), 0, RawVal(FI->B));
+    OnCycles += StoreNvm(static_cast<int>(G), 0, Val(FI->B));
     OCELOT_NEXT(*FI);
   }
 
@@ -461,23 +685,23 @@ LSwitch:
     } else {                                                                   \
       RESULT_ = Sensors->sample(FI->SensorId, OCELOT_TAU());                   \
     }                                                                          \
-    Regs[FI->Dst].V = RESULT_;                                                 \
+    if constexpr (TaintOn)                                                     \
+      Regs[FI->Dst] =                                                          \
+          RtValue(RESULT_,                                                     \
+                  Taints.single(InputAt(*FI, RESULT_, OCELOT_TAU())));         \
+    else                                                                       \
+      Regs[FI->Dst].V = RESULT_;                                               \
     if constexpr (!Hot) {                                                      \
       if (Telem)                                                               \
-        Telem->sensorRead(Tau, FI->SensorId, RESULT_);                         \
+        Telem->sensorRead(OCELOT_TAU(), FI->SensorId, RESULT_);                \
     }                                                                          \
     if (BitVector)                                                             \
       onInputFlat(*FI, OCELOT_TAU());                                          \
     if (Cfg.RecordTrace) {                                                     \
-      InputEvent E;                                                            \
-      E.Sensor = FI->SensorId;                                                 \
-      E.Tau = OCELOT_TAU();                                                    \
-      E.Epoch = Epoch;                                                         \
-      E.Value = RESULT_;                                                       \
       if (ExecMode == Mode::Atomic)                                            \
-        PendingInputs.push_back(E);                                            \
+        PendingInputs.push_back(InputAt(*FI, RESULT_, OCELOT_TAU()));          \
       else                                                                     \
-        Committed.Inputs.push_back(E);                                         \
+        Committed.Inputs.push_back(InputAt(*FI, RESULT_, OCELOT_TAU()));       \
     }                                                                          \
   } while (0)
 
@@ -495,7 +719,7 @@ LSwitch:
     Regs = RegStack.data() + RegBase; // resize may have moved the stack
     const Operand *Args = Img->args(*FI);
     for (uint32_t A = 0; A < FI->ArgsCount; ++A)
-      RegStack[NewBase + A].V = RawVal(Args[A]);
+      Put(RegStack[NewBase + A], Val(Args[A]));
     FFrames.push_back(FlatFrame{/*ReturnPc=*/Pc, /*RegBase=*/NewBase});
     RegBase = NewBase;
     Regs = RegStack.data() + NewBase;
@@ -505,7 +729,7 @@ LSwitch:
 
   OCELOT_CASE(Ret) : {
     const FlatFrame F = FFrames.back();
-    const int64_t V = FI->A.isNone() ? 0 : RawVal(FI->A);
+    const RtValue V = FI->A.isNone() ? RtValue(0) : Val(FI->A);
     FFrames.pop_back();
     RegStack.resize(F.RegBase);
     if (!FFrames.empty()) {
@@ -514,7 +738,7 @@ LSwitch:
       Regs = RegStack.data() + RegBase; // back to the caller's window
       const FlatInst &CallI = Code[F.ReturnPc - 1];
       if (CallI.Dst >= 0 && !FI->A.isNone())
-        Regs[CallI.Dst].V = V;
+        Put(Regs[CallI.Dst], V);
     }
     OCELOT_KINDCHECK(*FI)
     if (FFrames.empty())
@@ -528,8 +752,7 @@ LSwitch:
   }
 
   OCELOT_CASE(CondBr) : {
-    const int64_t V = RawVal(FI->A);
-    Pc = V != 0 ? FI->Target : FI->Target2;
+    Pc = Val(FI->A).V != 0 ? FI->Target : FI->Target2;
     OCELOT_NEXT(*FI);
   }
 
@@ -538,7 +761,14 @@ LSwitch:
   }
 
   OCELOT_CASE(Consistent) : {
-    OCELOT_NEXT_NOCHECK(); // Formal-monitor marker: taint-on only.
+    if constexpr (TaintOn) {
+      if (Formal)
+        Monitor->onConsistentMarker(FI->SetId, FI->Label, Taints,
+                                    Val(FI->A).Taint, OCELOT_TAU());
+      OCELOT_NEXT(*FI);
+    } else {
+      OCELOT_NEXT_NOCHECK(); // The formal monitor's marker: taint-on only.
+    }
   }
 
   OCELOT_CASE(AtomicStart) : {
@@ -569,9 +799,11 @@ LSwitch:
   }
 
   // -- Superinstructions --------------------------------------------------
-  // Each executes head then tail with the full step header replicated for
-  // the tail (OCELOT_STEP), forwarding the head's result through a local
-  // instead of re-reading the register file.
+  // Taint-off only: the TaintOn instantiation dispatches plain codes, so
+  // it never reaches these. Each executes head then tail with the full
+  // step header replicated for the tail (OCELOT_STEP), forwarding the
+  // head's result through a local instead of re-reading the register
+  // file.
 
   OCELOT_CASE(FuseBinCondBr) : {
     const FlatInst &H = *FI;
@@ -601,7 +833,7 @@ LSwitch:
     Regs[H.Dst].V = V;
     OCELOT_KINDCHECK(H)
     OCELOT_STEP(); // Tail: the StoreG of H.Dst.
-    StoreNvmRaw(FI->GlobalId, 0, V);
+    OnCycles += StoreNvm(FI->GlobalId, 0, RtValue(V));
     OCELOT_NEXT_NOCHECK();
   }
 
@@ -623,7 +855,7 @@ LSwitch:
       BoundsTrap(*FI);
       OCELOT_TRAPPED(*FI);
     }
-    StoreNvmRaw(FI->GlobalId, Idx, V);
+    OnCycles += StoreNvm(FI->GlobalId, Idx, RtValue(V));
     OCELOT_NEXT(*FI);
   }
 
@@ -668,7 +900,7 @@ LSwitch:
     const int64_t V = H.A.Imm;
     Regs[H.Dst].V = V;
     OCELOT_STEP(); // Tail: the StoreG of H.Dst.
-    StoreNvmRaw(FI->GlobalId, 0, V);
+    OnCycles += StoreNvm(FI->GlobalId, 0, RtValue(V));
     OCELOT_NEXT_NOCHECK();
   }
 
@@ -677,7 +909,7 @@ LSwitch:
     const int64_t V = nvmCell(H.GlobalId, 0).V;
     Regs[H.Dst].V = V;
     OCELOT_STEP(); // Tail: the StoreG of H.Dst.
-    StoreNvmRaw(FI->GlobalId, 0, V);
+    OnCycles += StoreNvm(FI->GlobalId, 0, RtValue(V));
     OCELOT_NEXT_NOCHECK();
   }
 
@@ -880,13 +1112,12 @@ LDone:
   R.Completed = FFrames.empty() && R.Trap.empty() && !R.Starved;
   R.TraceData = std::move(Committed);
   Committed.clear();
-  R.FinalTau = OCELOT_TAU();
+  R.FinalTau = this->Tau;
+  finishOracle(R);
 
   R.ViolatedFresh = Monitor->runFreshViolation();
   R.ViolatedConsistent = Monitor->runConsistentViolation();
-  const auto &AllViolations = Monitor->violations();
-  for (size_t I = ViolationsBefore; I < AllViolations.size(); ++I)
-    R.Violations.push_back(AllViolations[I]);
+  R.Violations = Monitor->takeViolations();
   return R;
 
 #undef OCELOT_TAU
@@ -900,5 +1131,6 @@ LDone:
 #undef OCELOT_DISPATCH
 }
 
-template RunResult Interpreter::runThreadedLoop<true>();
-template RunResult Interpreter::runThreadedLoop<false>();
+template RunResult Interpreter::runThreadedLoop<true, false>();
+template RunResult Interpreter::runThreadedLoop<false, false>();
+template RunResult Interpreter::runThreadedLoop<false, true>();

@@ -8,6 +8,8 @@
 
 #include "telemetry/TraceSink.h"
 
+#include <algorithm>
+
 using namespace ocelot;
 
 const char *ocelot::violationKindName(ViolationRecord::Kind K) {
@@ -179,24 +181,37 @@ void ViolationMonitor::onFreshUseFormal(InstrRef Site,
 void ViolationMonitor::onConsistentMarker(int SetId, uint32_t MarkerLabel,
                                           const TaintTable &Taints,
                                           TaintId Taint, uint64_t Tau) {
-  auto Key = std::make_pair(SetId, MarkerLabel);
-  if (SetRecords.count(Key)) {
+  // This set's records are [Lo, Hi); Pos is where MarkerLabel sorts.
+  const auto Begin = SetRecords.begin();
+  size_t Lo = std::lower_bound(Begin, SetRecords.end(), SetId,
+                               [](const SetRecord &S, int Id) {
+                                 return S.SetId < Id;
+                               }) -
+              Begin;
+  size_t Hi = Lo;
+  while (Hi < SetRecords.size() && SetRecords[Hi].SetId == SetId)
+    ++Hi;
+  size_t Pos = std::lower_bound(Begin + Lo, Begin + Hi, MarkerLabel,
+                                [](const SetRecord &S, uint32_t L) {
+                                  return S.Label < L;
+                                }) -
+               Begin;
+  if (Pos < Hi && SetRecords[Pos].Label == MarkerLabel) {
     // New dynamic activation of the set: drop the previous instance.
-    for (auto It = SetRecords.begin(); It != SetRecords.end();) {
-      if (It->first.first == SetId)
-        It = SetRecords.erase(It);
-      else
-        ++It;
-    }
+    SetRecords.erase(Begin + Lo, Begin + Hi);
+    Pos = Hi = Lo;
   }
-  SetRecords[Key] = Taint;
+  SetRecords.insert(SetRecords.begin() + Pos,
+                    SetRecord{SetId, MarkerLabel, Taint});
+  ++Hi;
 
   // All events across the set's recorded members must share one epoch:
   // the first event's, in (marker label, insertion) order.
   bool HaveEpoch = false;
   uint64_t SetEpoch = 0;
-  for (const auto &[K, T] : SetRecords) {
-    if (K.first != SetId || Taints.length(T) == 0)
+  for (size_t I = Lo; I < Hi; ++I) {
+    const TaintId T = SetRecords[I].Taint;
+    if (Taints.length(T) == 0)
       continue;
     if (!HaveEpoch) {
       SetEpoch = Taints.at(T, 0).Epoch;
@@ -204,8 +219,8 @@ void ViolationMonitor::onConsistentMarker(int SetId, uint32_t MarkerLabel,
     }
     if (Taints.allInEpoch(T, SetEpoch))
       continue;
-    for (size_t I = 0, N = Taints.length(T); I < N; ++I) {
-      const InputEvent &E = Taints.at(T, I);
+    for (size_t EI = 0, N = Taints.length(T); EI < N; ++EI) {
+      const InputEvent &E = Taints.at(T, EI);
       if (E.Epoch == SetEpoch)
         continue;
       ViolationRecord R;

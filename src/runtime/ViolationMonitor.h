@@ -31,6 +31,7 @@
 
 #include <cassert>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace ocelot {
@@ -112,8 +113,11 @@ public:
                           const TaintTable &Taints, TaintId Taint,
                           uint64_t Tau);
 
-  /// Violation records of the current run (cleared by beginRun).
-  const std::vector<ViolationRecord> &violations() const { return Records; }
+  /// Moves out the current run's violation records (beginRun clears them
+  /// anyway, so nothing reads them after the run's epilogue).
+  std::vector<ViolationRecord> takeViolations() {
+    return std::exchange(Records, {});
+  }
   bool sawFreshViolation() const { return FreshViolated; }
   bool sawConsistentViolation() const { return ConsistentViolated; }
   bool sawAny() const { return FreshViolated || ConsistentViolated; }
@@ -165,8 +169,18 @@ private:
   std::vector<MemberRef> Ends;
   /// Per consistent set: which members executed in the current activation.
   std::vector<std::vector<bool>> MemberExecuted;
-  /// Formal per-set records: (setId, marker label) -> taint id.
-  std::map<std::pair<int, uint32_t>, TaintId> SetRecords;
+  /// A formal per-set record: the taint of the value set \p SetId's
+  /// marker \p Label last recorded in the set's current activation.
+  struct SetRecord {
+    int SetId;
+    uint32_t Label;
+    TaintId Taint;
+  };
+  /// Every set's records, sorted by (SetId, Label): the order the
+  /// consistency check visits them in (and so which event a Detail
+  /// names). A flat vector keeps its capacity across runs, so recording a
+  /// marker allocates nothing in steady state.
+  std::vector<SetRecord> SetRecords;
   std::vector<ViolationRecord> Records;
   bool FreshViolated = false;
   bool ConsistentViolated = false;

@@ -73,7 +73,7 @@ struct SensorSignal {
 /// immutable after construction and derive any pseudo-randomness from
 /// (configuration, Tau) alone: sampling is thread-safe and repeatable, the
 /// two properties the SweepRunner's parallel == sequential guarantee and
-/// the flat/tree engine differentials rest on.
+/// the tree/threaded engine differentials rest on.
 class SensorChannel {
 public:
   virtual ~SensorChannel() = default;

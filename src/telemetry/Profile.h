@@ -5,7 +5,7 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Execution-frequency counters filled by the flat and threaded engines
+/// Execution-frequency counters filled by the threaded engine
 /// when `RunConfig::Profile` is set: how many times each image PC
 /// executed, and how often each *PC-adjacent* opcode pair (prev at PC,
 /// cur at PC+1) ran back to back. The pair histogram is measured over the

@@ -10,8 +10,8 @@
 ///   ocelotc FILE.ocl [options]
 ///
 ///   --model=jit|atomics|ocelot|check   execution model (default ocelot)
-///   --dispatch=tree|flat|threaded      interpreter engine (default
-///                                      threaded; all three are pinned
+///   --dispatch=tree|threaded           interpreter engine (default
+///                                      threaded; the two are pinned
 ///                                      bitwise-identical)
 ///   --emit-ir                          print the compiled IR
 ///   --disasm                           print the flat executable image
@@ -88,7 +88,6 @@ struct EngineName {
 
 constexpr EngineName EngineNames[] = {
     {"tree", DispatchEngine::Tree},
-    {"flat", DispatchEngine::Flat},
     {"threaded", DispatchEngine::Threaded},
 };
 
@@ -96,7 +95,7 @@ void usage() {
   std::fprintf(
       stderr,
       "usage: ocelotc FILE.ocl [--model=jit|atomics|ocelot|check]\n"
-      "               [--dispatch=tree|flat|threaded]\n"
+      "               [--dispatch=tree|threaded]\n"
       "               [--emit-ir] [--disasm] [--emit-policies] [--run[=N]]\n"
       "               [--intermittent] [--power=profile|trace.csv]\n"
       "               [--sensors=scenario|trace.csv] [--monitor] "
@@ -256,7 +255,7 @@ int main(int argc, char **argv) {
       if (!Known) {
         std::fprintf(
             stderr,
-            "error: unknown engine '%s' (valid: tree, flat, threaded)\n",
+            "error: unknown engine '%s' (valid: tree|threaded)\n",
             E.c_str());
         return 1;
       }

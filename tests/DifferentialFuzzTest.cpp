@@ -1,4 +1,4 @@
-//===- DifferentialFuzzTest.cpp - Randomized three-engine differential fuzzing ---===//
+//===- DifferentialFuzzTest.cpp - Randomized differential engine fuzzing --===//
 //
 // Part of the Ocelot reproduction, released under the MIT license.
 //
@@ -6,10 +6,10 @@
 ///
 /// \file
 /// Generates random-but-valid OCL programs from a seeded grammar walk and
-/// pins the three interpreter engines (tree, flat, threaded) to
-/// bitwise-identical observable behavior on every one of them: every
-/// RunResult field, every violation record, every trace event, and the
-/// final device state (tau, epoch, NVM image) must match across engines,
+/// pins the threaded engine, over an unfused and a fused image, to the
+/// tree engine's bitwise-identical observable behavior on every one of
+/// them: every RunResult field, every violation record, every trace
+/// event, and the final device state (tau, epoch, NVM image) must match,
 /// per activation, under continuous power and energy-driven failures.
 ///
 /// The generator emits straight-line arithmetic, nested if/else, bounded
@@ -29,11 +29,11 @@
 /// never crash", and the test fails only if the acceptance rate collapses
 /// to zero.
 ///
-/// The config matrix is chosen to reach every dispatch specialization of
-/// the threaded engine: continuous power without monitors (the Hot loop
-/// with the trace-off output fast path), bit-vector monitors alone (the
-/// checked loop -- the formal monitor would instead force the taint
-/// interpreter), energy-driven failures with each monitor setting, and an
+/// The config matrix is chosen to reach every instantiation of the
+/// threaded loop: continuous power without monitors (the Hot loop with
+/// the trace-off output fast path), bit-vector monitors alone (the
+/// taint-off checked loop), energy-driven failures with each monitor
+/// setting (the formal monitor selects the taint loop), and an
 /// oracle-armed config whose OracleRecords must also agree bitwise.
 ///
 /// OCELOT_FUZZ_PROGRAMS sets the number of generated programs (default
@@ -595,16 +595,19 @@ void expectSameResult(const RunResult &Got, const RunResult &Ref,
   EXPECT_EQ(Got.TraceData.Reboots, Ref.TraceData.Reboots) << What;
 }
 
-/// Runs \p Runs activations of \p A under all three engines with identical
-/// configs and compares every activation plus the final device state.
-/// \p Traced attaches a fresh TraceSink per engine and additionally
-/// requires the three exported trace streams to be byte-identical.
-void runThreeWay(const CompiledArtifact &A, const RunConfig &Base,
+/// Runs \p Runs activations of one program on the tree engine (over
+/// \p Fused) and on the threaded engine over \p Unfused and \p Fused, with
+/// identical configs, and compares every activation plus the final device
+/// state. \p Traced attaches a fresh TraceSink per simulation and
+/// additionally requires the three exported trace streams to be
+/// byte-identical.
+void runThreeWay(const CompiledArtifact &Unfused,
+                 const CompiledArtifact &Fused, const RunConfig &Base,
                  uint64_t Seed, int Runs, const std::string &What,
                  bool Traced = false) {
   TraceSink Sinks[3];
   int NextSink = 0;
-  auto mkSim = [&](DispatchEngine E) {
+  auto mkSim = [&](const CompiledArtifact &A, DispatchEngine E) {
     SimulationSpec Spec;
     Spec.Config = Base;
     Spec.Config.Seed = Seed;
@@ -613,36 +616,46 @@ void runThreeWay(const CompiledArtifact &A, const RunConfig &Base,
       Spec.Config.Telemetry = &Sinks[NextSink++];
     return Simulation(A, std::move(Spec));
   };
-  Simulation Tree = mkSim(DispatchEngine::Tree);
-  Simulation Flat = mkSim(DispatchEngine::Flat);
-  Simulation Threaded = mkSim(DispatchEngine::Threaded);
+  Simulation Tree = mkSim(Fused, DispatchEngine::Tree);
+  Simulation Off = mkSim(Unfused, DispatchEngine::Threaded);
+  Simulation Pairs = mkSim(Fused, DispatchEngine::Threaded);
 
   for (int Run = 0; Run < Runs; ++Run) {
     RunResult TR = Tree.runOnce();
-    RunResult FR = Flat.runOnce();
-    RunResult HR = Threaded.runOnce();
+    RunResult OffR = Off.runOnce();
+    RunResult PairsR = Pairs.runOnce();
     std::string Tag = What + "/run" + std::to_string(Run);
-    expectSameResult(FR, TR, Tag + " [flat vs tree]");
-    expectSameResult(HR, TR, Tag + " [threaded vs tree]");
-    if (TR.Starved && FR.Starved && HR.Starved)
+    expectSameResult(OffR, TR, Tag + " [threaded fusion=off vs tree]");
+    expectSameResult(PairsR, TR, Tag + " [threaded fusion=pairs vs tree]");
+    if (TR.Starved && OffR.Starved && PairsR.Starved)
       break; // Device state after starvation is equal but final.
   }
-  EXPECT_EQ(Flat.tau(), Tree.tau()) << What;
-  EXPECT_EQ(Threaded.tau(), Tree.tau()) << What;
-  EXPECT_EQ(Flat.epoch(), Tree.epoch()) << What;
-  EXPECT_EQ(Threaded.epoch(), Tree.epoch()) << What;
-  EXPECT_EQ(Flat.nvmSnapshot(), Tree.nvmSnapshot()) << What;
-  EXPECT_EQ(Threaded.nvmSnapshot(), Tree.nvmSnapshot()) << What;
+  for (const Simulation *S : {&Off, &Pairs}) {
+    EXPECT_EQ(S->tau(), Tree.tau()) << What;
+    EXPECT_EQ(S->epoch(), Tree.epoch()) << What;
+    EXPECT_EQ(S->nvmSnapshot(), Tree.nvmSnapshot()) << What;
+  }
   if (Traced) {
     std::string Ref = Sinks[0].exportChromeJson();
     EXPECT_EQ(Sinks[1].exportChromeJson(), Ref)
-        << What << " [flat trace diverged]";
+        << What << " [fusion=off trace diverged]";
     EXPECT_EQ(Sinks[2].exportChromeJson(), Ref)
-        << What << " [threaded trace diverged]";
+        << What << " [fusion=pairs trace diverged]";
   }
 }
 
-TEST(DifferentialFuzz, TreeFlatThreadedAgreeOnRandomPrograms) {
+/// \p Src compiled under \p Model at \p Fusion; an empty artifact when the
+/// toolchain rejects it.
+CompiledArtifact compileAt(const std::string &Src, ExecModel Model,
+                           FusionMode Fusion) {
+  CompileOptions Opts;
+  Opts.Model = Model;
+  Opts.Fusion = Fusion;
+  Compilation C = Toolchain().compile(Src, Opts);
+  return C.ok() ? C.artifact() : CompiledArtifact();
+}
+
+TEST(DifferentialFuzz, TreeAndThreadedAgreeOnRandomPrograms) {
   const int Programs = fuzzBudget();
   int Valid = 0;
   int Rejected = 0;
@@ -653,51 +666,53 @@ TEST(DifferentialFuzz, TreeFlatThreadedAgreeOnRandomPrograms) {
                  std::to_string(GenSeed) + "):\n" + Src);
     for (ExecModel Model :
          {ExecModel::Ocelot, ExecModel::JitOnly, ExecModel::AtomicsOnly}) {
-      CompileOptions Opts;
-      Opts.Model = Model;
-      Compilation C = Toolchain().compile(Src, Opts);
-      if (!C.ok()) {
+      CompiledArtifact A = compileAt(Src, Model, FusionMode::Pairs);
+      if (!A) {
         // Clean rejection (diagnostics, no crash) is in-contract.
         ++Rejected;
         continue;
       }
       ++Valid;
-      const CompiledArtifact &A = C.artifact();
+      // Fusion is a side table over the same code, so whatever compiles
+      // fused compiles unfused.
+      CompiledArtifact U = compileAt(Src, Model, FusionMode::Off);
+      ASSERT_TRUE(U);
       std::string What =
           "p" + std::to_string(P) + "/" + execModelName(Model);
 
       // Continuous power, no monitors, no trace: the threaded engine's Hot
       // specialization and the trace-off output fast path.
       RunConfig Plain;
-      runThreeWay(A, Plain, GenSeed ^ 0xA5, 2, What + "/hot");
+      runThreeWay(U, A, Plain, GenSeed ^ 0xA5, 2, What + "/hot");
 
-      // Bit-vector monitor alone keeps the real threaded loop in charge
-      // (the formal monitor's taint tracking would delegate to the taint
-      // interpreter, which is separate coverage below).
+      // Bit-vector monitor alone: the taint-off checked loop (the formal
+      // monitor's taint tracking selects the taint loop, covered below).
       RunConfig BitVec;
       BitVec.MonitorBitVector = true;
       BitVec.RecordTrace = true;
-      runThreeWay(A, BitVec, GenSeed ^ 0x5A, 2, What + "/bitvec");
+      runThreeWay(U, A, BitVec, GenSeed ^ 0x5A, 2, What + "/bitvec");
 
       RunConfig Energy = BitVec;
       Energy.Plan = FailurePlan::energyDriven();
-      runThreeWay(A, Energy, GenSeed * 31 + 7, 4, What + "/energy");
+      runThreeWay(U, A, Energy, GenSeed * 31 + 7, 4, What + "/energy");
 
       RunConfig Full = Energy;
       Full.MonitorFormal = true;
-      runThreeWay(A, Full, GenSeed * 131 + 13, 4, What + "/energy-taint");
+      runThreeWay(U, A, Full, GenSeed * 131 + 13, 4,
+                  What + "/energy-taint");
 
       // Input-epoch oracle armed: every committed output's fused-input
       // record and verdict must agree bitwise across the engines.
       RunConfig Oracle = Energy;
       Oracle.Oracle = true;
-      runThreeWay(A, Oracle, GenSeed * 257 + 29, 4, What + "/energy-oracle");
+      runThreeWay(U, A, Oracle, GenSeed * 257 + 29, 4,
+                  What + "/energy-oracle");
 
       // Same config with telemetry attached: trace hooks must not change
       // any observable result, and the per-engine trace streams must
       // match byte for byte.
-      runThreeWay(A, Full, GenSeed * 131 + 13, 4, What + "/energy-traced",
-                  /*Traced=*/true);
+      runThreeWay(U, A, Full, GenSeed * 131 + 13, 4,
+                  What + "/energy-traced", /*Traced=*/true);
     }
   }
   EXPECT_GT(Valid, 0) << "the generator produced no compilable programs";
@@ -709,8 +724,8 @@ TEST(DifferentialFuzz, TreeFlatThreadedAgreeOnRandomPrograms) {
 // A fixed regression corpus: hand-written programs that previously needed
 // care in the threaded engine (trap paths, mid-pair resume shapes, fused
 // candidates around region bounds, traps and reboots deep in straight-line
-// runs). Each runs with pair fusion on and off. Cheap enough to run
-// unconditionally.
+// runs). Each runs on the threaded engine with pair fusion off and on.
+// Cheap enough to run unconditionally.
 TEST(DifferentialFuzz, RegressionCorpus) {
   static const char *Corpus[] = {
       // Division by zero behind a fusable bin+condbr pair.
@@ -760,22 +775,17 @@ TEST(DifferentialFuzz, RegressionCorpus) {
   for (const char *Src : Corpus) {
     SCOPED_TRACE("corpus program " + std::to_string(Idx++) + ":\n" + Src);
     for (ExecModel Model :
-         {ExecModel::Ocelot, ExecModel::JitOnly, ExecModel::AtomicsOnly})
-      for (FusionMode Fusion : {FusionMode::Off, FusionMode::Pairs}) {
-        CompileOptions Opts;
-        Opts.Model = Model;
-        Opts.Fusion = Fusion;
-        Compilation C = Toolchain().compile(Src, Opts);
-        if (!C.ok())
-          continue;
-        RunConfig Cfg;
-        Cfg.MonitorBitVector = true;
-        Cfg.RecordTrace = true;
-        Cfg.Plan = FailurePlan::energyDriven();
-        runThreeWay(C.artifact(), Cfg, 42, 4,
-                    std::string("corpus/") + execModelName(Model) + "/" +
-                        fusionModeName(Fusion));
-      }
+         {ExecModel::Ocelot, ExecModel::JitOnly, ExecModel::AtomicsOnly}) {
+      CompiledArtifact A = compileAt(Src, Model, FusionMode::Pairs);
+      if (!A)
+        continue;
+      RunConfig Cfg;
+      Cfg.MonitorBitVector = true;
+      Cfg.RecordTrace = true;
+      Cfg.Plan = FailurePlan::energyDriven();
+      runThreeWay(compileAt(Src, Model, FusionMode::Off), A, Cfg, 42, 4,
+                  std::string("corpus/") + execModelName(Model));
+    }
   }
 }
 

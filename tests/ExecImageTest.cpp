@@ -5,20 +5,23 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Pins the flat PC-indexed and threaded direct-dispatch engines to the
-/// tree-walking reference semantics, and unit-tests the ExecutableImage
-/// construction itself:
+/// Pins the threaded engine, with superinstruction fusion off and on, to
+/// the tree-walking reference semantics, and unit-tests the
+/// ExecutableImage construction itself:
 ///
 ///  * Differential sweep — every benchmark x {Ocelot, JIT-only,
-///    Atomics-only} x 3 seeds runs under energy-driven failures with all
-///    three engines; RunResult (traps, outputs, violation records, all
+///    Atomics-only} x 3 seeds runs under energy-driven failures on the
+///    tree engine and on the threaded engine over an unfused and a fused
+///    image; RunResult (traps, outputs, violation and oracle records, all
 ///    intermittent counters) and final device state must match exactly.
 ///    Focused differentials cover the pathological, random (+static
 ///    omega) and periodic failure paths, a trace-driven SensorScenario
-///    feeding the zero-temporary Input paths, the bit-vector-only monitor
-///    configuration (the threaded engine's own checked loop; the formal
-///    monitor instead delegates to the taint interpreter) and the
-///    monitor-free continuous configuration (the Hot loop).
+///    feeding the zero-temporary Input paths, the energy comparator's
+///    countdown at its edges (a region entry that drains to the reserve,
+///    the starvation exit), the bit-vector-only monitor configuration
+///    (the taint-off checked loop; the formal monitor and the oracle run
+///    the taint loop) and the monitor-free continuous configuration (the
+///    Hot loop).
 ///
 ///  * Image construction — linearization order, branch/call target
 ///    resolution, cost-table folding, monitor/omega side-table density
@@ -50,94 +53,119 @@ namespace {
 // -- Differential execution ------------------------------------------------
 
 /// Everything observable about one activation must match across engines.
-void expectSameResult(const RunResult &Flat /*engine under test*/,
+void expectSameResult(const RunResult &Got /*engine under test*/,
                       const RunResult &Tree /*reference*/,
                       const std::string &What) {
-  EXPECT_EQ(Flat.Completed, Tree.Completed) << What;
-  EXPECT_EQ(Flat.Starved, Tree.Starved) << What;
-  EXPECT_EQ(Flat.Trap, Tree.Trap) << What;
-  EXPECT_EQ(Flat.OnCycles, Tree.OnCycles) << What;
-  EXPECT_EQ(Flat.OffCycles, Tree.OffCycles) << What;
-  EXPECT_EQ(Flat.Steps, Tree.Steps) << What;
-  EXPECT_EQ(Flat.Reboots, Tree.Reboots) << What;
-  EXPECT_EQ(Flat.Checkpoints, Tree.Checkpoints) << What;
-  EXPECT_EQ(Flat.UndoLogEntries, Tree.UndoLogEntries) << What;
-  EXPECT_EQ(Flat.AtomicCommits, Tree.AtomicCommits) << What;
-  EXPECT_EQ(Flat.AtomicAborts, Tree.AtomicAborts) << What;
-  EXPECT_EQ(Flat.ViolatedFresh, Tree.ViolatedFresh) << What;
-  EXPECT_EQ(Flat.ViolatedConsistent, Tree.ViolatedConsistent) << What;
-  EXPECT_EQ(Flat.FinalTau, Tree.FinalTau) << What;
+  EXPECT_EQ(Got.Completed, Tree.Completed) << What;
+  EXPECT_EQ(Got.Starved, Tree.Starved) << What;
+  EXPECT_EQ(Got.Trap, Tree.Trap) << What;
+  EXPECT_EQ(Got.OnCycles, Tree.OnCycles) << What;
+  EXPECT_EQ(Got.OffCycles, Tree.OffCycles) << What;
+  EXPECT_EQ(Got.Steps, Tree.Steps) << What;
+  EXPECT_EQ(Got.Reboots, Tree.Reboots) << What;
+  EXPECT_EQ(Got.Checkpoints, Tree.Checkpoints) << What;
+  EXPECT_EQ(Got.UndoLogEntries, Tree.UndoLogEntries) << What;
+  EXPECT_EQ(Got.AtomicCommits, Tree.AtomicCommits) << What;
+  EXPECT_EQ(Got.AtomicAborts, Tree.AtomicAborts) << What;
+  EXPECT_EQ(Got.ViolatedFresh, Tree.ViolatedFresh) << What;
+  EXPECT_EQ(Got.ViolatedConsistent, Tree.ViolatedConsistent) << What;
+  EXPECT_EQ(Got.FinalTau, Tree.FinalTau) << What;
 
-  ASSERT_EQ(Flat.Violations.size(), Tree.Violations.size()) << What;
-  for (size_t V = 0; V < Flat.Violations.size(); ++V) {
-    const ViolationRecord &FV = Flat.Violations[V];
+  ASSERT_EQ(Got.Violations.size(), Tree.Violations.size()) << What;
+  for (size_t V = 0; V < Got.Violations.size(); ++V) {
+    const ViolationRecord &GV = Got.Violations[V];
     const ViolationRecord &TV = Tree.Violations[V];
-    EXPECT_EQ(FV.K, TV.K) << What << " violation " << V;
-    EXPECT_TRUE(FV.Site == TV.Site) << What << " violation " << V;
-    EXPECT_EQ(FV.SetId, TV.SetId) << What << " violation " << V;
-    EXPECT_EQ(FV.Tau, TV.Tau) << What << " violation " << V;
-    EXPECT_EQ(FV.Detail, TV.Detail) << What << " violation " << V;
+    EXPECT_EQ(GV.K, TV.K) << What << " violation " << V;
+    EXPECT_TRUE(GV.Site == TV.Site) << What << " violation " << V;
+    EXPECT_EQ(GV.SetId, TV.SetId) << What << " violation " << V;
+    EXPECT_EQ(GV.Tau, TV.Tau) << What << " violation " << V;
+    EXPECT_EQ(GV.Detail, TV.Detail) << What << " violation " << V;
   }
 
-  ASSERT_EQ(Flat.TraceData.Inputs.size(), Tree.TraceData.Inputs.size())
+  EXPECT_EQ(Got.OracleFresh, Tree.OracleFresh) << What;
+  EXPECT_EQ(Got.OracleStale, Tree.OracleStale) << What;
+  EXPECT_EQ(Got.OracleCrossEpoch, Tree.OracleCrossEpoch) << What;
+  ASSERT_EQ(Got.OracleRecords.size(), Tree.OracleRecords.size()) << What;
+  for (size_t O = 0; O < Got.OracleRecords.size(); ++O)
+    EXPECT_TRUE(Got.OracleRecords[O] == Tree.OracleRecords[O])
+        << What << " oracle record " << O;
+
+  ASSERT_EQ(Got.TraceData.Inputs.size(), Tree.TraceData.Inputs.size())
       << What;
-  for (size_t I = 0; I < Flat.TraceData.Inputs.size(); ++I)
-    EXPECT_TRUE(Flat.TraceData.Inputs[I] == Tree.TraceData.Inputs[I])
+  for (size_t I = 0; I < Got.TraceData.Inputs.size(); ++I)
+    EXPECT_TRUE(Got.TraceData.Inputs[I] == Tree.TraceData.Inputs[I])
         << What << " input " << I;
-  ASSERT_EQ(Flat.TraceData.Outputs.size(), Tree.TraceData.Outputs.size())
+  ASSERT_EQ(Got.TraceData.Outputs.size(), Tree.TraceData.Outputs.size())
       << What;
-  for (size_t O = 0; O < Flat.TraceData.Outputs.size(); ++O) {
-    EXPECT_TRUE(Flat.TraceData.Outputs[O].sameContent(
+  for (size_t O = 0; O < Got.TraceData.Outputs.size(); ++O) {
+    EXPECT_TRUE(Got.TraceData.Outputs[O].sameContent(
         Tree.TraceData.Outputs[O]))
         << What << " output " << O;
-    EXPECT_EQ(Flat.TraceData.Outputs[O].Tau, Tree.TraceData.Outputs[O].Tau)
+    EXPECT_EQ(Got.TraceData.Outputs[O].Tau, Tree.TraceData.Outputs[O].Tau)
         << What << " output " << O;
   }
-  EXPECT_EQ(Flat.TraceData.Reboots, Tree.TraceData.Reboots) << What;
+  EXPECT_EQ(Got.TraceData.Reboots, Tree.TraceData.Reboots) << What;
 }
 
-/// Runs \p Runs activations under all three engines with otherwise
-/// identical specs and compares every activation plus the final device
-/// state against the tree reference. A null \p Scenario selects the
-/// benchmark's default seeded-noise world.
-void runDifferential(const BenchmarkDef &B, ExecModel Model, uint64_t Seed,
-                     const RunConfig &Base, int Runs,
-                     std::shared_ptr<const SensorScenario> Scenario =
-                         nullptr) {
+/// \p B compiled under \p Model with fusion off: the same source
+/// compileBenchmark picks, every slot on its plain dispatch code.
+CompiledArtifact compileUnfused(const BenchmarkDef &B, ExecModel Model) {
+  CompileOptions Opts;
+  Opts.Model = Model;
+  Opts.Fusion = FusionMode::Off;
+  Compilation C = Toolchain().compile(
+      Model == ExecModel::AtomicsOnly ? B.AtomicsSrc : B.AnnotatedSrc, Opts);
+  EXPECT_TRUE(C.ok()) << C.status().str();
+  return C.artifact();
+}
+
+/// Runs \p Runs activations on the tree engine and on the threaded engine
+/// over the unfused and the fused image, with otherwise identical specs,
+/// and compares every activation plus the final device state against the
+/// tree reference. A null \p Scenario selects the benchmark's default
+/// seeded-noise world. \returns the tree engine's results, so a caller
+/// can check that its configuration reached the path it targets.
+std::vector<RunResult>
+runDifferential(const BenchmarkDef &B, ExecModel Model, uint64_t Seed,
+                const RunConfig &Base, int Runs,
+                std::shared_ptr<const SensorScenario> Scenario = nullptr) {
   CompiledBenchmark CB = compileBenchmark(B, Model);
+  CompiledArtifact Unfused = compileUnfused(B, Model);
   if (!Scenario)
     Scenario = B.scenario(Seed);
 
-  auto mkSim = [&](DispatchEngine E) {
+  auto mkSim = [&](const CompiledArtifact &A, DispatchEngine E) {
     SimulationSpec Spec;
     Spec.Config = Base;
     Spec.Config.Sensors = Scenario;
     Spec.Config.Seed = Seed;
     Spec.Config.Dispatch = E;
-    return Simulation(CB.Artifact, std::move(Spec));
+    return Simulation(A, std::move(Spec));
   };
-  Simulation Tree = mkSim(DispatchEngine::Tree);
-  Simulation Flat = mkSim(DispatchEngine::Flat);
-  Simulation Threaded = mkSim(DispatchEngine::Threaded);
+  Simulation Tree = mkSim(CB.Artifact, DispatchEngine::Tree);
+  Simulation Off = mkSim(Unfused, DispatchEngine::Threaded);
+  Simulation Pairs = mkSim(CB.Artifact, DispatchEngine::Threaded);
 
   std::string What = B.Name + "/" + execModelName(Model) + "/seed" +
                      std::to_string(Seed);
+  std::vector<RunResult> TreeRuns;
   for (int Run = 0; Run < Runs; ++Run) {
     RunResult TR = Tree.runOnce();
-    RunResult FR = Flat.runOnce();
-    RunResult HR = Threaded.runOnce();
+    RunResult OffR = Off.runOnce();
+    RunResult PairsR = Pairs.runOnce();
     std::string Tag = What + "/run" + std::to_string(Run);
-    expectSameResult(FR, TR, Tag + " [flat vs tree]");
-    expectSameResult(HR, TR, Tag + " [threaded vs tree]");
-    if (TR.Starved && FR.Starved && HR.Starved)
+    expectSameResult(OffR, TR, Tag + " [threaded fusion=off vs tree]");
+    expectSameResult(PairsR, TR, Tag + " [threaded fusion=pairs vs tree]");
+    TreeRuns.push_back(std::move(TR));
+    if (TreeRuns.back().Starved && OffR.Starved && PairsR.Starved)
       break; // Device state after starvation is equal but final.
   }
-  EXPECT_EQ(Flat.tau(), Tree.tau()) << What;
-  EXPECT_EQ(Threaded.tau(), Tree.tau()) << What;
-  EXPECT_EQ(Flat.epoch(), Tree.epoch()) << What;
-  EXPECT_EQ(Threaded.epoch(), Tree.epoch()) << What;
-  EXPECT_EQ(Flat.nvmSnapshot(), Tree.nvmSnapshot()) << What;
-  EXPECT_EQ(Threaded.nvmSnapshot(), Tree.nvmSnapshot()) << What;
+  for (const Simulation *S : {&Off, &Pairs}) {
+    EXPECT_EQ(S->tau(), Tree.tau()) << What;
+    EXPECT_EQ(S->epoch(), Tree.epoch()) << What;
+    EXPECT_EQ(S->nvmSnapshot(), Tree.nvmSnapshot()) << What;
+  }
+  return TreeRuns;
 }
 
 using Cell = std::tuple<std::string, ExecModel, uint64_t>;
@@ -199,8 +227,8 @@ TEST(ExecImageDifferentialFocused, RandomPlanWithStaticOmega) {
 
 TEST(ExecImageDifferentialFocused, TraceDrivenScenario) {
   // Inputs from a recorded trace (phase-staggered correlated channels)
-  // instead of synthetic noise: the flat engine's raw-int64 Input path
-  // must still agree with the tree engine bit for bit.
+  // instead of synthetic noise: the threaded engine's Input paths must
+  // still agree with the tree engine bit for bit.
   std::string Error;
   std::shared_ptr<const SensorTrace> T = SensorTrace::Builder()
                                              .segment(40'000, 21)
@@ -220,18 +248,77 @@ TEST(ExecImageDifferentialFocused, TraceDrivenScenario) {
 }
 
 TEST(ExecImageDifferentialFocused, PeriodicPlan) {
+  // Periodic plans keep their out-of-line check against the lifetime
+  // counter; run them taint-off and with taint, both monitors and the
+  // oracle armed (the taint loop).
   RunConfig Cfg;
   Cfg.Plan = FailurePlan::periodic(700, 0.3);
   Cfg.Plan.setOffTime(100, 100);
   Cfg.RecordTrace = true;
   runDifferential(*findBenchmark("greenhouse"), ExecModel::Ocelot, 3, Cfg,
                   /*Runs=*/8);
+  Cfg.MonitorBitVector = true;
+  Cfg.MonitorFormal = true;
+  Cfg.Oracle = true;
+  for (const char *Name : {"greenhouse", "tire"}) {
+    uint64_t Reboots = 0;
+    for (const RunResult &R : runDifferential(
+             *findBenchmark(Name), ExecModel::Ocelot, 3, Cfg, /*Runs=*/8))
+      Reboots += R.Reboots;
+    EXPECT_GT(Reboots, 0u) << Name;
+  }
+}
+
+TEST(ExecImageDifferentialFocused, TaintedEnergyComparatorEdges) {
+  // Taint, both monitors and the oracle armed: the threaded engine's taint
+  // loop, whose step header counts the comparator headroom down in a local
+  // and writes it back around out-of-line calls.
+  RunConfig Cfg;
+  Cfg.Plan = FailurePlan::energyDriven();
+  Cfg.MonitorBitVector = true;
+  Cfg.MonitorFormal = true;
+  Cfg.Oracle = true;
+  Cfg.RecordTrace = true;
+  Cfg.MaxAbortsPerRegion = 40;
+
+  // Entering a region charges more than a full charge holds, so the entry's
+  // non-firing consume drains the level to or below the reserve and the
+  // next step fires inside the region: every region aborts at least once.
+  // tire's and greenhouse's regions then commit on the next charge;
+  // activity's region never fits, so it starves on its abort count.
+  Cfg.Costs.RegionEntryPerFrame = 900;
+  Cfg.Energy.CapacityCycles = 1200;
+  for (const char *Name : {"tire", "greenhouse", "activity"}) {
+    uint64_t Aborts = 0, Commits = 0;
+    bool Starved = false;
+    for (const RunResult &R : runDifferential(
+             *findBenchmark(Name), ExecModel::Ocelot, 31, Cfg, /*Runs=*/6)) {
+      Aborts += R.AtomicAborts;
+      Commits += R.AtomicCommits;
+      Starved |= R.Starved;
+    }
+    EXPECT_GT(Aborts, 0u) << Name;
+    EXPECT_EQ(Commits > 0, std::string(Name) != "activity") << Name;
+    EXPECT_EQ(Starved, std::string(Name) == "activity") << Name;
+  }
+
+  // A capacity below the reserve refills to ReserveCycles + 1: every step
+  // that costs anything fires the comparator, until the consecutive-failure
+  // count exceeds MaxAbortsPerRegion and the run starves in the step
+  // header, outside any region.
+  Cfg.Energy.CapacityCycles = 300;
+  std::vector<RunResult> Starving = runDifferential(
+      *findBenchmark("tire"), ExecModel::Ocelot, 31, Cfg, /*Runs=*/3);
+  ASSERT_EQ(Starving.size(), 1u);
+  EXPECT_TRUE(Starving[0].Starved);
+  EXPECT_EQ(Starving[0].AtomicAborts, 0u);
+  EXPECT_EQ(Starving[0].Reboots, Cfg.MaxAbortsPerRegion);
 }
 
 TEST(ExecImageDifferentialFocused, BitVectorOnlyMonitors) {
-  // With the formal monitor off, the threaded engine runs its own checked
-  // (non-Hot) loop with the bit-vector detector armed, instead of
-  // delegating taint tracking to the flat taint interpreter.
+  // With the formal monitor off, the threaded engine runs its taint-off
+  // checked (non-Hot) loop with the bit-vector detector armed, instead of
+  // the taint loop.
   RunConfig Cfg;
   Cfg.Plan = FailurePlan::energyDriven();
   Cfg.MonitorBitVector = true;
@@ -254,12 +341,17 @@ TEST(ExecImageDifferentialFocused, HotLoopNoMonitors) {
 TEST(ExecImageDifferentialFocused, TracedRunsStayPinned) {
   // Telemetry attached (per-engine sinks): the trace hooks must not
   // perturb execution — the differential pinning holds with tracing on —
-  // and the three engines' event streams must export identical bytes.
+  // and the event streams of the tree engine and of the threaded engine
+  // over an unfused and a fused image must export identical bytes.
   const BenchmarkDef &B = *findBenchmark("tire");
-  CompiledBenchmark CB = compileBenchmark(B, ExecModel::Ocelot);
+  const CompiledArtifact Artifacts[3] = {
+      compileBenchmark(B, ExecModel::Ocelot).Artifact,
+      compileUnfused(B, ExecModel::Ocelot),
+      compileBenchmark(B, ExecModel::Ocelot).Artifact};
+  const DispatchEngine Engines[3] = {DispatchEngine::Tree,
+                                     DispatchEngine::Threaded,
+                                     DispatchEngine::Threaded};
   TraceSink Sinks[3];
-  const DispatchEngine Engines[3] = {
-      DispatchEngine::Tree, DispatchEngine::Flat, DispatchEngine::Threaded};
   RunResult Results[3];
   for (int E = 0; E < 3; ++E) {
     SimulationSpec Spec;
@@ -271,16 +363,17 @@ TEST(ExecImageDifferentialFocused, TracedRunsStayPinned) {
     Spec.Config.Seed = 23;
     Spec.Config.Dispatch = Engines[E];
     Spec.Config.Telemetry = &Sinks[E];
-    Simulation Sim(CB.Artifact, std::move(Spec));
+    Simulation Sim(Artifacts[E], std::move(Spec));
     for (int Run = 0; Run < 4; ++Run)
       Results[E] = Sim.runOnce();
   }
-  expectSameResult(Results[1], Results[0], "traced [flat vs tree]");
-  expectSameResult(Results[2], Results[0], "traced [threaded vs tree]");
+  expectSameResult(Results[1], Results[0], "traced [fusion=off vs tree]");
+  expectSameResult(Results[2], Results[0], "traced [fusion=pairs vs tree]");
   std::string Ref = Sinks[0].exportChromeJson();
   EXPECT_GT(Sinks[0].size(), 0u);
-  EXPECT_EQ(Sinks[1].exportChromeJson(), Ref) << "flat trace diverged";
-  EXPECT_EQ(Sinks[2].exportChromeJson(), Ref) << "threaded trace diverged";
+  EXPECT_EQ(Sinks[1].exportChromeJson(), Ref) << "fusion=off trace diverged";
+  EXPECT_EQ(Sinks[2].exportChromeJson(), Ref)
+      << "fusion=pairs trace diverged";
 }
 
 TEST(ExecImageDifferentialFocused, TrapsMatch) {
@@ -299,19 +392,22 @@ TEST(ExecImageDifferentialFocused, TrapsMatch) {
        "  log(a % b); }",
        "integer overflow in division at main@6"},
   };
-  for (const auto &Case : Cases) {
-    Compilation C = Toolchain().compile(Case.Src);
-    ASSERT_TRUE(C.ok()) << C.status().str();
-    for (DispatchEngine E : {DispatchEngine::Flat, DispatchEngine::Tree,
-                             DispatchEngine::Threaded}) {
-      SimulationSpec Spec;
-      Spec.Config.Dispatch = E;
-      Simulation Sim(C.artifact(), std::move(Spec));
-      RunResult R = Sim.runOnce();
-      EXPECT_FALSE(R.Completed) << Case.Src;
-      EXPECT_EQ(R.Trap, Case.Trap) << Case.Src;
+  for (const auto &Case : Cases)
+    for (FusionMode Fusion : {FusionMode::Off, FusionMode::Pairs}) {
+      CompileOptions Opts;
+      Opts.Fusion = Fusion;
+      Compilation C = Toolchain().compile(Case.Src, Opts);
+      ASSERT_TRUE(C.ok()) << C.status().str();
+      for (DispatchEngine E :
+           {DispatchEngine::Tree, DispatchEngine::Threaded}) {
+        SimulationSpec Spec;
+        Spec.Config.Dispatch = E;
+        Simulation Sim(C.artifact(), std::move(Spec));
+        RunResult R = Sim.runOnce();
+        EXPECT_FALSE(R.Completed) << Case.Src;
+        EXPECT_EQ(R.Trap, Case.Trap) << Case.Src;
+      }
     }
-  }
 }
 
 // -- Image construction ----------------------------------------------------
@@ -809,8 +905,7 @@ TEST(ExecImage, KindlessOperandTrapsInsteadOfYieldingZero) {
 
   // White-box: a surgically corrupted Program has no artifact, so this
   // test constructs the Interpreter directly (the runtime-internal path).
-  for (DispatchEngine E : {DispatchEngine::Flat, DispatchEngine::Tree,
-                           DispatchEngine::Threaded}) {
+  for (DispatchEngine E : {DispatchEngine::Tree, DispatchEngine::Threaded}) {
     RunConfig Cfg;
     Cfg.Dispatch = E;
     Interpreter I(*CR.Prog, Cfg, &CR.Monitor, &CR.Regions);

@@ -41,9 +41,11 @@ using namespace ocelot;
 
 namespace {
 
-CompiledArtifact compile(const std::string &Src, ExecModel Model) {
+CompiledArtifact compile(const std::string &Src, ExecModel Model,
+                         FusionMode Fusion = FusionMode::Pairs) {
   CompileOptions Opts;
   Opts.Model = Model;
+  Opts.Fusion = Fusion;
   Compilation C = Toolchain().compile(Src, Opts);
   EXPECT_TRUE(C.ok()) << "compile failed under " << execModelName(Model);
   return C.artifact();
@@ -237,17 +239,20 @@ TEST(FusionOracle, VerdictsBitwiseIdenticalAcrossEngines) {
     FailurePlan Plan =
         C.FailAtSecondRead ? planAt(nthInput(A, 1)) : FailurePlan::none();
     RunResult Tree = runOracle(A, Plan, DispatchEngine::Tree);
-    RunResult Flat = runOracle(A, Plan, DispatchEngine::Flat);
+    RunResult Unfused =
+        runOracle(compile(C.Src, C.Model, FusionMode::Off), Plan,
+                  DispatchEngine::Threaded);
     RunResult Threaded = runOracle(A, Plan, DispatchEngine::Threaded);
     std::string What = execModelName(C.Model);
-    ASSERT_EQ(Flat.OracleRecords.size(), Tree.OracleRecords.size()) << What;
+    ASSERT_EQ(Unfused.OracleRecords.size(), Tree.OracleRecords.size())
+        << What;
     ASSERT_EQ(Threaded.OracleRecords.size(), Tree.OracleRecords.size())
         << What;
     for (size_t O = 0; O < Tree.OracleRecords.size(); ++O) {
-      EXPECT_TRUE(Flat.OracleRecords[O] == Tree.OracleRecords[O])
-          << What << " record " << O << " [flat vs tree]";
+      EXPECT_TRUE(Unfused.OracleRecords[O] == Tree.OracleRecords[O])
+          << What << " record " << O << " [threaded fusion=off vs tree]";
       EXPECT_TRUE(Threaded.OracleRecords[O] == Tree.OracleRecords[O])
-          << What << " record " << O << " [threaded vs tree]";
+          << What << " record " << O << " [threaded fusion=pairs vs tree]";
     }
   }
 }

@@ -326,8 +326,7 @@ std::vector<ViolationRecord> bitVectorViolations(const CompiledArtifact &A,
         Points.insert(InstrRef(P.mainFunction(), I.Label));
   EXPECT_EQ(Points.empty(), Callee.empty());
   std::vector<std::vector<ViolationRecord>> PerEngine;
-  for (DispatchEngine E : {DispatchEngine::Tree, DispatchEngine::Flat,
-                           DispatchEngine::Threaded}) {
+  for (DispatchEngine E : {DispatchEngine::Tree, DispatchEngine::Threaded}) {
     RunConfig Cfg;
     Cfg.Plan = Points.empty() ? FailurePlan::none()
                               : FailurePlan::pathological(Points);

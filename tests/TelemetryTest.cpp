@@ -16,8 +16,8 @@
 ///    of the same config produce identical RunResults and final device
 ///    state, on every engine.
 ///  * The bounded ring drops oldest-first and reports the drop count.
-///  * PcProfile counters agree between the flat and threaded engines and
-///    sum to the executed step count.
+///  * PcProfile counters agree between the threaded engine's runs over an
+///    unfused and a fused image and sum to the executed step count.
 ///  * MetricsRegistry dumps are deterministically ordered and round
 ///    numbers through counter/summary accessors.
 ///
@@ -250,15 +250,11 @@ TEST(TraceExport, ByteStableAcrossRunsForFixedSeed) {
 }
 
 TEST(TraceExport, EngineInvariant) {
-  // The three engines are pinned bitwise; their trace streams must be
-  // too.
-  TraceSink Tree, Flat, Threaded;
+  // The two engines are pinned bitwise; their trace streams must be too.
+  TraceSink Tree, Threaded;
   runTire(DispatchEngine::Tree, &Tree, 4, /*Seed=*/13);
-  runTire(DispatchEngine::Flat, &Flat, 4, /*Seed=*/13);
   runTire(DispatchEngine::Threaded, &Threaded, 4, /*Seed=*/13);
-  std::string Ref = Tree.exportChromeJson();
-  EXPECT_EQ(Flat.exportChromeJson(), Ref);
-  EXPECT_EQ(Threaded.exportChromeJson(), Ref);
+  EXPECT_EQ(Threaded.exportChromeJson(), Tree.exportChromeJson());
 }
 
 TEST(TraceExport, WriteChromeJsonRoundTrips) {
@@ -287,8 +283,7 @@ TEST(TraceExport, WriteChromeJsonRoundTrips) {
 // -- Zero-perturbation invariant -------------------------------------------
 
 TEST(TraceSinkTest, TelemetryOnAndOffProduceIdenticalResults) {
-  for (DispatchEngine E : {DispatchEngine::Tree, DispatchEngine::Flat,
-                           DispatchEngine::Threaded}) {
+  for (DispatchEngine E : {DispatchEngine::Tree, DispatchEngine::Threaded}) {
     TraceSink Sink;
     std::vector<std::vector<int64_t>> NvmOn, NvmOff;
     std::vector<RunResult> On = runTire(E, &Sink, 5, /*Seed=*/3, &NvmOn);
@@ -327,40 +322,52 @@ TEST(TraceSinkTest, BoundedRingDropsOldest) {
 
 // -- PcProfile -------------------------------------------------------------
 
-TEST(PcProfileTest, FlatAndThreadedAgreeAndSumToSteps) {
+TEST(PcProfileTest, FusionInvariantAndSumToSteps) {
+  // Superinstruction slots count individually, so the per-PC histogram is
+  // the same over an unfused and a fused image and accounts for every
+  // executed step — in the taint loop (tracedConfig arms the formal
+  // monitor) and in the taint-off checked loop, which runs fused pairs.
   const BenchmarkDef &B = *findBenchmark("tire");
+  CompileOptions Opts;
+  Opts.Model = ExecModel::Ocelot;
+  Opts.Fusion = FusionMode::Off;
+  Compilation Unfused = Toolchain().compile(B.AnnotatedSrc, Opts);
+  ASSERT_TRUE(Unfused.ok()) << Unfused.status().str();
   CompiledBenchmark CB = compileBenchmark(B, ExecModel::Ocelot);
-  auto profiled = [&](DispatchEngine E, PcProfile &P) {
-    P.prepare(CB.Artifact.image().size(),
-              static_cast<size_t>(NumOpcodes));
+  ASSERT_GT(CB.Artifact.image().fusedPairCount(), 0u);
+  auto profiled = [&](const CompiledArtifact &A, const RunConfig &Cfg,
+                      PcProfile &P) {
+    P.prepare(A.image().size(), static_cast<size_t>(NumOpcodes));
     SimulationSpec Spec;
-    Spec.Config = tracedConfig();
+    Spec.Config = Cfg;
     Spec.Config.Sensors = B.scenario(5);
     Spec.Config.Seed = 5;
-    Spec.Config.Dispatch = E;
     Spec.Config.Profile = &P;
-    Simulation Sim(CB.Artifact, std::move(Spec));
+    Simulation Sim(A, std::move(Spec));
     uint64_t Steps = 0;
     for (int R = 0; R < 4; ++R)
       Steps += Sim.runOnce().Steps;
     return Steps;
   };
 
-  PcProfile Flat, Threaded;
-  uint64_t FlatSteps = profiled(DispatchEngine::Flat, Flat);
-  uint64_t ThreadedSteps = profiled(DispatchEngine::Threaded, Threaded);
+  RunConfig TaintOff = tracedConfig();
+  TaintOff.MonitorFormal = false;
+  for (const RunConfig &Cfg : {tracedConfig(), TaintOff}) {
+    SCOPED_TRACE(Cfg.MonitorFormal ? "taint loop" : "taint-off loop");
+    PcProfile Off, Pairs;
+    uint64_t OffSteps = profiled(Unfused.artifact(), Cfg, Off);
+    uint64_t PairsSteps = profiled(CB.Artifact, Cfg, Pairs);
 
-  EXPECT_EQ(FlatSteps, ThreadedSteps);
-  EXPECT_EQ(Flat.Steps, FlatSteps);
-  EXPECT_EQ(Threaded.Steps, ThreadedSteps);
-  // Superinstruction slots count individually, so the per-PC histogram
-  // is engine-invariant and accounts for every executed step.
-  EXPECT_EQ(Flat.PcCounts, Threaded.PcCounts);
-  EXPECT_EQ(Flat.PairCounts, Threaded.PairCounts);
-  uint64_t PcSum =
-      std::accumulate(Flat.PcCounts.begin(), Flat.PcCounts.end(),
-                      static_cast<uint64_t>(0));
-  EXPECT_EQ(PcSum, FlatSteps);
+    EXPECT_EQ(OffSteps, PairsSteps);
+    EXPECT_EQ(Off.Steps, OffSteps);
+    EXPECT_EQ(Pairs.Steps, PairsSteps);
+    EXPECT_EQ(Off.PcCounts, Pairs.PcCounts);
+    EXPECT_EQ(Off.PairCounts, Pairs.PairCounts);
+    uint64_t PcSum = std::accumulate(Pairs.PcCounts.begin(),
+                                     Pairs.PcCounts.end(),
+                                     static_cast<uint64_t>(0));
+    EXPECT_EQ(PcSum, PairsSteps);
+  }
 }
 
 TEST(PcProfileTest, MergeAccumulates) {
