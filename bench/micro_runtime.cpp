@@ -17,8 +17,9 @@
 ///
 ///  * `--pairs` — the dynamic PC-adjacent opcode-pair histogram over all
 ///    benchmarks x models, collected with an execution profile
-///    (PcProfile::PairCounts). This is the data the superinstruction set
-///    in ExecutableImage's fusion pass was chosen from.
+///    (PcProfile::PairCounts). This is the data the superinstruction
+///    pattern table (OCELOT_FUSED_PAIRS in ExecutableImage.h) was chosen
+///    from.
 ///
 ///  * Google-Benchmark micro-suite (when the library is available) for the
 ///    simulator's mechanisms: interpreter throughput, taint-tracking

@@ -21,7 +21,6 @@
 #include "analysis/WarAnalysis.h"
 #include "ocelot/Policy.h"
 #include "ocelot/RegionInference.h"
-#include "runtime/ExecutableImage.h"
 #include "runtime/MonitorPlan.h"
 #include "support/Diagnostics.h"
 
@@ -49,9 +48,6 @@ struct CompileOptions {
   /// For Ocelot builds: self-validate the inferred placement with the
   /// region checker (Theorem 1's premise).
   bool SelfCheck = true;
-  /// Threaded-view fusion tier for the built ExecutableImage: Pairs
-  /// (the default) or Off (plain dispatch codes).
-  FusionMode Fusion = FusionMode::Pairs;
 };
 
 /// Source-derived programmer-effort statistics (Tables 3/4).

@@ -41,7 +41,6 @@ std::string cacheKey(const SourceRef &Src, const CompileOptions &Opts) {
   Key += static_cast<char>('0' + static_cast<int>(Opts.Model));
   Key += Opts.Verify ? 'v' : '-';
   Key += Opts.SelfCheck ? 's' : '-';
-  Key += static_cast<char>('0' + static_cast<int>(Opts.Fusion));
   Key += '\x1f';
   Key += Src.Text;
   return Key;
@@ -130,7 +129,7 @@ Compilation Toolchain::compile(const SourceRef &Src,
     // from this artifact shares it read-only.
     auto ImageStart = std::chrono::steady_clock::now();
     State->Image = ExecutableImage::build(*State->Prog, &State->Regions,
-                                          &State->Monitor, Opts.Fusion);
+                                          &State->Monitor);
     R.PassMs[static_cast<size_t>(CompilePass::Image)] = Since(ImageStart);
     State->Effort = R.Effort;
     State->Model = Opts.Model;

@@ -15,7 +15,7 @@ using namespace ocelot;
 std::shared_ptr<const ExecutableImage>
 ExecutableImage::build(const Program &P,
                        const std::vector<RegionInfo> *Regions,
-                       const MonitorPlan *Plan, FusionMode Fusion) {
+                       const MonitorPlan *Plan) {
   auto Img = std::shared_ptr<ExecutableImage>(new ExecutableImage());
 
   // Pass 1: layout. Blocks are laid out in id order, so every PC is known
@@ -170,7 +170,6 @@ ExecutableImage::build(const Program &P,
   }
 
   Img->DefaultCosts = Img->costTableFor(CostModel());
-  Img->Fusion = Fusion;
   Img->buildThreadedView();
   return Img;
 }
@@ -178,26 +177,6 @@ ExecutableImage::build(const Program &P,
 uint32_t ExecutableImage::inputOrdinal(InstrRef Site) const {
   auto It = InputOrdinals.find(Site);
   return It == InputOrdinals.end() ? NoInputOrdinal : It->second;
-}
-
-const char *ocelot::fusionModeName(FusionMode M) {
-  switch (M) {
-  case FusionMode::Off:
-    return "off";
-  case FusionMode::Pairs:
-    return "pairs";
-  }
-  return "<invalid>";
-}
-
-bool ocelot::parseFusionMode(const std::string &Text, FusionMode &M) {
-  if (Text == "off")
-    M = FusionMode::Off;
-  else if (Text == "pairs")
-    M = FusionMode::Pairs;
-  else
-    return false;
-  return true;
 }
 
 // The one-to-one ThreadedOp block must mirror Opcode exactly: the fusion
@@ -212,91 +191,37 @@ static_assert(static_cast<int>(ThreadedOp::AtomicStart) ==
               static_cast<int>(Opcode::AtomicStart));
 static_assert(static_cast<int>(ThreadedOp::Nop) ==
               static_cast<int>(Opcode::Nop));
-static_assert(static_cast<size_t>(FirstFusedOp) ==
-              static_cast<size_t>(Opcode::Nop) + 1);
+
 namespace {
 
 bool readsReg(const Operand &O, int32_t Reg) {
   return O.isReg() && O.Reg == Reg;
 }
 
-/// Matches the superinstruction patterns over an adjacent pair. Returns
-/// the head's plain code when nothing matches. Forwarding patterns pair a
-/// fall-through head (Const/Bin/Mov/LoadG/LoadA/Input) with a tail that
-/// consumes the head's destination register, so the tail's input is the
-/// head's result; dispatch-elision patterns have no dataflow condition
-/// and their tails re-read the register file. AtomicStart/AtomicEnd are
-/// in no pattern: fusion cannot cross a region boundary.
+/// Matches an adjacent pair against the pattern table. Returns the head's
+/// plain code when no row matches. A head must be a marker or write a
+/// destination register; a forwarding row also requires its tail operand
+/// to read that register. AtomicStart/AtomicEnd are in no row: fusion
+/// cannot cross a region boundary.
 ThreadedOp fusePattern(const FlatInst &H, const FlatInst &T) {
   const ThreadedOp Plain = static_cast<ThreadedOp>(H.Op);
   // Consistent and Fresh are taint-marker no-ops with no destination
   // register; they are the only fusable heads without one. The
   // `consistent(v); use v` idiom the checker emits makes their
   // neighbourhood hot even though the markers themselves do nothing.
-  if (H.Op == Opcode::Consistent) {
-    if (T.Op == Opcode::Bin)
-      return ThreadedOp::FuseConsistentBin;
-    if (T.Op == Opcode::Input)
-      return ThreadedOp::FuseConsistentInput;
+  const bool Marker = H.Op == Opcode::Consistent || H.Op == Opcode::Fresh;
+  if (!Marker && H.Dst < 0)
     return Plain;
+  for (size_t I = 0; I < std::size(FusedPairTable); ++I) {
+    const FusedPair &R = FusedPairTable[I];
+    if (R.Head != H.Op || R.Tail != T.Op)
+      continue;
+    if ((R.Fwd == FuseFwd::A && !readsReg(T.A, H.Dst)) ||
+        (R.Fwd == FuseFwd::B && !readsReg(T.B, H.Dst)))
+      return Plain;
+    return static_cast<ThreadedOp>(static_cast<size_t>(FirstFusedOp) + I);
   }
-  if (H.Op == Opcode::Fresh)
-    return T.Op == Opcode::Consistent ? ThreadedOp::FuseFreshConsistent
-                                      : Plain;
-  if (H.Dst < 0)
-    return Plain;
-  switch (H.Op) {
-  case Opcode::Bin:
-    if (T.Op == Opcode::CondBr && readsReg(T.A, H.Dst))
-      return ThreadedOp::FuseBinCondBr;
-    if (T.Op == Opcode::StoreG && readsReg(T.A, H.Dst))
-      return ThreadedOp::FuseBinStoreG;
-    if (T.Op == Opcode::StoreA && readsReg(T.B, H.Dst))
-      return ThreadedOp::FuseBinStoreA;
-    if (T.Op == Opcode::Mov && readsReg(T.A, H.Dst))
-      return ThreadedOp::FuseBinMov;
-    if (T.Op == Opcode::Bin && readsReg(T.A, H.Dst))
-      return ThreadedOp::FuseBinBin;
-    if (T.Op == Opcode::LoadA)
-      return ThreadedOp::FuseBinLoadA;
-    return Plain;
-  case Opcode::Mov:
-    if (T.Op == Opcode::Bin && readsReg(T.A, H.Dst))
-      return ThreadedOp::FuseMovBin;
-    if (T.Op == Opcode::Br)
-      return ThreadedOp::FuseMovBr;
-    if (T.Op == Opcode::LoadA)
-      return ThreadedOp::FuseMovLoadA;
-    if (T.Op == Opcode::Consistent)
-      return ThreadedOp::FuseMovConsistent;
-    if (T.Op == Opcode::Input)
-      return ThreadedOp::FuseMovInput;
-    if (T.Op == Opcode::Mov)
-      return ThreadedOp::FuseMovMov;
-    return Plain;
-  case Opcode::Input:
-    if (T.Op == Opcode::Mov && readsReg(T.A, H.Dst))
-      return ThreadedOp::FuseInputMov;
-    return Plain;
-  case Opcode::LoadG:
-    if (T.Op == Opcode::Bin && readsReg(T.A, H.Dst))
-      return ThreadedOp::FuseLoadGBin;
-    if (T.Op == Opcode::StoreG && readsReg(T.A, H.Dst))
-      return ThreadedOp::FuseLoadGStoreG;
-    return Plain;
-  case Opcode::LoadA:
-    if (T.Op == Opcode::Bin && readsReg(T.A, H.Dst))
-      return ThreadedOp::FuseLoadABin;
-    if (T.Op == Opcode::LoadA)
-      return ThreadedOp::FuseLoadALoadA;
-    return Plain;
-  case Opcode::Const:
-    if (T.Op == Opcode::StoreG && readsReg(T.A, H.Dst))
-      return ThreadedOp::FuseConstStoreG;
-    return Plain;
-  default:
-    return Plain;
-  }
+  return Plain;
 }
 
 } // namespace
@@ -304,52 +229,17 @@ ThreadedOp fusePattern(const FlatInst &H, const FlatInst &T) {
 const char *ocelot::threadedOpName(ThreadedOp Op) {
   if (Op < FirstFusedOp)
     return opcodeName(static_cast<Opcode>(Op));
-  switch (Op) {
-  case ThreadedOp::FuseBinCondBr:
-    return "bin+condbr";
-  case ThreadedOp::FuseBinStoreG:
-    return "bin+storeg";
-  case ThreadedOp::FuseBinStoreA:
-    return "bin+storea";
-  case ThreadedOp::FuseLoadGBin:
-    return "loadg+bin";
-  case ThreadedOp::FuseLoadABin:
-    return "loada+bin";
-  case ThreadedOp::FuseConstStoreG:
-    return "const+storeg";
-  case ThreadedOp::FuseLoadGStoreG:
-    return "loadg+storeg";
-  case ThreadedOp::FuseMovBin:
-    return "mov+bin";
-  case ThreadedOp::FuseBinMov:
-    return "bin+mov";
-  case ThreadedOp::FuseMovBr:
-    return "mov+br";
-  case ThreadedOp::FuseBinBin:
-    return "bin+bin";
-  case ThreadedOp::FuseMovLoadA:
-    return "mov+loada";
-  case ThreadedOp::FuseBinLoadA:
-    return "bin+loada";
-  case ThreadedOp::FuseLoadALoadA:
-    return "loada+loada";
-  case ThreadedOp::FuseMovConsistent:
-    return "mov+consistent";
-  case ThreadedOp::FuseConsistentBin:
-    return "consistent+bin";
-  case ThreadedOp::FuseInputMov:
-    return "input+mov";
-  case ThreadedOp::FuseMovInput:
-    return "mov+input";
-  case ThreadedOp::FuseConsistentInput:
-    return "consistent+input";
-  case ThreadedOp::FuseMovMov:
-    return "mov+mov";
-  case ThreadedOp::FuseFreshConsistent:
-    return "fresh+consistent";
-  default:
+  if (static_cast<size_t>(Op) >= NumThreadedOps)
     return "<invalid>";
-  }
+  // Fused names are "head+tail", spelled from the table once.
+  static const std::vector<std::string> Names = [] {
+    std::vector<std::string> N;
+    for (const FusedPair &R : FusedPairTable)
+      N.push_back(std::string(opcodeName(R.Head)) + "+" + opcodeName(R.Tail));
+    return N;
+  }();
+  return Names[static_cast<size_t>(Op) - static_cast<size_t>(FirstFusedOp)]
+      .c_str();
 }
 
 void ExecutableImage::buildThreadedView() {
@@ -381,8 +271,6 @@ void ExecutableImage::buildThreadedView() {
   for (size_t Pc = 0; Pc < N; ++Pc)
     TOps[Pc] = static_cast<ThreadedOp>(Code[Pc].Op);
   FusedPairs = 0;
-  if (Fusion == FusionMode::Off)
-    return;
 
   // Greedily fuse non-overlapping adjacent pairs. Tails keep their plain
   // code: a JIT reboot can leave the resume PC in the middle of a pair,
@@ -431,8 +319,7 @@ std::string ExecutableImage::disassemble(const Program &P) const {
          " instruction(s), " + std::to_string(Funcs.size()) +
          " function(s), " + std::to_string(Globals.size()) +
          " global(s) in " + std::to_string(NvmCellCount) + " NVM cell(s), " +
-         std::to_string(FusedPairs) + " fused pair(s) [fusion=" +
-         fusionModeName(Fusion) + "]\n";
+         std::to_string(FusedPairs) + " fused pair(s)\n";
   CostModel Default;
   for (int F = 0; F < numFunctions(); ++F) {
     const FuncLayout &L = func(F);

@@ -41,6 +41,7 @@
 #include "runtime/MonitorPlan.h"
 
 #include <cstdint>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <span>
@@ -91,11 +92,46 @@ struct FlatInst {
 // The bit-vector fields fit in what was padding; keep it that way.
 static_assert(sizeof(FlatInst) <= 128, "FlatInst outgrew two cache lines");
 
+/// The superinstruction pattern table, declared once: one row
+/// `X(Head, Tail, Fwd)` per fused pair, naming the `Opcode`s of two
+/// adjacent slots. `Fwd` names the tail operand that must read the head's
+/// destination register (`A` or `B`), so the fused handler can forward
+/// the head's result through a local; `Any` marks a dispatch-elision pair
+/// with no dataflow condition, whose tail re-reads the (already updated)
+/// register file. Everything that enumerates the pairs — the `Fuse*`
+/// dispatch codes, the threaded engine's jump table, `threadedOpName`,
+/// the fusion pass's matcher — is generated from this list, and each row
+/// has one hand-written handler in InterpreterThreaded.cpp.
+///
+/// The rows were chosen from the dynamic opcode-pair histogram of the
+/// benchmarks (`bench/micro_runtime --pairs`, `ocelotc --profile`); a
+/// pair stays only while some benchmark image forms it.
+#define OCELOT_FUSED_PAIRS(X)                                                  \
+  X(Bin, CondBr, A)                                                            \
+  X(Bin, StoreG, A)                                                            \
+  X(Bin, StoreA, B)                                                            \
+  X(LoadG, Bin, A)                                                             \
+  X(LoadA, Bin, A)                                                             \
+  X(Mov, Bin, A)                                                               \
+  X(Bin, Mov, A)                                                               \
+  X(Mov, Br, Any)                                                              \
+  X(Bin, Bin, A)                                                               \
+  X(Mov, LoadA, Any)                                                           \
+  X(LoadA, LoadA, Any)                                                         \
+  X(Mov, Consistent, Any)                                                      \
+  X(Consistent, Bin, Any)                                                      \
+  X(Input, Mov, A)                                                             \
+  X(Mov, Input, Any)                                                           \
+  X(Consistent, Input, Any)                                                    \
+  X(Mov, Mov, Any)                                                             \
+  X(Fresh, Consistent, Any)
+
 /// Dispatch codes consumed by the threaded engine
 /// (InterpreterThreaded.cpp). The first block mirrors `Opcode` one-to-one;
-/// the rest are *superinstructions*: an image-build-time peephole pass
-/// (the fusion pass) marks hot adjacent opcode pairs so the threaded
-/// engine executes both with a single dispatch.
+/// the rest are *superinstructions*, one per OCELOT_FUSED_PAIRS row: an
+/// image-build-time peephole pass (the fusion pass) marks adjacent pairs
+/// matching a row so the threaded engine executes both with a single
+/// dispatch.
 ///
 /// Fusion never rewrites the `FlatInst` array — costs, monitor flags and
 /// omega spans stay per-PC and untouched. A fused pair is encoded purely
@@ -128,50 +164,42 @@ enum class ThreadedOp : uint8_t {
   AtomicEnd,
   Output,
   Nop,
-  // Superinstructions (head slots only). Chosen from the dynamic
-  // opcode-pair histogram of the benchmarks (bench/micro_runtime --pairs).
-  FuseBinCondBr,   ///< Bin + CondBr testing the Bin's destination.
-  FuseBinStoreG,   ///< Bin + StoreG storing the Bin's destination.
-  FuseBinStoreA,   ///< Bin + StoreA storing the Bin's destination.
-  FuseLoadGBin,    ///< LoadG + Bin whose A operand is the loaded register.
-  FuseLoadABin,    ///< LoadA + Bin whose A operand is the loaded register.
-  FuseConstStoreG, ///< Const + StoreG storing the constant's register.
-  FuseLoadGStoreG, ///< LoadG + StoreG: global-to-global scalar copy.
-  FuseMovBin,      ///< Mov + Bin whose A operand is the moved register.
-  FuseBinMov,      ///< Bin + Mov copying the Bin's destination.
-  FuseMovBr,       ///< Mov + unconditional Br.
-  FuseBinBin,      ///< Bin + Bin whose A operand is the first's result.
-  // Dispatch-elision-only pairs: no dataflow condition, the tail re-reads
-  // the register file (already updated by the head) like a plain handler.
-  FuseMovLoadA,      ///< Mov + LoadA.
-  FuseBinLoadA,      ///< Bin + LoadA.
-  FuseLoadALoadA,    ///< LoadA + LoadA.
-  FuseMovConsistent, ///< Mov + Consistent (a taint-off no-op).
-  FuseConsistentBin, ///< Consistent + Bin.
-  // Sensor-adjacent pairs: the `let v = s(); use v` idiom makes
-  // Input's neighbourhood ~14% of dynamic pair transitions.
-  FuseInputMov,        ///< Input + Mov copying the sampled register.
-  FuseMovInput,        ///< Mov + Input (no dataflow; Input has no reads).
-  FuseConsistentInput, ///< Consistent + Input.
-  FuseMovMov,          ///< Mov + Mov.
-  FuseFreshConsistent, ///< Fresh + Consistent (two taint-off no-ops).
+  // Superinstructions (head slots only), in table order.
+#define OCELOT_FUSED_CODE(Head, Tail, Fwd) Fuse##Head##Tail,
+  OCELOT_FUSED_PAIRS(OCELOT_FUSED_CODE)
+#undef OCELOT_FUSED_CODE
 };
 
+/// Which tail operand a pattern forwards the head's result into.
+enum class FuseFwd : uint8_t { A, B, Any };
+
+/// One OCELOT_FUSED_PAIRS row as data, for the fusion pass and tools.
+struct FusedPair {
+  Opcode Head;
+  Opcode Tail;
+  FuseFwd Fwd;
+};
+
+/// The pattern table; row I is dispatch code FirstFusedOp + I.
+inline constexpr FusedPair FusedPairTable[] = {
+#define OCELOT_FUSED_ROW(Head, Tail, Fwd)                                      \
+  {Opcode::Head, Opcode::Tail, FuseFwd::Fwd},
+    OCELOT_FUSED_PAIRS(OCELOT_FUSED_ROW)
+#undef OCELOT_FUSED_ROW
+};
+
+/// Codes >= this are fused pair heads.
+constexpr ThreadedOp FirstFusedOp =
+    static_cast<ThreadedOp>(static_cast<size_t>(ThreadedOp::Nop) + 1);
 /// Total number of ThreadedOp codes (jump-table size).
 constexpr size_t NumThreadedOps =
-    static_cast<size_t>(ThreadedOp::FuseFreshConsistent) + 1;
-/// Codes >= this are fused pair heads.
-constexpr ThreadedOp FirstFusedOp = ThreadedOp::FuseBinCondBr;
+    static_cast<size_t>(FirstFusedOp) + std::size(FusedPairTable);
 
-/// Whether the image-build-time fusion pass runs. `Pairs` (the default)
-/// fuses the pattern table's adjacent pairs; `Off` keeps plain dispatch
-/// codes everywhere — the unfused reference for differential tests and
-/// `ocelotc --disasm --fusion=off`.
-enum class FusionMode : uint8_t { Off, Pairs };
-
-const char *fusionModeName(FusionMode M);
-/// Parses "off" / "pairs"; returns false on anything else.
-bool parseFusionMode(const std::string &Text, FusionMode &M);
+/// The pattern table's row for fused code \p Op (>= FirstFusedOp).
+constexpr const FusedPair &fusedPair(ThreadedOp Op) {
+  return FusedPairTable[static_cast<size_t>(Op) -
+                        static_cast<size_t>(FirstFusedOp)];
+}
 
 const char *threadedOpName(ThreadedOp Op);
 
@@ -193,10 +221,9 @@ public:
   /// Builds the image for \p P. \p Regions supplies the omega sets
   /// flattened next to each AtomicStart and \p Plan the monitor side
   /// tables; either may be null for programs without annotations.
-  /// \p Fusion selects whether the pair-fusion pass runs.
   static std::shared_ptr<const ExecutableImage>
   build(const Program &P, const std::vector<RegionInfo> *Regions,
-        const MonitorPlan *Plan, FusionMode Fusion = FusionMode::Pairs);
+        const MonitorPlan *Plan);
 
   // -- Code --------------------------------------------------------------
   const std::vector<FlatInst> &code() const { return Code; }
@@ -276,8 +303,6 @@ public:
   }
   /// Number of fused pairs the peephole pass formed.
   uint32_t fusedPairCount() const { return FusedPairs; }
-  /// The fusion tier this image was built with.
-  FusionMode fusionMode() const { return Fusion; }
   /// True when \p Pc is a *leader*: a block start (function entries and
   /// branch targets included) or the resume point after a Call. Fusion
   /// never makes a leader a pair's tail, so every control transfer lands
@@ -302,7 +327,6 @@ private:
   std::vector<ThreadedOp> TOps;
   std::vector<uint8_t> Leaders;
   uint32_t FusedPairs = 0;
-  FusionMode Fusion = FusionMode::Pairs;
   std::vector<FuncLayout> Funcs;
   std::vector<Operand> ArgPool;
   std::vector<int32_t> OmegaPool;

@@ -23,7 +23,7 @@
 ///
 /// Two dispatch engines implement these semantics and are pinned to
 /// bitwise-identical results by differential tests (ExecImageTest,
-/// DifferentialFuzzTest), with superinstruction fusion off and on:
+/// DifferentialFuzzTest):
 ///
 ///  * Threaded (the default, and the only production loop) —
 ///    computed-goto direct-threaded dispatch (with a portable switch

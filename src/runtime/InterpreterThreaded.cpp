@@ -18,9 +18,9 @@
 /// Every rule here must mirror the tree engine (Interpreter.cpp) exactly
 /// — same cost charging, same RNG draw sequence, same monitor callbacks,
 /// same trap strings — so the two engines stay bitwise-identical on every
-/// benchmark x model x plan x seed cell, with fusion off and on (pinned by
-/// ExecImageTest and DifferentialFuzzTest). Three properties carry that
-/// guarantee through fusion:
+/// benchmark x model x plan x seed cell, in every instantiation below
+/// (pinned by ExecImageTest and DifferentialFuzzTest). Three properties
+/// carry that guarantee through fusion:
 ///
 ///  * A fused handler replicates the complete per-instruction step
 ///    header (failure injection, energy draw, cost/tau charging, monitor
@@ -533,14 +533,11 @@ template <bool Hot, bool TaintOn> RunResult Interpreter::runThreadedLoop() {
       &&LOp_Ret,           &&LOp_Br,           &&LOp_CondBr,
       &&LOp_Fresh,         &&LOp_Consistent,   &&LOp_AtomicStart,
       &&LOp_AtomicEnd,     &&LOp_Output,       &&LOp_Nop,
-      &&LOp_FuseBinCondBr, &&LOp_FuseBinStoreG, &&LOp_FuseBinStoreA,
-      &&LOp_FuseLoadGBin,  &&LOp_FuseLoadABin, &&LOp_FuseConstStoreG,
-      &&LOp_FuseLoadGStoreG, &&LOp_FuseMovBin, &&LOp_FuseBinMov,
-      &&LOp_FuseMovBr,     &&LOp_FuseBinBin,   &&LOp_FuseMovLoadA,
-      &&LOp_FuseBinLoadA,  &&LOp_FuseLoadALoadA, &&LOp_FuseMovConsistent,
-      &&LOp_FuseConsistentBin, &&LOp_FuseInputMov, &&LOp_FuseMovInput,
-      &&LOp_FuseConsistentInput, &&LOp_FuseMovMov,
-      &&LOp_FuseFreshConsistent};
+      // One handler per pattern-table row, in table order.
+#define OCELOT_FUSED_LABEL(Head, Tail, Fwd) &&LOp_Fuse##Head##Tail,
+      OCELOT_FUSED_PAIRS(OCELOT_FUSED_LABEL)
+#undef OCELOT_FUSED_LABEL
+  };
   static_assert(sizeof(JumpTable) / sizeof(JumpTable[0]) == NumThreadedOps,
                 "jump table must cover every ThreadedOp");
 #define OCELOT_CASE(name) LOp_##name
@@ -799,11 +796,11 @@ LSwitch:
   }
 
   // -- Superinstructions --------------------------------------------------
-  // Taint-off only: the TaintOn instantiation dispatches plain codes, so
-  // it never reaches these. Each executes head then tail with the full
-  // step header replicated for the tail (OCELOT_STEP), forwarding the
-  // head's result through a local instead of re-reading the register
-  // file.
+  // One per OCELOT_FUSED_PAIRS row (ExecutableImage.h). Taint-off only:
+  // the TaintOn instantiation dispatches plain codes, so it never reaches
+  // these. Each executes head then tail with the full step header
+  // replicated for the tail (OCELOT_STEP), forwarding the head's result
+  // through a local instead of re-reading the register file.
 
   OCELOT_CASE(FuseBinCondBr) : {
     const FlatInst &H = *FI;
@@ -895,24 +892,6 @@ LSwitch:
     OCELOT_NEXT(*FI);
   }
 
-  OCELOT_CASE(FuseConstStoreG) : {
-    const FlatInst &H = *FI;
-    const int64_t V = H.A.Imm;
-    Regs[H.Dst].V = V;
-    OCELOT_STEP(); // Tail: the StoreG of H.Dst.
-    OnCycles += StoreNvm(FI->GlobalId, 0, RtValue(V));
-    OCELOT_NEXT_NOCHECK();
-  }
-
-  OCELOT_CASE(FuseLoadGStoreG) : {
-    const FlatInst &H = *FI;
-    const int64_t V = nvmCell(H.GlobalId, 0).V;
-    Regs[H.Dst].V = V;
-    OCELOT_STEP(); // Tail: the StoreG of H.Dst.
-    OnCycles += StoreNvm(FI->GlobalId, 0, RtValue(V));
-    OCELOT_NEXT_NOCHECK();
-  }
-
   OCELOT_CASE(FuseMovBin) : {
     const FlatInst &H = *FI;
     const int64_t V0 = RawVal(H.A);
@@ -982,29 +961,6 @@ LSwitch:
   OCELOT_CASE(FuseMovLoadA) : {
     const FlatInst &H = *FI;
     Regs[H.Dst].V = RawVal(H.A);
-    OCELOT_KINDCHECK(H)
-    OCELOT_STEP(); // Tail: a LoadA.
-    const int64_t Idx = RawVal(FI->A);
-    if (Idx < 0 ||
-        Idx >= static_cast<int64_t>(Img->globalSize(FI->GlobalId))) {
-      BoundsTrap(*FI);
-      OCELOT_TRAPPED(*FI);
-    }
-    Regs[FI->Dst].V =
-        nvmCell(FI->GlobalId, Idx).V;
-    OCELOT_NEXT(*FI);
-  }
-
-  OCELOT_CASE(FuseBinLoadA) : {
-    const FlatInst &H = *FI;
-    const int64_t AV = RawVal(H.A);
-    const int64_t BV = RawVal(H.B);
-    int64_t V = 0;
-    if (const char *Trap = binEval(H.BinKind, AV, BV, V)) {
-      ArithTrap(H, Trap);
-      OCELOT_TRAPPED(H);
-    }
-    Regs[H.Dst].V = V;
     OCELOT_KINDCHECK(H)
     OCELOT_STEP(); // Tail: a LoadA.
     const int64_t Idx = RawVal(FI->A);

@@ -7,6 +7,7 @@
 #include "sensors/SensorTrace.h"
 
 #include <cmath>
+#include <cstdio>
 #include <utility>
 
 using namespace ocelot;
@@ -15,8 +16,9 @@ namespace {
 
 /// The sensor instantiation of the shared time-series CSV format: values
 /// may be negative (temperatures, accelerations), and any non-empty,
-/// finite series is valid. Segment == TimeSeriesSegment, so series pass
-/// through the shared layer with no conversion.
+/// finite series whose values round to an int64 sample is valid.
+/// Segment == TimeSeriesSegment, so series pass through the shared layer
+/// with no conversion.
 const TimeSeriesCsvSpec &sensorCsvSpec() {
   static const TimeSeriesCsvSpec Spec = {
       /*Header=*/"# ocelot sensor trace v1\n# duration_tau,value\n",
@@ -24,7 +26,21 @@ const TimeSeriesCsvSpec &sensorCsvSpec() {
       /*ValueName=*/"sensor value",
       /*FileNoun=*/"sensor trace",
       /*ValueNonNegative=*/false,
-      /*SeriesCheck=*/nullptr};
+      /*SeriesCheck=*/
+      [](const std::vector<TimeSeriesSegment> &Segs) -> std::string {
+        // The channel samples llround(value), which is unspecified outside
+        // [-2^63, 2^63); every double inside rounds exactly.
+        for (size_t I = 0; I < Segs.size(); ++I)
+          if (!(Segs[I].Value >= -0x1p63 && Segs[I].Value < 0x1p63)) {
+            char Buf[128];
+            std::snprintf(Buf, sizeof(Buf),
+                          "segment %zu: sensor value %g is outside the "
+                          "int64 range [-2^63, 2^63)",
+                          I, Segs[I].Value);
+            return Buf;
+          }
+        return "";
+      }};
   return Spec;
 }
 

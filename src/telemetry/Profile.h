@@ -9,10 +9,10 @@
 /// when `RunConfig::Profile` is set: how many times each image PC
 /// executed, and how often each *PC-adjacent* opcode pair (prev at PC,
 /// cur at PC+1) ran back to back. The pair histogram is measured over the
-/// image's base opcodes — exactly the data the superinstruction fusion
-/// pass in ExecutableImage consumes — so `ocelotc --profile` can say
-/// which fusions the current pattern table captures and which hot pairs
-/// it misses.
+/// image's base opcodes — the data the superinstruction pattern table
+/// (OCELOT_FUSED_PAIRS in ExecutableImage.h) was chosen from — so
+/// `ocelotc --profile` can say which hot pairs the table has a row for
+/// and which it misses.
 ///
 /// Cost discipline: one `if (Prof)` test per step in the engines (a
 /// never-taken, perfectly predicted branch when profiling is off), and

@@ -18,7 +18,8 @@
 ///                                      (PC, opcode, resolved targets,
 ///                                      cost, region/monitor annotations)
 ///   --emit-policies                    print derived policies and regions
-///   --run[=N]                          run N main() activations (default 1)
+///   --run[=N]                          run N main() activations (default 1;
+///                                      N is a non-negative integer)
 ///   --intermittent                     energy-driven power failures
 ///   --power=P                          harvesting environment: a profile
 ///                                      name (see src/power/PowerProfiles.h)
@@ -30,7 +31,8 @@
 ///                                      sensor-trace CSV path (default:
 ///                                      per-sensor seeded noise)
 ///   --monitor                          arm both violation detectors
-///   --seed=S                           simulation seed
+///   --seed=S                           simulation seed (a non-negative
+///                                      integer)
 ///   --trace-out=FILE                   write a Chrome trace_event JSON
 ///                                      timeline of the run (reboots,
 ///                                      regions, monitor checks, sensor
@@ -40,13 +42,11 @@
 ///                                      opcode-pair execution counts and
 ///                                      how the superinstruction pattern
 ///                                      table covers the measured pairs
-///   --fusion=off|pairs                 threaded-view fusion tier (default
-///                                      pairs; off is the unfused
-///                                      reference)
 ///
 /// Exit status: 0 on success; 1 on compile/check/run failure (including an
-/// unknown --model=, --dispatch=, --fusion=, --power= or --sensors=
-/// value); for --monitor runs, 2 when any timing violation was detected.
+/// unknown --model=, --dispatch=, --power= or --sensors= value, or a
+/// malformed --run= or --seed= number); for --monitor runs, 2 when any
+/// timing violation was detected.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -59,6 +59,8 @@
 #include "telemetry/TraceSink.h"
 
 #include <algorithm>
+#include <charconv>
+#include <climits>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -100,7 +102,23 @@ void usage() {
       "               [--intermittent] [--power=profile|trace.csv]\n"
       "               [--sensors=scenario|trace.csv] [--monitor] "
       "[--seed=S]\n"
-      "               [--trace-out=FILE] [--profile] [--fusion=off|pairs]\n");
+      "               [--trace-out=FILE] [--profile]\n");
+}
+
+/// Parses \p Text as a whole non-negative decimal integer no larger than
+/// \p Max into \p Out. A sign, trailing text or overflow is rejected.
+bool parseCount(const std::string &Text, uint64_t Max, uint64_t &Out) {
+  const char *End = Text.data() + Text.size();
+  auto [Ptr, Ec] = std::from_chars(Text.data(), End, Out);
+  return Ec == std::errc() && Ptr == End && Out <= Max;
+}
+
+int invalidNumber(const char *Flag, const std::string &Text) {
+  std::fprintf(stderr,
+               "error: invalid %s value '%s' (expected a non-negative "
+               "integer)\n",
+               Flag, Text.c_str());
+  return 1;
 }
 
 /// `--profile` report: per-PC execution counts with disassembly context,
@@ -166,17 +184,14 @@ void printProfile(const CompiledArtifact &A, const PcProfile &Prof) {
               TopPairs, Pairs.size());
   for (size_t I = 0; I < TopPairs; ++I) {
     const PairRow &Row = Pairs[I];
-    std::string Name = std::string(opcodeName(static_cast<Opcode>(Row.Prev))) +
-                       "+" + opcodeName(static_cast<Opcode>(Row.Cur));
-    // A pair is covered when the pattern table has a superinstruction of
-    // exactly this spelling (fused names are "head+tail").
-    bool Covered = false;
-    for (size_t Op = static_cast<size_t>(FirstFusedOp); Op < NumThreadedOps;
-         ++Op)
-      if (Name == threadedOpName(static_cast<ThreadedOp>(Op))) {
-        Covered = true;
-        break;
-      }
+    const Opcode Prev = static_cast<Opcode>(Row.Prev);
+    const Opcode Cur = static_cast<Opcode>(Row.Cur);
+    std::string Name = std::string(opcodeName(Prev)) + "+" + opcodeName(Cur);
+    const bool Covered =
+        std::any_of(std::begin(FusedPairTable), std::end(FusedPairTable),
+                    [&](const FusedPair &P) {
+                      return P.Head == Prev && P.Tail == Cur;
+                    });
     std::printf("  %-20s %12llu  %s\n", Name.c_str(),
                 static_cast<unsigned long long>(Row.N),
                 Covered ? "[in pattern table]" : "[unfused]");
@@ -191,7 +206,6 @@ int main(int argc, char **argv) {
   DispatchEngine Engine = RunConfig().Dispatch;
   bool EmitIr = false, Disasm = false, EmitPolicies = false,
        Intermittent = false, Monitor = false, Profile = false;
-  FusionMode Fusion = FusionMode::Pairs;
   std::string TracePath;
   std::shared_ptr<const PowerSource> Power;
   std::shared_ptr<const SensorScenario> Sensors;
@@ -209,7 +223,10 @@ int main(int argc, char **argv) {
     } else if (Arg == "--run") {
       Runs = 1;
     } else if (Arg.rfind("--run=", 0) == 0) {
-      Runs = std::atoi(Arg.c_str() + 6);
+      uint64_t N = 0;
+      if (!parseCount(Arg.substr(6), INT_MAX, N))
+        return invalidNumber("--run", Arg.substr(6));
+      Runs = static_cast<int>(N);
     } else if (Arg == "--intermittent") {
       Intermittent = true;
     } else if (Arg.rfind("--power=", 0) == 0) {
@@ -233,16 +250,9 @@ int main(int argc, char **argv) {
       Profile = true;
     } else if (Arg.rfind("--trace-out=", 0) == 0) {
       TracePath = Arg.substr(12);
-    } else if (Arg.rfind("--fusion=", 0) == 0) {
-      std::string F = Arg.substr(9);
-      if (!parseFusionMode(F, Fusion)) {
-        std::fprintf(stderr,
-                     "error: unknown fusion tier '%s' (valid: off, pairs)\n",
-                     F.c_str());
-        return 1;
-      }
     } else if (Arg.rfind("--seed=", 0) == 0) {
-      Seed = std::strtoull(Arg.c_str() + 7, nullptr, 10);
+      if (!parseCount(Arg.substr(7), UINT64_MAX, Seed))
+        return invalidNumber("--seed", Arg.substr(7));
     } else if (Arg.rfind("--dispatch=", 0) == 0) {
       std::string E = Arg.substr(11);
       bool Known = false;
@@ -305,7 +315,6 @@ int main(int argc, char **argv) {
 
   CompileOptions Opts;
   Opts.Model = Model;
-  Opts.Fusion = Fusion;
   if (Tracing)
     Sink.compileStart(Path);
   Compilation C = Toolchain().compile(Source, Opts);

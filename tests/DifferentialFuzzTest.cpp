@@ -6,11 +6,11 @@
 ///
 /// \file
 /// Generates random-but-valid OCL programs from a seeded grammar walk and
-/// pins the threaded engine, over an unfused and a fused image, to the
-/// tree engine's bitwise-identical observable behavior on every one of
-/// them: every RunResult field, every violation record, every trace
-/// event, and the final device state (tau, epoch, NVM image) must match,
-/// per activation, under continuous power and energy-driven failures.
+/// pins the threaded engine to the tree engine's bitwise-identical
+/// observable behavior on every one of them: every RunResult field, every
+/// violation record, every trace event, and the final device state (tau,
+/// epoch, NVM image) must match, per activation, under continuous power
+/// and energy-driven failures.
 ///
 /// The generator emits straight-line arithmetic, nested if/else, bounded
 /// for loops, helper-function calls (by value and by reference), manual
@@ -34,7 +34,9 @@
 /// the trace-off output fast path), bit-vector monitors alone (the
 /// taint-off checked loop), energy-driven failures with each monitor
 /// setting (the formal monitor selects the taint loop), and an
-/// oracle-armed config whose OracleRecords must also agree bitwise.
+/// oracle-armed config whose OracleRecords must also agree bitwise. The
+/// Hot and taint-off checked loops take fused pairs; the taint loop
+/// dispatches every PC's plain code, so it is the unfused reference.
 ///
 /// OCELOT_FUZZ_PROGRAMS sets the number of generated programs (default
 /// 30, sized for the default ctest lane; the dedicated CI fuzz job raises
@@ -595,19 +597,17 @@ void expectSameResult(const RunResult &Got, const RunResult &Ref,
   EXPECT_EQ(Got.TraceData.Reboots, Ref.TraceData.Reboots) << What;
 }
 
-/// Runs \p Runs activations of one program on the tree engine (over
-/// \p Fused) and on the threaded engine over \p Unfused and \p Fused, with
-/// identical configs, and compares every activation plus the final device
-/// state. \p Traced attaches a fresh TraceSink per simulation and
-/// additionally requires the three exported trace streams to be
+/// Runs \p Runs activations of one program on the tree and threaded
+/// engines with identical configs, and compares every activation plus the
+/// final device state. \p Traced attaches a fresh TraceSink per simulation
+/// and additionally requires the two exported trace streams to be
 /// byte-identical.
-void runThreeWay(const CompiledArtifact &Unfused,
-                 const CompiledArtifact &Fused, const RunConfig &Base,
-                 uint64_t Seed, int Runs, const std::string &What,
-                 bool Traced = false) {
-  TraceSink Sinks[3];
+void runDifferential(const CompiledArtifact &A, const RunConfig &Base,
+                     uint64_t Seed, int Runs, const std::string &What,
+                     bool Traced = false) {
+  TraceSink Sinks[2];
   int NextSink = 0;
-  auto mkSim = [&](const CompiledArtifact &A, DispatchEngine E) {
+  auto mkSim = [&](DispatchEngine E) {
     SimulationSpec Spec;
     Spec.Config = Base;
     Spec.Config.Seed = Seed;
@@ -616,41 +616,32 @@ void runThreeWay(const CompiledArtifact &Unfused,
       Spec.Config.Telemetry = &Sinks[NextSink++];
     return Simulation(A, std::move(Spec));
   };
-  Simulation Tree = mkSim(Fused, DispatchEngine::Tree);
-  Simulation Off = mkSim(Unfused, DispatchEngine::Threaded);
-  Simulation Pairs = mkSim(Fused, DispatchEngine::Threaded);
+  Simulation Tree = mkSim(DispatchEngine::Tree);
+  Simulation Threaded = mkSim(DispatchEngine::Threaded);
 
   for (int Run = 0; Run < Runs; ++Run) {
     RunResult TR = Tree.runOnce();
-    RunResult OffR = Off.runOnce();
-    RunResult PairsR = Pairs.runOnce();
-    std::string Tag = What + "/run" + std::to_string(Run);
-    expectSameResult(OffR, TR, Tag + " [threaded fusion=off vs tree]");
-    expectSameResult(PairsR, TR, Tag + " [threaded fusion=pairs vs tree]");
-    if (TR.Starved && OffR.Starved && PairsR.Starved)
+    RunResult ThR = Threaded.runOnce();
+    expectSameResult(ThR, TR,
+                     What + "/run" + std::to_string(Run) +
+                         " [threaded vs tree]");
+    if (TR.Starved && ThR.Starved)
       break; // Device state after starvation is equal but final.
   }
-  for (const Simulation *S : {&Off, &Pairs}) {
-    EXPECT_EQ(S->tau(), Tree.tau()) << What;
-    EXPECT_EQ(S->epoch(), Tree.epoch()) << What;
-    EXPECT_EQ(S->nvmSnapshot(), Tree.nvmSnapshot()) << What;
-  }
+  EXPECT_EQ(Threaded.tau(), Tree.tau()) << What;
+  EXPECT_EQ(Threaded.epoch(), Tree.epoch()) << What;
+  EXPECT_EQ(Threaded.nvmSnapshot(), Tree.nvmSnapshot()) << What;
   if (Traced) {
-    std::string Ref = Sinks[0].exportChromeJson();
-    EXPECT_EQ(Sinks[1].exportChromeJson(), Ref)
-        << What << " [fusion=off trace diverged]";
-    EXPECT_EQ(Sinks[2].exportChromeJson(), Ref)
-        << What << " [fusion=pairs trace diverged]";
+    EXPECT_EQ(Sinks[1].exportChromeJson(), Sinks[0].exportChromeJson())
+        << What << " [threaded trace diverged]";
   }
 }
 
-/// \p Src compiled under \p Model at \p Fusion; an empty artifact when the
-/// toolchain rejects it.
-CompiledArtifact compileAt(const std::string &Src, ExecModel Model,
-                           FusionMode Fusion) {
+/// \p Src compiled under \p Model; an empty artifact when the toolchain
+/// rejects it.
+CompiledArtifact compileAt(const std::string &Src, ExecModel Model) {
   CompileOptions Opts;
   Opts.Model = Model;
-  Opts.Fusion = Fusion;
   Compilation C = Toolchain().compile(Src, Opts);
   return C.ok() ? C.artifact() : CompiledArtifact();
 }
@@ -666,53 +657,48 @@ TEST(DifferentialFuzz, TreeAndThreadedAgreeOnRandomPrograms) {
                  std::to_string(GenSeed) + "):\n" + Src);
     for (ExecModel Model :
          {ExecModel::Ocelot, ExecModel::JitOnly, ExecModel::AtomicsOnly}) {
-      CompiledArtifact A = compileAt(Src, Model, FusionMode::Pairs);
+      CompiledArtifact A = compileAt(Src, Model);
       if (!A) {
         // Clean rejection (diagnostics, no crash) is in-contract.
         ++Rejected;
         continue;
       }
       ++Valid;
-      // Fusion is a side table over the same code, so whatever compiles
-      // fused compiles unfused.
-      CompiledArtifact U = compileAt(Src, Model, FusionMode::Off);
-      ASSERT_TRUE(U);
       std::string What =
           "p" + std::to_string(P) + "/" + execModelName(Model);
 
       // Continuous power, no monitors, no trace: the threaded engine's Hot
       // specialization and the trace-off output fast path.
       RunConfig Plain;
-      runThreeWay(U, A, Plain, GenSeed ^ 0xA5, 2, What + "/hot");
+      runDifferential(A, Plain, GenSeed ^ 0xA5, 2, What + "/hot");
 
       // Bit-vector monitor alone: the taint-off checked loop (the formal
       // monitor's taint tracking selects the taint loop, covered below).
       RunConfig BitVec;
       BitVec.MonitorBitVector = true;
       BitVec.RecordTrace = true;
-      runThreeWay(U, A, BitVec, GenSeed ^ 0x5A, 2, What + "/bitvec");
+      runDifferential(A, BitVec, GenSeed ^ 0x5A, 2, What + "/bitvec");
 
       RunConfig Energy = BitVec;
       Energy.Plan = FailurePlan::energyDriven();
-      runThreeWay(U, A, Energy, GenSeed * 31 + 7, 4, What + "/energy");
+      runDifferential(A, Energy, GenSeed * 31 + 7, 4, What + "/energy");
 
       RunConfig Full = Energy;
       Full.MonitorFormal = true;
-      runThreeWay(U, A, Full, GenSeed * 131 + 13, 4,
-                  What + "/energy-taint");
+      runDifferential(A, Full, GenSeed * 131 + 13, 4, What + "/energy-taint");
 
       // Input-epoch oracle armed: every committed output's fused-input
       // record and verdict must agree bitwise across the engines.
       RunConfig Oracle = Energy;
       Oracle.Oracle = true;
-      runThreeWay(U, A, Oracle, GenSeed * 257 + 29, 4,
-                  What + "/energy-oracle");
+      runDifferential(A, Oracle, GenSeed * 257 + 29, 4,
+                      What + "/energy-oracle");
 
       // Same config with telemetry attached: trace hooks must not change
       // any observable result, and the per-engine trace streams must
       // match byte for byte.
-      runThreeWay(U, A, Full, GenSeed * 131 + 13, 4,
-                  What + "/energy-traced", /*Traced=*/true);
+      runDifferential(A, Full, GenSeed * 131 + 13, 4, What + "/energy-traced",
+                      /*Traced=*/true);
     }
   }
   EXPECT_GT(Valid, 0) << "the generator produced no compilable programs";
@@ -724,8 +710,9 @@ TEST(DifferentialFuzz, TreeAndThreadedAgreeOnRandomPrograms) {
 // A fixed regression corpus: hand-written programs that previously needed
 // care in the threaded engine (trap paths, mid-pair resume shapes, fused
 // candidates around region bounds, traps and reboots deep in straight-line
-// runs). Each runs on the threaded engine with pair fusion off and on.
-// Cheap enough to run unconditionally.
+// runs). Each runs on the tree and threaded engines with the bit-vector
+// monitor alone, the taint-off checked loop that takes fused pairs. Cheap
+// enough to run unconditionally.
 TEST(DifferentialFuzz, RegressionCorpus) {
   static const char *Corpus[] = {
       // Division by zero behind a fusable bin+condbr pair.
@@ -759,7 +746,7 @@ TEST(DifferentialFuzz, RegressionCorpus) {
       // that energy-driven failures interrupt it, possibly mid-pair; the
       // resume PC lands on a plain code and must replay to the same state
       // as the other engines (exercised across the energy-driven
-      // runThreeWay below).
+      // runDifferential below).
       "io s;\nstatic n = 0;\nstatic m = 0;\nfn main() { let x = s();\n"
       "  let a = x + 1; let b = a + 2; let c = b + 3; let d = c + 4;\n"
       "  let e = d + 5; let f = e + 6; let g = f + 7; let h = g + 8;\n"
@@ -776,15 +763,15 @@ TEST(DifferentialFuzz, RegressionCorpus) {
     SCOPED_TRACE("corpus program " + std::to_string(Idx++) + ":\n" + Src);
     for (ExecModel Model :
          {ExecModel::Ocelot, ExecModel::JitOnly, ExecModel::AtomicsOnly}) {
-      CompiledArtifact A = compileAt(Src, Model, FusionMode::Pairs);
+      CompiledArtifact A = compileAt(Src, Model);
       if (!A)
         continue;
       RunConfig Cfg;
       Cfg.MonitorBitVector = true;
       Cfg.RecordTrace = true;
       Cfg.Plan = FailurePlan::energyDriven();
-      runThreeWay(compileAt(Src, Model, FusionMode::Off), A, Cfg, 42, 4,
-                  std::string("corpus/") + execModelName(Model));
+      runDifferential(A, Cfg, 42, 4,
+                      std::string("corpus/") + execModelName(Model));
     }
   }
 }

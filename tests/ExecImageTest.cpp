@@ -5,15 +5,17 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Pins the threaded engine, with superinstruction fusion off and on, to
-/// the tree-walking reference semantics, and unit-tests the
-/// ExecutableImage construction itself:
+/// Pins the threaded engine to the tree-walking reference semantics, and
+/// unit-tests the ExecutableImage construction itself:
 ///
 ///  * Differential sweep — every benchmark x {Ocelot, JIT-only,
 ///    Atomics-only} x 3 seeds runs under energy-driven failures on the
-///    tree engine and on the threaded engine over an unfused and a fused
-///    image; RunResult (traps, outputs, violation and oracle records, all
-///    intermittent counters) and final device state must match exactly.
+///    tree engine and on the threaded engine; RunResult (traps, outputs,
+///    violation and oracle records, all intermittent counters) and final
+///    device state must match exactly. The taint loop dispatches every
+///    PC's plain code, so the configurations that arm the formal monitor
+///    or the oracle are the unfused reference; the taint-off checked and
+///    Hot loops take the fused pairs.
 ///    Focused differentials cover the pathological, random (+static
 ///    omega) and periodic failure paths, a trace-driven SensorScenario
 ///    feeding the zero-temporary Input paths, the energy comparator's
@@ -28,7 +30,7 @@
 ///    and the NVM layout table are checked against the source Program.
 ///
 ///  * Fusion passes — every superinstruction the peephole pass formed is
-///    re-validated against its pattern's legality conditions: correct
+///    re-validated against its pattern-table row: correct
 ///    opcode pair, forwarding patterns really consume the head's
 ///    destination, tails keep plain dispatch codes, no pair covers a
 ///    leader, crosses a function, or contains a region bound, and the
@@ -107,30 +109,17 @@ void expectSameResult(const RunResult &Got /*engine under test*/,
   EXPECT_EQ(Got.TraceData.Reboots, Tree.TraceData.Reboots) << What;
 }
 
-/// \p B compiled under \p Model with fusion off: the same source
-/// compileBenchmark picks, every slot on its plain dispatch code.
-CompiledArtifact compileUnfused(const BenchmarkDef &B, ExecModel Model) {
-  CompileOptions Opts;
-  Opts.Model = Model;
-  Opts.Fusion = FusionMode::Off;
-  Compilation C = Toolchain().compile(
-      Model == ExecModel::AtomicsOnly ? B.AtomicsSrc : B.AnnotatedSrc, Opts);
-  EXPECT_TRUE(C.ok()) << C.status().str();
-  return C.artifact();
-}
-
-/// Runs \p Runs activations on the tree engine and on the threaded engine
-/// over the unfused and the fused image, with otherwise identical specs,
-/// and compares every activation plus the final device state against the
-/// tree reference. A null \p Scenario selects the benchmark's default
-/// seeded-noise world. \returns the tree engine's results, so a caller
-/// can check that its configuration reached the path it targets.
+/// Runs \p Runs activations on the tree engine and on the threaded engine,
+/// with otherwise identical specs, and compares every activation plus the
+/// final device state against the tree reference. A null \p Scenario
+/// selects the benchmark's default seeded-noise world. \returns the tree
+/// engine's results, so a caller can check that its configuration reached
+/// the path it targets.
 std::vector<RunResult>
 runDifferential(const BenchmarkDef &B, ExecModel Model, uint64_t Seed,
                 const RunConfig &Base, int Runs,
                 std::shared_ptr<const SensorScenario> Scenario = nullptr) {
   CompiledBenchmark CB = compileBenchmark(B, Model);
-  CompiledArtifact Unfused = compileUnfused(B, Model);
   if (!Scenario)
     Scenario = B.scenario(Seed);
 
@@ -143,28 +132,24 @@ runDifferential(const BenchmarkDef &B, ExecModel Model, uint64_t Seed,
     return Simulation(A, std::move(Spec));
   };
   Simulation Tree = mkSim(CB.Artifact, DispatchEngine::Tree);
-  Simulation Off = mkSim(Unfused, DispatchEngine::Threaded);
-  Simulation Pairs = mkSim(CB.Artifact, DispatchEngine::Threaded);
+  Simulation Threaded = mkSim(CB.Artifact, DispatchEngine::Threaded);
 
   std::string What = B.Name + "/" + execModelName(Model) + "/seed" +
                      std::to_string(Seed);
   std::vector<RunResult> TreeRuns;
   for (int Run = 0; Run < Runs; ++Run) {
     RunResult TR = Tree.runOnce();
-    RunResult OffR = Off.runOnce();
-    RunResult PairsR = Pairs.runOnce();
-    std::string Tag = What + "/run" + std::to_string(Run);
-    expectSameResult(OffR, TR, Tag + " [threaded fusion=off vs tree]");
-    expectSameResult(PairsR, TR, Tag + " [threaded fusion=pairs vs tree]");
+    RunResult ThR = Threaded.runOnce();
+    expectSameResult(ThR, TR,
+                     What + "/run" + std::to_string(Run) +
+                         " [threaded vs tree]");
     TreeRuns.push_back(std::move(TR));
-    if (TreeRuns.back().Starved && OffR.Starved && PairsR.Starved)
+    if (TreeRuns.back().Starved && ThR.Starved)
       break; // Device state after starvation is equal but final.
   }
-  for (const Simulation *S : {&Off, &Pairs}) {
-    EXPECT_EQ(S->tau(), Tree.tau()) << What;
-    EXPECT_EQ(S->epoch(), Tree.epoch()) << What;
-    EXPECT_EQ(S->nvmSnapshot(), Tree.nvmSnapshot()) << What;
-  }
+  EXPECT_EQ(Threaded.tau(), Tree.tau()) << What;
+  EXPECT_EQ(Threaded.epoch(), Tree.epoch()) << What;
+  EXPECT_EQ(Threaded.nvmSnapshot(), Tree.nvmSnapshot()) << What;
   return TreeRuns;
 }
 
@@ -341,19 +326,15 @@ TEST(ExecImageDifferentialFocused, HotLoopNoMonitors) {
 TEST(ExecImageDifferentialFocused, TracedRunsStayPinned) {
   // Telemetry attached (per-engine sinks): the trace hooks must not
   // perturb execution — the differential pinning holds with tracing on —
-  // and the event streams of the tree engine and of the threaded engine
-  // over an unfused and a fused image must export identical bytes.
+  // and the event streams of the tree and threaded engines must export
+  // identical bytes.
   const BenchmarkDef &B = *findBenchmark("tire");
-  const CompiledArtifact Artifacts[3] = {
-      compileBenchmark(B, ExecModel::Ocelot).Artifact,
-      compileUnfused(B, ExecModel::Ocelot),
-      compileBenchmark(B, ExecModel::Ocelot).Artifact};
-  const DispatchEngine Engines[3] = {DispatchEngine::Tree,
-                                     DispatchEngine::Threaded,
+  const CompiledArtifact A = compileBenchmark(B, ExecModel::Ocelot).Artifact;
+  const DispatchEngine Engines[2] = {DispatchEngine::Tree,
                                      DispatchEngine::Threaded};
-  TraceSink Sinks[3];
-  RunResult Results[3];
-  for (int E = 0; E < 3; ++E) {
+  TraceSink Sinks[2];
+  RunResult Results[2];
+  for (int E = 0; E < 2; ++E) {
     SimulationSpec Spec;
     Spec.Config.Plan = FailurePlan::energyDriven();
     Spec.Config.MonitorBitVector = true;
@@ -363,51 +344,68 @@ TEST(ExecImageDifferentialFocused, TracedRunsStayPinned) {
     Spec.Config.Seed = 23;
     Spec.Config.Dispatch = Engines[E];
     Spec.Config.Telemetry = &Sinks[E];
-    Simulation Sim(Artifacts[E], std::move(Spec));
+    Simulation Sim(A, std::move(Spec));
     for (int Run = 0; Run < 4; ++Run)
       Results[E] = Sim.runOnce();
   }
-  expectSameResult(Results[1], Results[0], "traced [fusion=off vs tree]");
-  expectSameResult(Results[2], Results[0], "traced [fusion=pairs vs tree]");
-  std::string Ref = Sinks[0].exportChromeJson();
+  expectSameResult(Results[1], Results[0], "traced [threaded vs tree]");
   EXPECT_GT(Sinks[0].size(), 0u);
-  EXPECT_EQ(Sinks[1].exportChromeJson(), Ref) << "fusion=off trace diverged";
-  EXPECT_EQ(Sinks[2].exportChromeJson(), Ref)
-      << "fusion=pairs trace diverged";
+  EXPECT_EQ(Sinks[1].exportChromeJson(), Sinks[0].exportChromeJson())
+      << "threaded trace diverged";
 }
 
 TEST(ExecImageDifferentialFocused, TrapsMatch) {
-  // Each program ends its first run with the given trap on every engine.
-  // INT64_MIN / -1 and INT64_MIN % -1 would raise SIGFPE on the host.
+  // Each program ends its first run with the given trap on every engine,
+  // in the Hot loop (which takes fused pairs) and in the taint loop (which
+  // dispatches every PC's plain code). INT64_MIN / -1 and INT64_MIN % -1
+  // would raise SIGFPE on the host. The last two cases trap inside a
+  // fused pair, so each also pins where its trapping PC sits in the image.
+  enum class Slot { Plain, Head, Tail };
   const struct {
     const char *Src;
     const char *Trap;
+    Slot At;
   } Cases[] = {
       {"static a: [int; 2];\nfn main() { let i = 5; a[i] = 1; }",
-       "array index out of bounds in main"},
+       "array index out of bounds in main", Slot::Plain},
       {"fn main() { let a = -9223372036854775807 - 1; let b = -1;\n"
        "  log(a / b); }",
-       "integer overflow in division at main@6"},
+       "integer overflow in division at main@6", Slot::Plain},
       {"fn main() { let a = -9223372036854775807 - 1; let b = -1;\n"
        "  log(a % b); }",
-       "integer overflow in division at main@6"},
+       "integer overflow in division at main@6", Slot::Plain},
+      {"fn main() { let a = -9223372036854775807 - 1; let b = -1;\n"
+       "  let q = a / b; let r = q + 1; log(r); }",
+       "integer overflow in division at main@6", Slot::Head},
+      {"static a: [int; 4];\nfn main() { let i = 1; let j = 9;\n"
+       "  let x = a[i]; let y = a[j]; log(x + y); }",
+       "array index out of bounds in main", Slot::Tail},
   };
-  for (const auto &Case : Cases)
-    for (FusionMode Fusion : {FusionMode::Off, FusionMode::Pairs}) {
-      CompileOptions Opts;
-      Opts.Fusion = Fusion;
-      Compilation C = Toolchain().compile(Case.Src, Opts);
-      ASSERT_TRUE(C.ok()) << C.status().str();
+  for (const auto &Case : Cases) {
+    Compilation C = Toolchain().compile(Case.Src, CompileOptions());
+    ASSERT_TRUE(C.ok()) << C.status().str();
+    const ExecutableImage &Img = C.artifact().image();
+    for (bool Taint : {false, true})
       for (DispatchEngine E :
            {DispatchEngine::Tree, DispatchEngine::Threaded}) {
         SimulationSpec Spec;
         Spec.Config.Dispatch = E;
+        Spec.Config.MonitorFormal = Taint;
         Simulation Sim(C.artifact(), std::move(Spec));
         RunResult R = Sim.runOnce();
         EXPECT_FALSE(R.Completed) << Case.Src;
         EXPECT_EQ(R.Trap, Case.Trap) << Case.Src;
+        // main is straight-line, so the trapping instruction is the
+        // Steps-th from its entry (the step header charges it first).
+        ASSERT_GT(R.Steps, 0u) << Case.Src;
+        const uint32_t Pc =
+            Img.mainEntryPc() + static_cast<uint32_t>(R.Steps) - 1;
+        const Slot At = Img.isFusedHead(Pc)                  ? Slot::Head
+                        : Pc > 0 && Img.isFusedHead(Pc - 1) ? Slot::Tail
+                                                             : Slot::Plain;
+        EXPECT_EQ(At, Case.At) << Case.Src << " trapping pc " << Pc;
       }
-    }
+  }
 }
 
 // -- Image construction ----------------------------------------------------
@@ -631,94 +629,15 @@ void checkThreadedView(const CompiledArtifact &A) {
     EXPECT_EQ(FI.Func, Tail.Func) << "pc " << Pc;
     EXPECT_FALSE(Img.isFusedHead(Pc + 1)) << "pc " << Pc; // non-overlap
 
-    // The pattern's opcode pair and (for forwarding patterns) the
-    // dataflow condition: the tail consumes the head's destination.
-    auto Pair = [&](Opcode H, Opcode T) {
-      EXPECT_EQ(FI.Op, H) << "pc " << Pc;
-      EXPECT_EQ(Tail.Op, T) << "pc " << Pc;
-    };
-    auto Forwards = [&](const Operand &O) {
+    // The row's opcode pair and (for forwarding rows) the dataflow
+    // condition: the tail operand reads the head's destination.
+    const FusedPair &Row = fusedPair(Img.threadedOpAt(Pc));
+    EXPECT_EQ(FI.Op, Row.Head) << "pc " << Pc;
+    EXPECT_EQ(Tail.Op, Row.Tail) << "pc " << Pc;
+    if (Row.Fwd != FuseFwd::Any) {
+      const Operand &O = Row.Fwd == FuseFwd::A ? Tail.A : Tail.B;
       ASSERT_GE(FI.Dst, 0) << "pc " << Pc;
       EXPECT_TRUE(O.isReg() && O.Reg == FI.Dst) << "pc " << Pc;
-    };
-    switch (Img.threadedOpAt(Pc)) {
-    case ThreadedOp::FuseBinCondBr:
-      Pair(Opcode::Bin, Opcode::CondBr);
-      Forwards(Tail.A);
-      break;
-    case ThreadedOp::FuseBinStoreG:
-      Pair(Opcode::Bin, Opcode::StoreG);
-      Forwards(Tail.A);
-      break;
-    case ThreadedOp::FuseBinStoreA:
-      Pair(Opcode::Bin, Opcode::StoreA);
-      Forwards(Tail.B);
-      break;
-    case ThreadedOp::FuseLoadGBin:
-      Pair(Opcode::LoadG, Opcode::Bin);
-      Forwards(Tail.A);
-      break;
-    case ThreadedOp::FuseLoadABin:
-      Pair(Opcode::LoadA, Opcode::Bin);
-      Forwards(Tail.A);
-      break;
-    case ThreadedOp::FuseConstStoreG:
-      Pair(Opcode::Const, Opcode::StoreG);
-      Forwards(Tail.A);
-      break;
-    case ThreadedOp::FuseLoadGStoreG:
-      Pair(Opcode::LoadG, Opcode::StoreG);
-      Forwards(Tail.A);
-      break;
-    case ThreadedOp::FuseMovBin:
-      Pair(Opcode::Mov, Opcode::Bin);
-      Forwards(Tail.A);
-      break;
-    case ThreadedOp::FuseBinMov:
-      Pair(Opcode::Bin, Opcode::Mov);
-      Forwards(Tail.A);
-      break;
-    case ThreadedOp::FuseMovBr:
-      Pair(Opcode::Mov, Opcode::Br);
-      break;
-    case ThreadedOp::FuseBinBin:
-      Pair(Opcode::Bin, Opcode::Bin);
-      Forwards(Tail.A);
-      break;
-    case ThreadedOp::FuseMovLoadA:
-      Pair(Opcode::Mov, Opcode::LoadA);
-      break;
-    case ThreadedOp::FuseBinLoadA:
-      Pair(Opcode::Bin, Opcode::LoadA);
-      break;
-    case ThreadedOp::FuseLoadALoadA:
-      Pair(Opcode::LoadA, Opcode::LoadA);
-      break;
-    case ThreadedOp::FuseMovConsistent:
-      Pair(Opcode::Mov, Opcode::Consistent);
-      break;
-    case ThreadedOp::FuseConsistentBin:
-      Pair(Opcode::Consistent, Opcode::Bin);
-      break;
-    case ThreadedOp::FuseInputMov:
-      Pair(Opcode::Input, Opcode::Mov);
-      Forwards(Tail.A);
-      break;
-    case ThreadedOp::FuseMovInput:
-      Pair(Opcode::Mov, Opcode::Input);
-      break;
-    case ThreadedOp::FuseConsistentInput:
-      Pair(Opcode::Consistent, Opcode::Input);
-      break;
-    case ThreadedOp::FuseMovMov:
-      Pair(Opcode::Mov, Opcode::Mov);
-      break;
-    case ThreadedOp::FuseFreshConsistent:
-      Pair(Opcode::Fresh, Opcode::Consistent);
-      break;
-    default:
-      ADD_FAILURE() << "unknown fused code at pc " << Pc;
-      break;
     }
 
     // Fusion is a side table: both slots keep their folded costs and
@@ -755,13 +674,11 @@ TEST(FusionPass, LegalOnAllBenchmarks) {
   EXPECT_GT(TotalFused, 0u);
 }
 
-/// Compiles \p Src under \p Model at \p Fusion tier and returns the
-/// artifact, asserting success.
-CompiledArtifact compileSource(const std::string &Src, ExecModel Model,
-                               FusionMode Fusion = FusionMode::Pairs) {
+/// Compiles \p Src under \p Model and returns the artifact, asserting
+/// success.
+CompiledArtifact compileSource(const std::string &Src, ExecModel Model) {
   CompileOptions Opts;
   Opts.Model = Model;
-  Opts.Fusion = Fusion;
   Compilation C = Toolchain().compile(Src, Opts);
   EXPECT_TRUE(C.ok()) << C.status().str();
   return C.artifact();
@@ -851,31 +768,6 @@ TEST(FusionPass, NeverFusesAcrossBlockLeaders) {
       }
     }
   }
-}
-
-TEST(FusionPass, OffTierFormsNothingPairsIsTheDefault) {
-  // Pairs is the default tier and fuses; Off is the unfused reference:
-  // every slot keeps its plain code, and the disassembly names the tier.
-  const std::string Src = "io s;\nstatic n = 0;\n"
-                          "fn main() { let x = s(); let a = x * 2;\n"
-                          "  let b = a + 3; n = b - x; log(n); }";
-  CompiledArtifact Pairs = compileSource(Src, ExecModel::JitOnly);
-  checkThreadedView(Pairs);
-  EXPECT_EQ(Pairs.image().fusionMode(), FusionMode::Pairs);
-  EXPECT_GT(Pairs.image().fusedPairCount(), 0u);
-  EXPECT_NE(Pairs.image().disassemble(Pairs.program()).find("fusion=pairs"),
-            std::string::npos);
-
-  CompiledArtifact Off = compileSource(Src, ExecModel::JitOnly,
-                                       FusionMode::Off);
-  checkThreadedView(Off);
-  EXPECT_EQ(Off.image().fusedPairCount(), 0u);
-  for (uint32_t Pc = 0; Pc < Off.image().size(); ++Pc)
-    EXPECT_EQ(static_cast<int>(Off.image().threadedOpAt(Pc)),
-              static_cast<int>(Off.image().code()[Pc].Op))
-        << "pc " << Pc;
-  EXPECT_NE(Off.image().disassemble(Off.program()).find("fusion=off"),
-            std::string::npos);
 }
 
 // -- Kind-less operand handling (lowering-bug detector) --------------------

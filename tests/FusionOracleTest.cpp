@@ -21,7 +21,7 @@
 ///    atomic region aborts and re-executes both reads after the reboot).
 ///
 /// The suite also pins the classifier's pure-function edge cases, the
-/// three-engine bitwise agreement of oracle records on the pinned
+/// tree/threaded bitwise agreement of oracle records on the pinned
 /// programs, and the oracle-off contract: disarming the oracle leaves
 /// every other RunResult field bitwise unchanged (the bench goldens —
 /// table2a/table2b/fig8 — extend the same contract to whole tables).
@@ -41,11 +41,9 @@ using namespace ocelot;
 
 namespace {
 
-CompiledArtifact compile(const std::string &Src, ExecModel Model,
-                         FusionMode Fusion = FusionMode::Pairs) {
+CompiledArtifact compile(const std::string &Src, ExecModel Model) {
   CompileOptions Opts;
   Opts.Model = Model;
-  Opts.Fusion = Fusion;
   Compilation C = Toolchain().compile(Src, Opts);
   EXPECT_TRUE(C.ok()) << "compile failed under " << execModelName(Model);
   return C.artifact();
@@ -239,21 +237,13 @@ TEST(FusionOracle, VerdictsBitwiseIdenticalAcrossEngines) {
     FailurePlan Plan =
         C.FailAtSecondRead ? planAt(nthInput(A, 1)) : FailurePlan::none();
     RunResult Tree = runOracle(A, Plan, DispatchEngine::Tree);
-    RunResult Unfused =
-        runOracle(compile(C.Src, C.Model, FusionMode::Off), Plan,
-                  DispatchEngine::Threaded);
     RunResult Threaded = runOracle(A, Plan, DispatchEngine::Threaded);
     std::string What = execModelName(C.Model);
-    ASSERT_EQ(Unfused.OracleRecords.size(), Tree.OracleRecords.size())
-        << What;
     ASSERT_EQ(Threaded.OracleRecords.size(), Tree.OracleRecords.size())
         << What;
-    for (size_t O = 0; O < Tree.OracleRecords.size(); ++O) {
-      EXPECT_TRUE(Unfused.OracleRecords[O] == Tree.OracleRecords[O])
-          << What << " record " << O << " [threaded fusion=off vs tree]";
+    for (size_t O = 0; O < Tree.OracleRecords.size(); ++O)
       EXPECT_TRUE(Threaded.OracleRecords[O] == Tree.OracleRecords[O])
-          << What << " record " << O << " [threaded fusion=pairs vs tree]";
-    }
+          << What << " record " << O << " [threaded vs tree]";
   }
 }
 

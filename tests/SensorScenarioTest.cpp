@@ -17,6 +17,8 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "ocelot/Toolchain.h"
+#include "runtime/Simulation.h"
 #include "sensors/SensorChannel.h"
 #include "sensors/SensorScenario.h"
 #include "sensors/SensorScenarios.h"
@@ -322,6 +324,46 @@ TEST(SensorTrace, MalformedInputsAreRejectedWithLineNumbers) {
   EXPECT_FALSE(SensorTrace::loadCsv("/nonexistent/trace.csv", Error));
   EXPECT_NE(Error.find("cannot open sensor trace"), std::string::npos)
       << Error;
+}
+
+TEST(SensorTrace, ValuesOutsideInt64AreRejected) {
+  // A sample is llround(value), unspecified outside [-2^63, 2^63).
+  // 9223372036854775807 parses to the double 2^63, one past INT64_MAX.
+  std::string Error;
+  for (const char *Bad : {"1e300", "-1e300", "9223372036854775807"}) {
+    EXPECT_FALSE(
+        SensorTrace::parseCsv("100,0\n100," + std::string(Bad) + "\n", Error))
+        << Bad;
+    EXPECT_NE(Error.find("segment 1"), std::string::npos) << Error;
+    EXPECT_NE(Error.find("int64 range"), std::string::npos) << Error;
+  }
+  EXPECT_FALSE(SensorTrace::Builder().segment(100, 1e300).build(Error));
+  EXPECT_NE(Error.find("segment 0"), std::string::npos) << Error;
+}
+
+TEST(SensorTrace, ExtremeInt64ValuesReadBackExactly) {
+  // The extreme values that do fit reach the program unchanged, on both
+  // engines.
+  Compilation C =
+      Toolchain().compile("io s;\nfn main() { let x = s(); log(x); }");
+  ASSERT_TRUE(C.ok()) << C.status().str();
+  for (int64_t Want : {INT64_MIN, int64_t{-1}}) {
+    std::string Error;
+    auto T = SensorTrace::parseCsv("100," + std::to_string(Want) + "\n",
+                                   Error);
+    ASSERT_TRUE(T) << Error;
+    for (DispatchEngine E :
+         {DispatchEngine::Tree, DispatchEngine::Threaded}) {
+      SimulationSpec Spec;
+      Spec.Config.Dispatch = E;
+      Spec.Config.RecordTrace = true;
+      Spec.Config.Sensors = traceScenario(T, 1);
+      RunResult R = Simulation(C.artifact(), std::move(Spec)).runOnce();
+      ASSERT_TRUE(R.Completed) << R.Trap;
+      ASSERT_EQ(R.TraceData.Outputs.size(), 1u);
+      EXPECT_EQ(R.TraceData.Outputs[0].Args, std::vector<int64_t>{Want});
+    }
+  }
 }
 
 TEST(SensorTrace, ShippedFixturesLoadAndRoundTrip) {

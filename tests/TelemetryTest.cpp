@@ -323,27 +323,22 @@ TEST(TraceSinkTest, BoundedRingDropsOldest) {
 // -- PcProfile -------------------------------------------------------------
 
 TEST(PcProfileTest, FusionInvariantAndSumToSteps) {
-  // Superinstruction slots count individually, so the per-PC histogram is
-  // the same over an unfused and a fused image and accounts for every
-  // executed step — in the taint loop (tracedConfig arms the formal
-  // monitor) and in the taint-off checked loop, which runs fused pairs.
+  // Superinstruction slots count individually, so the per-PC histogram of
+  // the taint-off checked loop, which runs fused pairs, equals the taint
+  // loop's, which dispatches every PC's plain code (tracedConfig arms the
+  // formal monitor, an observer that changes no step), and both account
+  // for every executed step.
   const BenchmarkDef &B = *findBenchmark("tire");
-  CompileOptions Opts;
-  Opts.Model = ExecModel::Ocelot;
-  Opts.Fusion = FusionMode::Off;
-  Compilation Unfused = Toolchain().compile(B.AnnotatedSrc, Opts);
-  ASSERT_TRUE(Unfused.ok()) << Unfused.status().str();
   CompiledBenchmark CB = compileBenchmark(B, ExecModel::Ocelot);
   ASSERT_GT(CB.Artifact.image().fusedPairCount(), 0u);
-  auto profiled = [&](const CompiledArtifact &A, const RunConfig &Cfg,
-                      PcProfile &P) {
-    P.prepare(A.image().size(), static_cast<size_t>(NumOpcodes));
+  auto profiled = [&](const RunConfig &Cfg, PcProfile &P) {
+    P.prepare(CB.Artifact.image().size(), static_cast<size_t>(NumOpcodes));
     SimulationSpec Spec;
     Spec.Config = Cfg;
     Spec.Config.Sensors = B.scenario(5);
     Spec.Config.Seed = 5;
     Spec.Config.Profile = &P;
-    Simulation Sim(A, std::move(Spec));
+    Simulation Sim(CB.Artifact, std::move(Spec));
     uint64_t Steps = 0;
     for (int R = 0; R < 4; ++R)
       Steps += Sim.runOnce().Steps;
@@ -352,22 +347,19 @@ TEST(PcProfileTest, FusionInvariantAndSumToSteps) {
 
   RunConfig TaintOff = tracedConfig();
   TaintOff.MonitorFormal = false;
-  for (const RunConfig &Cfg : {tracedConfig(), TaintOff}) {
-    SCOPED_TRACE(Cfg.MonitorFormal ? "taint loop" : "taint-off loop");
-    PcProfile Off, Pairs;
-    uint64_t OffSteps = profiled(Unfused.artifact(), Cfg, Off);
-    uint64_t PairsSteps = profiled(CB.Artifact, Cfg, Pairs);
+  PcProfile Fused, Plain;
+  uint64_t FusedSteps = profiled(TaintOff, Fused);
+  uint64_t PlainSteps = profiled(tracedConfig(), Plain);
 
-    EXPECT_EQ(OffSteps, PairsSteps);
-    EXPECT_EQ(Off.Steps, OffSteps);
-    EXPECT_EQ(Pairs.Steps, PairsSteps);
-    EXPECT_EQ(Off.PcCounts, Pairs.PcCounts);
-    EXPECT_EQ(Off.PairCounts, Pairs.PairCounts);
-    uint64_t PcSum = std::accumulate(Pairs.PcCounts.begin(),
-                                     Pairs.PcCounts.end(),
-                                     static_cast<uint64_t>(0));
-    EXPECT_EQ(PcSum, PairsSteps);
-  }
+  EXPECT_EQ(FusedSteps, PlainSteps);
+  EXPECT_EQ(Fused.Steps, FusedSteps);
+  EXPECT_EQ(Plain.Steps, PlainSteps);
+  EXPECT_EQ(Fused.PcCounts, Plain.PcCounts);
+  EXPECT_EQ(Fused.PairCounts, Plain.PairCounts);
+  uint64_t PcSum = std::accumulate(Fused.PcCounts.begin(),
+                                   Fused.PcCounts.end(),
+                                   static_cast<uint64_t>(0));
+  EXPECT_EQ(PcSum, FusedSteps);
 }
 
 TEST(PcProfileTest, MergeAccumulates) {
