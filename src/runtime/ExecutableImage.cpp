@@ -6,6 +6,7 @@
 
 #include "runtime/ExecutableImage.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstdio>
 #include <map>
@@ -41,7 +42,8 @@ ExecutableImage::build(const Program &P,
 
   // Input ordinals: every Input instruction first, in PC order, then any
   // use-check input site that is not an Input instruction (its bit is
-  // never set; the ordinal only names it in violation details).
+  // never set; the ordinal only names it in violation details). Marker
+  // ordinals: the distinct (set id, label) pairs, sorted.
   for (int F = 0; F < P.numFunctions(); ++F)
     for (int B = 0; B < P.function(F)->numBlocks(); ++B)
       for (const Instruction &I : P.function(F)->block(B)->instructions())
@@ -50,7 +52,12 @@ ExecutableImage::build(const Program &P,
                                      static_cast<uint32_t>(
                                          Img->InputSites.size()));
           Img->InputSites.emplace_back(F, I.Label);
+        } else if (I.Op == Opcode::Consistent) {
+          Img->Markers.push_back(ConsistentMarker{I.SetId, I.Label});
         }
+  std::sort(Img->Markers.begin(), Img->Markers.end());
+  Img->Markers.erase(std::unique(Img->Markers.begin(), Img->Markers.end()),
+                     Img->Markers.end());
   auto OrdinalOf = [&](InstrRef Site) {
     auto [It, New] = Img->InputOrdinals.emplace(
         Site, static_cast<uint32_t>(Img->InputSites.size()));
@@ -86,7 +93,9 @@ ExecutableImage::build(const Program &P,
         FI.RegionId = I.RegionId;
         FI.OutKind = I.OutKind;
         if (I.Op == Opcode::Input)
-          FI.InputOrd = Img->InputOrdinals.at(InstrRef(F, I.Label));
+          FI.Ord = Img->InputOrdinals.at(InstrRef(F, I.Label));
+        if (I.Op == Opcode::Consistent)
+          FI.Ord = Img->markerOrdinal(I.SetId, I.Label);
 
         if (!I.Args.empty()) {
           FI.ArgsBegin = static_cast<uint32_t>(Img->ArgPool.size());
@@ -177,6 +186,13 @@ ExecutableImage::build(const Program &P,
 uint32_t ExecutableImage::inputOrdinal(InstrRef Site) const {
   auto It = InputOrdinals.find(Site);
   return It == InputOrdinals.end() ? NoInputOrdinal : It->second;
+}
+
+uint32_t ExecutableImage::markerOrdinal(int SetId, uint32_t Label) const {
+  const ConsistentMarker Key{SetId, Label};
+  auto It = std::lower_bound(Markers.begin(), Markers.end(), Key);
+  assert(It != Markers.end() && *It == Key && "not a Consistent marker");
+  return static_cast<uint32_t>(It - Markers.begin());
 }
 
 // The one-to-one ThreadedOp block must mirror Opcode exactly: the fusion

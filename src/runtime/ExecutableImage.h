@@ -21,7 +21,8 @@
 ///    `AtomicStart` to its region's flattened omega set, replacing the
 ///    per-step `MonitorPlan` map lookups and `RegionInfo` linear scans.
 ///  * Every static input operation gets a dense *input ordinal*: its
-///    position in the bit-vector monitor's bit vector.
+///    position in the bit-vector monitor's bit vector. Every Consistent
+///    marker gets a dense *marker ordinal*: its formal-monitor slot.
 ///  * A global-variable layout table assigns every non-volatile global a
 ///    base offset in one flat NVM array.
 ///
@@ -40,6 +41,7 @@
 #include "runtime/CostModel.h"
 #include "runtime/MonitorPlan.h"
 
+#include <compare>
 #include <cstdint>
 #include <iterator>
 #include <map>
@@ -86,7 +88,9 @@ struct FlatInst {
   uint32_t ArgsBegin = 0, ArgsCount = 0;   ///< Call/Output args span.
   uint32_t OmegaBegin = 0, OmegaCount = 0; ///< AtomicStart omega span.
   uint32_t MonitorBegin = 0; ///< This site's lists in the monitor pool.
-  uint32_t InputOrd = 0;     ///< Input: its input ordinal (bit position).
+  /// Input: its input ordinal (bit position). Consistent: its marker
+  /// ordinal (the formal monitor's record slot).
+  uint32_t Ord = 0;
 };
 
 // The bit-vector fields fit in what was padding; keep it that way.
@@ -209,6 +213,14 @@ struct GlobalSlot {
   uint32_t Size = 0; ///< Cell count (1 for scalars).
 };
 
+/// A Consistent marker as the formal monitor keys it.
+struct ConsistentMarker {
+  int32_t SetId = -1;
+  uint32_t Label = 0;
+
+  auto operator<=>(const ConsistentMarker &) const = default;
+};
+
 /// Per-function layout of the linearized code.
 struct FuncLayout {
   uint32_t EntryPc = 0; ///< PC of the entry block's first instruction.
@@ -270,6 +282,16 @@ public:
   /// The ordinal of input site \p Site, or NoInputOrdinal.
   uint32_t inputOrdinal(InstrRef Site) const;
   static constexpr uint32_t NoInputOrdinal = ~0u;
+
+  // -- Marker ordinals ---------------------------------------------------
+  /// One per distinct (set id, label) of the program's Consistent
+  /// instructions, numbered in (set id, label) order: each set's markers
+  /// are consecutive and in label order.
+  uint32_t numMarkers() const { return static_cast<uint32_t>(Markers.size()); }
+  const ConsistentMarker &marker(uint32_t Ord) const { return Markers[Ord]; }
+  /// The ordinal of the Consistent marker of set \p SetId at \p Label
+  /// (which must exist).
+  uint32_t markerOrdinal(int SetId, uint32_t Label) const;
 
   // -- NVM layout --------------------------------------------------------
   const std::vector<GlobalSlot> &globals() const { return Globals; }
@@ -341,6 +363,7 @@ private:
   uint32_t NvmCellCount = 0;
   uint32_t MainEntry = 0;
   uint32_t MainRegs = 0;
+  std::vector<ConsistentMarker> Markers; ///< Sorted; index = ordinal.
 };
 
 } // namespace ocelot

@@ -54,6 +54,10 @@ Interpreter::Interpreter(const Program &P, RunConfig Cfg,
       Regions(Regions),
       Img(Image ? std::move(Image)
                 : ExecutableImage::build(P, Regions, Plan)),
+      // Only the oracle's records list whole input events; every other
+      // reader of taint needs only epochs.
+      Taints(this->Cfg.Oracle ? TaintTable::Grain::Event
+                              : TaintTable::Grain::Epoch),
       Rand(this->Cfg.Seed) {
   static const MonitorPlan EmptyPlan;
   Monitor =
@@ -583,8 +587,8 @@ RunResult Interpreter::runOnceTree() {
       break; // Checked at uses.
     case Opcode::Consistent:
       if (Cfg.MonitorFormal)
-        Monitor->onConsistentMarker(I->SetId, I->Label, Taints,
-                                    eval(I->A).Taint, Tau);
+        Monitor->onConsistentMarker(Img->markerOrdinal(I->SetId, I->Label),
+                                    Taints, eval(I->A).Taint, Tau);
       break;
     case Opcode::AtomicStart:
       enterAtomic(*I, R);

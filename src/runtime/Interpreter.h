@@ -194,7 +194,8 @@ public:
   uint64_t tau() const { return Tau; }
   uint64_t epoch() const { return Epoch; }
   const ViolationMonitor &monitor() const { return *Monitor; }
-  /// The device's interned taint (empty unless taint tracking is on).
+  /// The device's interned taint (empty unless taint tracking is on; in
+  /// epoch grain unless the oracle is armed).
   const TaintTable &taints() const { return Taints; }
   const ExecutableImage &image() const { return *Img; }
 
@@ -302,7 +303,8 @@ private:
   uint64_t LifetimeOn = 0;
   std::unique_ptr<ViolationMonitor> Monitor;
   /// Every RtValue::Taint id of this device names a sequence here. Lives
-  /// as long as NVM; compacted at the start of runOnce.
+  /// as long as NVM; compacted at the start of runOnce. Event grain when
+  /// the oracle is armed, epoch grain otherwise.
   TaintTable Taints;
   std::unique_ptr<EnergyModel> Energy;
   Rng Rand;

@@ -86,7 +86,7 @@ void Interpreter::onInputFlat(const FlatInst &FI, uint64_t Tau) {
   // (Frames[K].Func, Frames[K+1].CallSiteLabel) pairs.
   const FlatInst *Code = Img->code().data();
   Monitor->onInput(
-      FI.InputOrd, InstrRef(FI.Func, FI.Label), FFrames.size(),
+      FI.Ord, InstrRef(FI.Func, FI.Label), FFrames.size(),
       [&](size_t K) {
         const FlatInst &CallI = Code[FFrames[K + 1].ReturnPc - 1];
         return InstrRef(CallI.Func, CallI.Label);
@@ -760,8 +760,8 @@ LSwitch:
   OCELOT_CASE(Consistent) : {
     if constexpr (TaintOn) {
       if (Formal)
-        Monitor->onConsistentMarker(FI->SetId, FI->Label, Taints,
-                                    Val(FI->A).Taint, OCELOT_TAU());
+        Monitor->onConsistentMarker(FI->Ord, Taints, Val(FI->A).Taint,
+                                    OCELOT_TAU());
       OCELOT_NEXT(*FI);
     } else {
       OCELOT_NEXT_NOCHECK(); // The formal monitor's marker: taint-on only.

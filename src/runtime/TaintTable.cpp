@@ -11,17 +11,24 @@
 
 using namespace ocelot;
 
-TaintTable::TaintTable() { Entries.emplace_back(); }
+TaintTable::TaintTable(Grain G) : G(G) { Entries.emplace_back(); }
 
-TaintId TaintTable::single(const InputEvent &E) {
+TaintId TaintTable::singleSlow(const InputEvent &E) {
   assert((Events.empty() || Events.back().Tau <= E.Tau) &&
          "input events must arrive in non-decreasing tau");
-  // An equal event can only be among the trailing same-tau events.
   uint32_t Ord = static_cast<uint32_t>(Events.size());
-  for (size_t I = Events.size(); I-- > 0 && Events[I].Tau == E.Tau;) {
-    if (Events[I] == E) {
-      Ord = static_cast<uint32_t>(I);
-      break;
+  if (G == Grain::Epoch) {
+    // Epochs never decrease either, so only the last event can stand for
+    // this one's epoch.
+    if (!Events.empty() && Events.back().Epoch == E.Epoch)
+      --Ord;
+  } else {
+    // An equal event can only be among the trailing same-tau events.
+    for (size_t I = Events.size(); I-- > 0 && Events[I].Tau == E.Tau;) {
+      if (Events[I] == E) {
+        Ord = static_cast<uint32_t>(I);
+        break;
+      }
     }
   }
   if (Ord == Events.size()) {
@@ -34,7 +41,10 @@ TaintId TaintTable::single(const InputEvent &E) {
   N.MinEpoch = N.MaxEpoch = E.Epoch;
   Ords.push_back(Ord);
   Entries.push_back(N);
-  return static_cast<TaintId>(Entries.size() - 1);
+  const TaintId Id = static_cast<TaintId>(Entries.size() - 1);
+  if (G == Grain::Epoch)
+    EpochSingle = Id;
+  return Id;
 }
 
 TaintId TaintTable::mergeSlow(TaintId A, TaintId B) {
@@ -111,6 +121,7 @@ void TaintTable::compact(std::vector<RtValue> &Roots) {
   Entries = std::move(NewEntries);
   Mark.assign(Events.size(), 0);
   Stamp = 0;
+  EpochSingle = 0; // Renumbered or dropped; single() makes a new one.
   if (++Gen == 0) {
     Memo.fill(MemoSlot{});
     Gen = 1;

@@ -15,6 +15,18 @@
 ///  * Each `InputEvent` is stored once; sequences store event ordinals,
 ///    plus the minimum and maximum reboot epoch over their events, so "is
 ///    every event in the current epoch" is O(1).
+///  * The table's *grain* is fixed at construction. `Grain::Event` keeps
+///    every event (sensor, tau, epoch, value); the input-epoch oracle needs
+///    it, because its records list whole events. `Grain::Epoch` interns
+///    inputs by reboot epoch: `single()` returns one cached sequence per
+///    epoch, so within an epoch `merge` takes its `A == B` path, and a
+///    sequence is the epochs of its events in first-appearance order. That
+///    is exact for the formal monitor, whose verdicts and details read only
+///    the epoch of the first event, or of the first event whose epoch
+///    differs, and mapping events to epochs commutes with `merge`:
+///    `A ++ (B \ A)` maps to `ep(A) ++ (ep(B) \ ep(A))`. In epoch grain a
+///    stored event stands for every input of its epoch: its `Sensor`,
+///    `Tau` and `Value` are one such input's and carry no meaning.
 ///  * Unions are memoized in a fixed-size, direct-mapped array tagged with
 ///    a generation. A miss allocates nothing; the generation bump at
 ///    compaction invalidates every slot at once.
@@ -40,13 +52,24 @@ namespace ocelot {
 
 class TaintTable {
 public:
-  TaintTable();
+  /// What one stored event stands for (see the file comment).
+  enum class Grain : uint8_t { Event, Epoch };
+
+  explicit TaintTable(Grain G = Grain::Event);
+
+  Grain grain() const { return G; }
 
   /// The one-event sequence of an input just collected. Events must arrive
   /// in non-decreasing Tau (the logical clock never runs backward); an
   /// event equal to one already interned reuses its ordinal, so equal
-  /// events dedup across sequences exactly as by value.
-  TaintId single(const InputEvent &E);
+  /// events dedup across sequences exactly as by value. In epoch grain,
+  /// every input of one epoch is the same event, and repeated calls
+  /// within an epoch return the same id.
+  TaintId single(const InputEvent &E) {
+    if (EpochSingle != 0 && Entries[EpochSingle].MinEpoch == E.Epoch)
+      return EpochSingle;
+    return singleSlow(E);
+  }
 
   /// \p A followed by the events of \p B not already in \p A.
   TaintId merge(TaintId A, TaintId B) {
@@ -120,6 +143,7 @@ private:
   /// What the growth policy measures: entries plus stored ordinals.
   size_t footprint() const { return Entries.size() + Ords.size(); }
 
+  TaintId singleSlow(const InputEvent &E);
   TaintId mergeSlow(TaintId A, TaintId B);
 
   std::vector<InputEvent> Events;
@@ -128,8 +152,12 @@ private:
   /// Per-event scratch stamps for mergeSlow's membership test.
   std::vector<uint32_t> Mark;
   uint32_t Stamp = 0;
+  /// Epoch grain: the one-event sequence single() returns for its epoch
+  /// (0 when none is cached; always 0 in event grain).
+  TaintId EpochSingle = 0;
   std::array<MemoSlot, size_t{1} << MemoBits> Memo{};
   uint32_t Gen = 1;
+  Grain G;
   size_t NextCompaction = CompactFloor;
 };
 

@@ -14,7 +14,10 @@
 /// A value does not hold its events itself: it holds a `TaintId` naming an
 /// insertion-ordered event sequence interned in its interpreter's
 /// `TaintTable` (runtime/TaintTable.h). Id 0 is the empty sequence, which
-/// every value carries while taint tracking is off.
+/// every value carries while taint tracking is off. Unless the input-epoch
+/// oracle is armed, the table keeps only reboot epochs: one stored event
+/// stands for every input of its epoch, and its `Sensor` and `Value` carry
+/// no meaning.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -29,7 +32,8 @@
 
 namespace ocelot {
 
-/// One input operation observed at run time.
+/// One input operation observed at run time (or, in an epoch-grain
+/// `TaintTable`, one reboot epoch's inputs: only `Epoch` is meaningful).
 struct InputEvent {
   int Sensor = -1;
   uint64_t Tau = 0;    ///< Logical time of collection.

@@ -26,6 +26,26 @@ const char *ocelot::violationKindName(ViolationRecord::Kind K) {
   return "?";
 }
 
+std::string ViolationRecord::detail() const {
+  switch (K) {
+  case Kind::FreshBitVec:
+    return "use of stale input: operation @" + std::to_string(StaleOp) +
+           "'s bit cleared by a power failure";
+  case Kind::ConsistentBitVec:
+    return "input collected after a power failure split consistent set " +
+           std::to_string(SetId);
+  case Kind::FreshFormal:
+    return "value depends on an input collected in reboot epoch " +
+           std::to_string(EpochA) + " but is used in epoch " +
+           std::to_string(EpochB);
+  case Kind::ConsistentFormal:
+    return "consistent set " + std::to_string(SetId) +
+           " holds inputs from reboot epochs " + std::to_string(EpochA) +
+           " and " + std::to_string(EpochB);
+  }
+  return "";
+}
+
 ViolationMonitor::ViolationMonitor(const MonitorPlan &Plan,
                                    const ExecutableImage &Img)
     : Plan(Plan), Img(Img), NumBits(Img.numInputOrdinals()) {
@@ -55,12 +75,22 @@ ViolationMonitor::ViolationMonitor(const MonitorPlan &Plan,
       if (MemberBit[SI][MI] < NumBits)
         Ends[Fill[MemberBit[SI][MI]]++] =
             MemberRef{static_cast<uint32_t>(SI), static_cast<uint32_t>(MI)};
+  // One formal record slot per marker ordinal; the image sorts markers by
+  // set, so each set's slots form one run.
+  Slots.resize(Img.numMarkers());
+  for (uint32_t M = 0; M < Img.numMarkers(); ++M) {
+    if (M == 0 || Img.marker(M).SetId != Img.marker(M - 1).SetId)
+      MarkerSets.push_back(MarkerSet{M, M, ++LastGen});
+    ++MarkerSets.back().End;
+    Slots[M].Set = static_cast<uint32_t>(MarkerSets.size() - 1);
+  }
 }
 
 void ViolationMonitor::beginRun() {
   for (auto &Flags : MemberExecuted)
     std::fill(Flags.begin(), Flags.end(), false);
-  SetRecords.clear();
+  for (MarkerSet &Set : MarkerSets)
+    Set.Gen = ++LastGen;
   RunFresh = false;
   RunConsistent = false;
   // Records are per-run detail (the cumulative history is summarized by
@@ -112,9 +142,6 @@ bool ViolationMonitor::memberExecuted(MemberRef M, InstrRef Site,
       R.Site = Site;
       R.SetId = SP.SetId;
       R.Tau = Tau;
-      R.Detail = "input collected after a power failure split "
-                 "consistent set " +
-                 std::to_string(SP.SetId);
       record(std::move(R));
       break;
     }
@@ -142,9 +169,7 @@ void ViolationMonitor::onFreshUse(InstrRef Site,
     R.K = ViolationRecord::Kind::FreshBitVec;
     R.Site = Site;
     R.Tau = Tau;
-    R.Detail = "use of stale input: operation @" +
-               std::to_string(Img.inputSite(InputOrds[I]).Label) +
-               "'s bit cleared by a power failure";
+    R.StaleOp = Img.inputSite(InputOrds[I]).Label;
     record(std::move(R));
     break;
   }
@@ -152,10 +177,10 @@ void ViolationMonitor::onFreshUse(InstrRef Site,
     Sink->monitorCheck(Tau, Site.Label, Failed);
 }
 
-void ViolationMonitor::onFreshUseFormal(InstrRef Site,
-                                        const TaintTable &Taints,
-                                        TaintId Taint, uint64_t Epoch,
-                                        uint64_t Tau) {
+void ViolationMonitor::freshUseFormal(InstrRef Site,
+                                      const TaintTable &Taints,
+                                      TaintId Taint, uint64_t Epoch,
+                                      uint64_t Tau) {
   bool Failed = false;
   if (!Taints.allInEpoch(Taint, Epoch)) {
     for (size_t I = 0, N = Taints.length(Taint); I < N; ++I) {
@@ -167,9 +192,8 @@ void ViolationMonitor::onFreshUseFormal(InstrRef Site,
       R.K = ViolationRecord::Kind::FreshFormal;
       R.Site = Site;
       R.Tau = Tau;
-      R.Detail = "value depends on an input collected in reboot epoch " +
-                 std::to_string(E.Epoch) + " but is used in epoch " +
-                 std::to_string(Epoch);
+      R.EpochA = E.Epoch;
+      R.EpochB = Epoch;
       record(std::move(R));
       break;
     }
@@ -178,39 +202,27 @@ void ViolationMonitor::onFreshUseFormal(InstrRef Site,
     Sink->monitorCheck(Tau, Site.Label, Failed);
 }
 
-void ViolationMonitor::onConsistentMarker(int SetId, uint32_t MarkerLabel,
+void ViolationMonitor::onConsistentMarker(uint32_t MarkerOrd,
                                           const TaintTable &Taints,
                                           TaintId Taint, uint64_t Tau) {
-  // This set's records are [Lo, Hi); Pos is where MarkerLabel sorts.
-  const auto Begin = SetRecords.begin();
-  size_t Lo = std::lower_bound(Begin, SetRecords.end(), SetId,
-                               [](const SetRecord &S, int Id) {
-                                 return S.SetId < Id;
-                               }) -
-              Begin;
-  size_t Hi = Lo;
-  while (Hi < SetRecords.size() && SetRecords[Hi].SetId == SetId)
-    ++Hi;
-  size_t Pos = std::lower_bound(Begin + Lo, Begin + Hi, MarkerLabel,
-                                [](const SetRecord &S, uint32_t L) {
-                                  return S.Label < L;
-                                }) -
-               Begin;
-  if (Pos < Hi && SetRecords[Pos].Label == MarkerLabel) {
-    // New dynamic activation of the set: drop the previous instance.
-    SetRecords.erase(Begin + Lo, Begin + Hi);
-    Pos = Hi = Lo;
-  }
-  SetRecords.insert(SetRecords.begin() + Pos,
-                    SetRecord{SetId, MarkerLabel, Taint});
-  ++Hi;
+  MarkerSlot &Slot = Slots[MarkerOrd];
+  MarkerSet &Set = MarkerSets[Slot.Set];
+  // A marker already recorded in this activation starts a new dynamic
+  // activation of the set: drop the previous instance.
+  if (Slot.Gen == Set.Gen)
+    Set.Gen = ++LastGen;
+  Slot.Taint = Taint;
+  Slot.Gen = Set.Gen;
 
   // All events across the set's recorded members must share one epoch:
   // the first event's, in (marker label, insertion) order.
+  const ConsistentMarker &Marker = Img.marker(MarkerOrd);
   bool HaveEpoch = false;
   uint64_t SetEpoch = 0;
-  for (size_t I = Lo; I < Hi; ++I) {
-    const TaintId T = SetRecords[I].Taint;
+  for (uint32_t I = Set.Begin; I < Set.End; ++I) {
+    if (Slots[I].Gen != Set.Gen)
+      continue;
+    const TaintId T = Slots[I].Taint;
     if (Taints.length(T) == 0)
       continue;
     if (!HaveEpoch) {
@@ -225,18 +237,16 @@ void ViolationMonitor::onConsistentMarker(int SetId, uint32_t MarkerLabel,
         continue;
       ViolationRecord R;
       R.K = ViolationRecord::Kind::ConsistentFormal;
-      R.SetId = SetId;
+      R.SetId = Marker.SetId;
       R.Tau = Tau;
-      R.Detail = "consistent set " + std::to_string(SetId) +
-                 " holds inputs from reboot epochs " +
-                 std::to_string(SetEpoch) + " and " +
-                 std::to_string(E.Epoch);
+      R.EpochA = SetEpoch;
+      R.EpochB = E.Epoch;
       record(std::move(R));
       if (Sink)
-        Sink->monitorCheck(Tau, MarkerLabel, true);
+        Sink->monitorCheck(Tau, Marker.Label, true);
       return;
     }
   }
   if (Sink)
-    Sink->monitorCheck(Tau, MarkerLabel, false);
+    Sink->monitorCheck(Tau, Marker.Label, false);
 }

@@ -14,11 +14,16 @@
 ///    consistent set the other executed members' bits must be set.
 ///
 ///  * Formal (Definitions 2/3 over the taint-augmented semantics of
-///    Appendix B): every value carries the id of its input events (sensor,
-///    tau, reboot epoch) in the interpreter's TaintTable. A fresh use
-///    whose value carries an event from an earlier epoch crossed a power
-///    failure; a consistent set whose members' events span different
-///    epochs was split by one.
+///    Appendix B): every value carries the id of its input events in the
+///    interpreter's TaintTable. A fresh use whose value carries an event
+///    from an earlier epoch crossed a power failure; a consistent set whose
+///    members' events span different epochs was split by one. Both checks
+///    read only events' reboot epochs, so they are exact over a table of
+///    either grain. A fresh use whose value is all in the current epoch
+///    costs one inline test; a Consistent marker writes its fixed slot.
+///
+/// A ViolationRecord keeps the numbers its message names; detail()
+/// formats the text only when someone reads it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -49,7 +54,17 @@ struct ViolationRecord {
   InstrRef Site;
   int SetId = -1;
   uint64_t Tau = 0;
-  std::string Detail;
+  /// What detail() names besides SetId. FreshBitVec: the label of the
+  /// input operation whose bit a power failure cleared. FreshFormal: the
+  /// reboot epochs of the input (EpochA) and of the use (EpochB).
+  /// ConsistentFormal: the set's first epoch (EpochA) and the first one
+  /// that differs (EpochB).
+  uint32_t StaleOp = 0;
+  uint64_t EpochA = 0, EpochB = 0;
+
+  /// The human-readable explanation, e.g. "use of stale input: operation
+  /// @12's bit cleared by a power failure".
+  std::string detail() const;
 };
 
 const char *violationKindName(ViolationRecord::Kind K);
@@ -102,16 +117,22 @@ public:
                   uint64_t Tau);
 
   /// Formal freshness check: \p Taint names the used value's input events
-  /// in \p Taints and \p Epoch is the current reboot epoch.
+  /// in \p Taints and \p Epoch is the current reboot epoch. A value all
+  /// in the current epoch passes without a call unless a sink wants the
+  /// check event.
   void onFreshUseFormal(InstrRef Site, const TaintTable &Taints,
-                        TaintId Taint, uint64_t Epoch, uint64_t Tau);
+                        TaintId Taint, uint64_t Epoch, uint64_t Tau) {
+    if (!Sink && Taints.allInEpoch(Taint, Epoch))
+      return;
+    freshUseFormal(Site, Taints, Taint, Epoch, Tau);
+  }
 
-  /// Formal consistency check at a Consistent marker execution. The
-  /// recorded id must stay valid until beginRun (the interpreter compacts
-  /// its table only at run start).
-  void onConsistentMarker(int SetId, uint32_t MarkerLabel,
-                          const TaintTable &Taints, TaintId Taint,
-                          uint64_t Tau);
+  /// Formal consistency check at the execution of the Consistent marker
+  /// with image marker ordinal \p MarkerOrd. The recorded id must stay
+  /// valid until beginRun (the interpreter compacts its table only at run
+  /// start).
+  void onConsistentMarker(uint32_t MarkerOrd, const TaintTable &Taints,
+                          TaintId Taint, uint64_t Tau);
 
   /// Moves out the current run's violation records (beginRun clears them
   /// anyway, so nothing reads them after the run's epilogue).
@@ -151,6 +172,10 @@ private:
   /// onInput's tail: the telemetry event and setting the bit.
   void finishInput(uint32_t InputOrd, InstrRef Site, bool Checked,
                    bool Failed, uint64_t Tau);
+  /// onFreshUseFormal's full check: finds the first event of another
+  /// epoch and reports the check to the sink.
+  void freshUseFormal(InstrRef Site, const TaintTable &Taints, TaintId Taint,
+                      uint64_t Epoch, uint64_t Tau);
 
   TraceSink *Sink = nullptr;
   MonitorPlan Plan;
@@ -169,18 +194,24 @@ private:
   std::vector<MemberRef> Ends;
   /// Per consistent set: which members executed in the current activation.
   std::vector<std::vector<bool>> MemberExecuted;
-  /// A formal per-set record: the taint of the value set \p SetId's
-  /// marker \p Label last recorded in the set's current activation.
-  struct SetRecord {
-    int SetId;
-    uint32_t Label;
-    TaintId Taint;
+  /// The formal consistency records: one slot per image marker ordinal,
+  /// so each set's slots are consecutive and in label order (the order
+  /// the check visits them in, and so which event a detail names). A
+  /// slot holds a record of its set's current activation iff its Gen
+  /// equals the set's; starting an activation bumps the set's Gen, which
+  /// drops every record at once.
+  struct MarkerSlot {
+    TaintId Taint = 0;
+    uint32_t Set = 0; ///< Index into MarkerSets.
+    uint64_t Gen = 0;
   };
-  /// Every set's records, sorted by (SetId, Label): the order the
-  /// consistency check visits them in (and so which event a Detail
-  /// names). A flat vector keeps its capacity across runs, so recording a
-  /// marker allocates nothing in steady state.
-  std::vector<SetRecord> SetRecords;
+  struct MarkerSet {
+    uint32_t Begin = 0, End = 0; ///< Its slots.
+    uint64_t Gen = 0;
+  };
+  std::vector<MarkerSlot> Slots;
+  std::vector<MarkerSet> MarkerSets;
+  uint64_t LastGen = 0;
   std::vector<ViolationRecord> Records;
   bool FreshViolated = false;
   bool ConsistentViolated = false;

@@ -7,6 +7,7 @@
 #include "sensors/SensorChannel.h"
 
 #include <cmath>
+#include <limits>
 #include <utility>
 
 using namespace ocelot;
@@ -57,6 +58,31 @@ SensorSignal SensorSignal::noise(int64_t Base, int64_t Amplitude,
   S.Interval = Interval ? Interval : 1;
   S.Seed = Seed;
   return S;
+}
+
+/// A + B, saturated to [INT64_MIN, INT64_MAX].
+static int64_t saturatingAdd(int64_t A, int64_t B) {
+  constexpr int64_t Max = std::numeric_limits<int64_t>::max();
+  constexpr int64_t Min = std::numeric_limits<int64_t>::min();
+  if (B > 0 && A > Max - B)
+    return Max;
+  if (B < 0 && A < Min - B)
+    return Min;
+  return A + B;
+}
+
+/// \p X rounded half away from zero (llround), saturated to
+/// [INT64_MIN, INT64_MAX]. NaN, which finite factors and weights can only
+/// produce when two terms overflow to opposite infinities, reads as 0.
+static int64_t saturatingRound(double X) {
+  constexpr double TwoTo63 = 9223372036854775808.0;
+  if (std::isnan(X))
+    return 0;
+  if (X >= TwoTo63)
+    return std::numeric_limits<int64_t>::max();
+  if (X < -TwoTo63)
+    return std::numeric_limits<int64_t>::min();
+  return std::llround(X);
 }
 
 /// Stateless 64-bit mix (splitmix64 finalizer) so Noise signals and the
@@ -128,7 +154,7 @@ public:
       : Inner(std::move(Inner)), Delta(Delta) {}
   const char *name() const override { return "offset"; }
   int64_t sample(uint64_t Tau) const override {
-    return Inner->sample(Tau) + Delta;
+    return saturatingAdd(Inner->sample(Tau), Delta);
   }
 
 private:
@@ -142,7 +168,7 @@ public:
       : Inner(std::move(Inner)), Factor(Factor) {}
   const char *name() const override { return "scale"; }
   int64_t sample(uint64_t Tau) const override {
-    return std::llround(static_cast<double>(Inner->sample(Tau)) * Factor);
+    return saturatingRound(static_cast<double>(Inner->sample(Tau)) * Factor);
   }
 
 private:
@@ -156,9 +182,9 @@ public:
       : A(std::move(A)), B(std::move(B)), WeightA(WeightA) {}
   const char *name() const override { return "mix"; }
   int64_t sample(uint64_t Tau) const override {
-    return std::llround(WeightA * static_cast<double>(A->sample(Tau)) +
-                        (1.0 - WeightA) *
-                            static_cast<double>(B->sample(Tau)));
+    return saturatingRound(WeightA * static_cast<double>(A->sample(Tau)) +
+                           (1.0 - WeightA) *
+                               static_cast<double>(B->sample(Tau)));
   }
 
 private:
@@ -173,8 +199,13 @@ public:
   const char *name() const override { return "jitter"; }
   int64_t sample(uint64_t Tau) const override {
     uint64_t R = mix(Seed * 0x100000001b3ULL + Tau);
-    uint64_t Span = 2 * static_cast<uint64_t>(Amplitude) + 1;
-    return Inner->sample(Tau) + static_cast<int64_t>(R % Span) - Amplitude;
+    const uint64_t Amp = static_cast<uint64_t>(Amplitude);
+    // U is in [0, 2 * Amp] (the span fits in uint64 for every positive
+    // int64 Amp); shift it to [-Amp, Amp] without leaving int64.
+    uint64_t U = R % (2 * Amp + 1);
+    int64_t Delta = U >= Amp ? static_cast<int64_t>(U - Amp)
+                             : -static_cast<int64_t>(Amp - U);
+    return saturatingAdd(Inner->sample(Tau), Delta);
   }
 
 private:

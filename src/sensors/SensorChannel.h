@@ -101,23 +101,27 @@ SensorChannelPtr squareChannel(int64_t Base, int64_t Amplitude,
 SensorChannelPtr noiseChannel(int64_t Base, int64_t Amplitude,
                               uint64_t Interval, uint64_t Seed);
 
-/// \p Inner shifted by a constant: sample = Inner + Delta.
+// The four composing adaptors below saturate: a sum or a rounded product
+// outside the int64 range reads as INT64_MIN or INT64_MAX. Factors and
+// weights must be finite.
+
+/// \p Inner shifted by a constant: sample = Inner + Delta, saturated.
 SensorChannelPtr offsetChannel(SensorChannelPtr Inner, int64_t Delta);
 
-/// \p Inner rescaled: sample = llround(Inner * Factor).
+/// \p Inner rescaled: sample = llround(Inner * Factor), saturated.
 SensorChannelPtr scaleChannel(SensorChannelPtr Inner, double Factor);
 
 /// Weighted blend of two channels:
-/// sample = llround(WeightA * A + (1 - WeightA) * B). The building block
-/// for correlated multi-channel scenarios (two sensors sharing a common
-/// mode plus private terms).
+/// sample = llround(WeightA * A + (1 - WeightA) * B), saturated. The
+/// building block for correlated multi-channel scenarios (two sensors
+/// sharing a common mode plus private terms).
 SensorChannelPtr mixChannel(SensorChannelPtr A, SensorChannelPtr B,
                             double WeightA);
 
 /// Per-read quantization jitter: adds a (seed, Tau)-hashed uniform value
-/// in [-Amplitude, +Amplitude] to every sample — an idealized ADC's LSB
-/// noise. Re-reading the same Tau gives the same value (purity), but no
-/// two adjacent Taus are correlated. Amplitude <= 0 returns Inner.
+/// in [-Amplitude, +Amplitude] to every sample, saturated — an idealized
+/// ADC's LSB noise. Re-reading the same Tau gives the same value (purity),
+/// but no two adjacent Taus are correlated. Amplitude <= 0 returns Inner.
 SensorChannelPtr jitterChannel(SensorChannelPtr Inner, int64_t Amplitude,
                                uint64_t Seed);
 

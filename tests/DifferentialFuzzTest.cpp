@@ -36,7 +36,10 @@
 /// setting (the formal monitor selects the taint loop), and an
 /// oracle-armed config whose OracleRecords must also agree bitwise. The
 /// Hot and taint-off checked loops take fused pairs; the taint loop
-/// dispatches every PC's plain code, so it is the unfused reference.
+/// dispatches every PC's plain code, so it is the unfused reference. On
+/// each engine, the formal config's violation records must also be the
+/// same with the oracle off (an epoch-grain taint table) and on (event
+/// grain).
 ///
 /// OCELOT_FUZZ_PROGRAMS sets the number of generated programs (default
 /// 30, sized for the default ctest lane; the dedicated CI fuzz job raises
@@ -50,6 +53,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <limits>
 #include <random>
@@ -578,7 +582,7 @@ void expectSameResult(const RunResult &Got, const RunResult &Ref,
     EXPECT_TRUE(GV.Site == RV.Site) << What << " violation " << V;
     EXPECT_EQ(GV.SetId, RV.SetId) << What << " violation " << V;
     EXPECT_EQ(GV.Tau, RV.Tau) << What << " violation " << V;
-    EXPECT_EQ(GV.Detail, RV.Detail) << What << " violation " << V;
+    EXPECT_EQ(GV.detail(), RV.detail()) << What << " violation " << V;
   }
 
   ASSERT_EQ(Got.TraceData.Inputs.size(), Ref.TraceData.Inputs.size()) << What;
@@ -637,6 +641,55 @@ void runDifferential(const CompiledArtifact &A, const RunConfig &Base,
   }
 }
 
+/// Arming the oracle switches the taint table from epoch to event grain,
+/// and no violation record may notice. On each engine, runs \p Runs
+/// activations of \p Base with the oracle off and on, and compares every
+/// run's records (kind, site, set, tau, detail). \returns the number of
+/// records compared.
+size_t expectOracleKeepsViolations(const CompiledArtifact &A,
+                                 const RunConfig &Base, uint64_t Seed,
+                                 int Runs, const std::string &What) {
+  size_t Compared = 0;
+  for (DispatchEngine E : {DispatchEngine::Tree, DispatchEngine::Threaded}) {
+    auto mkSim = [&](bool Oracle) {
+      SimulationSpec Spec;
+      Spec.Config = Base;
+      Spec.Config.Seed = Seed;
+      Spec.Config.Dispatch = E;
+      Spec.Config.Oracle = Oracle;
+      return Simulation(A, std::move(Spec));
+    };
+    Simulation Off = mkSim(false);
+    Simulation On = mkSim(true);
+    EXPECT_EQ(Off.taints().grain(), TaintTable::Grain::Epoch) << What;
+    EXPECT_EQ(On.taints().grain(), TaintTable::Grain::Event) << What;
+    const std::string Engine =
+        E == DispatchEngine::Tree ? " [tree]" : " [threaded]";
+    for (int Run = 0; Run < Runs; ++Run) {
+      RunResult ROff = Off.runOnce();
+      RunResult ROn = On.runOnce();
+      const std::string RunWhat =
+          What + "/run" + std::to_string(Run) + Engine;
+      EXPECT_EQ(ROff.Violations.size(), ROn.Violations.size()) << RunWhat;
+      for (size_t V = 0;
+           V < std::min(ROff.Violations.size(), ROn.Violations.size()); ++V) {
+        ++Compared;
+        const ViolationRecord &OffV = ROff.Violations[V];
+        const ViolationRecord &OnV = ROn.Violations[V];
+        EXPECT_EQ(OffV.K, OnV.K) << RunWhat << " violation " << V;
+        EXPECT_TRUE(OffV.Site == OnV.Site) << RunWhat << " violation " << V;
+        EXPECT_EQ(OffV.SetId, OnV.SetId) << RunWhat << " violation " << V;
+        EXPECT_EQ(OffV.Tau, OnV.Tau) << RunWhat << " violation " << V;
+        EXPECT_EQ(OffV.detail(), OnV.detail())
+            << RunWhat << " violation " << V;
+      }
+      if (ROff.Starved && ROn.Starved)
+        break;
+    }
+  }
+  return Compared;
+}
+
 /// \p Src compiled under \p Model; an empty artifact when the toolchain
 /// rejects it.
 CompiledArtifact compileAt(const std::string &Src, ExecModel Model) {
@@ -650,6 +703,7 @@ TEST(DifferentialFuzz, TreeAndThreadedAgreeOnRandomPrograms) {
   const int Programs = fuzzBudget();
   int Valid = 0;
   int Rejected = 0;
+  size_t GrainViolations = 0;
   for (int P = 0; P < Programs; ++P) {
     const uint64_t GenSeed = 0x0CE107u + 977u * static_cast<uint64_t>(P);
     std::string Src = ProgramGen(GenSeed).generate();
@@ -686,6 +740,8 @@ TEST(DifferentialFuzz, TreeAndThreadedAgreeOnRandomPrograms) {
       RunConfig Full = Energy;
       Full.MonitorFormal = true;
       runDifferential(A, Full, GenSeed * 131 + 13, 4, What + "/energy-taint");
+      GrainViolations += expectOracleKeepsViolations(
+          A, Full, GenSeed * 131 + 13, 4, What + "/taint-grain");
 
       // Input-epoch oracle armed: every committed output's fused-input
       // record and verdict must agree bitwise across the engines.
@@ -702,9 +758,13 @@ TEST(DifferentialFuzz, TreeAndThreadedAgreeOnRandomPrograms) {
     }
   }
   EXPECT_GT(Valid, 0) << "the generator produced no compilable programs";
+  EXPECT_GT(GrainViolations, 0u)
+      << "no violation compared across taint grains";
   RecordProperty("programs", Programs);
   RecordProperty("valid_compiles", Valid);
   RecordProperty("rejected_compiles", Rejected);
+  RecordProperty("grain_violations_compared",
+                 static_cast<int>(GrainViolations));
 }
 
 // A fixed regression corpus: hand-written programs that previously needed

@@ -81,7 +81,7 @@ void expectSameResult(const RunResult &Got /*engine under test*/,
     EXPECT_TRUE(GV.Site == TV.Site) << What << " violation " << V;
     EXPECT_EQ(GV.SetId, TV.SetId) << What << " violation " << V;
     EXPECT_EQ(GV.Tau, TV.Tau) << What << " violation " << V;
-    EXPECT_EQ(GV.Detail, TV.Detail) << What << " violation " << V;
+    EXPECT_EQ(GV.detail(), TV.detail()) << What << " violation " << V;
   }
 
   EXPECT_EQ(Got.OracleFresh, Tree.OracleFresh) << What;
@@ -431,6 +431,7 @@ void checkImageAgainstProgram(const CompiledArtifact &A) {
 
   uint32_t Pc = 0;
   uint32_t NextInputOrd = 0;
+  uint32_t Markers = 0;
   for (int F = 0; F < P.numFunctions(); ++F) {
     const Function *Fn = P.function(F);
     EXPECT_EQ(Img.entryPc(F), Pc) << Fn->name();
@@ -498,9 +499,18 @@ void checkImageAgainstProgram(const CompiledArtifact &A) {
         // Input ordinals number the Input instructions densely in PC
         // order: each is its operation's bit position.
         if (I.Op == Opcode::Input) {
-          EXPECT_EQ(FI.InputOrd, NextInputOrd++) << "pc " << Pc;
-          EXPECT_TRUE(Img.inputSite(FI.InputOrd) == Site) << "pc " << Pc;
-          EXPECT_EQ(Img.inputOrdinal(Site), FI.InputOrd) << "pc " << Pc;
+          EXPECT_EQ(FI.Ord, NextInputOrd++) << "pc " << Pc;
+          EXPECT_TRUE(Img.inputSite(FI.Ord) == Site) << "pc " << Pc;
+          EXPECT_EQ(Img.inputOrdinal(Site), FI.Ord) << "pc " << Pc;
+        }
+        // A Consistent marker's ordinal names its (set, label).
+        if (I.Op == Opcode::Consistent) {
+          ASSERT_LT(FI.Ord, Img.numMarkers()) << "pc " << Pc;
+          EXPECT_EQ(Img.marker(FI.Ord), (ConsistentMarker{I.SetId, I.Label}))
+              << "pc " << Pc;
+          EXPECT_EQ(Img.markerOrdinal(I.SetId, I.Label), FI.Ord)
+              << "pc " << Pc;
+          ++Markers;
         }
         auto UR = Plan.UseRegs.find(Site);
         size_t WantRegs = UR == Plan.UseRegs.end() ? 0 : UR->second.size();
@@ -532,6 +542,12 @@ void checkImageAgainstProgram(const CompiledArtifact &A) {
     }
     EXPECT_EQ(Img.func(F).EndPc, Pc) << Fn->name();
   }
+
+  // Marker ordinals are dense and strictly sorted by (set, label), so
+  // each set's markers are consecutive and in label order.
+  EXPECT_LE(Img.numMarkers(), Markers);
+  for (uint32_t M = 1; M < Img.numMarkers(); ++M)
+    EXPECT_LT(Img.marker(M - 1), Img.marker(M)) << "marker " << M;
 
   // Every member chain of a consistent set ends at a numbered input.
   EXPECT_LE(NextInputOrd, Img.numInputOrdinals());

@@ -341,7 +341,7 @@ std::vector<ViolationRecord> bitVectorViolations(const CompiledArtifact &A,
     EXPECT_EQ(PerEngine[E].size(), PerEngine[0].size()) << "engine " << E;
     for (size_t V = 0; V < PerEngine[E].size() && V < PerEngine[0].size();
          ++V)
-      EXPECT_EQ(PerEngine[E][V].Detail, PerEngine[0][V].Detail);
+      EXPECT_EQ(PerEngine[E][V].detail(), PerEngine[0][V].detail());
   }
   return PerEngine[0];
 }
@@ -393,13 +393,13 @@ TEST(Interp, BitVectorFreshUseChecksEveryInput) {
   std::vector<ViolationRecord> V = bitVectorViolations(A, "readT");
   ASSERT_FALSE(V.empty());
   EXPECT_EQ(V[0].K, ViolationRecord::Kind::FreshBitVec);
-  EXPECT_NE(V[0].Detail.find("operation @"), std::string::npos);
+  EXPECT_NE(V[0].detail().find("operation @"), std::string::npos);
   for (const auto &[Use, Inputs] : A.monitorPlan().UseChecks) {
     ASSERT_EQ(Inputs.size(), 2u);
     EXPECT_EQ(Inputs.begin()->Func, ReadT);
     // The reported operation is hum's input in main, not readT's.
     InstrRef Hum = *std::next(Inputs.begin());
-    EXPECT_EQ(V[0].Detail, "use of stale input: operation @" +
+    EXPECT_EQ(V[0].detail(), "use of stale input: operation @" +
                                std::to_string(Hum.Label) +
                                "'s bit cleared by a power failure");
   }

@@ -12,13 +12,17 @@
 /// get extra scrutiny at their Interval edges, where the value is re-drawn.
 /// (The scenario subsystem built on these signals is covered by
 /// SensorScenarioTest, including its bit-compat pin against the
-/// pre-subsystem sample math.)
+/// pre-subsystem sample math.) The composing channel adaptors must stay
+/// in int64 at its edges: they saturate instead of overflowing.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "sensors/SensorChannel.h"
 
 #include <gtest/gtest.h>
+
+#include <cstdint>
+#include <limits>
 
 using namespace ocelot;
 
@@ -111,6 +115,70 @@ TEST(SensorSignal, NoiseStaysInRange) {
     int64_t V = S.sample(Tau);
     EXPECT_GE(V, -50);
     EXPECT_LE(V, 50);
+  }
+}
+
+constexpr int64_t Max = std::numeric_limits<int64_t>::max();
+constexpr int64_t Min = std::numeric_limits<int64_t>::min();
+
+TEST(SensorChannelEdges, OffsetSaturates) {
+  EXPECT_EQ(offsetChannel(constantChannel(Max), 1)->sample(0), Max);
+  EXPECT_EQ(offsetChannel(constantChannel(Max), Max)->sample(0), Max);
+  EXPECT_EQ(offsetChannel(constantChannel(Min), -1)->sample(0), Min);
+  EXPECT_EQ(offsetChannel(constantChannel(Min), Max)->sample(0), -1);
+  EXPECT_EQ(offsetChannel(constantChannel(5), -8)->sample(0), -3);
+}
+
+TEST(SensorChannelEdges, ScaleSaturates) {
+  EXPECT_EQ(scaleChannel(constantChannel(Min), 2.0)->sample(0), Min);
+  EXPECT_EQ(scaleChannel(constantChannel(Max), 2.0)->sample(0), Max);
+  EXPECT_EQ(scaleChannel(constantChannel(Min), -1.0)->sample(0), Max);
+  // INT64_MAX reads as the double 2^63, one past the range.
+  EXPECT_EQ(scaleChannel(constantChannel(Max), 1.0)->sample(0), Max);
+  EXPECT_EQ(scaleChannel(constantChannel(Min), 1.0)->sample(0), Min);
+  EXPECT_EQ(scaleChannel(constantChannel(Max), 1e300)->sample(0), Max);
+  EXPECT_EQ(scaleChannel(constantChannel(7), 1.5)->sample(0), 11);
+  EXPECT_EQ(scaleChannel(constantChannel(-7), 1.5)->sample(0), -11);
+}
+
+TEST(SensorChannelEdges, MixSaturates) {
+  auto Hi = constantChannel(Max), Lo = constantChannel(Min);
+  EXPECT_EQ(mixChannel(Hi, Lo, 0.5)->sample(0), 0);
+  EXPECT_EQ(mixChannel(Hi, Lo, 1.0)->sample(0), Max);
+  EXPECT_EQ(mixChannel(Hi, Lo, 0.0)->sample(0), Min);
+  EXPECT_EQ(mixChannel(Hi, Lo, 2.0)->sample(0), Max);
+  EXPECT_EQ(mixChannel(Hi, Lo, -1.0)->sample(0), Min);
+  // Both terms overflow to opposite infinities: NaN reads as 0.
+  EXPECT_EQ(mixChannel(Hi, Hi, 1e300)->sample(0), 0);
+  EXPECT_EQ(mixChannel(constantChannel(10), constantChannel(20), 0.25)
+                ->sample(0),
+            18); // 17.5 rounds away from zero.
+}
+
+TEST(SensorChannelEdges, JitterSaturatesAndStaysInItsBand) {
+  auto AtMax = jitterChannel(constantChannel(Max), 5, 11);
+  auto AtMin = jitterChannel(constantChannel(Min), 5, 11);
+  auto Wide = jitterChannel(constantChannel(Max), Max, 11);
+  auto WideLow = jitterChannel(constantChannel(Min), Max, 11);
+  bool SawMax = false, SawMin = false;
+  for (uint64_t Tau = 0; Tau < 2000; ++Tau) {
+    int64_t V = AtMax->sample(Tau);
+    EXPECT_GE(V, Max - 5) << "tau=" << Tau;
+    SawMax |= V == Max;
+    int64_t W = AtMin->sample(Tau);
+    EXPECT_LE(W, Min + 5) << "tau=" << Tau;
+    SawMin |= W == Min;
+    EXPECT_GE(Wide->sample(Tau), 0) << "tau=" << Tau;
+    EXPECT_LE(WideLow->sample(Tau), -1) << "tau=" << Tau;
+    EXPECT_EQ(V, AtMax->sample(Tau)) << "resampling tau=" << Tau;
+  }
+  EXPECT_TRUE(SawMax) << "positive jitter at INT64_MAX must saturate";
+  EXPECT_TRUE(SawMin) << "negative jitter at INT64_MIN must saturate";
+  // Away from the edges the band is exact: [-3, 3] around 100.
+  auto Mid = jitterChannel(constantChannel(100), 3, 4);
+  for (uint64_t Tau = 0; Tau < 500; ++Tau) {
+    EXPECT_GE(Mid->sample(Tau), 97);
+    EXPECT_LE(Mid->sample(Tau), 103);
   }
 }
 

@@ -19,6 +19,7 @@
 
 #include <algorithm>
 #include <random>
+#include <string>
 
 using namespace ocelot;
 
@@ -49,42 +50,113 @@ InputEvent event(int Sensor, uint64_t Tau, uint64_t Epoch, int64_t Value) {
   return E;
 }
 
+/// The epochs of \p Es in first-appearance order: what an epoch-grain
+/// table keeps of the event sequence \p Es.
+std::vector<uint64_t> epochsOf(const Events &Es) {
+  std::vector<uint64_t> Out;
+  for (const InputEvent &E : Es)
+    if (std::find(Out.begin(), Out.end(), E.Epoch) == Out.end())
+      Out.push_back(E.Epoch);
+  return Out;
+}
+
+/// Drives \p T with a random script of singles and merges, mirrored on
+/// the event-grain vector model, and calls \p Check(Id, Model, MaxEpoch)
+/// after every operation and again for every id at the end (entries are
+/// immutable, so earlier ids must still name their sequences).
+template <typename CheckFn>
+void runRandomScript(TaintTable &T, std::mt19937_64 &Rng,
+                     const CheckFn &Check) {
+  std::vector<TaintId> Ids{0};
+  std::vector<Events> Model{{}};
+  uint64_t Tau = 0, Epoch = 0;
+  for (int Op = 0; Op < 400; ++Op) {
+    if (Rng() % 4 == 0 || Ids.size() < 3) {
+      // Tau never runs backward; equal-tau inputs (zero-cost steps) can
+      // repeat an event exactly, which must dedup by value.
+      Tau += Rng() % 3;
+      if (Rng() % 16 == 0)
+        ++Epoch;
+      InputEvent E = event(static_cast<int>(Rng() % 3), Tau, Epoch,
+                           static_cast<int64_t>(Rng() % 2));
+      Ids.push_back(T.single(E));
+      Model.push_back({E});
+    } else {
+      size_t A = Rng() % Ids.size(), B = Rng() % Ids.size();
+      Ids.push_back(T.merge(Ids[A], Ids[B]));
+      Model.push_back(modelMerge(Model[A], Model[B]));
+    }
+    SCOPED_TRACE("op " + std::to_string(Op));
+    Check(Ids.back(), Model.back(), Epoch);
+  }
+  for (size_t I = 0; I < Ids.size(); ++I) {
+    SCOPED_TRACE("id " + std::to_string(I));
+    Check(Ids[I], Model[I], Epoch);
+  }
+}
+
+/// allInEpoch agrees with the model for every epoch up to \p MaxEpoch.
+void expectAllInEpochMatches(const TaintTable &T, TaintId Id,
+                             const Events &Model, uint64_t MaxEpoch) {
+  for (uint64_t Ep = 0; Ep <= MaxEpoch; ++Ep) {
+    bool Want = std::all_of(Model.begin(), Model.end(),
+                            [&](const InputEvent &E) { return E.Epoch == Ep; });
+    ASSERT_EQ(T.allInEpoch(Id, Ep), Want) << "epoch " << Ep;
+  }
+}
+
 TEST(TaintTable, MergeMatchesVectorSemanticsOnRandomEvents) {
   std::mt19937_64 Rng(42);
   for (int Round = 0; Round < 20; ++Round) {
+    SCOPED_TRACE("round " + std::to_string(Round));
     TaintTable T;
-    std::vector<TaintId> Ids{0};
-    std::vector<Events> Model{{}};
-    uint64_t Tau = 0, Epoch = 0;
-    for (int Op = 0; Op < 400; ++Op) {
-      if (Rng() % 4 == 0 || Ids.size() < 3) {
-        // Tau never runs backward; equal-tau inputs (zero-cost steps) can
-        // repeat an event exactly, which must dedup by value.
-        Tau += Rng() % 3;
-        if (Rng() % 16 == 0)
-          ++Epoch;
-        InputEvent E = event(static_cast<int>(Rng() % 3), Tau, Epoch,
-                             static_cast<int64_t>(Rng() % 2));
-        Ids.push_back(T.single(E));
-        Model.push_back({E});
-      } else {
-        size_t A = Rng() % Ids.size(), B = Rng() % Ids.size();
-        Ids.push_back(T.merge(Ids[A], Ids[B]));
-        Model.push_back(modelMerge(Model[A], Model[B]));
-      }
-      ASSERT_EQ(contents(T, Ids.back()), Model.back())
-          << "round " << Round << " op " << Op;
-      for (uint64_t Ep = 0; Ep <= Epoch; ++Ep) {
-        bool Want = std::all_of(
-            Model.back().begin(), Model.back().end(),
-            [&](const InputEvent &E) { return E.Epoch == Ep; });
-        ASSERT_EQ(T.allInEpoch(Ids.back(), Ep), Want);
-      }
-    }
-    // Every earlier id still names its sequence (entries are immutable).
-    for (size_t I = 0; I < Ids.size(); ++I)
-      ASSERT_EQ(contents(T, Ids[I]), Model[I]) << "id " << I;
+    runRandomScript(T, Rng, [&](TaintId Id, const Events &Model,
+                                uint64_t MaxEpoch) {
+      ASSERT_EQ(contents(T, Id), Model);
+      expectAllInEpochMatches(T, Id, Model, MaxEpoch);
+    });
   }
+}
+
+TEST(TaintTable, EpochGrainKeepsTheEventModelsEpochs) {
+  // The same scripts as above: an epoch-grain table's sequence is the
+  // event-grain model's epochs in first-appearance order, because mapping
+  // events to epochs commutes with merge.
+  std::mt19937_64 Rng(42);
+  for (int Round = 0; Round < 20; ++Round) {
+    SCOPED_TRACE("round " + std::to_string(Round));
+    TaintTable T(TaintTable::Grain::Epoch);
+    runRandomScript(T, Rng, [&](TaintId Id, const Events &Model,
+                                uint64_t MaxEpoch) {
+      ASSERT_EQ(epochsOf(contents(T, Id)), epochsOf(Model));
+      expectAllInEpochMatches(T, Id, Model, MaxEpoch);
+    });
+  }
+}
+
+TEST(TaintTable, EpochGrainInternsOneSequencePerEpoch) {
+  TaintTable T(TaintTable::Grain::Epoch);
+  EXPECT_EQ(T.grain(), TaintTable::Grain::Epoch);
+  TaintId A = T.single(event(0, 1, 0, 5));
+  EXPECT_EQ(T.single(event(1, 2, 0, 6)), A);
+  EXPECT_EQ(T.single(event(2, 2, 0, 7)), A);
+  EXPECT_EQ(T.merge(A, T.single(event(0, 3, 0, 8))), A);
+  TaintId B = T.single(event(0, 4, 1, 5));
+  EXPECT_NE(B, A);
+  EXPECT_EQ(T.numEvents(), 2u);
+  TaintId AB = T.merge(A, B);
+  EXPECT_EQ(T.length(AB), 2u);
+  EXPECT_EQ(T.at(AB, 0).Epoch, 0u);
+  EXPECT_EQ(T.at(AB, 1).Epoch, 1u);
+  // Compaction renumbers; a later single of the current epoch reuses the
+  // surviving event and yields a sequence equal to the root's.
+  std::vector<RtValue> Roots{RtValue(0, B)};
+  T.compact(Roots);
+  EXPECT_EQ(T.numEvents(), 1u);
+  TaintId B2 = T.single(event(1, 9, 1, 0));
+  EXPECT_EQ(T.numEvents(), 1u);
+  EXPECT_EQ(T.merge(Roots[0].Taint, B2), Roots[0].Taint);
+  EXPECT_EQ(T.single(event(2, 9, 1, 1)), B2);
 }
 
 TEST(TaintTable, MergeIdentitiesAndSubsetReturnExistingIds) {
@@ -185,31 +257,48 @@ TEST(TaintTable, CompactionInvalidatesMemo) {
 TEST(TaintTable, DeviceLifetimeStaysBounded) {
   // A monitored device runs many activations; NVM keeps a bounded amount
   // of taint live, so the table must not grow with the number of runs.
-  for (const char *Name : {"tire", "cem"}) {
-    const BenchmarkDef &B = *findBenchmark(Name);
-    CompiledBenchmark CB = compileBenchmark(B, ExecModel::Ocelot);
-    RunConfig Cfg;
-    Cfg.Plan = FailurePlan::energyDriven();
-    Cfg.MonitorBitVector = true;
-    Cfg.MonitorFormal = true;
-    Cfg.Sensors = B.scenario(5);
-    Cfg.Seed = 5;
-    Simulation Sim(CB.Artifact, Cfg);
-    // Linear growth would make the last third's peak 3x the first
-    // third's; compaction keeps both at the same doubling ceiling. 3000
-    // runs cover several compaction cycles of either benchmark.
-    size_t EarlyMax = 0, LateMax = 0;
-    const int Runs = 3000;
-    for (int Run = 0; Run < Runs; ++Run) {
-      ASSERT_TRUE(Sim.runOnce().Completed) << Name << " run " << Run;
-      size_t Size = Sim.taints().size();
-      if (Run < Runs / 3)
-        EarlyMax = std::max(EarlyMax, Size);
-      else if (Run >= 2 * Runs / 3)
-        LateMax = std::max(LateMax, Size);
+  // With the oracle armed the table keeps every event and goes through
+  // compaction cycles (a compaction shows as a smaller table after the
+  // next run); with the formal monitor alone it keeps epochs and never
+  // reaches CompactFloor entries.
+  for (bool Oracle : {true, false}) {
+    for (const char *Name : {"tire", "cem"}) {
+      SCOPED_TRACE(std::string(Name) + (Oracle ? " oracle" : " formal"));
+      const BenchmarkDef &B = *findBenchmark(Name);
+      CompiledBenchmark CB = compileBenchmark(B, ExecModel::Ocelot);
+      RunConfig Cfg;
+      Cfg.Plan = FailurePlan::energyDriven();
+      Cfg.MonitorBitVector = true;
+      Cfg.MonitorFormal = true;
+      Cfg.Oracle = Oracle;
+      Cfg.Sensors = B.scenario(5);
+      Cfg.Seed = 5;
+      Simulation Sim(CB.Artifact, Cfg);
+      ASSERT_EQ(Sim.taints().grain(), Oracle ? TaintTable::Grain::Event
+                                             : TaintTable::Grain::Epoch);
+      // Linear growth would make the last third's peak 3x the first
+      // third's; compaction keeps both at the same doubling ceiling. 3000
+      // runs cover several compaction cycles of either benchmark.
+      size_t EarlyMax = 0, LateMax = 0, AllMax = 0, Shrinks = 0, Last = 0;
+      const int Runs = 3000;
+      for (int Run = 0; Run < Runs; ++Run) {
+        ASSERT_TRUE(Sim.runOnce().Completed) << "run " << Run;
+        size_t Size = Sim.taints().size();
+        if (Run < Runs / 3)
+          EarlyMax = std::max(EarlyMax, Size);
+        else if (Run >= 2 * Runs / 3)
+          LateMax = std::max(LateMax, Size);
+        AllMax = std::max(AllMax, Size);
+        Shrinks += Size < Last;
+        Last = Size;
+      }
+      EXPECT_GT(EarlyMax, 0u);
+      EXPECT_LE(LateMax, 2 * EarlyMax);
+      if (Oracle)
+        EXPECT_GE(Shrinks, 2u) << "expected several compaction cycles";
+      else
+        EXPECT_LT(AllMax, TaintTable::CompactFloor);
     }
-    EXPECT_GT(EarlyMax, 0u) << Name;
-    EXPECT_LE(LateMax, 2 * EarlyMax) << Name;
   }
 }
 
