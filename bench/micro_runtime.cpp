@@ -601,7 +601,6 @@ void BM_InterpretWithTaint(benchmark::State &State) {
   CompiledArtifact A = compileBenchmark(tire(), ExecModel::Ocelot).Artifact;
   SimulationSpec Spec;
   Spec.Config.Sensors = tire().scenario(1);
-  Spec.Config.TrackTaint = true;
   Spec.Config.MonitorFormal = true;
   Spec.Config.MonitorBitVector = true;
   Simulation Sim(A, std::move(Spec));

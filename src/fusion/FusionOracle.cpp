@@ -6,9 +6,6 @@
 
 #include "fusion/FusionOracle.h"
 
-#include <algorithm>
-#include <tuple>
-
 using namespace ocelot;
 
 const char *ocelot::oracleVerdictName(OracleVerdict V) {
@@ -23,23 +20,10 @@ const char *ocelot::oracleVerdictName(OracleVerdict V) {
   return "?";
 }
 
-OracleVerdict ocelot::classifyOracleInputs(std::vector<InputEvent> &Inputs,
+OracleVerdict ocelot::classifyOracleInputs(EpochSpan Inputs,
                                            uint64_t EmitEpoch) {
-  auto Key = [](const InputEvent &E) {
-    return std::make_tuple(E.Sensor, E.Tau, E.Epoch, E.Value);
-  };
-  std::sort(Inputs.begin(), Inputs.end(),
-            [&](const InputEvent &A, const InputEvent &B) {
-              return Key(A) < Key(B);
-            });
-  Inputs.erase(std::unique(Inputs.begin(), Inputs.end()), Inputs.end());
-
-  bool Stale = false;
-  for (size_t I = 0; I < Inputs.size(); ++I) {
-    if (I > 0 && Inputs[I].Epoch != Inputs[I - 1].Epoch)
-      return OracleVerdict::CrossEpoch;
-    if (Inputs[I].Epoch < EmitEpoch)
-      Stale = true;
-  }
-  return Stale ? OracleVerdict::Stale : OracleVerdict::Fresh;
+  // The empty span has Min > Max, so it falls through both tests.
+  if (Inputs.Min < Inputs.Max)
+    return OracleVerdict::CrossEpoch;
+  return Inputs.Min < EmitEpoch ? OracleVerdict::Stale : OracleVerdict::Fresh;
 }

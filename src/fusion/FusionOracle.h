@@ -9,8 +9,8 @@
 /// input fusion, independent of any ExecModel's enforcement machinery.
 ///
 /// When `RunConfig::Oracle` is set, every committed output is tagged with
-/// the canonical set of input events (sensor, tau, reboot epoch, value)
-/// that flowed into its arguments — the same dynamic taint the formal
+/// the epoch span (oldest and newest reboot epoch) of the inputs that
+/// flowed into its arguments — read off the same dynamic taint the formal
 /// monitors consume — and classified:
 ///
 ///   * CrossEpoch — the fused inputs span two or more reboot epochs: a
@@ -27,10 +27,10 @@
 ///
 /// The oracle sees *committed* outputs only: work rolled back by an
 /// aborted atomic region never produced an observable output, so it is
-/// not scored. Because classification is a pure function of the taint
-/// sets that both engines already compute identically, oracle verdicts
-/// are byte-identical across tree / threaded dispatch and with
-/// superinstruction fusion on or off.
+/// not scored. A span is a min/max fold, so it does not depend on argument
+/// evaluation or taint-merge order, and classification is a pure function
+/// of (span, emission epoch): oracle records are byte-identical across
+/// tree / threaded dispatch and with superinstruction fusion on or off.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -40,7 +40,6 @@
 #include "runtime/Value.h"
 
 #include <cstdint>
-#include <vector>
 
 namespace ocelot {
 
@@ -53,14 +52,13 @@ enum class OracleVerdict : uint8_t {
 
 const char *oracleVerdictName(OracleVerdict V);
 
-/// One committed output, scored. `Inputs` is canonical: sorted by
-/// (Sensor, Tau, Epoch, Value) and deduplicated, so records compare
-/// bitwise across engines regardless of evaluation order.
+/// One committed output, scored.
 struct OracleRecord {
   OutputKind Kind = OutputKind::Log;
   uint64_t Tau = 0;   ///< Logical time of emission.
   uint64_t Epoch = 0; ///< Reboot epoch of emission (== commit epoch).
-  std::vector<InputEvent> Inputs;
+  /// Oldest and newest epoch of the fused inputs; empty when untainted.
+  EpochSpan Inputs;
   OracleVerdict Verdict = OracleVerdict::Fresh;
 
   bool operator==(const OracleRecord &O) const {
@@ -69,11 +67,11 @@ struct OracleRecord {
   }
 };
 
-/// Canonicalizes \p Inputs in place (sort + dedup) and classifies them
-/// against the emission epoch. The canonical order makes the record
-/// independent of argument evaluation order and taint-merge order.
-OracleVerdict classifyOracleInputs(std::vector<InputEvent> &Inputs,
-                                   uint64_t EmitEpoch);
+/// Classifies an output whose inputs span \p Inputs, emitted in
+/// \p EmitEpoch: CrossEpoch iff the span covers two epochs, Stale iff its
+/// one epoch is older than \p EmitEpoch, Fresh otherwise (an empty span
+/// included).
+OracleVerdict classifyOracleInputs(EpochSpan Inputs, uint64_t EmitEpoch);
 
 } // namespace ocelot
 

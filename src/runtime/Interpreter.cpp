@@ -49,15 +49,12 @@ Interpreter::Interpreter(const Program &P, RunConfig Cfg,
                          const std::vector<RegionInfo> *Regions,
                          std::shared_ptr<const ExecutableImage> Image)
     : P(P), Cfg(std::move(Cfg)),
+      TrackTaint(this->Cfg.MonitorFormal || this->Cfg.Oracle),
       Sensors(this->Cfg.Sensors ? this->Cfg.Sensors
                                 : defaultSensorScenario()),
       Regions(Regions),
       Img(Image ? std::move(Image)
                 : ExecutableImage::build(P, Regions, Plan)),
-      // Only the oracle's records list whole input events; every other
-      // reader of taint needs only epochs.
-      Taints(this->Cfg.Oracle ? TaintTable::Grain::Event
-                              : TaintTable::Grain::Epoch),
       Rand(this->Cfg.Seed) {
   static const MonitorPlan EmptyPlan;
   Monitor =
@@ -66,12 +63,6 @@ Interpreter::Interpreter(const Program &P, RunConfig Cfg,
   if (this->Cfg.Plan.isEnergyDriven())
     Energy = std::make_unique<EnergyModel>(
         this->Cfg.Energy, this->Cfg.Seed ^ 0xe4e4f00dULL, this->Cfg.Power);
-  if (this->Cfg.MonitorFormal)
-    this->Cfg.TrackTaint = true;
-  // The oracle scores committed outputs by their fused input taint, so it
-  // needs the same taint-augmented semantics as the formal monitors.
-  if (this->Cfg.Oracle)
-    this->Cfg.TrackTaint = true;
   // Fold the cost switch once: a PC-indexed table replaces per-step
   // CostModel::costOf calls. The default model reuses the image's table.
   if (this->Cfg.Costs == CostModel()) {
@@ -239,17 +230,17 @@ void Interpreter::commitAtomic(RunResult &R) {
   ++R.AtomicCommits;
 }
 
-void Interpreter::recordOracleOutput(OutputKind Kind,
-                                     std::vector<InputEvent> &&Inputs) {
+void Interpreter::recordOracleOutput(OutputKind Kind, EpochSpan Inputs) {
   OracleRecord Rec;
   Rec.Kind = Kind;
   Rec.Tau = Tau;
   Rec.Epoch = Epoch;
-  Rec.Inputs = std::move(Inputs);
-  Rec.Verdict = classifyOracleInputs(Rec.Inputs, Epoch);
+  Rec.Inputs = Inputs;
+  Rec.Verdict = classifyOracleInputs(Inputs, Epoch);
   if (TraceSink *T = Cfg.Telemetry)
     T->oracleVerdict(Tau, static_cast<int>(Rec.Verdict),
-                     Rec.Inputs.size(), oracleVerdictName(Rec.Verdict));
+                     Inputs.empty() ? -1 : static_cast<int64_t>(Inputs.Min),
+                     oracleVerdictName(Rec.Verdict));
   if (ExecMode == Mode::Atomic)
     PendingOracle.push_back(std::move(Rec));
   else
@@ -358,7 +349,7 @@ RunResult Interpreter::runOnce() {
   // Only NVM outlives a run: registers, the undo log, the region snapshot
   // and the monitor's set records are all reset before they are read
   // again, so NVM is the whole root set of the taint table here.
-  if (Cfg.TrackTaint)
+  if (TrackTaint)
     Taints.compactIfGrown(Nvm);
   return Cfg.Dispatch == DispatchEngine::Tree ? runOnceTree()
                                               : runOnceThreaded();
@@ -461,7 +452,7 @@ RunResult Interpreter::runOnceTree() {
         break;
       }
       RtValue Out(V);
-      if (Cfg.TrackTaint)
+      if (TrackTaint)
         Out.Taint = Taints.merge(A.Taint, B.Taint);
       Frames.back().Regs[static_cast<size_t>(I->Dst)] = Out;
       break;
@@ -531,8 +522,8 @@ RunResult Interpreter::runOnceTree() {
       E.Epoch = Epoch;
       E.Value = V;
       RtValue Out(V);
-      if (Cfg.TrackTaint)
-        Out.Taint = Taints.single(E);
+      if (TrackTaint)
+        Out.Taint = Taints.single(Epoch);
       Frames.back().Regs[static_cast<size_t>(I->Dst)] = Out;
       if (TraceSink *T = Cfg.Telemetry)
         T->sensorRead(Tau, I->SensorId, V);
@@ -607,15 +598,14 @@ RunResult Interpreter::runOnceTree() {
       OutputEvent E;
       E.Kind = I->OutKind;
       E.Tau = Tau;
-      std::vector<InputEvent> Fused;
+      EpochSpan Fused;
       for (const Operand &A : I->Args) {
         const RtValue V = eval(A);
         E.Args.push_back(V.V);
-        if (Cfg.Oracle)
-          Taints.appendTo(V.Taint, Fused);
+        Fused.join(Taints.span(V.Taint));
       }
       if (Cfg.Oracle)
-        recordOracleOutput(E.Kind, std::move(Fused));
+        recordOracleOutput(E.Kind, Fused);
       if (Cfg.RecordTrace) {
         if (ExecMode == Mode::Atomic)
           PendingOutputs.push_back(E);

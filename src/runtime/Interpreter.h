@@ -98,13 +98,14 @@ struct RunConfig {
   std::shared_ptr<ArenaPool> Arena;
   uint64_t Seed = 1;
   DispatchEngine Dispatch = DispatchEngine::Threaded;
-  bool TrackTaint = false;
   bool MonitorBitVector = false;
-  bool MonitorFormal = false; ///< Implies TrackTaint.
+  /// The formal monitor: Definitions 2 and 3 over runtime input taint.
+  /// Turns taint tracking on.
+  bool MonitorFormal = false;
   /// Input-epoch consistency oracle (src/fusion/FusionOracle.h): score
   /// every committed output against the reboot epochs of the inputs fused
-  /// into it, independent of the monitors' enforcement. Implies
-  /// TrackTaint; verdicts land in RunResult::OracleRecords and are
+  /// into it, independent of the monitors' enforcement. Turns taint
+  /// tracking on; verdicts land in RunResult::OracleRecords and are
   /// byte-identical across both engines.
   bool Oracle = false;
   bool StaticOmega = false;   ///< Back up omega at region entry instead of
@@ -234,7 +235,7 @@ private:
   /// (or switch-fallback) dispatch over the image's ThreadedOp view. The
   /// TaintOn instantiation carries a TaintId next to every payload and
   /// merges ids through the TaintTable; taint-off, values move as raw
-  /// int64 payloads, legal because with TrackTaint off every id in
+  /// int64 payloads, legal because with taint off every id in
   /// registers and NVM is 0 (the empty sequence) by construction. The Hot
   /// (taint-off) instantiation additionally assumes no failure plan, no
   /// energy model, no monitors and no observers (the steady-state
@@ -281,6 +282,9 @@ private:
 
   const Program &P;
   RunConfig Cfg;
+  /// Taint is on iff a reader of it is: the formal monitor or the oracle.
+  /// Fixed at construction.
+  bool TrackTaint = false;
   /// The sensed world; never null (Cfg.Sensors or the default scenario).
   /// Shared and immutable — reads are thread-safe pure functions of τ.
   std::shared_ptr<const SensorScenario> Sensors;
@@ -303,8 +307,7 @@ private:
   uint64_t LifetimeOn = 0;
   std::unique_ptr<ViolationMonitor> Monitor;
   /// Every RtValue::Taint id of this device names a sequence here. Lives
-  /// as long as NVM; compacted at the start of runOnce. Event grain when
-  /// the oracle is armed, epoch grain otherwise.
+  /// as long as NVM; compacted at the start of runOnce.
   TaintTable Taints;
   std::unique_ptr<EnergyModel> Energy;
   Rng Rand;
@@ -342,10 +345,11 @@ private:
   std::vector<OracleRecord> CommittedOracle;
   std::vector<OracleRecord> PendingOracle;
 
-  /// Scores one output's fused taint (RunConfig::Oracle): canonicalizes
-  /// \p Inputs, classifies against the current epoch, buffers the record
-  /// per the pending/committed discipline, and emits a telemetry event.
-  void recordOracleOutput(OutputKind Kind, std::vector<InputEvent> &&Inputs);
+  /// Scores one output whose arguments' inputs span \p Inputs
+  /// (RunConfig::Oracle): classifies it against the current epoch, buffers
+  /// the record per the pending/committed discipline, and emits a
+  /// telemetry event.
+  void recordOracleOutput(OutputKind Kind, EpochSpan Inputs);
 
   /// Moves the run's committed oracle records and verdict counts into
   /// \p R (both engines' epilogues).

@@ -40,7 +40,7 @@
 ///    configuration — and drops the checks they would need.
 ///  * Checked (taint off) adds failure injection, the energy comparator,
 ///    the bit-vector monitor and the observers. Values move as raw int64
-///    payloads: with TrackTaint off every taint id is 0 by construction.
+///    payloads: with taint off every taint id is 0 by construction.
 ///  * TaintOn (the formal monitor and the oracle force it) moves whole
 ///    `RtValue`s, merges ids through the TaintTable, runs the formal
 ///    checks, and dispatches every slot's plain code: a fused head is
@@ -57,7 +57,8 @@
 ///
 /// A computed goto leaves a handler's scope without running destructors,
 /// so no handler may hold a local that owns memory: Output, the one
-/// handler that builds a vector, calls the out-of-line outputFlat.
+/// handler that builds a vector (the trace's output event), calls the
+/// out-of-line outputFlat.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -107,16 +108,15 @@ void Interpreter::outputFlat(const FlatInst &FI) {
   E.Kind = FI.OutKind;
   E.Tau = Tau;
   E.Args.reserve(FI.ArgsCount);
-  // Oracle implies TrackTaint, so the ids read here are live.
-  std::vector<InputEvent> Fused;
+  // The oracle turns taint on, so the ids read here are live.
+  EpochSpan Fused;
   for (uint32_t A = 0; A < FI.ArgsCount; ++A) {
     const RtValue V = evalFlat(Args[A]);
     E.Args.push_back(V.V);
-    if (Cfg.Oracle)
-      Taints.appendTo(V.Taint, Fused);
+    Fused.join(Taints.span(V.Taint));
   }
   if (Cfg.Oracle)
-    recordOracleOutput(E.Kind, std::move(Fused));
+    recordOracleOutput(E.Kind, Fused);
   if (Cfg.RecordTrace) {
     if (ExecMode == Mode::Atomic)
       PendingOutputs.push_back(std::move(E));
@@ -212,9 +212,9 @@ void Interpreter::powerFailFlat(RunResult &R) {
 }
 
 RunResult Interpreter::runOnceThreaded() {
-  // TrackTaint is fixed at construction (MonitorFormal and Oracle force it
+  // TrackTaint is fixed at construction (MonitorFormal and Oracle turn it
   // on), so each interpreter always runs one taint instantiation.
-  if (Cfg.TrackTaint)
+  if (TrackTaint)
     return runThreadedLoop</*Hot=*/false, /*TaintOn=*/true>();
   const bool Hot = Cfg.Plan.kind() == FailurePlan::Kind::None &&
                    Energy == nullptr && !Cfg.MonitorBitVector &&
@@ -248,7 +248,7 @@ template <bool Hot, bool TaintOn> RunResult Interpreter::runThreadedLoop() {
   [[maybe_unused]] const ThreadedOp *const TOps = Img->threadedOps().data();
   const uint64_t *const Costs = CostTable;
   assert(Img->threadedOps().size() == Img->code().size());
-  assert(TaintOn == Cfg.TrackTaint && "one instantiation per taint setting");
+  assert(TaintOn == TrackTaint && "one instantiation per taint setting");
 
   // Per-run constants, hoisted out of the step header; the Hot
   // instantiation drops the checks they guard entirely (asserted below).
@@ -360,7 +360,7 @@ template <bool Hot, bool TaintOn> RunResult Interpreter::runThreadedLoop() {
     }
   };
   // Writes a register or NVM cell: the whole value under TaintOn, only the
-  // payload otherwise (every id stays 0 by the !TrackTaint invariant).
+  // payload otherwise (every id stays 0 while taint is off).
   auto Put = [](RtValue &Slot, const RtValue &V) {
     if constexpr (TaintOn)
       Slot = V;
@@ -398,8 +398,9 @@ template <bool Hot, bool TaintOn> RunResult Interpreter::runThreadedLoop() {
 #define OCELOT_TAU() (TauMinusOn + OnCycles)
 
   // The formal checker's use-register checks at \p I (TaintOn only), and
-  // the input event \p I collects at \p Tau with value \p V. Both capture
-  // only `this`, so no loop local escapes should they stay out of line.
+  // the trace's input event \p I collects at \p Tau with value \p V. Both
+  // capture only `this`, so no loop local escapes should they stay out of
+  // line.
   [[maybe_unused]] auto FormalUses = [this](const FlatInst &I, uint64_t Tau) {
     const RtValue *Frame = RegStack.data() + FFrames.back().RegBase;
     for (uint32_t Reg : Img->useRegs(I))
@@ -683,9 +684,7 @@ LSwitch:
       RESULT_ = Sensors->sample(FI->SensorId, OCELOT_TAU());                   \
     }                                                                          \
     if constexpr (TaintOn)                                                     \
-      Regs[FI->Dst] =                                                          \
-          RtValue(RESULT_,                                                     \
-                  Taints.single(InputAt(*FI, RESULT_, OCELOT_TAU())));         \
+      Regs[FI->Dst] = RtValue(RESULT_, Taints.single(Epoch));                  \
     else                                                                       \
       Regs[FI->Dst].V = RESULT_;                                               \
     if constexpr (!Hot) {                                                      \

@@ -11,40 +11,28 @@
 
 using namespace ocelot;
 
-TaintTable::TaintTable(Grain G) : G(G) { Entries.emplace_back(); }
+TaintTable::TaintTable() { Entries.emplace_back(); }
 
-TaintId TaintTable::singleSlow(const InputEvent &E) {
-  assert((Events.empty() || Events.back().Tau <= E.Tau) &&
-         "input events must arrive in non-decreasing tau");
-  uint32_t Ord = static_cast<uint32_t>(Events.size());
-  if (G == Grain::Epoch) {
-    // Epochs never decrease either, so only the last event can stand for
-    // this one's epoch.
-    if (!Events.empty() && Events.back().Epoch == E.Epoch)
-      --Ord;
+TaintId TaintTable::singleSlow(uint64_t Epoch) {
+  assert((Epochs.empty() || Epochs.back() <= Epoch) &&
+         "reboot epochs must never decrease");
+  // Only the last stored epoch can equal this one (after a compaction
+  // dropped the cached sequence but kept its epoch).
+  uint32_t Ord = static_cast<uint32_t>(Epochs.size());
+  if (!Epochs.empty() && Epochs.back() == Epoch) {
+    --Ord;
   } else {
-    // An equal event can only be among the trailing same-tau events.
-    for (size_t I = Events.size(); I-- > 0 && Events[I].Tau == E.Tau;) {
-      if (Events[I] == E) {
-        Ord = static_cast<uint32_t>(I);
-        break;
-      }
-    }
-  }
-  if (Ord == Events.size()) {
-    Events.push_back(E);
+    Epochs.push_back(Epoch);
     Mark.push_back(0);
   }
   Entry N;
   N.Begin = static_cast<uint32_t>(Ords.size());
   N.Len = 1;
-  N.MinEpoch = N.MaxEpoch = E.Epoch;
+  N.Span = EpochSpan{Epoch, Epoch};
   Ords.push_back(Ord);
   Entries.push_back(N);
-  const TaintId Id = static_cast<TaintId>(Entries.size() - 1);
-  if (G == Grain::Epoch)
-    EpochSingle = Id;
-  return Id;
+  EpochSingle = static_cast<TaintId>(Entries.size() - 1);
+  return EpochSingle;
 }
 
 TaintId TaintTable::mergeSlow(TaintId A, TaintId B) {
@@ -64,8 +52,8 @@ TaintId TaintTable::mergeSlow(TaintId A, TaintId B) {
   Entry N;
   N.Begin = static_cast<uint32_t>(Ords.size());
   N.Len = EA.Len + Added;
-  N.MinEpoch = std::min(EA.MinEpoch, EB.MinEpoch);
-  N.MaxEpoch = std::max(EA.MaxEpoch, EB.MaxEpoch);
+  N.Span = EA.Span;
+  N.Span.join(EB.Span);
   // Reserve first: the copies below read from Ords itself.
   Ords.reserve(Ords.size() + N.Len);
   for (uint32_t I = 0; I < EA.Len; ++I)
@@ -80,21 +68,21 @@ TaintId TaintTable::mergeSlow(TaintId A, TaintId B) {
 }
 
 void TaintTable::compact(std::vector<RtValue> &Roots) {
-  // Keep the reachable events in their old order (single() relies on
-  // events staying sorted by tau), then copy each reachable sequence once.
+  // Keep the reachable epochs in their old order (single() relies on
+  // epochs staying sorted), then copy each reachable sequence once.
   constexpr uint32_t Dead = ~0u;
-  std::vector<uint32_t> EventMap(Events.size(), Dead);
+  std::vector<uint32_t> EpochMap(Epochs.size(), Dead);
   for (const RtValue &V : Roots) {
     const Entry &E = Entries[V.Taint];
     for (uint32_t I = 0; I < E.Len; ++I)
-      EventMap[Ords[E.Begin + I]] = 0;
+      EpochMap[Ords[E.Begin + I]] = 0;
   }
-  std::vector<InputEvent> NewEvents;
-  for (size_t O = 0; O < Events.size(); ++O) {
-    if (EventMap[O] == Dead)
+  std::vector<uint64_t> NewEpochs;
+  for (size_t O = 0; O < Epochs.size(); ++O) {
+    if (EpochMap[O] == Dead)
       continue;
-    EventMap[O] = static_cast<uint32_t>(NewEvents.size());
-    NewEvents.push_back(Events[O]);
+    EpochMap[O] = static_cast<uint32_t>(NewEpochs.size());
+    NewEpochs.push_back(Epochs[O]);
   }
 
   std::vector<TaintId> IdMap(Entries.size(), 0);
@@ -108,7 +96,7 @@ void TaintTable::compact(std::vector<RtValue> &Roots) {
       Entry E = Entries[V.Taint];
       uint32_t Begin = static_cast<uint32_t>(NewOrds.size());
       for (uint32_t I = 0; I < E.Len; ++I)
-        NewOrds.push_back(EventMap[Ords[E.Begin + I]]);
+        NewOrds.push_back(EpochMap[Ords[E.Begin + I]]);
       E.Begin = Begin;
       New = static_cast<TaintId>(NewEntries.size());
       NewEntries.push_back(E);
@@ -116,10 +104,10 @@ void TaintTable::compact(std::vector<RtValue> &Roots) {
     V.Taint = New;
   }
 
-  Events = std::move(NewEvents);
+  Epochs = std::move(NewEpochs);
   Ords = std::move(NewOrds);
   Entries = std::move(NewEntries);
-  Mark.assign(Events.size(), 0);
+  Mark.assign(Epochs.size(), 0);
   Stamp = 0;
   EpochSingle = 0; // Renumbered or dropped; single() makes a new one.
   if (++Gen == 0) {

@@ -8,25 +8,22 @@
 /// The store behind every `RtValue::Taint` id. Each interpreter owns one
 /// table for the lifetime of its simulated device.
 ///
-///  * A *sequence* is an insertion-ordered list of distinct input events.
-///    `merge(A, B)` is A followed by the events of B not already in A: the
-///    order the taint-augmented semantics has always kept, which matters
-///    because violation details name the first event that fails a check.
-///  * Each `InputEvent` is stored once; sequences store event ordinals,
-///    plus the minimum and maximum reboot epoch over their events, so "is
-///    every event in the current epoch" is O(1).
-///  * The table's *grain* is fixed at construction. `Grain::Event` keeps
-///    every event (sensor, tau, epoch, value); the input-epoch oracle needs
-///    it, because its records list whole events. `Grain::Epoch` interns
-///    inputs by reboot epoch: `single()` returns one cached sequence per
-///    epoch, so within an epoch `merge` takes its `A == B` path, and a
-///    sequence is the epochs of its events in first-appearance order. That
-///    is exact for the formal monitor, whose verdicts and details read only
-///    the epoch of the first event, or of the first event whose epoch
-///    differs, and mapping events to epochs commutes with `merge`:
-///    `A ++ (B \ A)` maps to `ep(A) ++ (ep(B) \ ep(A))`. In epoch grain a
-///    stored event stands for every input of its epoch: its `Sensor`,
-///    `Tau` and `Value` are one such input's and carry no meaning.
+///  * A *sequence* is the list of distinct reboot epochs of a value's
+///    inputs, in first-appearance order. `merge(A, B)` is A followed by the
+///    epochs of B not already in A: the order the taint-augmented semantics
+///    has always kept, which matters because violation details name the
+///    first epoch that fails a check. The formal monitor's verdicts and
+///    details read only epochs (the first one, or the first that differs),
+///    and the oracle's read only a sequence's oldest and newest epoch, so
+///    epochs are all the table keeps of an input.
+///  * `single()` returns one cached sequence per epoch, so inside an epoch
+///    every merge takes its `A == B` path. Reboot epochs never decrease
+///    (the interpreter's epoch counter only counts up), which is what lets
+///    `single()` find an epoch among the stored ones by looking at the
+///    last.
+///  * Each epoch is stored once; sequences store epoch ordinals, plus the
+///    oldest and newest epoch (`span()`), so "is every input in the current
+///    epoch" is O(1).
 ///  * Unions are memoized in a fixed-size, direct-mapped array tagged with
 ///    a generation. A miss allocates nothing; the generation bump at
 ///    compaction invalidates every slot at once.
@@ -52,26 +49,18 @@ namespace ocelot {
 
 class TaintTable {
 public:
-  /// What one stored event stands for (see the file comment).
-  enum class Grain : uint8_t { Event, Epoch };
+  TaintTable();
 
-  explicit TaintTable(Grain G = Grain::Event);
-
-  Grain grain() const { return G; }
-
-  /// The one-event sequence of an input just collected. Events must arrive
-  /// in non-decreasing Tau (the logical clock never runs backward); an
-  /// event equal to one already interned reuses its ordinal, so equal
-  /// events dedup across sequences exactly as by value. In epoch grain,
-  /// every input of one epoch is the same event, and repeated calls
-  /// within an epoch return the same id.
-  TaintId single(const InputEvent &E) {
-    if (EpochSingle != 0 && Entries[EpochSingle].MinEpoch == E.Epoch)
+  /// The one-epoch sequence of an input collected in \p Epoch. Epochs
+  /// must never decrease from one call to the next; every input of one
+  /// epoch gets the same id.
+  TaintId single(uint64_t Epoch) {
+    if (EpochSingle != 0 && Entries[EpochSingle].Span.Min == Epoch)
       return EpochSingle;
-    return singleSlow(E);
+    return singleSlow(Epoch);
   }
 
-  /// \p A followed by the events of \p B not already in \p A.
+  /// \p A followed by the epochs of \p B not already in \p A.
   TaintId merge(TaintId A, TaintId B) {
     if (B == 0 || A == B)
       return A;
@@ -85,28 +74,25 @@ public:
     return R;
   }
 
-  /// Number of events in \p T.
+  /// Number of epochs in \p T.
   size_t length(TaintId T) const { return Entries[T].Len; }
-  /// The \p I-th event of \p T, in insertion order.
-  const InputEvent &at(TaintId T, size_t I) const {
-    return Events[Ords[Entries[T].Begin + I]];
+  /// The \p I-th epoch of \p T, in first-appearance order.
+  uint64_t at(TaintId T, size_t I) const {
+    return Epochs[Ords[Entries[T].Begin + I]];
   }
-  /// Appends the events of \p T to \p Out, in insertion order.
-  void appendTo(TaintId T, std::vector<InputEvent> &Out) const {
-    for (size_t I = 0, N = length(T); I < N; ++I)
-      Out.push_back(at(T, I));
-  }
-  /// True when every event of \p T was collected in \p Epoch (vacuously
-  /// true for the empty sequence).
+  /// The oldest and newest epoch of \p T (empty for the empty sequence).
+  EpochSpan span(TaintId T) const { return Entries[T].Span; }
+  /// True when every input of \p T was collected in \p Epoch (vacuously
+  /// true for the empty sequence, whose span has Min > Max).
   bool allInEpoch(TaintId T, uint64_t Epoch) const {
-    const Entry &E = Entries[T];
-    return E.Len == 0 || (E.MinEpoch == Epoch && E.MaxEpoch == Epoch);
+    const EpochSpan &S = Entries[T].Span;
+    return S.Min >= Epoch && S.Max <= Epoch;
   }
 
   /// Sequences stored, the empty one included.
   size_t size() const { return Entries.size(); }
-  /// Distinct events stored.
-  size_t numEvents() const { return Events.size(); }
+  /// Distinct epochs stored.
+  size_t numEpochs() const { return Epochs.size(); }
 
   /// Drops every sequence not named by a value in \p Roots and renumbers
   /// the rest, rewriting the roots' ids in place. Every id not in
@@ -127,8 +113,7 @@ private:
   struct Entry {
     uint32_t Begin = 0; ///< First ordinal in Ords.
     uint32_t Len = 0;
-    uint64_t MinEpoch = 0;
-    uint64_t MaxEpoch = 0;
+    EpochSpan Span;
   };
   struct MemoSlot {
     TaintId A = 0, B = 0, Result = 0;
@@ -143,21 +128,20 @@ private:
   /// What the growth policy measures: entries plus stored ordinals.
   size_t footprint() const { return Entries.size() + Ords.size(); }
 
-  TaintId singleSlow(const InputEvent &E);
+  TaintId singleSlow(uint64_t Epoch);
   TaintId mergeSlow(TaintId A, TaintId B);
 
-  std::vector<InputEvent> Events;
-  std::vector<uint32_t> Ords; ///< Sequences' event ordinals, back to back.
+  std::vector<uint64_t> Epochs; ///< Distinct, in increasing order.
+  std::vector<uint32_t> Ords; ///< Sequences' epoch ordinals, back to back.
   std::vector<Entry> Entries; ///< Indexed by TaintId; [0] is empty.
-  /// Per-event scratch stamps for mergeSlow's membership test.
+  /// Per-epoch scratch stamps for mergeSlow's membership test.
   std::vector<uint32_t> Mark;
   uint32_t Stamp = 0;
-  /// Epoch grain: the one-event sequence single() returns for its epoch
-  /// (0 when none is cached; always 0 in event grain).
+  /// The one-epoch sequence single() returns for its epoch (0 when none
+  /// is cached).
   TaintId EpochSingle = 0;
   std::array<MemoSlot, size_t{1} << MemoBits> Memo{};
   uint32_t Gen = 1;
-  Grain G;
   size_t NextCompaction = CompactFloor;
 };
 

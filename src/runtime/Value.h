@@ -5,19 +5,20 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Runtime values optionally carry *dynamic input taint* — the input events
-/// (sensor, logical time, reboot epoch) the value depends on. This
-/// implements the paper's taint-augmented semantics (Appendix B), which the
-/// formal freshness / temporal-consistency checker (Definitions 2 and 3)
-/// evaluates directly at run time.
+/// Runtime values optionally carry *dynamic input taint* — the reboot
+/// epochs of the inputs the value depends on. This implements the paper's
+/// taint-augmented semantics (Appendix B) at the grain its freshness and
+/// temporal-consistency definitions (Definitions 2 and 3) read: both are
+/// statements about reboot epochs, so the formal checker and the
+/// input-epoch oracle evaluate them directly at run time.
 ///
-/// A value does not hold its events itself: it holds a `TaintId` naming an
-/// insertion-ordered event sequence interned in its interpreter's
+/// A value does not hold its epochs itself: it holds a `TaintId` naming an
+/// epoch sequence (first-appearance order) interned in its interpreter's
 /// `TaintTable` (runtime/TaintTable.h). Id 0 is the empty sequence, which
-/// every value carries while taint tracking is off. Unless the input-epoch
-/// oracle is armed, the table keeps only reboot epochs: one stored event
-/// stands for every input of its epoch, and its `Sensor` and `Value` carry
-/// no meaning.
+/// every value carries while taint tracking is off.
+///
+/// `InputEvent` records a whole input (sensor, logical time, epoch, value)
+/// for execution traces and replay only; taint never stores one.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -26,14 +27,15 @@
 
 #include "ir/Opcode.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <type_traits>
 #include <vector>
 
 namespace ocelot {
 
-/// One input operation observed at run time (or, in an epoch-grain
-/// `TaintTable`, one reboot epoch's inputs: only `Epoch` is meaningful).
+/// One input operation observed at run time, as execution traces record it
+/// and replay feeds it back.
 struct InputEvent {
   int Sensor = -1;
   uint64_t Tau = 0;    ///< Logical time of collection.
@@ -48,6 +50,20 @@ struct InputEvent {
 
 /// Handle to an interned taint sequence in a `TaintTable`; 0 is empty.
 using TaintId = uint32_t;
+
+/// The oldest and newest reboot epoch of a value's inputs. The empty span
+/// (an untainted value) has Min > Max, so `join` needs no special case.
+struct EpochSpan {
+  uint64_t Min = UINT64_MAX;
+  uint64_t Max = 0;
+
+  bool empty() const { return Min > Max; }
+  void join(EpochSpan O) {
+    Min = std::min(Min, O.Min);
+    Max = std::max(Max, O.Max);
+  }
+  bool operator==(const EpochSpan &) const = default;
+};
 
 /// A runtime value: the 64-bit payload plus (when taint tracking is on) the
 /// id of the input events it depends on. Plain data, copied by value.

@@ -184,15 +184,15 @@ void ViolationMonitor::freshUseFormal(InstrRef Site,
   bool Failed = false;
   if (!Taints.allInEpoch(Taint, Epoch)) {
     for (size_t I = 0, N = Taints.length(Taint); I < N; ++I) {
-      const InputEvent &E = Taints.at(Taint, I);
-      if (E.Epoch == Epoch)
+      const uint64_t InputEpoch = Taints.at(Taint, I);
+      if (InputEpoch == Epoch)
         continue;
       Failed = true;
       ViolationRecord R;
       R.K = ViolationRecord::Kind::FreshFormal;
       R.Site = Site;
       R.Tau = Tau;
-      R.EpochA = E.Epoch;
+      R.EpochA = InputEpoch;
       R.EpochB = Epoch;
       record(std::move(R));
       break;
@@ -214,8 +214,8 @@ void ViolationMonitor::onConsistentMarker(uint32_t MarkerOrd,
   Slot.Taint = Taint;
   Slot.Gen = Set.Gen;
 
-  // All events across the set's recorded members must share one epoch:
-  // the first event's, in (marker label, insertion) order.
+  // All inputs across the set's recorded members must share one epoch:
+  // the first one's, in (marker label, first-appearance) order.
   const ConsistentMarker &Marker = Img.marker(MarkerOrd);
   bool HaveEpoch = false;
   uint64_t SetEpoch = 0;
@@ -226,21 +226,21 @@ void ViolationMonitor::onConsistentMarker(uint32_t MarkerOrd,
     if (Taints.length(T) == 0)
       continue;
     if (!HaveEpoch) {
-      SetEpoch = Taints.at(T, 0).Epoch;
+      SetEpoch = Taints.at(T, 0);
       HaveEpoch = true;
     }
     if (Taints.allInEpoch(T, SetEpoch))
       continue;
     for (size_t EI = 0, N = Taints.length(T); EI < N; ++EI) {
-      const InputEvent &E = Taints.at(T, EI);
-      if (E.Epoch == SetEpoch)
+      const uint64_t InputEpoch = Taints.at(T, EI);
+      if (InputEpoch == SetEpoch)
         continue;
       ViolationRecord R;
       R.K = ViolationRecord::Kind::ConsistentFormal;
       R.SetId = Marker.SetId;
       R.Tau = Tau;
       R.EpochA = SetEpoch;
-      R.EpochB = E.Epoch;
+      R.EpochB = InputEpoch;
       record(std::move(R));
       if (Sink)
         Sink->monitorCheck(Tau, Marker.Label, true);

@@ -14,13 +14,12 @@
 ///    consistent set the other executed members' bits must be set.
 ///
 ///  * Formal (Definitions 2/3 over the taint-augmented semantics of
-///    Appendix B): every value carries the id of its input events in the
-///    interpreter's TaintTable. A fresh use whose value carries an event
-///    from an earlier epoch crossed a power failure; a consistent set whose
-///    members' events span different epochs was split by one. Both checks
-///    read only events' reboot epochs, so they are exact over a table of
-///    either grain. A fresh use whose value is all in the current epoch
-///    costs one inline test; a Consistent marker writes its fixed slot.
+///    Appendix B): every value carries the id of its inputs' reboot epochs
+///    in the interpreter's TaintTable. A fresh use whose value carries an
+///    earlier epoch crossed a power failure; a consistent set whose
+///    members' inputs span different epochs was split by one. A fresh use
+///    whose value is all in the current epoch costs one inline test; a
+///    Consistent marker writes its fixed slot.
 ///
 /// A ViolationRecord keeps the numbers its message names; detail()
 /// formats the text only when someone reads it.
@@ -116,7 +115,7 @@ public:
   void onFreshUse(InstrRef Site, std::span<const uint32_t> InputOrds,
                   uint64_t Tau);
 
-  /// Formal freshness check: \p Taint names the used value's input events
+  /// Formal freshness check: \p Taint names the used value's input epochs
   /// in \p Taints and \p Epoch is the current reboot epoch. A value all
   /// in the current epoch passes without a call unless a sink wants the
   /// check event.
@@ -172,8 +171,8 @@ private:
   /// onInput's tail: the telemetry event and setting the bit.
   void finishInput(uint32_t InputOrd, InstrRef Site, bool Checked,
                    bool Failed, uint64_t Tau);
-  /// onFreshUseFormal's full check: finds the first event of another
-  /// epoch and reports the check to the sink.
+  /// onFreshUseFormal's full check: finds the first input epoch other than
+  /// \p Epoch and reports the check to the sink.
   void freshUseFormal(InstrRef Site, const TaintTable &Taints, TaintId Taint,
                       uint64_t Epoch, uint64_t Tau);
 
@@ -196,7 +195,7 @@ private:
   std::vector<std::vector<bool>> MemberExecuted;
   /// The formal consistency records: one slot per image marker ordinal,
   /// so each set's slots are consecutive and in label order (the order
-  /// the check visits them in, and so which event a detail names). A
+  /// the check visits them in, and so which epoch a detail names). A
   /// slot holds a record of its set's current activation iff its Gen
   /// equals the set's; starting an activation bumps the set's Gen, which
   /// drops every record at once.

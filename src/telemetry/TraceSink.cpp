@@ -223,7 +223,7 @@ std::string TraceSink::exportChromeJson() const {
                   First);
       break;
     case TraceEventKind::OracleVerdict: {
-      std::string Args = argsI64("code", E.A0, "fused_inputs", E.A1);
+      std::string Args = argsI64("code", E.A0, "min_epoch", E.A1);
       Args += ",\"verdict\":\"";
       appendEscaped(Args, E.Detail);
       Args += '"';

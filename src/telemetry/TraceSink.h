@@ -7,7 +7,7 @@
 /// \file
 /// A bounded ring of structured run events — reboots, checkpoints, region
 /// enter/commit/retry, monitor checks, violations, sensor reads, energy
-/// recharges, and compile start/end — exportable as Chrome `trace_event`
+/// recharges, oracle verdicts, and compile start/end — exportable as Chrome `trace_event`
 /// JSON that loads in Perfetto / chrome://tracing.
 ///
 /// Two time bases share one timeline:
@@ -60,8 +60,8 @@ enum class TraceEventKind : uint8_t {
   SensorRead,    ///< Input executed. A0 = sensor id, A1 = value read.
   EnergyRecharge,///< Off-time drawn across a reboot. A0 = off cycles.
   OracleVerdict, ///< Fusion oracle scored an output. A0 = verdict code
-                 ///< (0 fresh / 1 stale / 2 cross-epoch), A1 = fused
-                 ///< input-event count. Detail = verdict name.
+                 ///< (0 fresh / 1 stale / 2 cross-epoch), A1 = oldest
+                 ///< input epoch (-1 when untainted). Detail = verdict name.
   CompileStart,  ///< Toolchain compile began (wall clock). Detail = name.
   CompileEnd,    ///< Toolchain compile finished (wall clock). Detail = name.
 };
@@ -114,10 +114,10 @@ public:
     push({TraceEventKind::EnergyRecharge, Tau,
           static_cast<int64_t>(OffCycles), 0, {}});
   }
-  void oracleVerdict(uint64_t Tau, int VerdictCode, size_t FusedInputs,
+  void oracleVerdict(uint64_t Tau, int VerdictCode, int64_t MinEpoch,
                      const char *VerdictName) {
-    push({TraceEventKind::OracleVerdict, Tau, VerdictCode,
-          static_cast<int64_t>(FusedInputs), VerdictName});
+    push({TraceEventKind::OracleVerdict, Tau, VerdictCode, MinEpoch,
+          VerdictName});
   }
 
   // --- Wall-clock hooks (Ts = µs since sink creation, separate track). --

@@ -102,33 +102,37 @@ FailurePlan planAt(InstrRef Point) {
 // -- Classifier edge cases (pure function, no interpreter) -----------------
 
 TEST(OracleClassifier, EmptyInputsAreFresh) {
-  std::vector<InputEvent> In;
-  EXPECT_EQ(classifyOracleInputs(In, 5), OracleVerdict::Fresh);
+  EXPECT_TRUE(EpochSpan().empty());
+  EXPECT_EQ(classifyOracleInputs(EpochSpan(), 5), OracleVerdict::Fresh);
 }
 
 TEST(OracleClassifier, CurrentEpochInputsAreFresh) {
-  std::vector<InputEvent> In = {{0, 10, 3, 42}, {1, 11, 3, 43}};
-  EXPECT_EQ(classifyOracleInputs(In, 3), OracleVerdict::Fresh);
+  EXPECT_EQ(classifyOracleInputs(EpochSpan{3, 3}, 3), OracleVerdict::Fresh);
 }
 
 TEST(OracleClassifier, OlderEpochIsStale) {
-  std::vector<InputEvent> In = {{0, 10, 2, 42}};
-  EXPECT_EQ(classifyOracleInputs(In, 3), OracleVerdict::Stale);
+  EXPECT_EQ(classifyOracleInputs(EpochSpan{2, 2}, 3), OracleVerdict::Stale);
+  EXPECT_EQ(classifyOracleInputs(EpochSpan{0, 0}, 3), OracleVerdict::Stale);
 }
 
 TEST(OracleClassifier, TwoEpochsAreCrossEpoch) {
   // Cross-epoch dominates stale: fusing epochs 2 and 3 is inconsistent
   // even though the epoch-3 read on its own would be fresh.
-  std::vector<InputEvent> In = {{0, 10, 2, 42}, {1, 12, 3, 50}};
-  EXPECT_EQ(classifyOracleInputs(In, 3), OracleVerdict::CrossEpoch);
+  EXPECT_EQ(classifyOracleInputs(EpochSpan{2, 3}, 3),
+            OracleVerdict::CrossEpoch);
+  EXPECT_EQ(classifyOracleInputs(EpochSpan{0, 2}, 3),
+            OracleVerdict::CrossEpoch);
 }
 
-TEST(OracleClassifier, DuplicateEventsDedupBeforeClassifying) {
-  // The same read reaching an output through two dataflow paths is one
-  // event, not a two-epoch fusion.
-  std::vector<InputEvent> In = {{0, 10, 2, 42}, {0, 10, 2, 42}};
-  EXPECT_EQ(classifyOracleInputs(In, 3), OracleVerdict::Stale);
-  EXPECT_EQ(In.size(), 1u);
+TEST(OracleClassifier, SpansJoinByMinAndMax) {
+  EpochSpan S;
+  S.join(EpochSpan());
+  EXPECT_TRUE(S.empty());
+  S.join(EpochSpan{4, 4});
+  S.join(EpochSpan());
+  EXPECT_EQ(S, (EpochSpan{4, 4}));
+  S.join(EpochSpan{2, 3});
+  EXPECT_EQ(S, (EpochSpan{2, 4}));
 }
 
 // -- Pinned end-to-end verdicts --------------------------------------------
@@ -154,9 +158,8 @@ TEST(FusionOracle, NoFailuresAllFresh) {
   ASSERT_EQ(R.OracleRecords.size(), 1u);
   const OracleRecord &Rec = R.OracleRecords[0];
   EXPECT_EQ(Rec.Verdict, OracleVerdict::Fresh);
-  EXPECT_EQ(Rec.Inputs.size(), 2u);
-  for (const InputEvent &E : Rec.Inputs)
-    EXPECT_EQ(E.Epoch, Rec.Epoch);
+  EXPECT_EQ(Rec.Inputs.Min, Rec.Epoch);
+  EXPECT_EQ(Rec.Inputs.Max, Rec.Epoch);
   EXPECT_EQ(R.OracleFresh, 1u);
   EXPECT_EQ(R.OracleStale, 0u);
   EXPECT_EQ(R.OracleCrossEpoch, 0u);
@@ -181,8 +184,8 @@ TEST(FusionOracle, RebootBeforeOutputIsStaleUnderJit) {
   ASSERT_EQ(R.OracleRecords.size(), 1u);
   const OracleRecord &Rec = R.OracleRecords[0];
   EXPECT_EQ(Rec.Verdict, OracleVerdict::Stale);
-  ASSERT_EQ(Rec.Inputs.size(), 1u);
-  EXPECT_EQ(Rec.Inputs[0].Epoch, Rec.Epoch - 1);
+  EXPECT_EQ(Rec.Inputs.Min, Rec.Epoch - 1);
+  EXPECT_EQ(Rec.Inputs.Max, Rec.Epoch - 1);
   EXPECT_EQ(R.OracleStale, 1u);
   EXPECT_EQ(R.OracleCrossEpoch, 0u);
 }
@@ -196,8 +199,8 @@ TEST(FusionOracle, RebootBetweenFusedReadsIsCrossEpochUnderJit) {
   ASSERT_EQ(R.OracleRecords.size(), 1u);
   const OracleRecord &Rec = R.OracleRecords[0];
   EXPECT_EQ(Rec.Verdict, OracleVerdict::CrossEpoch);
-  ASSERT_EQ(Rec.Inputs.size(), 2u);
-  EXPECT_EQ(Rec.Inputs[0].Epoch + 1, Rec.Inputs[1].Epoch);
+  EXPECT_EQ(Rec.Inputs.Min + 1, Rec.Inputs.Max);
+  EXPECT_EQ(Rec.Inputs.Max, Rec.Epoch);
   EXPECT_EQ(R.OracleCrossEpoch, 1u);
 }
 
@@ -212,9 +215,8 @@ TEST(FusionOracle, OcelotRegionPreventsTheCrossEpoch) {
   ASSERT_EQ(R.OracleRecords.size(), 1u);
   const OracleRecord &Rec = R.OracleRecords[0];
   EXPECT_EQ(Rec.Verdict, OracleVerdict::Fresh);
-  EXPECT_EQ(Rec.Inputs.size(), 2u);
-  for (const InputEvent &E : Rec.Inputs)
-    EXPECT_EQ(E.Epoch, Rec.Epoch);
+  EXPECT_EQ(Rec.Inputs.Min, Rec.Epoch);
+  EXPECT_EQ(Rec.Inputs.Max, Rec.Epoch);
   EXPECT_EQ(R.OracleFresh, 1u);
   EXPECT_EQ(R.OracleCrossEpoch, 0u);
 }

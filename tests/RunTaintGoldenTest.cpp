@@ -10,14 +10,13 @@
 // a few dozen activations under an energy-driven failure plan with both
 // monitors and the input-epoch oracle armed. The test renders each run's
 // ViolationRecords (kind, site, set, tau, detail()) and OracleRecords (tau,
-// epoch, verdict, inputs in order) and compares the text against
+// epoch, verdict, input epoch span) and compares the text against
 // tests/goldens/run_taint.golden.
 //
-// A violation's detail() names the *first* event of a value's taint that
+// A violation's detail() names the *first* epoch of a value's taint that
 // fails a check, so this golden is what pins the order in which taint
-// merges keep events. The same cells with the oracle off run over an
-// epoch-grain taint table; they must render the golden minus its oracle
-// lines, which pins the epoch grain to the event grain.
+// merges keep epochs. The same cells with the oracle off must render the
+// golden minus its oracle lines: arming the oracle changes no violation.
 //
 // To re-bless after an intended change of run output:
 //   OCELOT_BLESS_GOLDEN=1 ./RunTaintGoldenTest
@@ -60,8 +59,6 @@ void renderCell(const BenchmarkDef &B, ExecModel Model, DispatchEngine E,
   Spec.Config.Oracle = Oracle;
   Spec.Config.Dispatch = E;
   Simulation Sim(CB.Artifact, std::move(Spec));
-  EXPECT_EQ(Sim.taints().grain(), Oracle ? TaintTable::Grain::Event
-                                         : TaintTable::Grain::Epoch);
 
   Out << "=== " << B.Name << " " << execModelName(Model) << " "
       << (E == DispatchEngine::Tree ? "tree" : "threaded") << "\n";
@@ -79,9 +76,8 @@ void renderCell(const BenchmarkDef &B, ExecModel Model, DispatchEngine E,
       Out << "  oracle " << outputKindName(O.Kind) << " tau=" << O.Tau
           << " epoch=" << O.Epoch << " " << oracleVerdictName(O.Verdict)
           << ":";
-      for (const InputEvent &I : O.Inputs)
-        Out << " (s" << I.Sensor << " t" << I.Tau << " e" << I.Epoch << " v"
-            << I.Value << ")";
+      if (!O.Inputs.empty())
+        Out << " e" << O.Inputs.Min << "..e" << O.Inputs.Max;
       Out << "\n";
     }
     if (R.Starved || !R.Trap.empty())

@@ -5,12 +5,15 @@
 //===----------------------------------------------------------------------===//
 //
 // Unit tests of the TaintTable behind RtValue::Taint: merge order and dedup
-// against a plain vector model of the taint-augmented semantics, the merge
-// identities, epoch summaries, memo invalidation and root-preserving
-// compaction, and a simulated device lifetime whose table stays bounded.
+// against a plain vector model of the taint-augmented semantics over whole
+// input events (the table keeps the model's epochs, and its span verdict
+// equals the oracle's rule on the model's events), the merge identities,
+// epoch summaries, memo invalidation and root-preserving compaction, and a
+// simulated device lifetime whose table stays bounded.
 //
 //===----------------------------------------------------------------------===//
 
+#include "fusion/FusionOracle.h"
 #include "harness/Experiment.h"
 #include "runtime/Simulation.h"
 #include "runtime/TaintTable.h"
@@ -26,6 +29,7 @@ using namespace ocelot;
 namespace {
 
 using Events = std::vector<InputEvent>;
+using Epochs = std::vector<uint64_t>;
 
 /// The vector semantics the table replaces: A, then B's events not in A.
 Events modelMerge(Events A, const Events &B) {
@@ -35,9 +39,10 @@ Events modelMerge(Events A, const Events &B) {
   return A;
 }
 
-Events contents(const TaintTable &T, TaintId Id) {
-  Events Out;
-  T.appendTo(Id, Out);
+Epochs contents(const TaintTable &T, TaintId Id) {
+  Epochs Out;
+  for (size_t I = 0, N = T.length(Id); I < N; ++I)
+    Out.push_back(T.at(Id, I));
   return Out;
 }
 
@@ -50,18 +55,30 @@ InputEvent event(int Sensor, uint64_t Tau, uint64_t Epoch, int64_t Value) {
   return E;
 }
 
-/// The epochs of \p Es in first-appearance order: what an epoch-grain
-/// table keeps of the event sequence \p Es.
-std::vector<uint64_t> epochsOf(const Events &Es) {
-  std::vector<uint64_t> Out;
+/// The epochs of \p Es in first-appearance order: what the table keeps of
+/// the event sequence \p Es.
+Epochs epochsOf(const Events &Es) {
+  Epochs Out;
   for (const InputEvent &E : Es)
     if (std::find(Out.begin(), Out.end(), E.Epoch) == Out.end())
       Out.push_back(E.Epoch);
   return Out;
 }
 
+/// The oracle's verdict rule over whole events: two or more distinct
+/// epochs are CrossEpoch; otherwise an epoch older than \p EmitEpoch is
+/// Stale; otherwise (no events included) Fresh.
+OracleVerdict eventRule(const Events &Es, uint64_t EmitEpoch) {
+  if (epochsOf(Es).size() >= 2)
+    return OracleVerdict::CrossEpoch;
+  for (const InputEvent &E : Es)
+    if (E.Epoch < EmitEpoch)
+      return OracleVerdict::Stale;
+  return OracleVerdict::Fresh;
+}
+
 /// Drives \p T with a random script of singles and merges, mirrored on
-/// the event-grain vector model, and calls \p Check(Id, Model, MaxEpoch)
+/// the event-level vector model, and calls \p Check(Id, Model, MaxEpoch)
 /// after every operation and again for every id at the end (entries are
 /// immutable, so earlier ids must still name their sequences).
 template <typename CheckFn>
@@ -72,14 +89,15 @@ void runRandomScript(TaintTable &T, std::mt19937_64 &Rng,
   uint64_t Tau = 0, Epoch = 0;
   for (int Op = 0; Op < 400; ++Op) {
     if (Rng() % 4 == 0 || Ids.size() < 3) {
-      // Tau never runs backward; equal-tau inputs (zero-cost steps) can
-      // repeat an event exactly, which must dedup by value.
+      // Tau and the epoch never run backward; equal-tau inputs (zero-cost
+      // steps) can repeat an event exactly, which the model dedups by
+      // value.
       Tau += Rng() % 3;
       if (Rng() % 16 == 0)
         ++Epoch;
       InputEvent E = event(static_cast<int>(Rng() % 3), Tau, Epoch,
                            static_cast<int64_t>(Rng() % 2));
-      Ids.push_back(T.single(E));
+      Ids.push_back(T.single(E.Epoch));
       Model.push_back({E});
     } else {
       size_t A = Rng() % Ids.size(), B = Rng() % Ids.size();
@@ -105,64 +123,56 @@ void expectAllInEpochMatches(const TaintTable &T, TaintId Id,
   }
 }
 
-TEST(TaintTable, MergeMatchesVectorSemanticsOnRandomEvents) {
+TEST(TaintTable, MergeKeepsTheEventModelsEpochs) {
+  // A sequence is the event model's epochs in first-appearance order,
+  // because mapping events to epochs commutes with merge:
+  // A ++ (B \ A) maps to ep(A) ++ (ep(B) \ ep(A)). Its span classifies
+  // exactly as the oracle's rule on the model's events, for every
+  // emission epoch.
   std::mt19937_64 Rng(42);
   for (int Round = 0; Round < 20; ++Round) {
     SCOPED_TRACE("round " + std::to_string(Round));
     TaintTable T;
     runRandomScript(T, Rng, [&](TaintId Id, const Events &Model,
                                 uint64_t MaxEpoch) {
-      ASSERT_EQ(contents(T, Id), Model);
+      ASSERT_EQ(contents(T, Id), epochsOf(Model));
       expectAllInEpochMatches(T, Id, Model, MaxEpoch);
+      for (uint64_t Emit = 0; Emit <= MaxEpoch + 1; ++Emit)
+        ASSERT_EQ(classifyOracleInputs(T.span(Id), Emit),
+                  eventRule(Model, Emit))
+            << "emission epoch " << Emit;
     });
   }
 }
 
-TEST(TaintTable, EpochGrainKeepsTheEventModelsEpochs) {
-  // The same scripts as above: an epoch-grain table's sequence is the
-  // event-grain model's epochs in first-appearance order, because mapping
-  // events to epochs commutes with merge.
-  std::mt19937_64 Rng(42);
-  for (int Round = 0; Round < 20; ++Round) {
-    SCOPED_TRACE("round " + std::to_string(Round));
-    TaintTable T(TaintTable::Grain::Epoch);
-    runRandomScript(T, Rng, [&](TaintId Id, const Events &Model,
-                                uint64_t MaxEpoch) {
-      ASSERT_EQ(epochsOf(contents(T, Id)), epochsOf(Model));
-      expectAllInEpochMatches(T, Id, Model, MaxEpoch);
-    });
-  }
-}
-
-TEST(TaintTable, EpochGrainInternsOneSequencePerEpoch) {
-  TaintTable T(TaintTable::Grain::Epoch);
-  EXPECT_EQ(T.grain(), TaintTable::Grain::Epoch);
-  TaintId A = T.single(event(0, 1, 0, 5));
-  EXPECT_EQ(T.single(event(1, 2, 0, 6)), A);
-  EXPECT_EQ(T.single(event(2, 2, 0, 7)), A);
-  EXPECT_EQ(T.merge(A, T.single(event(0, 3, 0, 8))), A);
-  TaintId B = T.single(event(0, 4, 1, 5));
+TEST(TaintTable, InternsOneSequencePerEpoch) {
+  TaintTable T;
+  TaintId A = T.single(0);
+  EXPECT_EQ(T.single(0), A);
+  EXPECT_EQ(T.merge(A, T.single(0)), A);
+  TaintId B = T.single(1);
   EXPECT_NE(B, A);
-  EXPECT_EQ(T.numEvents(), 2u);
+  EXPECT_EQ(T.numEpochs(), 2u);
   TaintId AB = T.merge(A, B);
-  EXPECT_EQ(T.length(AB), 2u);
-  EXPECT_EQ(T.at(AB, 0).Epoch, 0u);
-  EXPECT_EQ(T.at(AB, 1).Epoch, 1u);
+  EXPECT_EQ(contents(T, AB), (Epochs{0, 1}));
+  EXPECT_EQ(T.span(AB), (EpochSpan{0, 1}));
+  EXPECT_EQ(T.span(B), (EpochSpan{1, 1}));
+  EXPECT_TRUE(T.span(0).empty());
   // Compaction renumbers; a later single of the current epoch reuses the
-  // surviving event and yields a sequence equal to the root's.
+  // surviving epoch and yields a sequence equal to the root's.
   std::vector<RtValue> Roots{RtValue(0, B)};
   T.compact(Roots);
-  EXPECT_EQ(T.numEvents(), 1u);
-  TaintId B2 = T.single(event(1, 9, 1, 0));
-  EXPECT_EQ(T.numEvents(), 1u);
+  EXPECT_EQ(T.numEpochs(), 1u);
+  TaintId B2 = T.single(1);
+  EXPECT_EQ(T.numEpochs(), 1u);
   EXPECT_EQ(T.merge(Roots[0].Taint, B2), Roots[0].Taint);
-  EXPECT_EQ(T.single(event(2, 9, 1, 1)), B2);
+  EXPECT_EQ(T.single(1), B2);
 }
 
 TEST(TaintTable, MergeIdentitiesAndSubsetReturnExistingIds) {
   TaintTable T;
-  TaintId A = T.single(event(0, 10, 0, 1));
-  TaintId B = T.single(event(1, 20, 0, 2));
+  TaintId A = T.single(0);
+  TaintId B = T.single(1);
   TaintId AB = T.merge(A, B);
   size_t Size = T.size();
   EXPECT_EQ(T.merge(AB, 0), AB);
@@ -174,33 +184,21 @@ TEST(TaintTable, MergeIdentitiesAndSubsetReturnExistingIds) {
   EXPECT_EQ(T.size(), Size) << "identities must not create entries";
   // The memo answers a repeated union with the same id.
   EXPECT_EQ(T.merge(A, B), AB);
-  // Order is the left operand's, then the right's new events.
+  // Order is the left operand's, then the right's new epochs.
   TaintId BA = T.merge(B, A);
   EXPECT_NE(BA, AB);
-  EXPECT_EQ(contents(T, BA),
-            (Events{event(1, 20, 0, 2), event(0, 10, 0, 1)}));
+  EXPECT_EQ(contents(T, BA), (Epochs{1, 0}));
+  EXPECT_EQ(T.span(BA), T.span(AB));
   EXPECT_EQ(T.length(0), 0u);
-}
-
-TEST(TaintTable, EqualEventsDedupAcrossSingles) {
-  TaintTable T;
-  InputEvent E = event(2, 5, 0, 7);
-  TaintId A = T.single(E);
-  TaintId Other = T.single(event(1, 5, 0, 3)); // Same tau, other sensor.
-  TaintId B = T.single(E);
-  EXPECT_EQ(T.numEvents(), 2u);
-  EXPECT_EQ(T.merge(A, B), A);
-  EXPECT_EQ(contents(T, T.merge(T.merge(A, Other), B)),
-            (Events{E, event(1, 5, 0, 3)}));
 }
 
 TEST(TaintTable, AllInEpoch) {
   TaintTable T;
   EXPECT_TRUE(T.allInEpoch(0, 0));
   EXPECT_TRUE(T.allInEpoch(0, 9));
-  TaintId A = T.single(event(0, 1, 3, 0));
-  TaintId B = T.single(event(0, 2, 3, 0));
-  TaintId C = T.single(event(0, 3, 4, 0));
+  TaintId A = T.single(3);
+  TaintId B = T.single(3);
+  TaintId C = T.single(4);
   EXPECT_TRUE(T.allInEpoch(A, 3));
   EXPECT_FALSE(T.allInEpoch(A, 4));
   EXPECT_TRUE(T.allInEpoch(T.merge(A, B), 3));
@@ -211,10 +209,8 @@ TEST(TaintTable, AllInEpoch) {
 
 TEST(TaintTable, CompactionKeepsRootsAndDropsUnreachable) {
   TaintTable T;
-  InputEvent E1 = event(0, 1, 0, 1), E2 = event(1, 2, 0, 2),
-             E3 = event(2, 3, 1, 3), E4 = event(0, 4, 1, 4);
-  TaintId A = T.single(E1), B = T.single(E2), C = T.single(E3),
-          D = T.single(E4);
+  TaintId D = T.single(0), A = T.single(1), B = T.single(2),
+          C = T.single(3);
   TaintId BA = T.merge(B, A);
   TaintId BAC = T.merge(BA, C);
   (void)T.merge(D, A); // Unreachable after compaction.
@@ -222,45 +218,43 @@ TEST(TaintTable, CompactionKeepsRootsAndDropsUnreachable) {
                              RtValue(8, BAC)};
   T.compact(Roots);
   // Empty + {B} + {B,A,C}: D, the singles of A and C, and both
-  // intermediate merges are gone, and so is E4.
+  // intermediate merges are gone, and so is epoch 0.
   EXPECT_EQ(T.size(), 3u);
-  EXPECT_EQ(T.numEvents(), 3u);
+  EXPECT_EQ(T.numEpochs(), 3u);
   EXPECT_EQ(Roots[1].Taint, 0u);
   EXPECT_EQ(Roots[0].Taint, Roots[3].Taint);
   EXPECT_EQ(Roots[0].V, 5);
-  EXPECT_EQ(contents(T, Roots[0].Taint), (Events{E2, E1, E3}));
-  EXPECT_EQ(contents(T, Roots[2].Taint), (Events{E2}));
-  EXPECT_FALSE(T.allInEpoch(Roots[0].Taint, 0));
-  EXPECT_TRUE(T.allInEpoch(Roots[2].Taint, 0));
-  // Tables keep working after compaction, dedup included: E3 is the
-  // latest surviving event, so a repeat of it reuses its ordinal.
-  TaintId E3Again = T.single(E3);
-  EXPECT_EQ(T.numEvents(), 3u);
-  EXPECT_EQ(T.merge(Roots[0].Taint, E3Again), Roots[0].Taint);
+  EXPECT_EQ(contents(T, Roots[0].Taint), (Epochs{2, 1, 3}));
+  EXPECT_EQ(contents(T, Roots[2].Taint), (Epochs{2}));
+  EXPECT_EQ(T.span(Roots[0].Taint), (EpochSpan{1, 3}));
+  EXPECT_FALSE(T.allInEpoch(Roots[0].Taint, 2));
+  EXPECT_TRUE(T.allInEpoch(Roots[2].Taint, 2));
+  // Tables keep working after compaction: epoch 3 is the latest surviving
+  // one, so a single of it reuses its ordinal.
+  TaintId C2 = T.single(3);
+  EXPECT_EQ(T.numEpochs(), 3u);
+  EXPECT_EQ(T.merge(Roots[0].Taint, C2), Roots[0].Taint);
 }
 
 TEST(TaintTable, CompactionInvalidatesMemo) {
   TaintTable T;
-  InputEvent E1 = event(0, 1, 0, 1), E2 = event(0, 2, 0, 2),
-             E3 = event(0, 3, 0, 3);
-  TaintId X = T.single(E1), Y = T.single(E2), Z = T.single(E3);
+  TaintId X = T.single(0), Y = T.single(1), Z = T.single(2);
   TaintId XY = T.merge(X, Y); // Memoized as (X, Y).
-  ASSERT_EQ(contents(T, XY), (Events{E1, E2}));
+  ASSERT_EQ(contents(T, XY), (Epochs{0, 1}));
   // Renumber so the pair (X, Y) names other sequences: Z takes X's id.
   std::vector<RtValue> Roots{RtValue(0, Z), RtValue(0, Y)};
   T.compact(Roots);
   ASSERT_EQ(Roots[0].Taint, X);
   ASSERT_EQ(Roots[1].Taint, Y);
-  EXPECT_EQ(contents(T, T.merge(X, Y)), (Events{E3, E2}));
+  EXPECT_EQ(contents(T, T.merge(X, Y)), (Epochs{2, 1}));
 }
 
 TEST(TaintTable, DeviceLifetimeStaysBounded) {
   // A monitored device runs many activations; NVM keeps a bounded amount
-  // of taint live, so the table must not grow with the number of runs.
-  // With the oracle armed the table keeps every event and goes through
-  // compaction cycles (a compaction shows as a smaller table after the
-  // next run); with the formal monitor alone it keeps epochs and never
-  // reaches CompactFloor entries.
+  // of taint live, so the table must not grow with the number of runs. In
+  // every configuration it goes through compaction cycles (a compaction
+  // shows as a smaller table after the next run) and never reaches
+  // CompactFloor entries.
   for (bool Oracle : {true, false}) {
     for (const char *Name : {"tire", "cem"}) {
       SCOPED_TRACE(std::string(Name) + (Oracle ? " oracle" : " formal"));
@@ -274,8 +268,6 @@ TEST(TaintTable, DeviceLifetimeStaysBounded) {
       Cfg.Sensors = B.scenario(5);
       Cfg.Seed = 5;
       Simulation Sim(CB.Artifact, Cfg);
-      ASSERT_EQ(Sim.taints().grain(), Oracle ? TaintTable::Grain::Event
-                                             : TaintTable::Grain::Epoch);
       // Linear growth would make the last third's peak 3x the first
       // third's; compaction keeps both at the same doubling ceiling. 3000
       // runs cover several compaction cycles of either benchmark.
@@ -294,10 +286,8 @@ TEST(TaintTable, DeviceLifetimeStaysBounded) {
       }
       EXPECT_GT(EarlyMax, 0u);
       EXPECT_LE(LateMax, 2 * EarlyMax);
-      if (Oracle)
-        EXPECT_GE(Shrinks, 2u) << "expected several compaction cycles";
-      else
-        EXPECT_LT(AllMax, TaintTable::CompactFloor);
+      EXPECT_GE(Shrinks, 2u) << "expected several compaction cycles";
+      EXPECT_LT(AllMax, TaintTable::CompactFloor);
     }
   }
 }
