@@ -46,10 +46,12 @@
 #include "fleet/FleetRunner.h"
 #include "fleet/ShardProgress.h"
 #include "harness/Experiment.h"
+#include "support/ParseNumber.h"
 
 #include <algorithm>
 #include <cerrno>
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -89,16 +91,10 @@ int fail(const std::string &Msg) {
   return 1;
 }
 
-bool parseU64Flag(const std::string &Value, uint64_t &Out) {
-  if (Value.empty())
-    return false;
-  errno = 0;
-  char *End = nullptr;
-  Out = std::strtoull(Value.c_str(), &End, 10);
-  return End && *End == '\0' && errno == 0;
-}
-
-/// --energy=CAP:RES[:RATE:CJ:RJ]; trailing fields keep their defaults.
+/// --energy=CAP:RES[:RATE:CJ:RJ]; trailing fields keep their defaults. A
+/// configuration the energy model cannot run is rejected with the rule it
+/// breaks: the reserve must sit below the capacity, the charge rate must
+/// be finite and positive, and both jitters must lie in [0, 1].
 bool parseEnergyFlag(const std::string &Value, EnergyConfig &Out,
                      std::string &Error) {
   std::vector<std::string> Parts;
@@ -110,29 +106,31 @@ bool parseEnergyFlag(const std::string &Value, EnergyConfig &Out,
     Parts.push_back(Value.substr(Start, Colon - Start));
     Start = Colon + 1;
   }
-  auto Bad = [&] {
-    Error = "bad --energy value '" + Value +
-            "' (want CAP:RES[:RATE:CHARGE_JITTER:REFILL_JITTER])";
+  auto Bad = [&](const char *Want) {
+    Error = "bad --energy value '" + Value + "' (" + Want + ")";
     return false;
   };
-  if (Parts.size() < 2 || Parts.size() > 5)
-    return Bad();
-  uint64_t U;
-  if (!parseU64Flag(Parts[0], U))
-    return Bad();
-  Out.CapacityCycles = U;
-  if (!parseU64Flag(Parts[1], U))
-    return Bad();
-  Out.ReserveCycles = U;
+  const char *Shape = "want CAP:RES[:RATE:CHARGE_JITTER:REFILL_JITTER]";
+  if (Parts.size() < 2 || Parts.size() > 5 ||
+      !parseUnsigned(Parts[0], Out.CapacityCycles) ||
+      !parseUnsigned(Parts[1], Out.ReserveCycles))
+    return Bad(Shape);
   double *Doubles[] = {&Out.ChargeRate, &Out.ChargeJitter, &Out.RefillJitter};
   for (size_t I = 2; I < Parts.size(); ++I) {
     errno = 0;
     char *End = nullptr;
     double D = std::strtod(Parts[I].c_str(), &End);
     if (Parts[I].empty() || !End || *End != '\0' || errno != 0)
-      return Bad();
+      return Bad(Shape);
     *Doubles[I - 2] = D;
   }
+  if (Out.ReserveCycles >= Out.CapacityCycles)
+    return Bad("the reserve RES must be below the capacity CAP");
+  if (!(std::isfinite(Out.ChargeRate) && Out.ChargeRate > 0))
+    return Bad("the charge rate RATE must be finite and above 0");
+  for (double Jitter : {Out.ChargeJitter, Out.RefillJitter})
+    if (!(Jitter >= 0 && Jitter <= 1))
+      return Bad("each jitter must lie in [0, 1]");
   return true;
 }
 
@@ -313,12 +311,12 @@ int main(int argc, char **argv) {
     } else if (Arg.rfind("--seeds=", 0) == 0) {
       Fleet.Seeds.clear();
       for (const std::string &S : splitCommaList(Value("--seeds="))) {
-        if (!parseU64Flag(S, U))
+        if (!parseUnsigned(S, U))
           return fail("bad --seeds value '" + S + "'");
         Fleet.Seeds.push_back(U);
       }
     } else if (Arg.rfind("--tau=", 0) == 0) {
-      if (!parseU64Flag(Value("--tau="), Fleet.TauBudget))
+      if (!parseUnsigned(Value("--tau="), Fleet.TauBudget))
         return fail("bad --tau value '" + Value("--tau=") + "'");
     } else if (Arg == "--no-monitors") {
       Fleet.Monitors = false;
@@ -330,10 +328,9 @@ int main(int argc, char **argv) {
         return fail(Error);
       HaveShard = true;
     } else if (Arg.rfind("--shards=", 0) == 0) {
-      if (!parseU64Flag(Value("--shards="), U) || U == 0)
+      if (!parseUnsigned(Value("--shards="), Shards) || Shards == 0)
         return fail("bad --shards value '" + Value("--shards=") +
                     "' (want >= 1)");
-      Shards = static_cast<unsigned>(U);
     } else if (Arg.rfind("--out=", 0) == 0) {
       Run.OutDir = Merge.OutDir = Value("--out=");
       HaveOut = true;
@@ -346,13 +343,13 @@ int main(int argc, char **argv) {
       if (!parseWorkersFlag(Value("--workers=").c_str(), Run.Workers))
         return 1;
     } else if (Arg.rfind("--checkpoint-every=", 0) == 0) {
-      if (!parseU64Flag(Value("--checkpoint-every="), U) || U == 0)
+      if (!parseUnsigned(Value("--checkpoint-every="), Run.CheckpointEvery) ||
+          Run.CheckpointEvery == 0)
         return fail("bad --checkpoint-every value (want >= 1)");
-      Run.CheckpointEvery = static_cast<size_t>(U);
     } else if (Arg.rfind("--max-cells=", 0) == 0) {
-      if (!parseU64Flag(Value("--max-cells="), U) || U == 0)
+      if (!parseUnsigned(Value("--max-cells="), Run.MaxCells) ||
+          Run.MaxCells == 0)
         return fail("bad --max-cells value (want >= 1)");
-      Run.MaxCells = static_cast<size_t>(U);
     } else if (Arg.rfind("--merged=", 0) == 0) {
       Merge.MergedPath = Value("--merged=");
     } else if (Arg == "--quiet") {

@@ -5,9 +5,10 @@
 //===----------------------------------------------------------------------===//
 
 #include "fleet/ShardPlan.h"
+#include "support/ParseNumber.h"
 
 #include <cassert>
-#include <cstdlib>
+#include <string_view>
 
 using namespace ocelot;
 
@@ -27,21 +28,20 @@ ShardRange ShardPlan::range(unsigned Shard) const {
 
 bool ocelot::parseShardSpec(const std::string &Spec, unsigned &Shard,
                             unsigned &Count, std::string &Error) {
-  const char *Text = Spec.c_str();
-  char *End = nullptr;
-  long I = std::strtol(Text, &End, 10);
-  if (End == Text || *End != '/') {
+  const size_t Slash = Spec.find('/');
+  unsigned I = 0, K = 0;
+  if (Slash == std::string::npos ||
+      !parseUnsigned(std::string_view(Spec).substr(0, Slash), I)) {
     Error = "bad shard spec '" + Spec + "' (want I/K, e.g. --shard=0/4)";
     return false;
   }
-  const char *KText = End + 1;
-  long K = std::strtol(KText, &End, 10);
-  if (End == KText || *End != '\0' || K < 1 || I < 0 || I >= K) {
+  if (!parseUnsigned(std::string_view(Spec).substr(Slash + 1), K) || K < 1 ||
+      I >= K) {
     Error = "bad shard spec '" + Spec +
             "' (want 0 <= I < K, e.g. --shard=0/4)";
     return false;
   }
-  Shard = static_cast<unsigned>(I);
-  Count = static_cast<unsigned>(K);
+  Shard = I;
+  Count = K;
   return true;
 }

@@ -5,6 +5,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "harness/SweepRunner.h"
+#include "support/ParseNumber.h"
 
 #include <algorithm>
 #include <atomic>
@@ -36,13 +37,12 @@ template <typename Fn> void runOnPool(unsigned Workers, size_t Items, Fn Body) {
 } // namespace
 
 bool ocelot::parseWorkersFlag(const char *Value, unsigned &Workers) {
-  char *End = nullptr;
-  long V = std::strtol(Value, &End, 10);
-  if (*End != '\0' || V < 1) {
+  unsigned V = 0;
+  if (!parseUnsigned(Value, V) || V < 1) {
     std::fprintf(stderr, "error: bad worker count '%s' (want >= 1)\n", Value);
     return false;
   }
-  Workers = static_cast<unsigned>(V);
+  Workers = V;
   return true;
 }
 

@@ -55,6 +55,7 @@
 #include "power/PowerProfiles.h"
 #include "runtime/Simulation.h"
 #include "sensors/SensorScenarios.h"
+#include "support/ParseNumber.h"
 #include "telemetry/Profile.h"
 #include "telemetry/TraceSink.h"
 
@@ -108,9 +109,7 @@ void usage() {
 /// Parses \p Text as a whole non-negative decimal integer no larger than
 /// \p Max into \p Out. A sign, trailing text or overflow is rejected.
 bool parseCount(const std::string &Text, uint64_t Max, uint64_t &Out) {
-  const char *End = Text.data() + Text.size();
-  auto [Ptr, Ec] = std::from_chars(Text.data(), End, Out);
-  return Ec == std::errc() && Ptr == End && Out <= Max;
+  return parseUnsigned(Text, Out) && Out <= Max;
 }
 
 int invalidNumber(const char *Flag, const std::string &Text) {

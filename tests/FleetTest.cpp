@@ -121,8 +121,11 @@ TEST(ShardPlan, ParseShardSpecAcceptsAndRejects) {
   EXPECT_TRUE(parseShardSpec("3/4", S, K, Err));
   EXPECT_EQ(S, 3u);
   EXPECT_EQ(K, 4u);
+  // Values that do not fit an unsigned are rejected, not truncated: a
+  // wrapped 4294967297 would read as K = 1.
   for (const char *Bad : {"", "3", "a/b", "4/4", "5/4", "-1/4", "2/0",
-                          "1/2x"}) {
+                          "1/2x", "+1/4", "0/4294967297", "4294967296/1",
+                          "0/-4"}) {
     EXPECT_FALSE(parseShardSpec(Bad, S, K, Err)) << Bad;
     EXPECT_NE(Err.find("bad shard spec"), std::string::npos) << Err;
   }

@@ -210,6 +210,17 @@ TEST(SweepRunner, DefaultsToHardwareConcurrency) {
   EXPECT_EQ(SweepRunner(3).workers(), 3u);
 }
 
+TEST(SweepRunner, WorkersFlagRejectsValuesThatDoNotFit) {
+  // Parsing only: no runner is built, so no thread starts.
+  unsigned Workers = 7;
+  EXPECT_TRUE(parseWorkersFlag("2", Workers));
+  EXPECT_EQ(Workers, 2u);
+  // 2^32 + 1 used to truncate to one worker.
+  for (const char *Bad : {"4294967297", "0", "-1", "", "+2", "2x", " 2"})
+    EXPECT_FALSE(parseWorkersFlag(Bad, Workers)) << Bad;
+  EXPECT_EQ(Workers, 2u);
+}
+
 TEST(SweepRunner, EmptySpecYieldsNoCells) {
   SweepSpec Spec;
   EXPECT_EQ(Spec.cellCount(), 0u);
