@@ -92,9 +92,7 @@ int fail(const std::string &Msg) {
 }
 
 /// --energy=CAP:RES[:RATE:CJ:RJ]; trailing fields keep their defaults. A
-/// configuration the energy model cannot run is rejected with the rule it
-/// breaks: the reserve must sit below the capacity, the charge rate must
-/// be finite and positive, and both jitters must lie in [0, 1].
+/// configuration the energy model cannot run is rejected, naming the rule.
 bool parseEnergyFlag(const std::string &Value, EnergyConfig &Out,
                      std::string &Error) {
   std::vector<std::string> Parts;

@@ -61,10 +61,7 @@ struct OracleRecord {
   EpochSpan Inputs;
   OracleVerdict Verdict = OracleVerdict::Fresh;
 
-  bool operator==(const OracleRecord &O) const {
-    return Kind == O.Kind && Tau == O.Tau && Epoch == O.Epoch &&
-           Inputs == O.Inputs && Verdict == O.Verdict;
-  }
+  bool operator==(const OracleRecord &) const = default;
 };
 
 /// Classifies an output whose inputs span \p Inputs, emitted in

@@ -99,9 +99,7 @@ struct RunConfig {
   uint64_t Seed = 1;
   DispatchEngine Dispatch = DispatchEngine::Threaded;
   bool MonitorBitVector = false;
-  /// The formal monitor: Definitions 2 and 3 over runtime input taint.
-  /// Turns taint tracking on.
-  bool MonitorFormal = false;
+  bool MonitorFormal = false; ///< Turns taint tracking on.
   /// Input-epoch consistency oracle (src/fusion/FusionOracle.h): score
   /// every committed output against the reboot epochs of the inputs fused
   /// into it, independent of the monitors' enforcement. Turns taint
@@ -345,10 +343,9 @@ private:
   std::vector<OracleRecord> CommittedOracle;
   std::vector<OracleRecord> PendingOracle;
 
-  /// Scores one output whose arguments' inputs span \p Inputs
-  /// (RunConfig::Oracle): classifies it against the current epoch, buffers
-  /// the record per the pending/committed discipline, and emits a
-  /// telemetry event.
+  /// Scores one output whose arguments' inputs span \p Inputs: classifies
+  /// it against the current epoch, buffers the record per the
+  /// pending/committed discipline, and emits a telemetry event.
   void recordOracleOutput(OutputKind Kind, EpochSpan Inputs);
 
   /// Moves the run's committed oracle records and verdict counts into

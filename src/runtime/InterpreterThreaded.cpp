@@ -57,8 +57,7 @@
 ///
 /// A computed goto leaves a handler's scope without running destructors,
 /// so no handler may hold a local that owns memory: Output, the one
-/// handler that builds a vector (the trace's output event), calls the
-/// out-of-line outputFlat.
+/// handler that builds a vector, calls the out-of-line outputFlat.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -398,9 +397,8 @@ template <bool Hot, bool TaintOn> RunResult Interpreter::runThreadedLoop() {
 #define OCELOT_TAU() (TauMinusOn + OnCycles)
 
   // The formal checker's use-register checks at \p I (TaintOn only), and
-  // the trace's input event \p I collects at \p Tau with value \p V. Both
-  // capture only `this`, so no loop local escapes should they stay out of
-  // line.
+  // the input event \p I collects at \p Tau with value \p V. Both capture
+  // only `this`, so no loop local escapes should they stay out of line.
   [[maybe_unused]] auto FormalUses = [this](const FlatInst &I, uint64_t Tau) {
     const RtValue *Frame = RegStack.data() + FFrames.back().RegBase;
     for (uint32_t Reg : Img->useRegs(I))

@@ -12,15 +12,13 @@
 ///    inputs, in first-appearance order. `merge(A, B)` is A followed by the
 ///    epochs of B not already in A: the order the taint-augmented semantics
 ///    has always kept, which matters because violation details name the
-///    first epoch that fails a check. The formal monitor's verdicts and
-///    details read only epochs (the first one, or the first that differs),
-///    and the oracle's read only a sequence's oldest and newest epoch, so
-///    epochs are all the table keeps of an input.
+///    first epoch that fails a check. The formal monitor reads only epochs
+///    and the oracle only a sequence's oldest and newest one, so epochs are
+///    all the table keeps of an input.
 ///  * `single()` returns one cached sequence per epoch, so inside an epoch
-///    every merge takes its `A == B` path. Reboot epochs never decrease
-///    (the interpreter's epoch counter only counts up), which is what lets
-///    `single()` find an epoch among the stored ones by looking at the
-///    last.
+///    every merge takes its `A == B` path. Epochs never decrease (the
+///    interpreter's counter only counts up), so only the last stored epoch
+///    can equal a new input's.
 ///  * Each epoch is stored once; sequences store epoch ordinals, plus the
 ///    oldest and newest epoch (`span()`), so "is every input in the current
 ///    epoch" is O(1).

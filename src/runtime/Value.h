@@ -7,18 +7,15 @@
 /// \file
 /// Runtime values optionally carry *dynamic input taint* — the reboot
 /// epochs of the inputs the value depends on. This implements the paper's
-/// taint-augmented semantics (Appendix B) at the grain its freshness and
-/// temporal-consistency definitions (Definitions 2 and 3) read: both are
-/// statements about reboot epochs, so the formal checker and the
-/// input-epoch oracle evaluate them directly at run time.
+/// taint-augmented semantics (Appendix B) at the grain the formal
+/// freshness / temporal-consistency checker (Definitions 2 and 3) and the
+/// input-epoch oracle read, and both evaluate it directly at run time.
 ///
 /// A value does not hold its epochs itself: it holds a `TaintId` naming an
-/// epoch sequence (first-appearance order) interned in its interpreter's
-/// `TaintTable` (runtime/TaintTable.h). Id 0 is the empty sequence, which
-/// every value carries while taint tracking is off.
-///
-/// `InputEvent` records a whole input (sensor, logical time, epoch, value)
-/// for execution traces and replay only; taint never stores one.
+/// epoch sequence interned in its interpreter's `TaintTable`
+/// (runtime/TaintTable.h). Id 0 is the empty sequence, which every value
+/// carries while taint tracking is off. `InputEvent` is for execution
+/// traces and replay only; taint never stores one.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -34,8 +31,7 @@
 
 namespace ocelot {
 
-/// One input operation observed at run time, as execution traces record it
-/// and replay feeds it back.
+/// One input operation observed at run time (for traces / replay).
 struct InputEvent {
   int Sensor = -1;
   uint64_t Tau = 0;    ///< Logical time of collection.
@@ -66,7 +62,7 @@ struct EpochSpan {
 };
 
 /// A runtime value: the 64-bit payload plus (when taint tracking is on) the
-/// id of the input events it depends on. Plain data, copied by value.
+/// id of the input epochs it depends on. Plain data, copied by value.
 struct RtValue {
   int64_t V = 0;
   TaintId Taint = 0;

@@ -5,12 +5,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// How every command-line flag parses an unsigned integer: the whole text
-/// as a decimal number that fits the destination type. `strtoull` and
-/// `strtol` would accept "-1" (wrapping to the type's maximum), leading
-/// whitespace and a '+', and a caller that narrows their result truncates
-/// values above the destination's range; `std::from_chars` into the
-/// destination type rejects all of these.
+/// How every command-line flag parses an unsigned integer. `strtoull`
+/// accepts "-1" (wrapping it), whitespace and '+', and narrowing its result
+/// truncates; `std::from_chars` into the destination type rejects these.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -24,9 +21,8 @@
 
 namespace ocelot {
 
-/// Parses all of \p Text as a decimal number that fits \p UInt into \p Out.
-/// A sign, whitespace, trailing text, empty text or overflow is rejected,
-/// and \p Out is then left unchanged.
+/// Parses all of \p Text as a decimal number that fits \p UInt into \p Out;
+/// on failure \p Out is left unchanged.
 template <typename UInt> bool parseUnsigned(std::string_view Text, UInt &Out) {
   static_assert(std::is_unsigned_v<UInt>, "parseUnsigned takes an unsigned");
   const char *End = Text.data() + Text.size();

@@ -7,8 +7,8 @@
 /// \file
 /// A bounded ring of structured run events — reboots, checkpoints, region
 /// enter/commit/retry, monitor checks, violations, sensor reads, energy
-/// recharges, oracle verdicts, and compile start/end — exportable as Chrome `trace_event`
-/// JSON that loads in Perfetto / chrome://tracing.
+/// recharges, oracle verdicts, and compile start/end — exportable as
+/// Chrome `trace_event` JSON that loads in Perfetto / chrome://tracing.
 ///
 /// Two time bases share one timeline:
 ///

@@ -60,7 +60,6 @@
 #include "telemetry/TraceSink.h"
 
 #include <algorithm>
-#include <charconv>
 #include <climits>
 #include <cstdio>
 #include <cstring>
@@ -104,12 +103,6 @@ void usage() {
       "               [--sensors=scenario|trace.csv] [--monitor] "
       "[--seed=S]\n"
       "               [--trace-out=FILE] [--profile]\n");
-}
-
-/// Parses \p Text as a whole non-negative decimal integer no larger than
-/// \p Max into \p Out. A sign, trailing text or overflow is rejected.
-bool parseCount(const std::string &Text, uint64_t Max, uint64_t &Out) {
-  return parseUnsigned(Text, Out) && Out <= Max;
 }
 
 int invalidNumber(const char *Flag, const std::string &Text) {
@@ -222,8 +215,8 @@ int main(int argc, char **argv) {
     } else if (Arg == "--run") {
       Runs = 1;
     } else if (Arg.rfind("--run=", 0) == 0) {
-      uint64_t N = 0;
-      if (!parseCount(Arg.substr(6), INT_MAX, N))
+      unsigned N = 0;
+      if (!parseUnsigned(Arg.substr(6), N) || N > INT_MAX)
         return invalidNumber("--run", Arg.substr(6));
       Runs = static_cast<int>(N);
     } else if (Arg == "--intermittent") {
@@ -250,7 +243,7 @@ int main(int argc, char **argv) {
     } else if (Arg.rfind("--trace-out=", 0) == 0) {
       TracePath = Arg.substr(12);
     } else if (Arg.rfind("--seed=", 0) == 0) {
-      if (!parseCount(Arg.substr(7), UINT64_MAX, Seed))
+      if (!parseUnsigned(Arg.substr(7), Seed))
         return invalidNumber("--seed", Arg.substr(7));
     } else if (Arg.rfind("--dispatch=", 0) == 0) {
       std::string E = Arg.substr(11);
