@@ -28,15 +28,14 @@ ShardRange ShardPlan::range(unsigned Shard) const {
 
 bool ocelot::parseShardSpec(const std::string &Spec, unsigned &Shard,
                             unsigned &Count, std::string &Error) {
-  const size_t Slash = Spec.find('/');
+  const std::string_view Text = Spec;
+  const size_t Slash = Text.find('/');
   unsigned I = 0, K = 0;
-  if (Slash == std::string::npos ||
-      !parseUnsigned(std::string_view(Spec).substr(0, Slash), I)) {
+  if (Slash == Text.npos || !parseUnsigned(Text.substr(0, Slash), I)) {
     Error = "bad shard spec '" + Spec + "' (want I/K, e.g. --shard=0/4)";
     return false;
   }
-  if (!parseUnsigned(std::string_view(Spec).substr(Slash + 1), K) || K < 1 ||
-      I >= K) {
+  if (!parseUnsigned(Text.substr(Slash + 1), K) || K < 1 || I >= K) {
     Error = "bad shard spec '" + Spec +
             "' (want 0 <= I < K, e.g. --shard=0/4)";
     return false;

@@ -193,8 +193,7 @@ public:
   uint64_t tau() const { return Tau; }
   uint64_t epoch() const { return Epoch; }
   const ViolationMonitor &monitor() const { return *Monitor; }
-  /// The device's interned taint (empty unless taint tracking is on; in
-  /// epoch grain unless the oracle is armed).
+  /// The device's interned taint (empty unless taint tracking is on).
   const TaintTable &taints() const { return Taints; }
   const ExecutableImage &image() const { return *Img; }
 
