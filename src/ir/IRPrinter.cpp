@@ -40,8 +40,10 @@ std::string ocelot::printProgram(const Program &P) {
   for (int I = 0; I < P.numGlobals(); ++I) {
     const GlobalVar &G = P.global(I);
     S += "global g" + std::to_string(I) + " = " + G.Name;
-    if (G.Size != 1)
-      S += "[" + std::to_string(G.Size) + "]";
+    if (G.Size != 1) {
+      S += '['; // Not `"[" + ...`: GCC 12 -O3 misreports it (-Wrestrict).
+      S += std::to_string(G.Size) + "]";
+    }
     if (G.IsPromotedLocal)
       S += " ; promoted local";
     S += "\n";

@@ -126,12 +126,24 @@ const char *ocelot::outputKindName(OutputKind K) {
   return "?";
 }
 
+namespace {
+
+/// \p Prefix followed by \p N, built by appending: GCC 12's inlined
+/// `"%" + std::to_string(N)` trips a false -Wrestrict at -O3.
+std::string prefixed(const char *Prefix, int64_t N) {
+  std::string S = Prefix;
+  S += std::to_string(N);
+  return S;
+}
+
+} // namespace
+
 std::string Operand::str() const {
   switch (K) {
   case Kind::None:
     return "_";
   case Kind::Reg:
-    return "%" + std::to_string(Reg);
+    return prefixed("%", Reg);
   case Kind::Imm:
     return std::to_string(Imm);
   }
@@ -149,8 +161,8 @@ void Instruction::collectUsedRegs(std::vector<int> &Regs) const {
 }
 
 std::string Instruction::str() const {
-  std::string S = "@" + std::to_string(Label) + " ";
-  auto Dest = [&]() { return "%" + std::to_string(Dst) + " = "; };
+  std::string S = prefixed("@", Label) + " ";
+  auto Dest = [&]() { return prefixed("%", Dst) + " = "; };
   switch (Op) {
   case Opcode::Const:
     S += Dest() + "const " + std::to_string(A.Imm);

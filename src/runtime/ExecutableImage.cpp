@@ -314,7 +314,13 @@ ExecutableImage::costTableFor(const CostModel &Costs) const {
 
 namespace {
 
-std::string regName(int32_t R) { return "%" + std::to_string(R); }
+/// "%R", built by appending: GCC 12's inlined `"%" + std::to_string(R)`
+/// trips a false -Wrestrict at -O3.
+std::string regName(int32_t R) {
+  std::string S = "%";
+  S += std::to_string(R);
+  return S;
+}
 
 /// Operand list "(a, b, c)" from a pool span.
 std::string argList(const Operand *Args, uint32_t Count) {

@@ -312,8 +312,11 @@ TEST(Taint, GrownBranchConditionRevisitsDependents) {
   IRBuilder B(*P);
   B.setFunction(F);
   std::vector<BasicBlock *> Bl;
-  for (int I = 0; I < 7; ++I)
-    Bl.push_back(F->addBlock("b" + std::to_string(I)));
+  for (int I = 0; I < 7; ++I) {
+    std::string Name = "b"; // Appended: `"b" + ...` trips GCC 12 -Wrestrict.
+    Name += std::to_string(I);
+    Bl.push_back(F->addBlock(Name));
+  }
   int R2 = F->newReg();
   B.setBlock(Bl[0]);
   int In = B.emitInput(0);
