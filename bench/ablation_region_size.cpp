@@ -84,15 +84,15 @@ struct Placement {
 };
 
 bool completesAt(const CompiledArtifact &A, uint64_t Capacity) {
-  SimulationSpec Spec;
-  Spec.Config.Sensors = SensorScenario::Builder()
-                            .channel(0, noiseChannel(100, 50, 300, 5))
-                            .build();
-  Spec.Config.Plan = FailurePlan::energyDriven();
-  Spec.Config.Energy.CapacityCycles = Capacity;
-  Spec.Config.Energy.ReserveCycles = Capacity / 20 + 150;
-  Spec.Config.MaxAbortsPerRegion = 50;
-  Simulation Sim(A, std::move(Spec));
+  RunConfig Cfg;
+  Cfg.Sensors = SensorScenario::Builder()
+                    .channel(0, noiseChannel(100, 50, 300, 5))
+                    .build();
+  Cfg.Plan = FailurePlan::energyDriven();
+  Cfg.Energy.CapacityCycles = Capacity;
+  Cfg.Energy.ReserveCycles = Capacity / 20 + 150;
+  Cfg.MaxAbortsPerRegion = 50;
+  Simulation Sim(A, std::move(Cfg));
   for (int Run = 0; Run < 5; ++Run) {
     RunResult Res = Sim.runOnce();
     if (Res.Starved || !Res.Completed)

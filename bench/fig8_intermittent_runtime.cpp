@@ -41,8 +41,8 @@ int main() {
 
     for (int M = 0; M < 3; ++M) {
       CompiledBenchmark CB = compileBenchmark(B, Models[M]);
-      IntermittentMetrics I = measureIntermittent(CB, B, Energy, TauBudget,
-                                                  Seed, /*Monitors=*/false);
+      IntermittentMetrics I = measureIntermittent(
+          CB, B, {.Energy = Energy, .TauBudget = TauBudget, .Seed = Seed});
       if (I.Trapped) {
         Full.addRow({B.Name, Names[M], "trap", "-", "-", "-"});
         continue;

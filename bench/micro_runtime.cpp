@@ -74,11 +74,11 @@ struct Throughput {
 Throughput measureThroughput(const CompiledBenchmark &CB,
                              const BenchmarkDef &B, DispatchEngine Engine,
                              double MinSeconds) {
-  SimulationSpec Spec;
-  Spec.Config.Sensors = B.scenario(1);
-  Spec.Config.Seed = 1;
-  Spec.Config.Dispatch = Engine;
-  Simulation Sim(CB.Artifact, std::move(Spec));
+  RunConfig Cfg;
+  Cfg.Sensors = B.scenario(1);
+  Cfg.Seed = 1;
+  Cfg.Dispatch = Engine;
+  Simulation Sim(CB.Artifact, std::move(Cfg));
 
   // Warm-up activation (cold caches, first-touch allocation).
   RunResult Warm = Sim.runOnce();
@@ -300,11 +300,11 @@ struct ShardRss {
 
 /// Runs a many-cell single-benchmark fleet shard and reports the process
 /// peak RSS afterwards. The fleet service documents a bounded footprint —
-/// artifacts + reorder window + pooled arenas, never the whole grid — so
-/// a regression that accumulates per-cell state shows up here as RSS
-/// scaling with the 10k-cell grid. getrusage's high-water mark is
-/// process-wide (it includes the earlier report sections), which only
-/// makes the gate stricter.
+/// artifacts + reorder window + one Simulation per worker, never the
+/// whole grid — so a regression that accumulates per-cell state shows up
+/// here as RSS scaling with the 10k-cell grid. getrusage's high-water
+/// mark is process-wide (it includes the earlier report sections), which
+/// only makes the gate stricter.
 ShardRss measureShardRss(bool Smoke) {
   FleetSpec Fleet;
   Fleet.Models = {"ocelot"};
@@ -475,11 +475,11 @@ int runPairHistogram() {
       PcProfile Prof;
       Prof.prepare(CB.Artifact.image().size(),
                    static_cast<size_t>(NumOpcodes));
-      SimulationSpec Spec;
-      Spec.Config.Sensors = B.scenario(1);
-      Spec.Config.Seed = 1;
-      Spec.Config.Profile = &Prof;
-      Simulation Sim(CB.Artifact, std::move(Spec));
+      RunConfig Cfg;
+      Cfg.Sensors = B.scenario(1);
+      Cfg.Seed = 1;
+      Cfg.Profile = &Prof;
+      Simulation Sim(CB.Artifact, std::move(Cfg));
       for (int R = 0; R < RunsPer; ++R) {
         RunResult Res = Sim.runOnce();
         if (!Res.Completed) {
@@ -569,10 +569,10 @@ BENCHMARK(BM_CompileJitOnly);
 /// the --json report records per PR.
 void interpretContinuous(benchmark::State &State, DispatchEngine Engine) {
   CompiledArtifact A = compileBenchmark(tire(), ExecModel::Ocelot).Artifact;
-  SimulationSpec Spec;
-  Spec.Config.Sensors = tire().scenario(1);
-  Spec.Config.Dispatch = Engine;
-  Simulation Sim(A, std::move(Spec));
+  RunConfig Cfg;
+  Cfg.Sensors = tire().scenario(1);
+  Cfg.Dispatch = Engine;
+  Simulation Sim(A, std::move(Cfg));
   uint64_t Cycles = 0, Steps = 0;
   for (auto _ : State) {
     RunResult Res = Sim.runOnce();
@@ -599,11 +599,11 @@ BENCHMARK(BM_InterpretContinuousTree);
 
 void BM_InterpretWithTaint(benchmark::State &State) {
   CompiledArtifact A = compileBenchmark(tire(), ExecModel::Ocelot).Artifact;
-  SimulationSpec Spec;
-  Spec.Config.Sensors = tire().scenario(1);
-  Spec.Config.MonitorFormal = true;
-  Spec.Config.MonitorBitVector = true;
-  Simulation Sim(A, std::move(Spec));
+  RunConfig Cfg;
+  Cfg.Sensors = tire().scenario(1);
+  Cfg.MonitorFormal = true;
+  Cfg.MonitorBitVector = true;
+  Simulation Sim(A, std::move(Cfg));
   for (auto _ : State) {
     RunResult Res = Sim.runOnce();
     benchmark::DoNotOptimize(Res.Completed);
@@ -613,10 +613,10 @@ BENCHMARK(BM_InterpretWithTaint);
 
 void BM_InterpretIntermittent(benchmark::State &State) {
   CompiledArtifact A = compileBenchmark(tire(), ExecModel::Ocelot).Artifact;
-  SimulationSpec Spec;
-  Spec.Config.Sensors = tire().scenario(1);
-  Spec.Config.Plan = FailurePlan::energyDriven();
-  Simulation Sim(A, std::move(Spec));
+  RunConfig Cfg;
+  Cfg.Sensors = tire().scenario(1);
+  Cfg.Plan = FailurePlan::energyDriven();
+  Simulation Sim(A, std::move(Cfg));
   for (auto _ : State) {
     RunResult Res = Sim.runOnce();
     benchmark::DoNotOptimize(Res.Completed);
@@ -630,10 +630,10 @@ BENCHMARK(BM_InterpretIntermittent);
 void undoLogMode(benchmark::State &State, bool StaticOmega) {
   CompiledArtifact A =
       compileBenchmark(cem(), ExecModel::AtomicsOnly).Artifact;
-  SimulationSpec Spec;
-  Spec.Config.Sensors = cem().scenario(1);
-  Spec.Config.StaticOmega = StaticOmega;
-  Simulation Sim(A, std::move(Spec));
+  RunConfig Cfg;
+  Cfg.Sensors = cem().scenario(1);
+  Cfg.StaticOmega = StaticOmega;
+  Simulation Sim(A, std::move(Cfg));
   uint64_t SimCycles = 0, LogEntries = 0;
   for (auto _ : State) {
     RunResult Res = Sim.runOnce();

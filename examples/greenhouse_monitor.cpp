@@ -32,10 +32,10 @@ int main() {
     EnergyConfig E;
     E.CapacityCycles = Capacity;
     E.ReserveCycles = Capacity / 4;
-    IntermittentMetrics MO =
-        measureIntermittent(Oce, B, E, 20'000'000, 7, /*Monitors=*/true);
-    IntermittentMetrics MJ =
-        measureIntermittent(Jit, B, E, 20'000'000, 7, /*Monitors=*/true);
+    IntermittentSpec Run{
+        .Energy = E, .TauBudget = 20'000'000, .Seed = 7, .Monitors = true};
+    IntermittentMetrics MO = measureIntermittent(Oce, B, Run);
+    IntermittentMetrics MJ = measureIntermittent(Jit, B, Run);
     T.addRow({std::to_string(Capacity),
               MO.Starved ? "STARVED (region too large, §5.3)"
                          : std::to_string(MO.CompletedRuns),

@@ -63,15 +63,15 @@ fn main() {
   // 3. Run on intermittent power (Capybara-like capacitor + harvester)
   //    with both violation detectors armed. The Simulation owns all mutable
   //    run state; the artifact stays shared and read-only.
-  SimulationSpec Spec;
-  Spec.Config.Sensors = SensorScenario::Builder()
-                            .channel(0, noiseChannel(10, 40, 400, 42))
-                            .build(); // weather
-  Spec.Config.Plan = FailurePlan::energyDriven();
-  Spec.Config.MonitorBitVector = true;
-  Spec.Config.MonitorFormal = true;
-  Spec.Config.RecordTrace = true;
-  Simulation Sim(A, std::move(Spec));
+  RunConfig Cfg;
+  Cfg.Sensors = SensorScenario::Builder()
+                    .channel(0, noiseChannel(10, 40, 400, 42))
+                    .build(); // weather
+  Cfg.Plan = FailurePlan::energyDriven();
+  Cfg.MonitorBitVector = true;
+  Cfg.MonitorFormal = true;
+  Cfg.RecordTrace = true;
+  Simulation Sim(A, std::move(Cfg));
 
   int Violations = 0;
   uint64_t Reboots = 0;

@@ -49,12 +49,12 @@ int main() {
   std::printf("\n== 100 simulated seconds of harvested operation ==\n\n");
   for (ExecModel Model : {ExecModel::JitOnly, ExecModel::Ocelot}) {
     CompiledBenchmark CB = compileBenchmark(Tire, Model);
-    SimulationSpec Spec;
-    Spec.Config.Sensors = Tire.scenario(2026);
-    Spec.Config.Plan = FailurePlan::energyDriven();
-    Spec.Config.MonitorBitVector = true;
-    Spec.Config.MonitorFormal = true;
-    Simulation Sim(CB.Artifact, std::move(Spec));
+    RunConfig Cfg;
+    Cfg.Sensors = Tire.scenario(2026);
+    Cfg.Plan = FailurePlan::energyDriven();
+    Cfg.MonitorBitVector = true;
+    Cfg.MonitorFormal = true;
+    Simulation Sim(CB.Artifact, std::move(Cfg));
     uint64_t Runs = 0, Violating = 0, Reboots = 0;
     while (Sim.tau() < 80'000'000) {
       RunResult Res = Sim.runOnce();

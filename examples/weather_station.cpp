@@ -62,19 +62,19 @@ int main() {
   }
 
   auto RunCampaign = [](const CompiledArtifact &A, const char *Name) {
-    SimulationSpec Spec;
+    RunConfig Cfg;
     // A front is passing: temperature falls, pressure drops, humidity
     // climbs — piecewise-random channels over logical time.
-    Spec.Config.Sensors =
+    Cfg.Sensors =
         SensorScenario::Builder()
             .channel(0, noiseChannel(15, 25, 3000, 101))  // tmp
             .channel(1, noiseChannel(950, 80, 5000, 202)) // pres
             .channel(2, noiseChannel(40, 55, 4000, 303))  // hum
             .build();
-    Spec.Config.Plan = FailurePlan::energyDriven();
-    Spec.Config.MonitorBitVector = true;
-    Spec.Config.MonitorFormal = true;
-    Simulation Sim(A, std::move(Spec));
+    Cfg.Plan = FailurePlan::energyDriven();
+    Cfg.MonitorBitVector = true;
+    Cfg.MonitorFormal = true;
+    Simulation Sim(A, std::move(Cfg));
     int StaleAlarmRuns = 0, SplitPairRuns = 0, Runs = 600;
     uint64_t Reboots = 0;
     for (int Run = 0; Run < Runs; ++Run) {

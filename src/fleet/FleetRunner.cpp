@@ -7,17 +7,11 @@
 #include "fleet/FleetRunner.h"
 
 #include "fleet/ShardProgress.h"
-#include "harness/Experiment.h"
-#include "runtime/ArenaPool.h"
 
-#include <atomic>
+#include <algorithm>
 #include <chrono>
 #include <cinttypes>
-#include <condition_variable>
 #include <cstdio>
-#include <map>
-#include <mutex>
-#include <thread>
 
 using namespace ocelot;
 
@@ -122,26 +116,6 @@ bool ocelot::runShard(const FleetSpec &Fleet, const ShardRunOptions &Opts,
                  Opts.Shard, Opts.ShardCount, Range.Begin, Range.End, Todo,
                  Range.size(), Opts.Workers);
 
-  // Compile the shard's (model, benchmark) pairs up front — a contiguous
-  // cell range touches a contiguous pair range. compileBenchmark goes
-  // through the process-wide artifact cache, so across resumes and
-  // co-located shards each distinct pair compiles exactly once.
-  std::vector<CompiledBenchmark> Artifacts;
-  size_t PairBase = 0;
-  if (Todo) {
-    PairBase = Spec.pairOf(Start);
-    size_t PairLast = Spec.pairOf(End - 1);
-    Artifacts.resize(PairLast - PairBase + 1);
-    for (size_t P = PairBase; P <= PairLast; ++P)
-      Artifacts[P - PairBase] =
-          compileBenchmark(*Spec.Benchmarks[P % Spec.Benchmarks.size()],
-                           Spec.Models[P / Spec.Benchmarks.size()]);
-  }
-  auto Arena = std::make_shared<ArenaPool>();
-  auto ArtifactFor = [&](size_t Cell) -> const CompiledBenchmark & {
-    return Artifacts[Spec.pairOf(Cell) - PairBase];
-  };
-
   // Progress: throttled heartbeats to the advisory `.progress` sidecar
   // (what `ocelot-fleet status` renders) plus a periodic stderr line.
   // Both run on the writer thread only, observe wall time only, and never
@@ -193,88 +167,27 @@ bool ocelot::runShard(const FleetSpec &Fleet, const ShardRunOptions &Opts,
   // position).
   Progress.heartbeat(snapshotProgress(), /*Force=*/true);
 
-  // Emit cells strictly in order, checkpointing sink-then-manifest so the
-  // manifest never points past durable bytes.
+  // evaluateCells emits cells strictly in order on this thread; checkpoint
+  // sink-then-manifest so the manifest never points past durable bytes.
   size_t SinceCheckpoint = 0;
-  auto Emit = [&](size_t Cell, const SweepCellResult &R,
-                  std::string &Err) -> bool {
-    Sink->append({Cell, R});
+  auto Emit = [&](size_t Cell, SweepCellResult &&R) -> bool {
+    Sink->append({Cell, std::move(R)});
     M.CellsNext = Cell + 1;
     ++SinceCheckpoint;
     ++DoneThisRun;
     if (SinceCheckpoint >= std::max<size_t>(Opts.CheckpointEvery, 1) ||
         M.CellsNext == End) {
-      if (!Sink->flush(Err))
+      if (!Sink->flush(Error))
         return false;
       M.SinkOffset = Sink->durableOffset();
-      if (!writeShardManifest(ManifestPath, M, Err))
+      if (!writeShardManifest(ManifestPath, M, Error))
         return false;
       SinceCheckpoint = 0;
     }
     reportProgress(/*Final=*/M.CellsNext == End);
     return true;
   };
-
-  bool Ok = true;
-  if (Opts.Workers <= 1) {
-    for (size_t I = Start; I < End && Ok; ++I)
-      Ok = Emit(I, evaluateSweepCell(Spec, I, ArtifactFor(I), Arena), Error);
-  } else {
-    // Bounded reorder window: workers claim cells atomically and park
-    // results; the writer (this thread) drains them in order. Workers
-    // stall once they run more than `Window` cells ahead of the writer,
-    // so memory stays O(workers), not O(shard).
-    const size_t Window = std::max<size_t>(4 * Opts.Workers, 16);
-    std::mutex Mu;
-    std::condition_variable RoomCv, ReadyCv;
-    std::map<size_t, SweepCellResult> Parked;
-    std::atomic<size_t> NextClaim{Start};
-    size_t NextWrite = Start;
-    bool Failed = false;
-
-    auto Worker = [&] {
-      for (size_t I = NextClaim.fetch_add(1); I < End;
-           I = NextClaim.fetch_add(1)) {
-        {
-          std::unique_lock<std::mutex> Lk(Mu);
-          RoomCv.wait(Lk, [&] { return Failed || I < NextWrite + Window; });
-          if (Failed)
-            return;
-        }
-        SweepCellResult R = evaluateSweepCell(Spec, I, ArtifactFor(I), Arena);
-        std::lock_guard<std::mutex> Lk(Mu);
-        Parked.emplace(I, std::move(R));
-        ReadyCv.notify_all();
-      }
-    };
-    std::vector<std::thread> Pool;
-    unsigned NThreads =
-        static_cast<unsigned>(std::min<size_t>(Opts.Workers, Todo));
-    Pool.reserve(NThreads);
-    for (unsigned T = 0; T < NThreads; ++T)
-      Pool.emplace_back(Worker);
-
-    while (NextWrite < End) {
-      SweepCellResult R;
-      {
-        std::unique_lock<std::mutex> Lk(Mu);
-        ReadyCv.wait(Lk, [&] { return Parked.count(NextWrite) != 0; });
-        R = std::move(Parked.begin()->second);
-        Parked.erase(Parked.begin());
-      }
-      if (!Emit(NextWrite, R, Error)) {
-        std::lock_guard<std::mutex> Lk(Mu);
-        Failed = Ok = false;
-        RoomCv.notify_all();
-        break;
-      }
-      ++NextWrite;
-      RoomCv.notify_all();
-    }
-    for (std::thread &Th : Pool)
-      Th.join();
-  }
-  if (!Ok)
+  if (!evaluateCells(Spec, Start, End, Opts.Workers, Emit))
     return false;
 
   Outcome = End == Range.End ? ShardOutcome::Complete

@@ -13,14 +13,14 @@
 ///
 /// Determinism: every cell is seeded purely from the spec, cells are
 /// *emitted* in flat cell-index order regardless of worker scheduling
-/// (a bounded reorder window keeps memory independent of shard size),
+/// (the grid evaluator `evaluateCells`, shared with `SweepRunner`),
 /// and record serialization round-trips exactly — so
 /// `run --shard=i/K` × K + `merge` ≡ `run --shard=0/1`, bitwise.
 ///
 /// Memory: a shard holds the compiled artifacts of its (model, benchmark)
-/// pairs, the reorder window (≈4×workers cells), and pooled simulation
-/// arenas — never the whole grid. A 10k-cell shard streams in the same
-/// bounded footprint as a 10-cell one.
+/// pairs, the reorder window of `evaluateCells` (max(4×workers, 16)
+/// cells) and one Simulation per worker — never the whole grid. A
+/// 10k-cell shard streams in the same bounded footprint as a 10-cell one.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -74,10 +74,10 @@ std::set<InstrRef> ocelot::pathologicalPoints(const CompiledArtifact &A) {
 ContinuousMetrics ocelot::measureContinuous(const CompiledBenchmark &CB,
                                             const BenchmarkDef &B, int Runs,
                                             uint64_t Seed) {
-  SimulationSpec Spec;
-  Spec.Config.Sensors = B.scenario(Seed);
-  Spec.Config.Seed = Seed;
-  Simulation Sim(CB.Artifact, std::move(Spec));
+  RunConfig Cfg;
+  Cfg.Sensors = B.scenario(Seed);
+  Cfg.Seed = Seed;
+  Simulation Sim(CB.Artifact, std::move(Cfg));
 
   ContinuousMetrics M;
   uint64_t Total = 0;
@@ -96,27 +96,23 @@ ContinuousMetrics ocelot::measureContinuous(const CompiledBenchmark &CB,
   return M;
 }
 
-IntermittentMetrics ocelot::measureIntermittent(
-    const CompiledBenchmark &CB, const BenchmarkDef &B,
-    const EnergyConfig &Energy, uint64_t TauBudget, uint64_t Seed,
-    bool Monitors, std::shared_ptr<const PowerSource> Power,
-    std::shared_ptr<const SensorScenario> Sensors,
-    std::shared_ptr<ArenaPool> Arena, bool Oracle) {
-  SimulationSpec Spec;
-  Spec.Config.Sensors = Sensors ? std::move(Sensors) : B.scenario(Seed);
-  Spec.Config.Seed = Seed;
-  Spec.Config.Plan = FailurePlan::energyDriven();
-  Spec.Config.Energy = Energy;
-  Spec.Config.Power = std::move(Power);
-  Spec.Config.Arena = std::move(Arena);
-  Spec.Config.MonitorBitVector = Monitors;
-  Spec.Config.MonitorFormal = Monitors;
-  Spec.Config.Oracle = Oracle;
-  Simulation Sim(CB.Artifact, std::move(Spec));
+IntermittentMetrics ocelot::measureIntermittent(const CompiledBenchmark &CB,
+                                                const BenchmarkDef &B,
+                                                const IntermittentSpec &Spec) {
+  RunConfig Cfg;
+  Cfg.Sensors = Spec.Sensors ? Spec.Sensors : B.scenario(Spec.Seed);
+  Cfg.Seed = Spec.Seed;
+  Cfg.Plan = FailurePlan::energyDriven();
+  Cfg.Energy = Spec.Energy;
+  Cfg.Power = Spec.Power;
+  Cfg.MonitorBitVector = Spec.Monitors;
+  Cfg.MonitorFormal = Spec.Monitors;
+  Cfg.Oracle = Spec.Oracle;
+  Simulation Sim(CB.Artifact, std::move(Cfg));
 
   IntermittentMetrics M;
   uint64_t On = 0, Off = 0, Reboots = 0;
-  while (Sim.tau() < TauBudget) {
+  while (Sim.tau() < Spec.TauBudget) {
     RunResult R = Sim.runOnce();
     if (R.Starved) {
       M.Starved = true;
@@ -139,7 +135,7 @@ IntermittentMetrics ocelot::measureIntermittent(
     bool ModelFlagged = R.ViolatedFresh || R.ViolatedConsistent;
     if (ModelFlagged)
       ++M.ViolatingRuns;
-    if (Oracle) {
+    if (Spec.Oracle) {
       M.OracleFreshOutputs += R.OracleFresh;
       M.OracleStaleOutputs += R.OracleStale;
       M.OracleCrossEpochOutputs += R.OracleCrossEpoch;
@@ -168,17 +164,16 @@ IntermittentMetrics ocelot::measureIntermittent(
 double ocelot::pathologicalViolationPct(const CompiledBenchmark &CB,
                                         const BenchmarkDef &B, int Runs,
                                         uint64_t Seed, TraceSink *Trace) {
-  SimulationSpec Spec;
-  Spec.Config.Sensors = B.scenario(Seed);
-  Spec.Config.Seed = Seed;
-  Spec.Config.Plan =
-      FailurePlan::pathological(pathologicalPoints(CB.Artifact));
+  RunConfig Cfg;
+  Cfg.Sensors = B.scenario(Seed);
+  Cfg.Seed = Seed;
+  Cfg.Plan = FailurePlan::pathological(pathologicalPoints(CB.Artifact));
   // Long, environment-shifting off times so staleness is observable.
-  Spec.Config.Plan.setOffTime(20000, 200000);
-  Spec.Config.MonitorBitVector = true;
-  Spec.Config.MonitorFormal = true;
-  Spec.Config.Telemetry = Trace;
-  Simulation Sim(CB.Artifact, std::move(Spec));
+  Cfg.Plan.setOffTime(20000, 200000);
+  Cfg.MonitorBitVector = true;
+  Cfg.MonitorFormal = true;
+  Cfg.Telemetry = Trace;
+  Simulation Sim(CB.Artifact, std::move(Cfg));
 
   int Violating = 0;
   int Completed = 0;

@@ -131,21 +131,29 @@ struct IntermittentMetrics {
                      static_cast<double>(CompletedRuns);
   }
 };
-/// \p Power selects the harvesting environment (src/power/); null keeps
-/// the legacy-jitter recharge behavior. \p Sensors selects the sensed
-/// world (src/sensors/); null keeps the benchmark's own seeded-noise
-/// scenario (`B.scenario(Seed)`). \p Arena optionally pools the
-/// Simulation's large buffers across cells (src/runtime/ArenaPool.h) —
-/// results are bitwise identical with or without it.
-/// \p Oracle additionally scores every committed output with the
-/// input-epoch consistency oracle (src/fusion/FusionOracle.h) and fills
-/// the Oracle* aggregates; the default run (false) is bitwise unaffected.
-IntermittentMetrics measureIntermittent(
-    const CompiledBenchmark &CB, const BenchmarkDef &B,
-    const EnergyConfig &Energy, uint64_t TauBudget, uint64_t Seed,
-    bool Monitors, std::shared_ptr<const PowerSource> Power = nullptr,
-    std::shared_ptr<const SensorScenario> Sensors = nullptr,
-    std::shared_ptr<ArenaPool> Arena = nullptr, bool Oracle = false);
+
+/// One intermittent measurement: an energy-driven failure plan run
+/// until the simulated time reaches TauBudget. Every field has a default,
+/// so callers name only what they set (`{.TauBudget = T, .Seed = S}`).
+struct IntermittentSpec {
+  EnergyConfig Energy{};
+  uint64_t TauBudget = 0; ///< Simulated-time budget (τ) of the run loop.
+  uint64_t Seed = 1;
+  bool Monitors = false; ///< Arm both violation detectors.
+  /// Harvesting environment (src/power/); null keeps the legacy-jitter
+  /// recharge behavior.
+  std::shared_ptr<const PowerSource> Power = nullptr;
+  /// Sensed world (src/sensors/); null keeps the benchmark's own
+  /// seeded-noise scenario (`B.scenario(Seed)`).
+  std::shared_ptr<const SensorScenario> Sensors = nullptr;
+  /// Also score every committed output with the input-epoch consistency
+  /// oracle (src/fusion/FusionOracle.h) and fill the Oracle* aggregates;
+  /// the default run (false) is bitwise unaffected.
+  bool Oracle = false;
+};
+IntermittentMetrics measureIntermittent(const CompiledBenchmark &CB,
+                                        const BenchmarkDef &B,
+                                        const IntermittentSpec &Spec);
 
 /// Table 2(a): percentage (0–100) of runs violating any policy under
 /// pathological failure injection. \p Trace optionally attaches a

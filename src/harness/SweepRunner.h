@@ -9,10 +9,11 @@
 /// (benchmark × exec model × energy config × power × sensor scenario ×
 /// seed) intermittent simulations. `SweepRunner` compiles each
 /// (benchmark, model) pair once into an immutable `CompiledArtifact`,
-/// then fans the grid cells across a worker pool. Every cell builds its
-/// own `Simulation` seeded purely from the spec (never from scheduling),
-/// and results are aggregated in a fixed grid order — so a parallel sweep
-/// is bitwise identical to a sequential one, only faster.
+/// then fans the grid cells across a worker pool (`evaluateCells`, which
+/// the fleet's `runShard` shares). Every cell builds its own `Simulation`
+/// seeded purely from the spec (never from scheduling), and results are
+/// emitted in flat cell order — so a parallel sweep is bitwise identical
+/// to a sequential one, only faster.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -22,6 +23,7 @@
 #include "harness/Experiment.h"
 
 #include <cstddef>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -46,8 +48,8 @@ struct SweepSpec {
   /// noise).
   std::vector<std::shared_ptr<const SensorScenario>> Scenarios;
   std::vector<uint64_t> Seeds;
-  /// Simulated-time budget per cell. Must be set: run() aborts on a
-  /// zero budget (it would yield all-zero metrics in every cell).
+  /// Simulated-time budget per cell. Must be set: evaluateCells aborts on
+  /// a zero budget (it would yield all-zero metrics in every cell).
   uint64_t TauBudget = 0;
   bool Monitors = true;   ///< Arm both violation detectors.
   bool Oracle = false;    ///< Score outputs with the input-epoch oracle
@@ -125,14 +127,22 @@ struct SweepCellResult {
   IntermittentMetrics Metrics;
 };
 
-/// Evaluates flat cell \p I of \p Spec against \p CB, the cell's compiled
-/// (model, benchmark) pair: the one place a SweepSpec cell becomes a
-/// measureIntermittent call, shared by SweepRunner::run and the fleet's
-/// runShard so both honour every spec field (Oracle included). \p Arena
-/// optionally pools the Simulation's buffers; results do not depend on it.
-SweepCellResult evaluateSweepCell(const SweepSpec &Spec, size_t I,
-                                  const CompiledBenchmark &CB,
-                                  std::shared_ptr<ArenaPool> Arena = nullptr);
+/// Receives one evaluated cell: its flat index and result. Returning false
+/// stops the evaluation.
+using CellEmit = std::function<bool(size_t Cell, SweepCellResult &&Result)>;
+
+/// The one grid evaluator behind SweepRunner::run and the fleet's runShard.
+/// Compiles the (model, benchmark) pairs of cells [\p Begin, \p End) on
+/// min(Workers, pairs) threads, then has \p Workers threads claim cells
+/// and hands every result to \p Emit on the calling thread, in flat cell
+/// order. Workers run at most `max(4 × Workers, 16)` cells ahead of the
+/// last emitted one, so memory does not grow with the range. One worker
+/// evaluates inline without starting a thread. When \p Emit returns false,
+/// no further cell is claimed and every worker is joined before the call
+/// returns false; otherwise it returns true. Aborts on a non-empty range
+/// of a spec whose TauBudget is 0.
+bool evaluateCells(const SweepSpec &Spec, size_t Begin, size_t End,
+                   unsigned Workers, const CellEmit &Emit);
 
 /// Fans a SweepSpec across a worker pool. Stateless between run() calls;
 /// one runner can be reused for any number of sweeps.
@@ -143,7 +153,7 @@ public:
 
   unsigned workers() const { return Workers; }
 
-  /// Evaluates every cell of \p Spec with measureIntermittent. The returned
+  /// Evaluates every cell of \p Spec through evaluateCells. The returned
   /// vector is in SweepSpec::cellIndex order and — for a fixed spec —
   /// identical for any worker count, including 1 (sequential).
   std::vector<SweepCellResult> run(const SweepSpec &Spec) const;

@@ -14,7 +14,6 @@
 
 #include "runtime/Interpreter.h"
 
-#include "runtime/ArenaPool.h"
 #include "runtime/IntegerOps.h"
 #include "telemetry/TraceSink.h"
 
@@ -71,21 +70,7 @@ Interpreter::Interpreter(const Program &P, RunConfig Cfg,
     OwnCosts = Img->costTableFor(this->Cfg.Costs);
     CostTable = OwnCosts.data();
   }
-  // Borrow the two large per-Simulation buffers from the arena pool when
-  // one is configured; resetNvm()/the dispatch loops size them as usual,
-  // reusing the pooled capacity.
-  if (this->Cfg.Arena) {
-    Nvm = this->Cfg.Arena->take();
-    RegStack = this->Cfg.Arena->take();
-  }
   resetNvm();
-}
-
-Interpreter::~Interpreter() {
-  if (Cfg.Arena) {
-    Cfg.Arena->giveBack(std::move(Nvm));
-    Cfg.Arena->giveBack(std::move(RegStack));
-  }
 }
 
 void Interpreter::resetNvm() {

@@ -61,7 +61,6 @@
 
 namespace ocelot {
 
-class ArenaPool;
 class PowerSource;
 class TraceSink;
 struct PcProfile;
@@ -89,13 +88,6 @@ struct RunConfig {
   /// bit-for-bit. Scenarios are immutable, so one instance may be shared
   /// by any number of concurrent simulations.
   std::shared_ptr<const SensorScenario> Sensors;
-  /// Optional buffer pool (src/runtime/ArenaPool.h): when set, the
-  /// interpreter takes its flat NVM array and register stack from the
-  /// pool and gives their capacity back at destruction, so a shard
-  /// running thousands of Simulations reuses a bounded set of large
-  /// allocations. Results are unaffected — pooled and unpooled runs are
-  /// bitwise identical.
-  std::shared_ptr<ArenaPool> Arena;
   uint64_t Seed = 1;
   DispatchEngine Dispatch = DispatchEngine::Threaded;
   bool MonitorBitVector = false;
@@ -167,9 +159,6 @@ public:
               const MonitorPlan *Plan = nullptr,
               const std::vector<RegionInfo> *Regions = nullptr,
               std::shared_ptr<const ExecutableImage> Image = nullptr);
-
-  /// Returns pooled buffers to Cfg.Arena when one is configured.
-  ~Interpreter();
 
   /// Executes one activation of main() to completion (or abort).
   RunResult runOnce();

@@ -13,7 +13,7 @@
 /// named by the `RunConfig`. Because none of the shared pieces are
 /// written, one artifact (and one scenario) can back any number of
 /// Simulations running on different threads at once; two Simulations
-/// built from the same (artifact, spec) produce bitwise identical results
+/// built from the same (artifact, config) produce bitwise identical results
 /// regardless of what else runs concurrently.
 ///
 /// This is the only supported way to execute a compiled program outside
@@ -35,29 +35,19 @@
 
 namespace ocelot {
 
-/// Everything that varies per simulated device: the run configuration
-/// (sensor scenario, power source, cost model, failure plan, energy
-/// config, seed, monitor toggles). Copied into the Simulation, so a spec
-/// can be reused — and tweaked per cell — when fanning one artifact
-/// across a sweep. (The sensor world moved into `RunConfig::Sensors`;
-/// build a `SensorScenario` via `SensorScenarioBuilder`.)
-struct SimulationSpec {
-  RunConfig Config;
-};
-
 /// One simulated device. Movable, not copyable (a device's NVM history is
 /// not a value). Thread-compatible: use one Simulation per thread.
 class Simulation {
 public:
-  Simulation(CompiledArtifact Artifact, SimulationSpec Spec)
-      : A(std::move(Artifact)),
-        Interp(std::make_unique<Interpreter>(
-            A.program(), std::move(Spec.Config), &A.monitorPlan(),
-            &A.regions(), A.imagePtr())) {}
-
-  /// Convenience: a spec is just its RunConfig.
+  /// \p Config is everything that varies per simulated device (sensor
+  /// scenario, power source, cost model, failure plan, energy config,
+  /// seed, monitor toggles). It is copied in, so one config can be reused
+  /// — and tweaked per cell — when fanning one artifact across a sweep.
   Simulation(CompiledArtifact Artifact, RunConfig Config)
-      : Simulation(std::move(Artifact), SimulationSpec{std::move(Config)}) {}
+      : A(std::move(Artifact)),
+        Interp(std::make_unique<Interpreter>(A.program(), std::move(Config),
+                                             &A.monitorPlan(), &A.regions(),
+                                             A.imagePtr())) {}
 
   /// Executes one activation of main() to completion (or abort). NVM, tau,
   /// the reboot epoch and the energy store persist across calls, as on a

@@ -359,27 +359,27 @@ int main(int argc, char **argv) {
     return WriteTrace() ? 0 : 1;
   }
 
-  SimulationSpec Spec;
-  Spec.Config.Sensors = Sensors; // Null = seeded noise per sensor.
-  Spec.Config.Seed = Seed;
-  Spec.Config.Dispatch = Engine;
-  Spec.Config.RecordTrace = true;
+  RunConfig Cfg;
+  Cfg.Sensors = Sensors; // Null = seeded noise per sensor.
+  Cfg.Seed = Seed;
+  Cfg.Dispatch = Engine;
+  Cfg.RecordTrace = true;
   if (Intermittent) {
-    Spec.Config.Plan = FailurePlan::energyDriven();
-    Spec.Config.Power = Power; // Null = legacy-jitter default.
+    Cfg.Plan = FailurePlan::energyDriven();
+    Cfg.Power = Power; // Null = legacy-jitter default.
   }
   if (Monitor) {
-    Spec.Config.MonitorBitVector = true;
-    Spec.Config.MonitorFormal = true;
+    Cfg.MonitorBitVector = true;
+    Cfg.MonitorFormal = true;
   }
   if (Tracing)
-    Spec.Config.Telemetry = &Sink;
+    Cfg.Telemetry = &Sink;
   PcProfile Prof;
   if (Profile) {
     Prof.prepare(A.image().size(), static_cast<size_t>(NumOpcodes));
-    Spec.Config.Profile = &Prof;
+    Cfg.Profile = &Prof;
   }
-  Simulation Sim(A, std::move(Spec));
+  Simulation Sim(A, std::move(Cfg));
   uint64_t Reboots = 0, Violations = 0;
   for (int Run = 0; Run < Runs; ++Run) {
     RunResult Res = Sim.runOnce();

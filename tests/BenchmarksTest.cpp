@@ -81,9 +81,8 @@ TEST_P(BenchmarkSuite, CheckerAcceptsManualPlacement) {
 
 TEST_P(BenchmarkSuite, IntermittentOcelotCleanAndCharging) {
   CompiledBenchmark CB = compileBenchmark(def(), ExecModel::Ocelot);
-  EnergyConfig E;
-  IntermittentMetrics M =
-      measureIntermittent(CB, def(), E, 40'000'000, 11, /*Monitors=*/true);
+  IntermittentMetrics M = measureIntermittent(
+      CB, def(), {.TauBudget = 40'000'000, .Seed = 11, .Monitors = true});
   EXPECT_FALSE(M.Starved);
   EXPECT_GT(M.CompletedRuns, 0u);
   EXPECT_EQ(M.ViolatingRuns, 0u);
@@ -93,14 +92,14 @@ TEST_P(BenchmarkSuite, IntermittentOcelotCleanAndCharging) {
 
 TEST_P(BenchmarkSuite, IntermittentTraceRefinesContinuous) {
   CompiledBenchmark CB = compileBenchmark(def(), ExecModel::Ocelot);
-  SimulationSpec Spec;
-  Spec.Config.Sensors = def().scenario(23);
+  RunConfig Cfg;
+  Cfg.Sensors = def().scenario(23);
   // The period must exceed the largest atomic region or no region can ever
   // commit (§5.3's satisfiability constraint).
-  Spec.Config.Plan = FailurePlan::periodic(1600, 0.3);
-  Spec.Config.Plan.setOffTime(3000, 30000);
-  Spec.Config.RecordTrace = true;
-  Simulation Sim(CB.Artifact, std::move(Spec));
+  Cfg.Plan = FailurePlan::periodic(1600, 0.3);
+  Cfg.Plan.setOffTime(3000, 30000);
+  Cfg.RecordTrace = true;
+  Simulation Sim(CB.Artifact, std::move(Cfg));
   constexpr int Runs = 4;
   Trace Combined;
   for (int Run = 0; Run < Runs; ++Run) {

@@ -611,13 +611,12 @@ void runDifferential(const CompiledArtifact &A, const RunConfig &Base,
   TraceSink Sinks[2];
   int NextSink = 0;
   auto mkSim = [&](DispatchEngine E) {
-    SimulationSpec Spec;
-    Spec.Config = Base;
-    Spec.Config.Seed = Seed;
-    Spec.Config.Dispatch = E;
+    RunConfig Cfg = Base;
+    Cfg.Seed = Seed;
+    Cfg.Dispatch = E;
     if (Traced)
-      Spec.Config.Telemetry = &Sinks[NextSink++];
-    return Simulation(A, std::move(Spec));
+      Cfg.Telemetry = &Sinks[NextSink++];
+    return Simulation(A, std::move(Cfg));
   };
   Simulation Tree = mkSim(DispatchEngine::Tree);
   Simulation Threaded = mkSim(DispatchEngine::Threaded);
@@ -651,12 +650,11 @@ size_t expectOracleKeepsViolations(const CompiledArtifact &A,
   size_t Compared = 0;
   for (DispatchEngine E : {DispatchEngine::Tree, DispatchEngine::Threaded}) {
     auto mkSim = [&](bool Oracle) {
-      SimulationSpec Spec;
-      Spec.Config = Base;
-      Spec.Config.Seed = Seed;
-      Spec.Config.Dispatch = E;
-      Spec.Config.Oracle = Oracle;
-      return Simulation(A, std::move(Spec));
+      RunConfig Cfg = Base;
+      Cfg.Seed = Seed;
+      Cfg.Dispatch = E;
+      Cfg.Oracle = Oracle;
+      return Simulation(A, std::move(Cfg));
     };
     Simulation Off = mkSim(false);
     Simulation On = mkSim(true);

@@ -124,12 +124,11 @@ runDifferential(const BenchmarkDef &B, ExecModel Model, uint64_t Seed,
     Scenario = B.scenario(Seed);
 
   auto mkSim = [&](const CompiledArtifact &A, DispatchEngine E) {
-    SimulationSpec Spec;
-    Spec.Config = Base;
-    Spec.Config.Sensors = Scenario;
-    Spec.Config.Seed = Seed;
-    Spec.Config.Dispatch = E;
-    return Simulation(A, std::move(Spec));
+    RunConfig Cfg = Base;
+    Cfg.Sensors = Scenario;
+    Cfg.Seed = Seed;
+    Cfg.Dispatch = E;
+    return Simulation(A, std::move(Cfg));
   };
   Simulation Tree = mkSim(CB.Artifact, DispatchEngine::Tree);
   Simulation Threaded = mkSim(CB.Artifact, DispatchEngine::Threaded);
@@ -335,16 +334,16 @@ TEST(ExecImageDifferentialFocused, TracedRunsStayPinned) {
   TraceSink Sinks[2];
   RunResult Results[2];
   for (int E = 0; E < 2; ++E) {
-    SimulationSpec Spec;
-    Spec.Config.Plan = FailurePlan::energyDriven();
-    Spec.Config.MonitorBitVector = true;
-    Spec.Config.MonitorFormal = true;
-    Spec.Config.RecordTrace = true;
-    Spec.Config.Sensors = B.scenario(23);
-    Spec.Config.Seed = 23;
-    Spec.Config.Dispatch = Engines[E];
-    Spec.Config.Telemetry = &Sinks[E];
-    Simulation Sim(A, std::move(Spec));
+    RunConfig Cfg;
+    Cfg.Plan = FailurePlan::energyDriven();
+    Cfg.MonitorBitVector = true;
+    Cfg.MonitorFormal = true;
+    Cfg.RecordTrace = true;
+    Cfg.Sensors = B.scenario(23);
+    Cfg.Seed = 23;
+    Cfg.Dispatch = Engines[E];
+    Cfg.Telemetry = &Sinks[E];
+    Simulation Sim(A, std::move(Cfg));
     for (int Run = 0; Run < 4; ++Run)
       Results[E] = Sim.runOnce();
   }
@@ -388,10 +387,10 @@ TEST(ExecImageDifferentialFocused, TrapsMatch) {
     for (bool Taint : {false, true})
       for (DispatchEngine E :
            {DispatchEngine::Tree, DispatchEngine::Threaded}) {
-        SimulationSpec Spec;
-        Spec.Config.Dispatch = E;
-        Spec.Config.MonitorFormal = Taint;
-        Simulation Sim(C.artifact(), std::move(Spec));
+        RunConfig Cfg;
+        Cfg.Dispatch = E;
+        Cfg.MonitorFormal = Taint;
+        Simulation Sim(C.artifact(), std::move(Cfg));
         RunResult R = Sim.runOnce();
         EXPECT_FALSE(R.Completed) << Case.Src;
         EXPECT_EQ(R.Trap, Case.Trap) << Case.Src;

@@ -20,7 +20,6 @@
 
 #include "harness/Experiment.h"
 #include "ocelot/Toolchain.h"
-#include "runtime/ArenaPool.h"
 
 #include <gtest/gtest.h>
 
@@ -605,40 +604,6 @@ TEST(ArtifactCache, ConcurrentMissesConvergeOnOneEntry) {
   // Racing compiles may all run, but every caller got the winning insert.
   for (int T = 1; T < 4; ++T)
     EXPECT_EQ(Progs[T], Progs[0]);
-}
-
-// -- Arena pooling ----------------------------------------------------------
-
-TEST(ArenaPool, ReusesBuffersAcrossSimulationsWithoutChangingResults) {
-  const BenchmarkDef *B = findBenchmark("photo");
-  ASSERT_NE(B, nullptr);
-  CompiledBenchmark CB = compileBenchmark(*B, ExecModel::Ocelot);
-
-  auto Pool = std::make_shared<ArenaPool>();
-  IntermittentMetrics Bare, Pooled1, Pooled2;
-  Bare = measureIntermittent(CB, *B, EnergyConfig(), 50000, 7, true);
-  Pooled1 =
-      measureIntermittent(CB, *B, EnergyConfig(), 50000, 7, true, nullptr,
-                          nullptr, Pool);
-  Pooled2 =
-      measureIntermittent(CB, *B, EnergyConfig(), 50000, 7, true, nullptr,
-                          nullptr, Pool);
-
-  // Bitwise identical with and without pooling, and across reuse.
-  for (const IntermittentMetrics *M : {&Pooled1, &Pooled2}) {
-    EXPECT_EQ(M->CompletedRuns, Bare.CompletedRuns);
-    EXPECT_EQ(M->ViolatingRuns, Bare.ViolatingRuns);
-    EXPECT_EQ(M->OnCyclesPerRun, Bare.OnCyclesPerRun);
-    EXPECT_EQ(M->OffCyclesPerRun, Bare.OffCyclesPerRun);
-    EXPECT_EQ(M->RebootsPerRun, Bare.RebootsPerRun);
-    EXPECT_EQ(M->Starved, Bare.Starved);
-    EXPECT_EQ(M->Trapped, Bare.Trapped);
-  }
-
-  ArenaPool::Stats St = Pool->stats();
-  EXPECT_GT(St.Taken, 0u);
-  EXPECT_GT(St.Reused, 0u) << "second cell did not reuse pooled buffers";
-  EXPECT_GT(St.Returned, 0u);
 }
 
 } // namespace

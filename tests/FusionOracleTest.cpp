@@ -81,13 +81,13 @@ InstrRef firstOutput(const CompiledArtifact &A) {
 /// One activation on a fresh device under \p Engine with the oracle armed.
 RunResult runOracle(const CompiledArtifact &A, const FailurePlan &Plan,
                     DispatchEngine Engine = DispatchEngine::Tree) {
-  SimulationSpec Spec;
-  Spec.Config.Plan = Plan;
-  Spec.Config.Oracle = true;
-  Spec.Config.RecordTrace = true;
-  Spec.Config.Seed = 7;
-  Spec.Config.Dispatch = Engine;
-  Simulation Sim(A, std::move(Spec));
+  RunConfig Cfg;
+  Cfg.Plan = Plan;
+  Cfg.Oracle = true;
+  Cfg.RecordTrace = true;
+  Cfg.Seed = 7;
+  Cfg.Dispatch = Engine;
+  Simulation Sim(A, std::move(Cfg));
   RunResult R = Sim.runOnce();
   EXPECT_TRUE(R.Completed) << R.Trap;
   return R;
@@ -258,12 +258,12 @@ TEST(FusionOracle, DisarmedOracleChangesNothingElse) {
   // contract at table granularity.
   CompiledArtifact A = compile(FusedSrc, ExecModel::JitOnly);
   for (bool Armed : {false, true}) {
-    SimulationSpec Spec;
-    Spec.Config.Plan = planAt(nthInput(A, 1));
-    Spec.Config.Oracle = Armed;
-    Spec.Config.RecordTrace = true;
-    Spec.Config.Seed = 7;
-    Simulation Sim(A, std::move(Spec));
+    RunConfig Cfg;
+    Cfg.Plan = planAt(nthInput(A, 1));
+    Cfg.Oracle = Armed;
+    Cfg.RecordTrace = true;
+    Cfg.Seed = 7;
+    Simulation Sim(A, std::move(Cfg));
     RunResult R = Sim.runOnce();
     ASSERT_TRUE(R.Completed) << R.Trap;
     static RunResult Base;

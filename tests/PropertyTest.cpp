@@ -66,13 +66,13 @@ std::vector<FailurePlan> plansFor(const CompiledArtifact &A) {
 TEST_P(PropertySweep, OcelotNeverViolatesUnderAnyPlan) {
   CompiledBenchmark CB = compileBenchmark(def(), ExecModel::Ocelot);
   for (FailurePlan &Plan : plansFor(CB.Artifact)) {
-    SimulationSpec Spec;
-    Spec.Config.Sensors = def().scenario(seed());
-    Spec.Config.Seed = seed();
-    Spec.Config.Plan = Plan;
-    Spec.Config.MonitorBitVector = true;
-    Spec.Config.MonitorFormal = true;
-    Simulation Sim(CB.Artifact, std::move(Spec));
+    RunConfig Cfg;
+    Cfg.Sensors = def().scenario(seed());
+    Cfg.Seed = seed();
+    Cfg.Plan = Plan;
+    Cfg.MonitorBitVector = true;
+    Cfg.MonitorFormal = true;
+    Simulation Sim(CB.Artifact, std::move(Cfg));
     for (int Run = 0; Run < 15; ++Run) {
       RunResult Res = Sim.runOnce();
       ASSERT_TRUE(Res.Completed) << def().Name << ": " << Res.Trap;
@@ -86,15 +86,14 @@ TEST_P(PropertySweep, OcelotNeverViolatesUnderAnyPlan) {
 
 TEST_P(PropertySweep, JitPathologicalDetectorsAgree) {
   CompiledBenchmark CB = compileBenchmark(def(), ExecModel::JitOnly);
-  SimulationSpec Spec;
-  Spec.Config.Sensors = def().scenario(seed());
-  Spec.Config.Seed = seed();
-  Spec.Config.Plan =
-      FailurePlan::pathological(pathologicalPoints(CB.Artifact));
-  Spec.Config.Plan.setOffTime(20000, 200000);
-  Spec.Config.MonitorBitVector = true;
-  Spec.Config.MonitorFormal = true;
-  Simulation Sim(CB.Artifact, std::move(Spec));
+  RunConfig Cfg;
+  Cfg.Sensors = def().scenario(seed());
+  Cfg.Seed = seed();
+  Cfg.Plan = FailurePlan::pathological(pathologicalPoints(CB.Artifact));
+  Cfg.Plan.setOffTime(20000, 200000);
+  Cfg.MonitorBitVector = true;
+  Cfg.MonitorFormal = true;
+  Simulation Sim(CB.Artifact, std::move(Cfg));
   for (int Run = 0; Run < 15; ++Run) {
     RunResult Res = Sim.runOnce();
     ASSERT_TRUE(Res.Completed) << Res.Trap;
@@ -117,12 +116,12 @@ TEST_P(PropertySweep, JitPathologicalDetectorsAgree) {
 
 TEST_P(PropertySweep, CommittedTracesRefineContinuous) {
   CompiledBenchmark CB = compileBenchmark(def(), ExecModel::Ocelot);
-  SimulationSpec Spec;
-  Spec.Config.Sensors = def().scenario(seed());
-  Spec.Config.Seed = seed();
-  Spec.Config.Plan = FailurePlan::energyDriven();
-  Spec.Config.RecordTrace = true;
-  Simulation Sim(CB.Artifact, std::move(Spec));
+  RunConfig Cfg;
+  Cfg.Sensors = def().scenario(seed());
+  Cfg.Seed = seed();
+  Cfg.Plan = FailurePlan::energyDriven();
+  Cfg.RecordTrace = true;
+  Simulation Sim(CB.Artifact, std::move(Cfg));
   constexpr int Runs = 6;
   Trace Combined;
   for (int Run = 0; Run < Runs; ++Run) {

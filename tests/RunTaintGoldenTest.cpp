@@ -50,15 +50,15 @@ void renderCell(const BenchmarkDef &B, ExecModel Model, DispatchEngine E,
     return P.function(R.Func)->name() + "@" + std::to_string(R.Label);
   };
 
-  SimulationSpec Spec;
-  Spec.Config.Sensors = B.scenario(Seed);
-  Spec.Config.Seed = Seed;
-  Spec.Config.Plan = FailurePlan::energyDriven();
-  Spec.Config.MonitorBitVector = true;
-  Spec.Config.MonitorFormal = true;
-  Spec.Config.Oracle = Oracle;
-  Spec.Config.Dispatch = E;
-  Simulation Sim(CB.Artifact, std::move(Spec));
+  RunConfig Cfg;
+  Cfg.Sensors = B.scenario(Seed);
+  Cfg.Seed = Seed;
+  Cfg.Plan = FailurePlan::energyDriven();
+  Cfg.MonitorBitVector = true;
+  Cfg.MonitorFormal = true;
+  Cfg.Oracle = Oracle;
+  Cfg.Dispatch = E;
+  Simulation Sim(CB.Artifact, std::move(Cfg));
 
   Out << "=== " << B.Name << " " << execModelName(Model) << " "
       << (E == DispatchEngine::Tree ? "tree" : "threaded") << "\n";

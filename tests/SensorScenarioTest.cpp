@@ -354,11 +354,11 @@ TEST(SensorTrace, ExtremeInt64ValuesReadBackExactly) {
     ASSERT_TRUE(T) << Error;
     for (DispatchEngine E :
          {DispatchEngine::Tree, DispatchEngine::Threaded}) {
-      SimulationSpec Spec;
-      Spec.Config.Dispatch = E;
-      Spec.Config.RecordTrace = true;
-      Spec.Config.Sensors = traceScenario(T, 1);
-      RunResult R = Simulation(C.artifact(), std::move(Spec)).runOnce();
+      RunConfig Cfg;
+      Cfg.Dispatch = E;
+      Cfg.RecordTrace = true;
+      Cfg.Sensors = traceScenario(T, 1);
+      RunResult R = Simulation(C.artifact(), std::move(Cfg)).runOnce();
       ASSERT_TRUE(R.Completed) << R.Trap;
       ASSERT_EQ(R.TraceData.Outputs.size(), 1u);
       EXPECT_EQ(R.TraceData.Outputs[0].Args, std::vector<int64_t>{Want});

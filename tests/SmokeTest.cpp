@@ -68,17 +68,17 @@ TEST(Smoke, OcelotInfersRegions) {
 
 TEST(Smoke, JitViolatesUnderPathologicalFailures) {
   CompiledArtifact A = compile(ExecModel::JitOnly);
-  SimulationSpec Spec;
-  Spec.Config.Sensors = SensorScenario::Builder()
-                            .channel(0, noiseChannel(0, 10, 50, 11))
-                            .channel(1, noiseChannel(900, 200, 50, 12))
-                            .channel(2, noiseChannel(30, 60, 50, 13))
-                            .build();
-  Spec.Config.Plan = FailurePlan::pathological(pathologicalPoints(A));
-  Spec.Config.Plan.setOffTime(10000, 50000);
-  Spec.Config.MonitorBitVector = true;
-  Spec.Config.MonitorFormal = true;
-  Simulation Sim(A, std::move(Spec));
+  RunConfig Cfg;
+  Cfg.Sensors = SensorScenario::Builder()
+                    .channel(0, noiseChannel(0, 10, 50, 11))
+                    .channel(1, noiseChannel(900, 200, 50, 12))
+                    .channel(2, noiseChannel(30, 60, 50, 13))
+                    .build();
+  Cfg.Plan = FailurePlan::pathological(pathologicalPoints(A));
+  Cfg.Plan.setOffTime(10000, 50000);
+  Cfg.MonitorBitVector = true;
+  Cfg.MonitorFormal = true;
+  Simulation Sim(A, std::move(Cfg));
   RunResult Res = Sim.runOnce();
   EXPECT_TRUE(Res.Completed) << Res.Trap;
   EXPECT_TRUE(Res.ViolatedFresh);
@@ -87,12 +87,12 @@ TEST(Smoke, JitViolatesUnderPathologicalFailures) {
 
 TEST(Smoke, OcelotNeverViolates) {
   CompiledArtifact A = compile(ExecModel::Ocelot);
-  SimulationSpec Spec;
-  Spec.Config.Plan = FailurePlan::pathological(pathologicalPoints(A));
-  Spec.Config.Plan.setOffTime(10000, 50000);
-  Spec.Config.MonitorBitVector = true;
-  Spec.Config.MonitorFormal = true;
-  Simulation Sim(A, std::move(Spec));
+  RunConfig Cfg;
+  Cfg.Plan = FailurePlan::pathological(pathologicalPoints(A));
+  Cfg.Plan.setOffTime(10000, 50000);
+  Cfg.MonitorBitVector = true;
+  Cfg.MonitorFormal = true;
+  Simulation Sim(A, std::move(Cfg));
   RunResult Res = Sim.runOnce();
   EXPECT_TRUE(Res.Completed) << Res.Trap;
   EXPECT_FALSE(Res.ViolatedFresh) << printProgram(A.program());
@@ -102,11 +102,11 @@ TEST(Smoke, OcelotNeverViolates) {
 
 TEST(Smoke, IntermittentTraceRefinesContinuous) {
   CompiledArtifact A = compile(ExecModel::Ocelot);
-  SimulationSpec Spec;
-  Spec.Config.Plan = FailurePlan::periodic(300, 0.3);
-  Spec.Config.Plan.setOffTime(5000, 20000);
-  Spec.Config.RecordTrace = true;
-  Simulation Sim(A, std::move(Spec));
+  RunConfig Cfg;
+  Cfg.Plan = FailurePlan::periodic(300, 0.3);
+  Cfg.Plan.setOffTime(5000, 20000);
+  Cfg.RecordTrace = true;
+  Simulation Sim(A, std::move(Cfg));
   RunResult Res = Sim.runOnce();
   ASSERT_TRUE(Res.Completed) << Res.Trap;
   std::string Why;

@@ -8,7 +8,9 @@
 /// The SweepRunner contract: a sweep's result depends only on the spec,
 /// never on the worker count or scheduling. A parallel run must match the
 /// sequential run bitwise, and both must match what a hand-rolled loop over
-/// measureIntermittent produces.
+/// measureIntermittent produces. `evaluateCells`, the evaluator behind both
+/// SweepRunner::run and the fleet's runShard, emits in cell order and stops
+/// cleanly when its consumer does.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -17,6 +19,11 @@
 #include "sensors/SensorScenarios.h"
 
 #include <gtest/gtest.h>
+
+#include <atomic>
+#include <chrono>
+#include <filesystem>
+#include <thread>
 
 using namespace ocelot;
 
@@ -81,8 +88,11 @@ TEST(SweepRunner, MatchesHandRolledSequentialLoop) {
       for (size_t E = 0; E < Spec.Energies.size(); ++E)
         for (size_t S = 0; S < Spec.Seeds.size(); ++S) {
           IntermittentMetrics Want = measureIntermittent(
-              CB, *Spec.Benchmarks[B], Spec.Energies[E], Spec.TauBudget,
-              Spec.Seeds[S], Spec.Monitors);
+              CB, *Spec.Benchmarks[B],
+              {.Energy = Spec.Energies[E],
+               .TauBudget = Spec.TauBudget,
+               .Seed = Spec.Seeds[S],
+               .Monitors = Spec.Monitors});
           const SweepCellResult &Got =
               Swept[Spec.cellIndex({.Model = M, .Bench = B, .Energy = E,
                                     .Seed = S})];
@@ -134,8 +144,12 @@ TEST(SweepRunner, PowerDimensionSweepsAndAttributesCorrectly) {
         const SweepCellResult &Got = Parallel[I];
         EXPECT_EQ(Got.Power, P);
         IntermittentMetrics Want = measureIntermittent(
-            CB, *Spec.Benchmarks[0], Spec.Energies[0], Spec.TauBudget,
-            Spec.Seeds[S], Spec.Monitors, Spec.Powers[P]);
+            CB, *Spec.Benchmarks[0],
+            {.Energy = Spec.Energies[0],
+             .TauBudget = Spec.TauBudget,
+             .Seed = Spec.Seeds[S],
+             .Monitors = Spec.Monitors,
+             .Power = Spec.Powers[P]});
         EXPECT_EQ(Got.Metrics.CompletedRuns, Want.CompletedRuns);
         EXPECT_EQ(Got.Metrics.OffCyclesPerRun, Want.OffCyclesPerRun)
             << "cell " << I << " got another profile's off-times";
@@ -188,9 +202,13 @@ TEST(SweepRunner, ScenarioDimensionSweepsAndAttributesCorrectly) {
         EXPECT_EQ(Got.Power, P);
         EXPECT_EQ(Got.Scenario, Sc);
         IntermittentMetrics Want = measureIntermittent(
-            CB, *Spec.Benchmarks[0], Spec.Energies[0], Spec.TauBudget,
-            Spec.Seeds[S], Spec.Monitors, Spec.Powers[P],
-            Spec.Scenarios[Sc]);
+            CB, *Spec.Benchmarks[0],
+            {.Energy = Spec.Energies[0],
+             .TauBudget = Spec.TauBudget,
+             .Seed = Spec.Seeds[S],
+             .Monitors = Spec.Monitors,
+             .Power = Spec.Powers[P],
+             .Sensors = Spec.Scenarios[Sc]});
         EXPECT_EQ(Got.Metrics.CompletedRuns, Want.CompletedRuns)
             << "cell " << I;
         EXPECT_EQ(Got.Metrics.ViolatingRuns, Want.ViolatingRuns)
@@ -241,6 +259,111 @@ TEST(SweepRunner, OneArtifactBacksManyCells) {
                       .Metrics.ViolatingRuns,
                   0u)
             << Spec.Benchmarks[B]->Name;
+}
+
+TEST(EvaluateCells, EmitsInCellOrderForAnyWorkerCount) {
+  // A range that starts mid-grid (second model's first benchmark) and
+  // spans two (model, benchmark) pairs.
+  SweepSpec Spec = smallGrid();
+  const size_t Begin = 9, End = Spec.cellCount() - 2;
+  std::vector<SweepCellResult> All = SweepRunner(1).run(Spec);
+  std::vector<size_t> Want;
+  for (size_t I = Begin; I < End; ++I)
+    Want.push_back(I);
+  for (unsigned W = 1; W <= 4; ++W) {
+    std::vector<size_t> Order;
+    std::vector<SweepCellResult> Got;
+    EXPECT_TRUE(evaluateCells(Spec, Begin, End, W,
+                              [&](size_t I, SweepCellResult &&R) {
+                                Order.push_back(I);
+                                Got.push_back(std::move(R));
+                                return true;
+                              }));
+    EXPECT_EQ(Order, Want) << W << " worker(s)";
+    expectIdentical(Got, std::vector<SweepCellResult>(All.begin() + Begin,
+                                                      All.begin() + End));
+  }
+}
+
+/// A constant-rate supply that counts its recharges: with every cell of a
+/// grid identical, the count says how many cells were evaluated.
+class CountingSource : public PowerSource {
+public:
+  const char *name() const override { return "counting"; }
+  RechargePlan planRecharge(uint64_t Tau, uint64_t Stored,
+                            const EnergyConfig &Cfg, Rng &R) const override {
+    ++Recharges;
+    return Inner->planRecharge(Tau, Stored, Cfg, R);
+  }
+  mutable std::atomic<uint64_t> Recharges{0};
+
+private:
+  std::shared_ptr<const PowerSource> Inner = constantSource();
+};
+
+size_t threadCount() {
+  size_t N = 0;
+  for ([[maybe_unused]] auto &E :
+       std::filesystem::directory_iterator("/proc/self/task"))
+    ++N;
+  return N;
+}
+
+TEST(EvaluateCells, EmitReturningFalseStopsAndJoinsEveryWorker) {
+  auto Source = std::make_shared<CountingSource>();
+  SweepSpec Spec;
+  Spec.Benchmarks = {findBenchmark("greenhouse")};
+  Spec.Models = {ExecModel::Ocelot};
+  EnergyConfig Small;
+  Small.CapacityCycles = 1400;
+  Small.ReserveCycles = 350;
+  Spec.Energies = {Small};
+  Spec.Powers = {Source};
+  Spec.Seeds.assign(400, 3); // 400 identical cells.
+  Spec.TauBudget = 400'000;
+
+  ASSERT_TRUE(evaluateCells(Spec, 0, 1, 1,
+                            [](size_t, SweepCellResult &&) { return true; }));
+  const uint64_t PerCell = Source->Recharges.exchange(0);
+  ASSERT_GT(PerCell, 0u) << "cells must reboot for the count to work";
+
+  const bool CanCountThreads = std::filesystem::exists("/proc/self/task");
+  const size_t ThreadsBefore = CanCountThreads ? threadCount() : 0;
+  const size_t K = 5;
+  std::vector<size_t> Order;
+  EXPECT_FALSE(evaluateCells(Spec, 0, Spec.cellCount(), 3,
+                             [&](size_t I, SweepCellResult &&) {
+                               // A slow consumer: workers would run far
+                               // ahead of it if nothing bounded them.
+                               std::this_thread::sleep_for(
+                                   std::chrono::milliseconds(2));
+                               Order.push_back(I);
+                               return I != K;
+                             }));
+  EXPECT_EQ(Order, (std::vector<size_t>{0, 1, 2, 3, 4, 5}));
+  // Prompt: workers never run a reorder window (16 cells for 3 workers)
+  // past the last emitted cell, so the other ~380 cells never start.
+  const uint64_t Recharges = Source->Recharges.load();
+  EXPECT_EQ(Recharges % PerCell, 0u);
+  EXPECT_LE(Recharges / PerCell, K + 1 + 16);
+  // Every worker is joined: nothing evaluates after the return, and the
+  // process is back to its thread count.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_EQ(Source->Recharges.load(), Recharges);
+  if (CanCountThreads) {
+    EXPECT_EQ(threadCount(), ThreadsBefore);
+  }
+}
+
+TEST(EvaluateCells, EmptyRangeEmitsNothing) {
+  SweepSpec Spec = smallGrid();
+  Spec.TauBudget = 0; // Would abort if the range had a cell.
+  for (unsigned W : {1u, 3u}) {
+    EXPECT_TRUE(evaluateCells(Spec, 7, 7, W, [](size_t, SweepCellResult &&) {
+      ADD_FAILURE() << "emitted a cell of an empty range";
+      return true;
+    }));
+  }
 }
 
 } // namespace

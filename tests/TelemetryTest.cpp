@@ -180,13 +180,12 @@ std::vector<RunResult> runTire(DispatchEngine Engine, TraceSink *Sink,
                                    nullptr) {
   const BenchmarkDef &B = *findBenchmark("tire");
   CompiledBenchmark CB = compileBenchmark(B, ExecModel::Ocelot);
-  SimulationSpec Spec;
-  Spec.Config = tracedConfig();
-  Spec.Config.Sensors = B.scenario(Seed);
-  Spec.Config.Seed = Seed;
-  Spec.Config.Dispatch = Engine;
-  Spec.Config.Telemetry = Sink;
-  Simulation Sim(CB.Artifact, std::move(Spec));
+  RunConfig Cfg = tracedConfig();
+  Cfg.Sensors = B.scenario(Seed);
+  Cfg.Seed = Seed;
+  Cfg.Dispatch = Engine;
+  Cfg.Telemetry = Sink;
+  Simulation Sim(CB.Artifact, std::move(Cfg));
   std::vector<RunResult> Out;
   for (int R = 0; R < Runs; ++R)
     Out.push_back(Sim.runOnce());
@@ -331,14 +330,12 @@ TEST(PcProfileTest, FusionInvariantAndSumToSteps) {
   const BenchmarkDef &B = *findBenchmark("tire");
   CompiledBenchmark CB = compileBenchmark(B, ExecModel::Ocelot);
   ASSERT_GT(CB.Artifact.image().fusedPairCount(), 0u);
-  auto profiled = [&](const RunConfig &Cfg, PcProfile &P) {
+  auto profiled = [&](RunConfig Cfg, PcProfile &P) {
     P.prepare(CB.Artifact.image().size(), static_cast<size_t>(NumOpcodes));
-    SimulationSpec Spec;
-    Spec.Config = Cfg;
-    Spec.Config.Sensors = B.scenario(5);
-    Spec.Config.Seed = 5;
-    Spec.Config.Profile = &P;
-    Simulation Sim(CB.Artifact, std::move(Spec));
+    Cfg.Sensors = B.scenario(5);
+    Cfg.Seed = 5;
+    Cfg.Profile = &P;
+    Simulation Sim(CB.Artifact, std::move(Cfg));
     uint64_t Steps = 0;
     for (int R = 0; R < 4; ++R)
       Steps += Sim.runOnce().Steps;

@@ -120,13 +120,13 @@ TEST(Toolchain, OneArtifactBacksConcurrentSimulations) {
           .build();
 
   auto Campaign = [&A, &World](uint64_t Seed) {
-    SimulationSpec Spec;
-    Spec.Config.Sensors = World;
-    Spec.Config.Seed = Seed;
-    Spec.Config.Plan = FailurePlan::energyDriven();
-    Spec.Config.MonitorBitVector = true;
-    Spec.Config.MonitorFormal = true;
-    Simulation Sim(A, std::move(Spec));
+    RunConfig Cfg;
+    Cfg.Sensors = World;
+    Cfg.Seed = Seed;
+    Cfg.Plan = FailurePlan::energyDriven();
+    Cfg.MonitorBitVector = true;
+    Cfg.MonitorFormal = true;
+    Simulation Sim(A, std::move(Cfg));
     uint64_t OnCycles = 0;
     for (int Run = 0; Run < 40; ++Run) {
       RunResult Res = Sim.runOnce();
