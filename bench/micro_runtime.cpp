@@ -162,10 +162,12 @@ struct SweepRates {
 
 /// Evaluates a table2b-shaped grid (all benchmarks x {ocelot, jit}) twice —
 /// once through the in-memory SweepRunner, once as a single fleet shard
-/// with streaming sinks and per-cell checkpoints — and reports cells per
-/// second for both. The committed, gated number is the *ratio*
-/// (fleet / in-memory), which normalizes out host speed and isolates the
-/// fleet service's streaming + durability overhead.
+/// streaming to a JSONL sink — and reports cells per second for both. The
+/// committed, gated number is the *ratio* (fleet / in-memory), which
+/// normalizes out host speed. Checkpoints commit in place (no rename), so
+/// the ratio measures streaming: record formatting and sink writes, plus
+/// the shard's few syncs (manifest creation, the final sink flush and one
+/// slot commit).
 SweepRates measureSweepRates(bool Smoke) {
   FleetSpec Fleet;
   Fleet.Models = {"ocelot", "jit"};
@@ -216,8 +218,8 @@ SweepRates measureSweepRates(bool Smoke) {
   Opts.OutDir = Dir;
   Opts.Quiet = true;
   // One checkpoint at the end of the range: the gated ratio should track
-  // streaming/serialization overhead, not the host's fsync latency (which
-  // varies wildly across CI runners and is covered by FleetTest and the
+  // streaming/serialization overhead, not the host's sync latency (which
+  // varies widely across CI runners and is covered by FleetTest and the
   // CI fleet lane instead).
   Opts.CheckpointEvery = R.Cells;
   double FleetSec = 0;

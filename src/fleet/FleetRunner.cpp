@@ -99,9 +99,10 @@ bool ocelot::runShard(const FleetSpec &Fleet, const ShardRunOptions &Opts,
     return false;
   if (ResumeOffset < 0) {
     // Record the (header-only) file before evaluating anything, so even a
-    // crash during the first cell resumes cleanly.
+    // crash during the first cell resumes cleanly. The manifest's
+    // directory fsync also makes the sink's new entry durable.
     M.SinkOffset = Sink->durableOffset();
-    if (!writeShardManifest(ManifestPath, M, Error))
+    if (!createShardManifest(ManifestPath, M, Error))
       return false;
   }
 
@@ -180,7 +181,7 @@ bool ocelot::runShard(const FleetSpec &Fleet, const ShardRunOptions &Opts,
       if (!Sink->flush(Error))
         return false;
       M.SinkOffset = Sink->durableOffset();
-      if (!writeShardManifest(ManifestPath, M, Error))
+      if (!commitShardManifest(ManifestPath, M, Error))
         return false;
       SinceCheckpoint = 0;
     }

@@ -49,9 +49,9 @@ struct ShardRunOptions {
   unsigned ShardCount = 1;     ///< Total shards in the plan.
   SinkFormat Format = SinkFormat::Jsonl;
   unsigned Workers = 1;        ///< Worker threads evaluating cells.
-  /// Cells evaluated between checkpoints (sink fsync + manifest rewrite).
-  /// 1 = checkpoint every cell (maximum durability); larger values trade
-  /// re-computed cells after a crash for fewer fsyncs.
+  /// Cells evaluated between checkpoints (sink fsync + in-place manifest
+  /// slot commit). 1 = checkpoint every cell (maximum durability); larger
+  /// values trade re-computed cells after a crash for fewer syncs.
   size_t CheckpointEvery = 1;
   /// Stop after this many cells *this invocation* (0 = run to the end of
   /// the range). The shard exits as Interrupted; used by the CI kill /

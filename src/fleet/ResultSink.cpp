@@ -286,7 +286,10 @@ std::unique_ptr<ResultSink> ocelot::openResultSink(const std::string &Path,
       Offset = H.size();
     }
     auto Sink = std::make_unique<FileSink>(F, Format, Offset);
-    if (!Sink->flush(Error))
+    // An empty file needs no fsync: a shard's manifest is created next to
+    // it, and that creation's directory fsync makes this entry durable.
+    // The CSV header is data, flushed before a manifest records its offset.
+    if (Offset && !Sink->flush(Error))
       return nullptr;
     return Sink;
   }

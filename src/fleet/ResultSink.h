@@ -81,8 +81,10 @@ public:
 
 /// Opens \p Path for streaming in \p Format.
 ///
-/// \p ResumeAtOffset < 0 starts a fresh file (truncates, writes the CSV
-/// header when applicable). Otherwise the file is truncated to exactly
+/// \p ResumeAtOffset < 0 starts a fresh file (truncates; writes and
+/// flushes the CSV header when applicable). A fresh empty file is not
+/// synced: `runShard` makes its directory entry durable with the fsync of
+/// the manifest's directory. Otherwise the file is truncated to exactly
 /// \p ResumeAtOffset — dropping any torn tail from an interrupted shard —
 /// and appending continues from there. Returns nullptr with \p Error on
 /// I/O failure.

@@ -9,9 +9,10 @@
 /// round-trips (every SweepCellResult field, both formats), the
 /// determinism spine (shard + merge ≡ sequential, bitwise — including
 /// after a mid-shard kill and resume over a torn sink, and with the
-/// input-epoch oracle armed), the error paths (corrupt manifest,
-/// spec-hash mismatch, incomplete merge), the process-wide
-/// compiled-artifact cache, and arena pooling.
+/// input-epoch oracle armed), the two-slot manifest (in-place commits,
+/// fallback from a torn newest slot, seeded mutations), the error paths
+/// (corrupt or v1 manifest, spec-hash mismatch, incomplete merge), and
+/// the process-wide compiled-artifact cache.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -24,7 +25,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
+#include <random>
 #include <sstream>
 #include <thread>
 
@@ -42,6 +45,15 @@ std::string slurp(const std::string &Path) {
   std::ostringstream Raw;
   Raw << In.rdbuf();
   return Raw.str();
+}
+
+/// Replaces \p Path by a new file holding \p Bytes. Unlinking first keeps
+/// each rewrite cheap: truncating a non-empty file waits for the disk on
+/// ext4.
+void writeFile(const std::string &Path, const std::string &Bytes) {
+  std::remove(Path.c_str());
+  std::ofstream Out(Path, std::ios::binary);
+  Out << Bytes;
 }
 
 std::string freshDir(const std::string &Name) {
@@ -416,25 +428,197 @@ TEST(FleetErrors, ResumeUnderDifferentSpecIsRejected) {
 
 TEST(FleetErrors, CorruptManifestIsDetectedNotTrusted) {
   FleetSpec Fleet = tinySpec();
+  std::string Gold = freshDir("corrupt-gold");
   std::string Dir = freshDir("corrupt");
   std::string Err;
   ShardOutcome Outcome;
-  ShardRunOptions O = shardOpts(Dir, 0, 1, SinkFormat::Jsonl);
-  O.MaxCells = 1;
-  ASSERT_TRUE(runShard(Fleet, O, Outcome, Err)) << Err;
+  ASSERT_TRUE(
+      runShard(Fleet, shardOpts(Gold, 0, 1, SinkFormat::Jsonl), Outcome, Err))
+      << Err;
 
+  // Creation commits seq 0 and 1; the checkpoints after cells 1 and 2
+  // commit seq 2 (slot 0) and seq 3 (slot 1, the newest).
+  ShardRunOptions O = shardOpts(Dir, 0, 1, SinkFormat::Jsonl);
+  O.MaxCells = 2;
+  ASSERT_TRUE(runShard(Fleet, O, Outcome, Err)) << Err;
   std::string Path = shardManifestPath(O);
   std::string Bytes = slurp(Path);
-  Bytes[Bytes.find("cells ") + 6] ^= 1; // Flip a digit, keep the checksum.
-  {
-    std::ofstream Out(Path, std::ios::binary);
-    Out << Bytes;
-  }
+  ASSERT_EQ(Bytes.size(), 2 * ManifestSlotBytes);
+
+  // Flip a digit of the newest slot, keep its checksum: the load falls
+  // back to the older slot.
+  std::string TornNewest = Bytes;
+  TornNewest[TornNewest.find("cells ", ManifestSlotBytes) + 6] ^= 1;
+  writeFile(Path, TornNewest);
   ShardManifest M;
+  ASSERT_TRUE(loadShardManifest(Path, M, Err)) << Err;
+  EXPECT_EQ(M.Seq, 2u);
+  EXPECT_EQ(M.CellsNext, 1u);
+
+  // Both slots torn: nothing is trusted, by the loader or by a resume.
+  std::string TornBoth = TornNewest;
+  TornBoth[TornBoth.find("cells ") + 6] ^= 1;
+  writeFile(Path, TornBoth);
   EXPECT_FALSE(loadShardManifest(Path, M, Err));
   EXPECT_NE(Err.find("corrupt manifest"), std::string::npos) << Err;
+  EXPECT_NE(Err.find("delete the shard's manifest and result file"),
+            std::string::npos)
+      << Err;
   EXPECT_FALSE(runShard(Fleet, O, Outcome, Err));
   EXPECT_NE(Err.find("corrupt manifest"), std::string::npos) << Err;
+
+  // The resume from the older slot recomputes cell 1 over the sink's
+  // extra line and ends byte-identical to the gold run.
+  writeFile(Path, TornNewest);
+  O.MaxCells = 0;
+  ASSERT_TRUE(runShard(Fleet, O, Outcome, Err)) << Err;
+  EXPECT_EQ(Outcome, ShardOutcome::Complete);
+  EXPECT_EQ(slurp(shardResultPath(shardOpts(Gold, 0, 1, SinkFormat::Jsonl))),
+            slurp(shardResultPath(O)));
+  ASSERT_TRUE(loadShardManifest(Path, M, Err)) << Err;
+  EXPECT_TRUE(M.complete());
+}
+
+TEST(FleetErrors, V1ManifestIsRejectedWithRemedy) {
+  FleetSpec Fleet = tinySpec();
+  std::string Dir = freshDir("v1");
+  std::string Err;
+  ShardOutcome Outcome;
+  ShardRunOptions O = shardOpts(Dir, 0, 1, SinkFormat::Jsonl);
+  // The layout the rename-era writer produced.
+  writeFile(shardManifestPath(O),
+            "ocelot-fleet-manifest v1\nspec_hash 0123456789abcdef\n"
+            "shard 0/1\nformat jsonl\ncells 0 1 4\nsink_offset 10\n"
+            "checksum 0000000000000000\n");
+  writeFile(shardResultPath(O), "");
+
+  auto ExpectVersionAndRemedy = [&] {
+    EXPECT_NE(Err.find("v1 manifest"), std::string::npos) << Err;
+    EXPECT_NE(Err.find("finish the sweep with"), std::string::npos) << Err;
+    EXPECT_NE(Err.find("delete the shard's manifest and result file"),
+              std::string::npos)
+        << Err;
+  };
+  ShardManifest M;
+  EXPECT_FALSE(loadShardManifest(shardManifestPath(O), M, Err));
+  ExpectVersionAndRemedy();
+  EXPECT_FALSE(runShard(Fleet, O, Outcome, Err));
+  ExpectVersionAndRemedy();
+}
+
+#ifndef _WIN32
+TEST(FleetResume, CheckpointsCommitInPlaceWithoutRename) {
+  FleetSpec Fleet = tinySpec();
+  std::string Dir = freshDir("inplace");
+  std::string Err;
+  ShardOutcome Outcome;
+  ShardRunOptions O = shardOpts(Dir, 0, 1, SinkFormat::Jsonl);
+  std::string Path = shardManifestPath(O);
+  auto NoTmpFiles = [&] {
+    for (const auto &E : std::filesystem::directory_iterator(Dir))
+      if (E.path().extension() == ".tmp")
+        return false;
+    return true;
+  };
+
+  // One cell per invocation: a creation, then a commit per checkpoint.
+  ino_t Inode = 0;
+  for (size_t Cell = 1; Cell <= 4; ++Cell) {
+    O.MaxCells = 1;
+    ASSERT_TRUE(runShard(Fleet, O, Outcome, Err)) << Err;
+    struct stat St;
+    ASSERT_EQ(::stat(Path.c_str(), &St), 0);
+    if (Cell == 1)
+      Inode = St.st_ino;
+    EXPECT_EQ(St.st_ino, Inode) << "checkpoint " << Cell;
+    EXPECT_EQ(static_cast<size_t>(St.st_size), 2 * ManifestSlotBytes);
+    EXPECT_TRUE(NoTmpFiles()) << "checkpoint " << Cell;
+    ShardManifest M;
+    ASSERT_TRUE(loadShardManifest(Path, M, Err)) << Err;
+    EXPECT_EQ(M.CellsNext, Cell);
+    EXPECT_EQ(M.Seq, Cell + 1);
+  }
+
+  // A whole run checkpointing every cell commits every checkpoint in
+  // place too: seq 1 at creation, plus one per cell.
+  std::string Whole = freshDir("inplace-whole");
+  ShardRunOptions W = shardOpts(Whole, 0, 1, SinkFormat::Jsonl);
+  ASSERT_TRUE(runShard(Fleet, W, Outcome, Err)) << Err;
+  ShardManifest M;
+  ASSERT_TRUE(loadShardManifest(shardManifestPath(W), M, Err)) << Err;
+  EXPECT_EQ(M.Seq, 5u);
+  EXPECT_EQ(slurp(shardResultPath(W)), slurp(shardResultPath(O)));
+}
+#endif
+
+// Seeded byte flips, truncations and extensions of a valid manifest: the
+// loader returns one of the two committed states or an error, never
+// anything else, and never crashes (the sanitize lane runs this too).
+TEST(ShardManifestFuzz, MutatedManifestLoadsACommittedStateOrFails) {
+  std::string Dir = freshDir("manifest-fuzz");
+  std::string Path = Dir + "/fuzz.manifest";
+  std::string Err;
+  ShardManifest Older;
+  Older.SpecHash = 0x0123456789abcdefull;
+  Older.Shard = 1;
+  Older.ShardCount = 3;
+  Older.Format = SinkFormat::Csv;
+  Older.CellsBegin = 100;
+  Older.CellsNext = 150;
+  Older.CellsEnd = 200;
+  Older.SinkOffset = 4096;
+  ASSERT_TRUE(createShardManifest(Path, Older, Err)) << Err;
+  ShardManifest Newer = Older;
+  Newer.CellsNext = 175;
+  Newer.SinkOffset = 8192;
+  ASSERT_TRUE(commitShardManifest(Path, Newer, Err)) << Err;
+  const std::string Valid = slurp(Path);
+  ASSERT_EQ(Valid.size(), 2 * ManifestSlotBytes);
+
+  std::mt19937_64 Rng(0x5EED0F1A);
+  auto Below = [&](size_t N) { return static_cast<size_t>(Rng() % N); };
+  size_t Errors = 0, Olders = 0, Newers = 0;
+  for (int Case = 0; Case < 600; ++Case) {
+    std::string Bytes = Valid;
+    switch (Case % 3) {
+    case 0: // 1-4 byte flips.
+      for (size_t F = 0, N = 1 + Below(4); F < N; ++F)
+        Bytes[Below(Bytes.size())] ^= static_cast<char>(1 + Below(255));
+      break;
+    case 1: // Truncation, sometimes after a flip.
+      if (Case % 2)
+        Bytes[Below(Bytes.size())] ^= static_cast<char>(1 + Below(255));
+      Bytes.resize(Below(Bytes.size()));
+      break;
+    default: // Extension by random bytes, sometimes after a flip.
+      if (Case % 2)
+        Bytes[Below(Bytes.size())] ^= static_cast<char>(1 + Below(255));
+      for (size_t E = 0, N = 1 + Below(300); E < N; ++E)
+        Bytes += static_cast<char>(Below(256));
+      break;
+    }
+    writeFile(Path, Bytes);
+    ShardManifest M;
+    bool Loaded = loadShardManifest(Path, M, Err);
+    // An intact newest slot (slot 0, seq 2) always wins.
+    if (Bytes.compare(0, ManifestSlotBytes, Valid, 0, ManifestSlotBytes) == 0) {
+      EXPECT_TRUE(Loaded && M == Newer) << "case " << Case << ": " << Err;
+    }
+    if (!Loaded) {
+      EXPECT_NE(Err.find("manifest"), std::string::npos) << Err;
+      ++Errors;
+    } else if (M == Older) {
+      ++Olders;
+    } else {
+      EXPECT_EQ(M, Newer) << "case " << Case;
+      ++Newers;
+    }
+  }
+  // Every outcome occurs: flips in the newest slot fall back, flips in
+  // the older one or past the checksums do not, and tearing both fails.
+  EXPECT_GT(Errors, 0u);
+  EXPECT_GT(Olders, 0u);
+  EXPECT_GT(Newers, 0u);
 }
 
 TEST(FleetErrors, MergeNamesTheIncompleteShardAndItsResumeCommand) {

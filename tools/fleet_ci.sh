@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # CI drill for the fleet sweep service: run a five-dimensional grid as 4
 # shards in 4 separate processes, kill one mid-run, resume it over a torn
-# sink tail, merge, and byte-compare against the sequential single-process
-# golden. Any divergence — scheduling, resume, serialization — fails the
-# diff and the job.
+# sink tail and a torn newest manifest slot, merge, and byte-compare
+# against the sequential single-process golden. Any divergence —
+# scheduling, resume, serialization — fails the diff and the job.
 #
 # Usage: tools/fleet_ci.sh PATH/TO/ocelot-fleet [TAU]
 set -euo pipefail
@@ -44,6 +44,29 @@ wait "$P0" "$P1" "$P3"
 echo "== simulate a torn tail past the durable offset =="
 printf '{"cell": 999, "model": 1, "ben' >> "$WORK/par/shard-2-of-4.jsonl"
 
+echo "== tear shard 2's newest manifest slot in place =="
+# A manifest is two 256-byte slots; each checkpoint overwrites the older
+# one. Garbage over the newest slot's spec hash stands in for a crash
+# mid-commit: the resume must fall back to the other slot, one
+# checkpoint (one cell) behind.
+MANIFEST="$WORK/par/shard-2-of-4.manifest"
+slot_seq() {
+  dd if="$MANIFEST" bs=256 skip="$1" count=1 2>/dev/null | sed -n 's/^seq //p'
+}
+S0=$(slot_seq 0)
+S1=$(slot_seq 1)
+NEWEST=$(( S0 > S1 ? 0 : 1 ))
+printf 'torn' | dd of="$MANIFEST" bs=1 seek=$(( NEWEST * 256 + 40 )) \
+  conv=notrunc 2>/dev/null
+[ "$(wc -c < "$MANIFEST")" -eq 512 ] || { echo "manifest resized"; exit 1; }
+rc=0
+"$FLEET" status "$WORK/par" >"$WORK/status.out" || rc=$?
+[ "$rc" -eq 3 ] || { echo "expected status exit 3, got $rc"; exit 1; }
+grep -Eq '^2/4 .* 4/24 ' "$WORK/status.out" || {
+  echo "shard 2 did not fall back to its older slot:"; cat "$WORK/status.out"
+  exit 1
+}
+
 echo "== merge must refuse while shard 2 is incomplete =="
 if "$FLEET" merge "${GRID[@]}" --shards=4 --out="$WORK/par" \
     >"$WORK/premature.out" 2>&1; then
@@ -57,5 +80,5 @@ echo "== resume shard 2 =="
 echo "== merge + byte-compare against the sequential golden =="
 "$FLEET" merge "${GRID[@]}" --shards=4 --out="$WORK/par"
 cmp "$WORK/seq/shard-0-of-1.jsonl" "$WORK/par/merged.jsonl"
-echo "PASS: sharded + killed + resumed + merged run is byte-identical to" \
-     "the sequential run"
+echo "PASS: sharded + killed + resumed (torn tail, torn manifest slot) +" \
+     "merged run is byte-identical to the sequential run"
