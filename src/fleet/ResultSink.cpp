@@ -274,6 +274,15 @@ std::unique_ptr<ResultSink> ocelot::openResultSink(const std::string &Path,
                                                    int64_t ResumeAtOffset,
                                                    std::string &Error) {
   if (ResumeAtOffset < 0) {
+    // Unlink, then create: truncating a leftover non-empty file (a fresh
+    // shard over an old result file, a re-run merge) waits for the disk on
+    // ext4, while a new file costs nothing.
+#ifndef _WIN32
+    if (::unlink(Path.c_str()) != 0 && errno != ENOENT) {
+      Error = "cannot replace " + Path + ": " + std::strerror(errno);
+      return nullptr;
+    }
+#endif
     std::FILE *F = std::fopen(Path.c_str(), "wb");
     if (!F) {
       Error = "cannot create " + Path + ": " + std::strerror(errno);

@@ -81,8 +81,8 @@ public:
 
 /// Opens \p Path for streaming in \p Format.
 ///
-/// \p ResumeAtOffset < 0 starts a fresh file (truncates; writes and
-/// flushes the CSV header when applicable). A fresh empty file is not
+/// \p ResumeAtOffset < 0 starts a fresh file (unlinks any old one, then
+/// creates it; writes and flushes the CSV header when applicable). A fresh empty file is not
 /// synced: `runShard` makes its directory entry durable with the fsync of
 /// the manifest's directory. Otherwise the file is truncated to exactly
 /// \p ResumeAtOffset — dropping any torn tail from an interrupted shard —

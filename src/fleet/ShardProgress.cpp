@@ -8,9 +8,11 @@
 
 #include "fleet/FleetRunner.h"
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 
 using namespace ocelot;
 
@@ -63,14 +65,31 @@ bool findNum(const std::string &Line, const char *Key, double &Val) {
   return End != Start;
 }
 
+/// findNum for a count stored in an unsigned type of \p Bits bits: it must
+/// lie in [0, 2^Bits), or converting it would be undefined (NaN fails too).
+bool findCount(const std::string &Line, const char *Key, int Bits,
+               double &Val) {
+  return findNum(Line, Key, Val) && Val >= 0 && Val < std::ldexp(1.0, Bits);
+}
+
+/// findNum for a rate or a duration: any finite value.
+bool findFinite(const std::string &Line, const char *Key, double &Val) {
+  return findNum(Line, Key, Val) && std::isfinite(Val);
+}
+
 bool parseProgressLine(const std::string &Line, ShardProgress &Out) {
+  constexpr int UBits = std::numeric_limits<unsigned>::digits;
+  constexpr int SizeBits = std::numeric_limits<size_t>::digits;
+  constexpr int U64Bits = std::numeric_limits<uint64_t>::digits;
   double Shard, Of, Begin, End, Done, Rate, Eta, Wall;
-  if (!findNum(Line, "shard", Shard) || !findNum(Line, "of", Of) ||
-      !findNum(Line, "cells_begin", Begin) ||
-      !findNum(Line, "cells_end", End) ||
-      !findNum(Line, "cells_done", Done) ||
-      !findNum(Line, "cells_per_sec", Rate) ||
-      !findNum(Line, "eta_sec", Eta) || !findNum(Line, "wall_ms", Wall))
+  if (!findCount(Line, "shard", UBits, Shard) ||
+      !findCount(Line, "of", UBits, Of) ||
+      !findCount(Line, "cells_begin", SizeBits, Begin) ||
+      !findCount(Line, "cells_end", SizeBits, End) ||
+      !findCount(Line, "cells_done", SizeBits, Done) ||
+      !findFinite(Line, "cells_per_sec", Rate) ||
+      !findFinite(Line, "eta_sec", Eta) ||
+      !findCount(Line, "wall_ms", U64Bits, Wall))
     return false;
   Out.Shard = static_cast<unsigned>(Shard);
   Out.ShardCount = static_cast<unsigned>(Of);

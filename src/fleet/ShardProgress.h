@@ -68,7 +68,9 @@ private:
 
 /// Reads the last well-formed heartbeat of \p Path into \p Out. Returns
 /// false (without an error message — the sidecar is advisory) when the
-/// file is missing, empty, or holds no parseable record.
+/// file is missing, empty, or holds no parseable record. A line whose
+/// counts fall outside their types or whose rates are not finite is not
+/// parseable.
 bool readLastShardProgress(const std::string &Path, ShardProgress &Out);
 
 } // namespace ocelot

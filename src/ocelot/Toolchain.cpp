@@ -163,11 +163,9 @@ Compilation Toolchain::compileCached(const SourceRef &Src,
     auto It = Cache.Entries.find(Key);
     if (It != Cache.Entries.end()) {
       ++Cache.Hits;
-      MetricsRegistry::global().add("toolchain.cache.hits");
       return It->second;
     }
     ++Cache.Misses;
-    MetricsRegistry::global().add("toolchain.cache.misses");
   }
 
   // Compile outside the lock: the pipeline is the expensive part, and

@@ -38,13 +38,36 @@ struct CostModel {
 
   /// Per-instruction cost depends only on the opcode, which is what lets
   /// the ExecutableImage fold this switch into a PC-indexed table.
-  uint64_t costOfOp(Opcode Op) const;
-  uint64_t costOf(const Instruction &I) const { return costOfOp(I.Op); }
-
-  /// Equality lets an interpreter reuse the image's precomputed
-  /// default-model cost table instead of materializing its own.
-  bool operator==(const CostModel &) const = default;
+  constexpr uint64_t costOfOp(Opcode Op) const {
+    switch (Op) {
+    case Opcode::Input:
+      return InputCost;
+    case Opcode::Output:
+      return OutputCost;
+    case Opcode::Call:
+    case Opcode::Ret:
+      return CallCost;
+    case Opcode::AtomicStart:
+      return AtomicStartCost;
+    case Opcode::AtomicEnd:
+      return AtomicCommitCost;
+    case Opcode::Fresh:
+    case Opcode::Consistent:
+    case Opcode::Nop:
+      return 0; // Annotation markers are erased in real builds (§6.1).
+    default:
+      return Default;
+    }
+  }
+  constexpr uint64_t costOf(const Instruction &I) const {
+    return costOfOp(I.Op);
+  }
 };
+
+/// The one cost model both engines charge. The tree engine calls costOf
+/// per step, an independent reference for the threaded engine's folded
+/// table (ExecutableImage::costs).
+inline constexpr CostModel MachineCosts{};
 
 } // namespace ocelot
 

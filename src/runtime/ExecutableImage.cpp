@@ -178,7 +178,9 @@ ExecutableImage::build(const Program &P,
     Img->MainRegs = Img->Funcs[static_cast<size_t>(P.mainFunction())].NumRegs;
   }
 
-  Img->DefaultCosts = Img->costTableFor(CostModel());
+  Img->Costs.reserve(Img->Code.size());
+  for (const FlatInst &FI : Img->Code)
+    Img->Costs.push_back(MachineCosts.costOfOp(FI.Op));
   Img->buildThreadedView();
   return Img;
 }
@@ -303,15 +305,6 @@ void ExecutableImage::buildThreadedView() {
   }
 }
 
-std::vector<uint64_t>
-ExecutableImage::costTableFor(const CostModel &Costs) const {
-  std::vector<uint64_t> Table;
-  Table.reserve(Code.size());
-  for (const FlatInst &FI : Code)
-    Table.push_back(Costs.costOfOp(FI.Op));
-  return Table;
-}
-
 namespace {
 
 /// "%R", built by appending: GCC 12's inlined `"%" + std::to_string(R)`
@@ -342,7 +335,6 @@ std::string ExecutableImage::disassemble(const Program &P) const {
          " function(s), " + std::to_string(Globals.size()) +
          " global(s) in " + std::to_string(NvmCellCount) + " NVM cell(s), " +
          std::to_string(FusedPairs) + " fused pair(s)\n";
-  CostModel Default;
   for (int F = 0; F < numFunctions(); ++F) {
     const FuncLayout &L = func(F);
     Out += "\nfn " + P.function(F)->name() + " (f" + std::to_string(F) +
@@ -440,7 +432,7 @@ std::string ExecutableImage::disassemble(const Program &P) const {
       }
       if (Body.size() < 44)
         Body.resize(44, ' ');
-      Out += Body + " ; cost=" + std::to_string(Default.costOfOp(FI.Op));
+      Out += Body + " ; cost=" + std::to_string(Costs[Pc]);
       if (FI.Op == Opcode::AtomicStart && FI.OmegaCount) {
         Out += " omega={";
         const int32_t *Omega = omegaGlobals(FI);

@@ -14,7 +14,7 @@
 ///    is a single indexed load instead of three pointer hops.
 ///  * Branch, call and fall-through targets are pre-resolved to absolute
 ///    PCs at build time.
-///  * The per-instruction cycle cost (`CostModel::costOf`'s switch) is
+///  * The per-instruction cycle cost (`MachineCosts.costOf`'s switch) is
 ///    folded into a PC-indexed table.
 ///  * Dense side tables map each PC to its monitor actions (bit-vector
 ///    fresh-use checks, formal-checker use registers) and each
@@ -305,11 +305,8 @@ public:
   uint32_t nvmCells() const { return NvmCellCount; }
 
   // -- Costs -------------------------------------------------------------
-  /// PC-indexed cycle costs under the default CostModel. Interpreters
-  /// running a non-default model materialize their own table with
-  /// costTableFor.
-  const std::vector<uint64_t> &defaultCosts() const { return DefaultCosts; }
-  std::vector<uint64_t> costTableFor(const CostModel &Costs) const;
+  /// PC-indexed cycle costs under MachineCosts.
+  const std::vector<uint64_t> &costs() const { return Costs; }
 
   // -- Threaded dispatch view --------------------------------------------
   /// PC-indexed dispatch codes for the threaded engine. Non-fused slots
@@ -359,7 +356,7 @@ private:
   std::vector<InstrRef> InputSites;
   std::map<InstrRef, uint32_t> InputOrdinals;
   std::vector<GlobalSlot> Globals;
-  std::vector<uint64_t> DefaultCosts;
+  std::vector<uint64_t> Costs;
   uint32_t NvmCellCount = 0;
   uint32_t MainEntry = 0;
   uint32_t MainRegs = 0;

@@ -23,14 +23,6 @@ FailurePlan FailurePlan::pathological(std::set<InstrRef> Points) {
   return P;
 }
 
-FailurePlan FailurePlan::periodic(uint64_t PeriodCycles, double Jitter) {
-  FailurePlan P;
-  P.K = Kind::Periodic;
-  P.Period = PeriodCycles ? PeriodCycles : 1;
-  P.Jitter = Jitter;
-  return P;
-}
-
 FailurePlan FailurePlan::random(double PerInstrProb) {
   FailurePlan P;
   P.K = Kind::Random;
@@ -53,24 +45,4 @@ bool FailurePlan::firesBefore(InstrRef I, Rng &R) {
   default:
     return false;
   }
-}
-
-bool FailurePlan::firesAfterCycles(uint64_t TotalOnCycles) {
-  if (K != Kind::Periodic)
-    return false;
-  if (!NextArmed) {
-    NextAt = TotalOnCycles + Period;
-    NextArmed = true;
-  }
-  if (TotalOnCycles < NextAt)
-    return false;
-  // Re-arm with jitter derived from the trigger time (deterministic).
-  uint64_t JitterSpan =
-      static_cast<uint64_t>(static_cast<double>(Period) * Jitter);
-  uint64_t Wobble = JitterSpan ? (TotalOnCycles * 2654435761u) % (2 * JitterSpan)
-                               : 0;
-  NextAt = TotalOnCycles + Period - JitterSpan + Wobble;
-  if (NextAt <= TotalOnCycles)
-    NextAt = TotalOnCycles + 1;
-  return true;
 }

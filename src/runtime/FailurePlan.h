@@ -13,7 +13,6 @@
 ///    program run: the paper's §7.3 experiment ("power failures immediately
 ///    before the use of a fresh variable and between input operations in a
 ///    consistent set", Table 2(a));
-///  * Periodic — every N cycles with jitter;
 ///  * Random — per-instruction probability.
 ///
 //===----------------------------------------------------------------------===//
@@ -30,12 +29,11 @@ namespace ocelot {
 
 class FailurePlan {
 public:
-  enum class Kind { None, EnergyDriven, Pathological, Periodic, Random };
+  enum class Kind { None, EnergyDriven, Pathological, Random };
 
   static FailurePlan none();
   static FailurePlan energyDriven();
   static FailurePlan pathological(std::set<InstrRef> Points);
-  static FailurePlan periodic(uint64_t PeriodCycles, double Jitter = 0.2);
   static FailurePlan random(double PerInstrProb);
 
   Kind kind() const { return K; }
@@ -60,23 +58,15 @@ public:
   /// executing \p I (pathological points fire once per run).
   bool firesBefore(InstrRef I, Rng &R);
 
-  /// \returns true if a failure fires after consuming \p Cycles more cycles
-  /// (periodic plans).
-  bool firesAfterCycles(uint64_t TotalOnCycles);
-
   bool isEnergyDriven() const { return K == Kind::EnergyDriven; }
 
 private:
   Kind K = Kind::None;
   std::set<InstrRef> Points;
   std::set<InstrRef> Fired;
-  uint64_t Period = 0;
-  double Jitter = 0.0;
   double Prob = 0.0;
-  uint64_t NextAt = 0;
   uint64_t OffLo = 5000;
   uint64_t OffHi = 50000;
-  bool NextArmed = false;
 };
 
 } // namespace ocelot

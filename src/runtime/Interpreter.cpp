@@ -21,28 +21,6 @@
 
 using namespace ocelot;
 
-uint64_t CostModel::costOfOp(Opcode Op) const {
-  switch (Op) {
-  case Opcode::Input:
-    return InputCost;
-  case Opcode::Output:
-    return OutputCost;
-  case Opcode::Call:
-  case Opcode::Ret:
-    return CallCost;
-  case Opcode::AtomicStart:
-    return AtomicStartCost;
-  case Opcode::AtomicEnd:
-    return AtomicCommitCost;
-  case Opcode::Fresh:
-  case Opcode::Consistent:
-  case Opcode::Nop:
-    return 0; // Annotation markers are erased in real builds (§6.1).
-  default:
-    return Default;
-  }
-}
-
 Interpreter::Interpreter(const Program &P, RunConfig Cfg,
                          const MonitorPlan *Plan,
                          const std::vector<RegionInfo> *Regions,
@@ -62,14 +40,6 @@ Interpreter::Interpreter(const Program &P, RunConfig Cfg,
   if (this->Cfg.Plan.isEnergyDriven())
     Energy = std::make_unique<EnergyModel>(
         this->Cfg.Energy, this->Cfg.Seed ^ 0xe4e4f00dULL, this->Cfg.Power);
-  // Fold the cost switch once: a PC-indexed table replaces per-step
-  // CostModel::costOf calls. The default model reuses the image's table.
-  if (this->Cfg.Costs == CostModel()) {
-    CostTable = Img->defaultCosts().data();
-  } else {
-    OwnCosts = Img->costTableFor(this->Cfg.Costs);
-    CostTable = OwnCosts.data();
-  }
   resetNvm();
 }
 
@@ -144,9 +114,8 @@ void Interpreter::writeGlobal(int G, int64_t Index, RtValue V, RunResult &R) {
   if (ExecMode == Mode::Atomic) {
     if (Undo.logIfFirst(G, Index, nvmCell(G, Index))) {
       ++R.UndoLogEntries;
-      R.OnCycles += Cfg.Costs.UndoLogEntryCost;
-      LifetimeOn += Cfg.Costs.UndoLogEntryCost;
-      Tau += Cfg.Costs.UndoLogEntryCost;
+      R.OnCycles += MachineCosts.UndoLogEntryCost;
+      Tau += MachineCosts.UndoLogEntryCost;
     }
   }
   nvmCell(G, Index) = V;
@@ -159,9 +128,8 @@ void Interpreter::enterAtomic(const Instruction &I, RunResult &R) {
   }
   // Atom-Start-Outer: snapshot volatile state positioned after the start.
   // Saving the volatile context costs like a JIT checkpoint (§6.3).
-  uint64_t SaveCost = Cfg.Costs.RegionEntryPerFrame * Frames.size();
+  uint64_t SaveCost = MachineCosts.RegionEntryPerFrame * Frames.size();
   R.OnCycles += SaveCost;
-  LifetimeOn += SaveCost;
   Tau += SaveCost;
   if (Energy)
     Energy->consume(SaveCost);
@@ -179,9 +147,8 @@ void Interpreter::enterAtomic(const Instruction &I, RunResult &R) {
           if (Undo.logIfFirst(G, static_cast<int64_t>(Idx),
                               nvmCell(G, Idx))) {
             ++R.UndoLogEntries;
-            R.OnCycles += Cfg.Costs.AtomicOmegaPerCell;
-            LifetimeOn += Cfg.Costs.AtomicOmegaPerCell;
-            Tau += Cfg.Costs.AtomicOmegaPerCell;
+            R.OnCycles += MachineCosts.AtomicOmegaPerCell;
+            Tau += MachineCosts.AtomicOmegaPerCell;
           }
         }
       }
@@ -263,9 +230,8 @@ void Interpreter::rebootCommon(RunResult &R, uint64_t TotalRegs) {
     // JIT-LowPower: the ISR checkpoints volatile state into NVM within the
     // raised-threshold reserve (§6.3).
     uint64_t CkptCost =
-        Cfg.Costs.CheckpointBase + Cfg.Costs.CheckpointPerReg * TotalRegs;
+        MachineCosts.CheckpointBase + MachineCosts.CheckpointPerReg * TotalRegs;
     R.OnCycles += CkptCost;
-    LifetimeOn += CkptCost;
     Tau += CkptCost;
     ++R.Checkpoints;
     if (TraceSink *T = Cfg.Telemetry)
@@ -312,22 +278,10 @@ void Interpreter::powerFail(RunResult &R) {
   } else {
     // JIT-Reboot: restore volatile state (identity here; costed).
     uint64_t RestCost =
-        Cfg.Costs.RestoreBase + Cfg.Costs.RestorePerReg * TotalRegs;
+        MachineCosts.RestoreBase + MachineCosts.RestorePerReg * TotalRegs;
     R.OnCycles += RestCost;
-    LifetimeOn += RestCost;
     Tau += RestCost;
   }
-}
-
-bool Interpreter::checkEnergyAndPlan(uint64_t Cost) {
-  if (Energy) {
-    if (Energy->consume(Cost))
-      return true;
-    return false;
-  }
-  if (Cfg.Plan.kind() == FailurePlan::Kind::Periodic)
-    return Cfg.Plan.firesAfterCycles(LifetimeOn);
-  return false;
 }
 
 RunResult Interpreter::runOnce() {
@@ -364,7 +318,7 @@ RunResult Interpreter::runOnceTree() {
   uint64_t ConsecutiveFailures = 0;
 
   while (!Frames.empty() && !R.Starved && R.Trap.empty()) {
-    if (R.OnCycles > Cfg.MaxOnCyclesPerRun) {
+    if (R.OnCycles > RunOnCycleBudget) {
       R.Trap = "on-cycle budget exceeded";
       break;
     }
@@ -377,8 +331,8 @@ RunResult Interpreter::runOnceTree() {
       powerFail(R);
       continue;
     }
-    uint64_t Cost = Cfg.Costs.costOf(*I);
-    if (checkEnergyAndPlan(Cost)) {
+    uint64_t Cost = MachineCosts.costOf(*I);
+    if (Energy && Energy->consume(Cost)) {
       ++ConsecutiveFailures;
       if (ConsecutiveFailures > Cfg.MaxAbortsPerRegion) {
         R.Starved = true;
@@ -389,7 +343,6 @@ RunResult Interpreter::runOnceTree() {
     }
     ConsecutiveFailures = 0;
     R.OnCycles += Cost;
-    LifetimeOn += Cost;
     Tau += Cost;
     ++R.Steps;
 

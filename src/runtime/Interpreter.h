@@ -72,8 +72,11 @@ enum class DispatchEngine {
   Threaded, ///< Computed-goto dispatch over the ExecutableImage (default).
 };
 
+/// Per-run on-cycle budget: a run that has not finished after this many
+/// on-cycles traps ("on-cycle budget exceeded") instead of spinning.
+inline constexpr uint64_t RunOnCycleBudget = 50'000'000;
+
 struct RunConfig {
-  CostModel Costs;
   FailurePlan Plan = FailurePlan::none();
   EnergyConfig Energy;
   /// Harvesting environment for energy-driven plans (src/power/): decides
@@ -101,7 +104,6 @@ struct RunConfig {
   bool StaticOmega = false;   ///< Back up omega at region entry instead of
                               ///< first-write logging.
   bool RecordTrace = false;
-  uint64_t MaxOnCyclesPerRun = 50'000'000;
   uint64_t MaxAbortsPerRegion = 1000; ///< Starvation detector (§5.3).
   /// Optional structured run tracing (src/telemetry/TraceSink.h): when
   /// non-null the engines and the violation monitor record reboot /
@@ -255,7 +257,6 @@ private:
   /// reading the call chain off the flat frame stack in place.
   void onInputFlat(const FlatInst &FI, uint64_t Tau);
   const RegionInfo *regionInfo(int RegionId) const;
-  bool checkEnergyAndPlan(uint64_t Cost);
 
   /// Flat NVM addressing: cell \p Index of global \p G via the image's
   /// layout table.
@@ -276,11 +277,6 @@ private:
   std::shared_ptr<const SensorScenario> Sensors;
   const std::vector<RegionInfo> *Regions;
   std::shared_ptr<const ExecutableImage> Img;
-  /// PC-indexed cycle costs under Cfg.Costs. Points at the image's
-  /// default-model table when Cfg.Costs is the default; otherwise at
-  /// OwnCosts.
-  const uint64_t *CostTable = nullptr;
-  std::vector<uint64_t> OwnCosts;
 
   // Non-volatile state (persists across runs and failures). One flat cell
   // array laid out by the image's global table; both engines address it
@@ -288,9 +284,6 @@ private:
   std::vector<RtValue> Nvm;
   uint64_t Tau = 0;
   uint64_t Epoch = 0;
-  /// Cumulative on-cycles across the device lifetime (periodic failure
-  /// plans arm against this, not the per-run counter).
-  uint64_t LifetimeOn = 0;
   std::unique_ptr<ViolationMonitor> Monitor;
   /// Every RtValue::Taint id of this device names a sequence here. Lives
   /// as long as NVM; compacted at the start of runOnce.

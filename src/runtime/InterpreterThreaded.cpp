@@ -132,9 +132,8 @@ void Interpreter::enterAtomicFlat(const FlatInst &I, RunResult &R) {
   // Atom-Start-Outer: snapshot volatile state positioned after the start
   // (Pc has already advanced past the AtomicStart, like the tree engine's
   // Idx). Saving the volatile context costs like a JIT checkpoint (§6.3).
-  uint64_t SaveCost = Cfg.Costs.RegionEntryPerFrame * FFrames.size();
+  uint64_t SaveCost = MachineCosts.RegionEntryPerFrame * FFrames.size();
   R.OnCycles += SaveCost;
-  LifetimeOn += SaveCost;
   Tau += SaveCost;
   if (Energy)
     Energy->consume(SaveCost);
@@ -157,9 +156,8 @@ void Interpreter::enterAtomicFlat(const FlatInst &I, RunResult &R) {
       for (uint32_t Idx = 0; Idx < Size; ++Idx) {
         if (Undo.logIfFirst(G, static_cast<int64_t>(Idx), nvmCell(G, Idx))) {
           ++R.UndoLogEntries;
-          R.OnCycles += Cfg.Costs.AtomicOmegaPerCell;
-          LifetimeOn += Cfg.Costs.AtomicOmegaPerCell;
-          Tau += Cfg.Costs.AtomicOmegaPerCell;
+          R.OnCycles += MachineCosts.AtomicOmegaPerCell;
+          Tau += MachineCosts.AtomicOmegaPerCell;
         }
       }
     }
@@ -203,9 +201,8 @@ void Interpreter::powerFailFlat(RunResult &R) {
     // JIT-Reboot: restore volatile state (identity here; costed). Pc is
     // untouched: execution resumes at the interrupted instruction.
     uint64_t RestCost =
-        Cfg.Costs.RestoreBase + Cfg.Costs.RestorePerReg * TotalRegs;
+        MachineCosts.RestoreBase + MachineCosts.RestorePerReg * TotalRegs;
     R.OnCycles += RestCost;
-    LifetimeOn += RestCost;
     Tau += RestCost;
   }
 }
@@ -245,7 +242,7 @@ template <bool Hot, bool TaintOn> RunResult Interpreter::runThreadedLoop() {
 
   const FlatInst *const Code = Img->code().data();
   [[maybe_unused]] const ThreadedOp *const TOps = Img->threadedOps().data();
-  const uint64_t *const Costs = CostTable;
+  const uint64_t *const Costs = Img->costs().data();
   assert(Img->threadedOps().size() == Img->code().size());
   assert(TaintOn == TrackTaint && "one instantiation per taint setting");
 
@@ -256,10 +253,6 @@ template <bool Hot, bool TaintOn> RunResult Interpreter::runThreadedLoop() {
       PlanKind == FailurePlan::Kind::Pathological ||
       PlanKind == FailurePlan::Kind::Random;
   [[maybe_unused]] EnergyModel *const Store = Energy.get();
-  // Periodic plans arm against the lifetime counter out of line
-  // (checkEnergyAndPlan); energy-driven plans count down Headroom below.
-  [[maybe_unused]] const bool PeriodicPlan =
-      !Store && PlanKind == FailurePlan::Kind::Periodic;
   const bool BitVector = Cfg.MonitorBitVector;
   [[maybe_unused]] const bool Formal = Cfg.MonitorFormal;
   // Telemetry/profiling observers: the Hot instantiation excludes them
@@ -269,24 +262,23 @@ template <bool Hot, bool TaintOn> RunResult Interpreter::runThreadedLoop() {
   [[maybe_unused]] PcProfile *const Prof = Cfg.Profile;
   [[maybe_unused]] uint32_t ProfPrevPc = ~0u;
   [[maybe_unused]] uint16_t ProfPrevOp = 0;
-  assert(!(Hot && (PlanMayFireBefore || PeriodicPlan || Store || BitVector ||
-                   Formal || Telem || Prof)) &&
+  assert(!(Hot && (PlanMayFireBefore || Store || BitVector || Formal ||
+                   Telem || Prof)) &&
          "Hot instantiation requires no plan, no energy, no monitors, no "
          "telemetry");
 
   // Loop state mirrored into locals (the members stay authoritative for
   // everything out of line; see SyncOut/SyncIn). Every charge lands on
-  // OnCycles, Tau and LifetimeOn alike (step costs and undo-log entries),
-  // so the loop keeps only OnCycles as a running counter and derives the
-  // other two on demand from their entry offsets — two fewer adds on
-  // every step. The offsets are wrap-exact: (Tau - OnCycles) + OnCycles
-  // == Tau in uint64 even when the subtraction wraps. Everything that
-  // diverges them (off time, reboot and region-entry charges) happens out
-  // of line, between a SyncOut and a SyncIn.
+  // OnCycles and Tau alike (step costs and undo-log entries), so the loop
+  // keeps only OnCycles as a running counter and derives Tau on demand
+  // from its entry offset — one fewer add on every step. The offset is
+  // wrap-exact: (Tau - OnCycles) + OnCycles == Tau in uint64 even when the
+  // subtraction wraps. Everything that diverges them (off time, reboot
+  // and region-entry charges) happens out of line, between a SyncOut and
+  // a SyncIn.
   uint32_t Pc = this->Pc;
   uint64_t OnCycles = R.OnCycles;
   uint64_t TauMinusOn = this->Tau - OnCycles;
-  uint64_t LifeMinusOn = this->LifetimeOn - OnCycles;
   uint64_t Steps = R.Steps;
   // The energy comparator as a countdown: the energy above the reserve.
   // A step of cost C fires it when C >= Headroom, exactly when
@@ -309,7 +301,6 @@ template <bool Hot, bool TaintOn> RunResult Interpreter::runThreadedLoop() {
   // exactly where the window can move: Call/Ret (resize + base change),
   // and SyncIn (a power-failure restore replaces the stack wholesale).
   RtValue *Regs = RegStack.data() + RegBase;
-  const uint64_t MaxOnCycles = Cfg.MaxOnCyclesPerRun;
   const FlatInst *FI = Code + Pc;
   [[maybe_unused]] ThreadedOp TOp = ThreadedOp::Nop;
   uint64_t Cost = 0;
@@ -317,7 +308,6 @@ template <bool Hot, bool TaintOn> RunResult Interpreter::runThreadedLoop() {
   auto SyncOut = [&] {
     this->Pc = Pc;
     this->Tau = TauMinusOn + OnCycles;
-    this->LifetimeOn = LifeMinusOn + OnCycles;
     R.OnCycles = OnCycles;
     R.Steps = Steps;
     if constexpr (!Hot) {
@@ -329,7 +319,6 @@ template <bool Hot, bool TaintOn> RunResult Interpreter::runThreadedLoop() {
     Pc = this->Pc;
     OnCycles = R.OnCycles;
     TauMinusOn = this->Tau - OnCycles;
-    LifeMinusOn = this->LifetimeOn - OnCycles;
     Steps = R.Steps;
     if constexpr (!Hot)
       Headroom = Store ? Store->headroom() : 0;
@@ -379,7 +368,7 @@ template <bool Hot, bool TaintOn> RunResult Interpreter::runThreadedLoop() {
     if (ExecMode == Mode::Atomic &&
         Undo.logIfFirst(G, Index, nvmCell(G, Index))) {
       ++R.UndoLogEntries;
-      Charge = Cfg.Costs.UndoLogEntryCost;
+      Charge = MachineCosts.UndoLogEntryCost;
     }
     Put(nvmCell(G, Index), V);
     return Charge;
@@ -422,7 +411,7 @@ template <bool Hot, bool TaintOn> RunResult Interpreter::runThreadedLoop() {
 // leaves through the loop head, which handles it out of the handlers.
 #define OCELOT_STEP()                                                          \
   do {                                                                         \
-    if (OnCycles > MaxOnCycles) {                                              \
+    if (OnCycles > RunOnCycleBudget) {                                         \
       R.Trap = "on-cycle budget exceeded";                                     \
       goto LDone;                                                              \
     }                                                                          \
@@ -441,12 +430,6 @@ template <bool Hot, bool TaintOn> RunResult Interpreter::runThreadedLoop() {
           goto LTop;                                                           \
         }                                                                      \
         Headroom -= Cost;                                                      \
-      } else if (PeriodicPlan) {                                               \
-        this->LifetimeOn = LifeMinusOn + OnCycles;                             \
-        if (checkEnergyAndPlan(Cost)) {                                        \
-          Pending = Stop::PowerLow;                                            \
-          goto LTop;                                                           \
-        }                                                                      \
       }                                                                        \
       ConsecutiveFailures = 0;                                                 \
     }                                                                          \

@@ -11,13 +11,13 @@
 /// the same registry.
 ///
 /// This is *cold-path* instrumentation — the toolchain, harness, and
-/// bench report use it (compile wall-time, artifact-cache hit-rate, peak
-/// RSS). The interpreter hot loops never touch it; per-step data goes
+/// bench report use it (compile wall-time, peak RSS). The artifact cache
+/// keeps its own hit/miss counts (`Toolchain::cacheStats`). The interpreter hot loops never touch it; per-step data goes
 /// through `PcProfile` (telemetry/Profile.h) and end-of-run aggregates
 /// through `RunResult`.
 ///
 /// `MetricsRegistry::global()` is the process-wide instance that
-/// `Toolchain::compile` / `compileCached` feed; scoped consumers (tests)
+/// `Toolchain::compile` feeds; scoped consumers (tests)
 /// can construct their own.
 ///
 //===----------------------------------------------------------------------===//

@@ -9,7 +9,8 @@
 /// benchmark compiles under every execution model, runs on continuous and
 /// intermittent power, and reproduces the paper's correctness claims —
 /// Ocelot never violates its policies, JIT always does under pathological
-/// failure placement (Table 2(a)).
+/// failure placement (Table 2(a)) — and arming one violation monitor
+/// counts the same violating runs as arming both on the Table 2 grids.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -22,6 +23,9 @@
 using namespace ocelot;
 
 namespace {
+
+/// table2b_intermittent's simulated-time budget under OCELOT_BENCH_SMOKE.
+constexpr uint64_t TableTwoBSmokeTau = 5'000'000;
 
 class BenchmarkSuite : public ::testing::TestWithParam<std::string> {
 protected:
@@ -94,10 +98,11 @@ TEST_P(BenchmarkSuite, IntermittentTraceRefinesContinuous) {
   CompiledBenchmark CB = compileBenchmark(def(), ExecModel::Ocelot);
   RunConfig Cfg;
   Cfg.Sensors = def().scenario(23);
-  // The period must exceed the largest atomic region or no region can ever
-  // commit (§5.3's satisfiability constraint).
-  Cfg.Plan = FailurePlan::periodic(1600, 0.3);
-  Cfg.Plan.setOffTime(3000, 30000);
+  // Every charge holds exactly 1600 cycles above the reserve: more than the
+  // largest atomic region, or no region could ever commit (§5.3's
+  // satisfiability constraint). Each recharge takes 1600 / 0.1 = 16000.
+  Cfg.Plan = FailurePlan::energyDriven();
+  Cfg.Energy = EnergyConfig{1950, 350, 0.1, 0.0, 0.0};
   Cfg.RecordTrace = true;
   Simulation Sim(CB.Artifact, std::move(Cfg));
   constexpr int Runs = 4;
@@ -117,6 +122,95 @@ TEST_P(BenchmarkSuite, IntermittentTraceRefinesContinuous) {
   EXPECT_TRUE(replayRefines(CB.Artifact.program(), &CB.Artifact.monitorPlan(),
                             Combined, Runs, Sim.nvmSnapshot(), Why))
       << Why;
+}
+
+// -- One armed monitor against both --------------------------------------
+
+/// Which violation monitors a run arms.
+enum class Armed { BitVector, Formal, Both };
+
+/// Completed and violating runs of one monitored cell.
+struct MonitorCounts {
+  uint64_t Completed = 0;
+  uint64_t Violating = 0;
+  bool operator==(const MonitorCounts &) const = default;
+};
+
+/// The harness's RunConfig for a cell of \p B at \p Seed, with \p A armed.
+RunConfig armedConfig(const BenchmarkDef &B, uint64_t Seed, Armed A) {
+  RunConfig Cfg;
+  Cfg.Sensors = B.scenario(Seed);
+  Cfg.Seed = Seed;
+  Cfg.MonitorBitVector = A != Armed::Formal;
+  Cfg.MonitorFormal = A != Armed::BitVector;
+  return Cfg;
+}
+
+/// Table 2(a)'s cell: pathologicalViolationPct's run loop with \p A armed.
+MonitorCounts pathologicalCounts(const CompiledBenchmark &CB,
+                                 const BenchmarkDef &B, Armed A) {
+  RunConfig Cfg = armedConfig(B, 7, A);
+  Cfg.Plan = FailurePlan::pathological(pathologicalPoints(CB.Artifact));
+  Cfg.Plan.setOffTime(20000, 200000);
+  Simulation Sim(CB.Artifact, std::move(Cfg));
+  MonitorCounts C;
+  for (int Run = 0; Run < 10; ++Run) {
+    RunResult R = Sim.runOnce();
+    EXPECT_TRUE(R.Completed) << R.Trap;
+    C.Completed += R.Completed;
+    C.Violating += R.Completed && (R.ViolatedFresh || R.ViolatedConsistent);
+  }
+  return C;
+}
+
+/// Table 2(b)'s cell at its smoke budget: measureIntermittent's run loop
+/// with \p A armed.
+MonitorCounts intermittentCounts(const CompiledBenchmark &CB,
+                                 const BenchmarkDef &B, Armed A) {
+  RunConfig Cfg = armedConfig(B, 99, A);
+  Cfg.Plan = FailurePlan::energyDriven();
+  Simulation Sim(CB.Artifact, std::move(Cfg));
+  MonitorCounts C;
+  while (Sim.tau() < TableTwoBSmokeTau) {
+    RunResult R = Sim.runOnce();
+    EXPECT_TRUE(R.Completed) << R.Trap;
+    if (!R.Completed)
+      break;
+    ++C.Completed;
+    C.Violating += R.ViolatedFresh || R.ViolatedConsistent;
+  }
+  return C;
+}
+
+TEST_P(BenchmarkSuite, OneMonitorCountsMatchBothOnTable2Grids) {
+  // The harness arms both monitors and counts a run as violating if either
+  // flags it. Every run of a cell is the same execution whichever monitors
+  // are armed, so equal violating counts under the bit-vector monitor
+  // alone, the formal one alone and both mean the two flag the same runs.
+  for (ExecModel M :
+       {ExecModel::Ocelot, ExecModel::JitOnly, ExecModel::AtomicsOnly}) {
+    CompiledBenchmark CB = compileBenchmark(def(), M);
+    std::string What = def().Name + "/" + execModelName(M);
+
+    MonitorCounts Both = pathologicalCounts(CB, def(), Armed::Both);
+    EXPECT_EQ(pathologicalCounts(CB, def(), Armed::BitVector), Both) << What;
+    EXPECT_EQ(pathologicalCounts(CB, def(), Armed::Formal), Both) << What;
+    // The replica is the harness's cell.
+    EXPECT_EQ(pathologicalViolationPct(CB, def(), 10, 7),
+              100.0 * static_cast<double>(Both.Violating) /
+                  static_cast<double>(Both.Completed))
+        << What;
+
+    Both = intermittentCounts(CB, def(), Armed::Both);
+    EXPECT_GT(Both.Completed, 0u) << What;
+    EXPECT_EQ(intermittentCounts(CB, def(), Armed::BitVector), Both) << What;
+    EXPECT_EQ(intermittentCounts(CB, def(), Armed::Formal), Both) << What;
+    IntermittentMetrics Harness = measureIntermittent(
+        CB, def(),
+        {.TauBudget = TableTwoBSmokeTau, .Seed = 99, .Monitors = true});
+    EXPECT_EQ(Harness.CompletedRuns, Both.Completed) << What;
+    EXPECT_EQ(Harness.ViolatingRuns, Both.Violating) << What;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

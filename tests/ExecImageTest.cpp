@@ -17,13 +17,13 @@
 ///    or the oracle are the unfused reference; the taint-off checked and
 ///    Hot loops take the fused pairs.
 ///    Focused differentials cover the pathological, random (+static
-///    omega) and periodic failure paths, a trace-driven SensorScenario
-///    feeding the zero-temporary Input paths, the energy comparator's
-///    countdown at its edges (a region entry that drains to the reserve,
-///    the starvation exit), the bit-vector-only monitor configuration
-///    (the taint-off checked loop; the formal monitor and the oracle run
-///    the taint loop) and the monitor-free continuous configuration (the
-///    Hot loop).
+///    omega) and zero-jitter energy-driven failure paths, a trace-driven
+///    SensorScenario feeding the zero-temporary Input paths, the energy
+///    comparator's countdown at its edges (a hand-written region entry
+///    that drains to the reserve, the starvation exits), the
+///    bit-vector-only monitor configuration (the taint-off checked loop;
+///    the formal monitor and the oracle run the taint loop) and the
+///    monitor-free continuous configuration (the Hot loop).
 ///
 ///  * Image construction — linearization order, branch/call target
 ///    resolution, cost-table folding, monitor/omega side-table density
@@ -109,32 +109,27 @@ void expectSameResult(const RunResult &Got /*engine under test*/,
   EXPECT_EQ(Got.TraceData.Reboots, Tree.TraceData.Reboots) << What;
 }
 
-/// Runs \p Runs activations on the tree engine and on the threaded engine,
-/// with otherwise identical specs, and compares every activation plus the
-/// final device state against the tree reference. A null \p Scenario
-/// selects the benchmark's default seeded-noise world. \returns the tree
+/// Runs \p Runs activations of \p A on the tree engine and on the
+/// threaded engine, with otherwise identical specs, and compares every
+/// activation plus the final device state against the tree reference. A
+/// null \p Scenario selects the default noise world. \returns the tree
 /// engine's results, so a caller can check that its configuration reached
 /// the path it targets.
 std::vector<RunResult>
-runDifferential(const BenchmarkDef &B, ExecModel Model, uint64_t Seed,
+runDifferential(const CompiledArtifact &A, uint64_t Seed,
                 const RunConfig &Base, int Runs,
-                std::shared_ptr<const SensorScenario> Scenario = nullptr) {
-  CompiledBenchmark CB = compileBenchmark(B, Model);
-  if (!Scenario)
-    Scenario = B.scenario(Seed);
-
-  auto mkSim = [&](const CompiledArtifact &A, DispatchEngine E) {
+                std::shared_ptr<const SensorScenario> Scenario,
+                const std::string &What) {
+  auto mkSim = [&](DispatchEngine E) {
     RunConfig Cfg = Base;
     Cfg.Sensors = Scenario;
     Cfg.Seed = Seed;
     Cfg.Dispatch = E;
     return Simulation(A, std::move(Cfg));
   };
-  Simulation Tree = mkSim(CB.Artifact, DispatchEngine::Tree);
-  Simulation Threaded = mkSim(CB.Artifact, DispatchEngine::Threaded);
+  Simulation Tree = mkSim(DispatchEngine::Tree);
+  Simulation Threaded = mkSim(DispatchEngine::Threaded);
 
-  std::string What = B.Name + "/" + execModelName(Model) + "/seed" +
-                     std::to_string(Seed);
   std::vector<RunResult> TreeRuns;
   for (int Run = 0; Run < Runs; ++Run) {
     RunResult TR = Tree.runOnce();
@@ -150,6 +145,19 @@ runDifferential(const BenchmarkDef &B, ExecModel Model, uint64_t Seed,
   EXPECT_EQ(Threaded.epoch(), Tree.epoch()) << What;
   EXPECT_EQ(Threaded.nvmSnapshot(), Tree.nvmSnapshot()) << What;
   return TreeRuns;
+}
+
+/// runDifferential over benchmark \p B compiled under \p Model; a null
+/// \p Scenario selects the benchmark's default seeded-noise world.
+std::vector<RunResult>
+runDifferential(const BenchmarkDef &B, ExecModel Model, uint64_t Seed,
+                const RunConfig &Base, int Runs,
+                std::shared_ptr<const SensorScenario> Scenario = nullptr) {
+  CompiledBenchmark CB = compileBenchmark(B, Model);
+  return runDifferential(CB.Artifact, Seed, Base, Runs,
+                         Scenario ? Scenario : B.scenario(Seed),
+                         B.Name + "/" + execModelName(Model) + "/seed" +
+                             std::to_string(Seed));
 }
 
 using Cell = std::tuple<std::string, ExecModel, uint64_t>;
@@ -231,13 +239,14 @@ TEST(ExecImageDifferentialFocused, TraceDrivenScenario) {
                     /*Runs=*/6, traceScenario(T));
 }
 
-TEST(ExecImageDifferentialFocused, PeriodicPlan) {
-  // Periodic plans keep their out-of-line check against the lifetime
-  // counter; run them taint-off and with taint, both monitors and the
-  // oracle armed (the taint loop).
+TEST(ExecImageDifferentialFocused, ZeroJitterEnergyPlan) {
+  // Without jitter every charge holds exactly 700 cycles above the reserve
+  // and every recharge takes the same off time, so failures strike at
+  // fixed phases of the program. Run it taint-off and with taint, both
+  // monitors and the oracle armed (the taint loop).
   RunConfig Cfg;
-  Cfg.Plan = FailurePlan::periodic(700, 0.3);
-  Cfg.Plan.setOffTime(100, 100);
+  Cfg.Plan = FailurePlan::energyDriven();
+  Cfg.Energy = EnergyConfig{1050, 350, 7.0, 0.0, 0.0};
   Cfg.RecordTrace = true;
   runDifferential(*findBenchmark("greenhouse"), ExecModel::Ocelot, 3, Cfg,
                   /*Runs=*/8);
@@ -253,6 +262,30 @@ TEST(ExecImageDifferentialFocused, PeriodicPlan) {
   }
 }
 
+/// Compiles a hand-written program for the comparator-edge cases.
+CompiledArtifact compileSource(const std::string &Src) {
+  Compilation C = Toolchain().compile(Src, CompileOptions());
+  EXPECT_TRUE(C.ok()) << C.status().str();
+  return C.artifact();
+}
+
+/// Eight outputs (1600 cycles), then three calls (6) down to a region
+/// entry (AtomicStart, 10) four frames deep: the entry's step leaves
+/// 1616 cycles spent since a full charge, and saving the four frames
+/// costs RegionEntryPerFrame * 4 = 32 more. \p Body is the region's body.
+std::string regionEntryProgram(const std::string &Body) {
+  std::string Src = "io s;\nstatic n = 0;\nfn enter() { atomic { ";
+  Src += Body;
+  Src += " } }\nfn f2() { enter(); }\nfn f1() { f2(); }\nfn main() {";
+  for (int I = 1; I <= 8; ++I) {
+    Src += " log(";
+    Src += std::to_string(I);
+    Src += ");";
+  }
+  Src += " f1(); log(n); }\n";
+  return Src;
+}
+
 TEST(ExecImageDifferentialFocused, TaintedEnergyComparatorEdges) {
   // Taint, both monitors and the oracle armed: the threaded engine's taint
   // loop, whose step header counts the comparator headroom down in a local
@@ -265,31 +298,40 @@ TEST(ExecImageDifferentialFocused, TaintedEnergyComparatorEdges) {
   Cfg.RecordTrace = true;
   Cfg.MaxAbortsPerRegion = 40;
 
-  // Entering a region charges more than a full charge holds, so the entry's
-  // non-firing consume drains the level to or below the reserve and the
-  // next step fires inside the region: every region aborts at least once.
-  // tire's and greenhouse's regions then commit on the next charge;
-  // activity's region never fits, so it starves on its abort count.
-  Cfg.Costs.RegionEntryPerFrame = 900;
-  Cfg.Energy.CapacityCycles = 1200;
-  for (const char *Name : {"tire", "greenhouse", "activity"}) {
-    uint64_t Aborts = 0, Commits = 0;
+  // A charge holds 1632 cycles above the reserve, with no refill jitter:
+  // the region entry's step leaves 16 of them, fewer than the 32 the
+  // frame save costs, so the entry's non-firing consume drains the level
+  // below the reserve and the next step fires inside the region. `n += 1`
+  // draws 9 cycles of energy and would have fit in the 16, so its abort
+  // is the drain's; it commits on the next charge. The 30-input region
+  // never fits a charge, so it starves on its abort count.
+  Cfg.Energy = EnergyConfig{1982, 350, 0.1, 0.0, 0.0};
+  struct Case {
+    const char *Body;
+    bool Starves;
+  };
+  for (const Case &C : {Case{"n += 1;", false},
+                        Case{"for i in 0..30 { n += s(); }", true}}) {
+    CompiledArtifact A = compileSource(regionEntryProgram(C.Body));
+    std::vector<RunResult> Runs = runDifferential(
+        A, 31, Cfg, /*Runs=*/6, nullptr, std::string("region ") + C.Body);
+    ASSERT_FALSE(Runs.empty());
+    EXPECT_GT(Runs[0].AtomicAborts, 0u) << C.Body;
+    uint64_t Commits = 0;
     bool Starved = false;
-    for (const RunResult &R : runDifferential(
-             *findBenchmark(Name), ExecModel::Ocelot, 31, Cfg, /*Runs=*/6)) {
-      Aborts += R.AtomicAborts;
+    for (const RunResult &R : Runs) {
       Commits += R.AtomicCommits;
       Starved |= R.Starved;
     }
-    EXPECT_GT(Aborts, 0u) << Name;
-    EXPECT_EQ(Commits > 0, std::string(Name) != "activity") << Name;
-    EXPECT_EQ(Starved, std::string(Name) == "activity") << Name;
+    EXPECT_EQ(Commits > 0, !C.Starves) << C.Body;
+    EXPECT_EQ(Starved, C.Starves) << C.Body;
   }
 
   // A capacity below the reserve refills to ReserveCycles + 1: every step
   // that costs anything fires the comparator, until the consecutive-failure
   // count exceeds MaxAbortsPerRegion and the run starves in the step
   // header, outside any region.
+  Cfg.Energy = EnergyConfig{};
   Cfg.Energy.CapacityCycles = 300;
   std::vector<RunResult> Starving = runDifferential(
       *findBenchmark("tire"), ExecModel::Ocelot, 31, Cfg, /*Runs=*/3);
@@ -418,15 +460,7 @@ void checkImageAgainstProgram(const CompiledArtifact &A) {
 
   size_t Expected = P.countInstructions();
   ASSERT_EQ(Img.size(), Expected);
-  ASSERT_EQ(Img.defaultCosts().size(), Expected);
-
-  CostModel Default;
-  CostModel Custom;
-  Custom.InputCost = 7;
-  Custom.OutputCost = 13;
-  Custom.Default = 3;
-  std::vector<uint64_t> CustomTable = Img.costTableFor(Custom);
-  ASSERT_EQ(CustomTable.size(), Expected);
+  ASSERT_EQ(Img.costs().size(), Expected);
 
   uint32_t Pc = 0;
   uint32_t NextInputOrd = 0;
@@ -443,9 +477,8 @@ void checkImageAgainstProgram(const CompiledArtifact &A) {
         EXPECT_EQ(FI.Func, F) << "pc " << Pc;
         EXPECT_EQ(FI.Block, B) << "pc " << Pc;
 
-        // Cost folding matches the original switch, per model.
-        EXPECT_EQ(Img.defaultCosts()[Pc], Default.costOf(I)) << "pc " << Pc;
-        EXPECT_EQ(CustomTable[Pc], Custom.costOf(I)) << "pc " << Pc;
+        // Cost folding matches the original switch.
+        EXPECT_EQ(Img.costs()[Pc], MachineCosts.costOf(I)) << "pc " << Pc;
 
         // Branch targets resolve to the first instruction of the named
         // block in the same function.
@@ -611,7 +644,6 @@ void checkThreadedView(const CompiledArtifact &A) {
   const ExecutableImage &Img = A.image();
   ASSERT_EQ(Img.threadedOps().size(), Img.code().size());
 
-  CostModel Default;
   uint32_t Fused = 0;
   for (uint32_t Pc = 0; Pc < Img.size(); ++Pc) {
     const FlatInst &FI = Img.code()[Pc];
@@ -658,9 +690,8 @@ void checkThreadedView(const CompiledArtifact &A) {
     // Fusion is a side table: both slots keep their folded costs and
     // monitor/omega side-table state, and the tail's branch targets (if
     // any) still resolve to leaders.
-    EXPECT_EQ(Img.defaultCosts()[Pc], Default.costOfOp(FI.Op))
-        << "pc " << Pc;
-    EXPECT_EQ(Img.defaultCosts()[Pc + 1], Default.costOfOp(Tail.Op))
+    EXPECT_EQ(Img.costs()[Pc], MachineCosts.costOfOp(FI.Op)) << "pc " << Pc;
+    EXPECT_EQ(Img.costs()[Pc + 1], MachineCosts.costOfOp(Tail.Op))
         << "pc " << Pc + 1;
     if (Tail.Op == Opcode::Br || Tail.Op == Opcode::CondBr) {
       ASSERT_LT(Tail.Target, Img.size());

@@ -24,6 +24,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cctype>
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -409,6 +412,38 @@ TEST(FleetResume, SinkAheadOfStaleManifestIsRolledBack) {
   EXPECT_EQ(GoldBytes, slurp(shardResultPath(O)));
 }
 
+TEST(FleetResume, FreshOutputsReplaceLongerLeftoverFiles) {
+  FleetSpec Fleet = tinySpec();
+  std::string Gold = freshDir("gold3");
+  std::string Dir = freshDir("leftover");
+  std::string Err;
+  ShardOutcome Outcome;
+
+  ShardRunOptions G = shardOpts(Gold, 0, 1, SinkFormat::Jsonl);
+  ASSERT_TRUE(runShard(Fleet, G, Outcome, Err)) << Err;
+  const std::string GoldBytes = slurp(shardResultPath(G));
+
+  // A fresh shard (no manifest) over a longer result file left behind.
+  ShardRunOptions O = shardOpts(Dir, 0, 1, SinkFormat::Jsonl);
+  const std::string Leftover = GoldBytes + GoldBytes + "{\"cell\": 9";
+  writeFile(shardResultPath(O), Leftover);
+  ASSERT_TRUE(runShard(Fleet, O, Outcome, Err)) << Err;
+  EXPECT_EQ(Outcome, ShardOutcome::Complete);
+  EXPECT_EQ(slurp(shardResultPath(O)), GoldBytes);
+
+  // merge, then merge again over the merged file (grown meanwhile).
+  MergeOptions M;
+  M.OutDir = Dir;
+  M.ShardCount = 1;
+  MergeSummary Summary;
+  ASSERT_TRUE(mergeShards(Fleet, M, Summary, Err)) << Err;
+  const std::string Merged = Dir + "/merged.jsonl";
+  EXPECT_EQ(slurp(Merged), GoldBytes);
+  writeFile(Merged, Leftover);
+  ASSERT_TRUE(mergeShards(Fleet, M, Summary, Err)) << Err;
+  EXPECT_EQ(slurp(Merged), GoldBytes);
+}
+
 // -- Error paths ------------------------------------------------------------
 
 TEST(FleetErrors, ResumeUnderDifferentSpecIsRejected) {
@@ -551,6 +586,42 @@ TEST(FleetResume, CheckpointsCommitInPlaceWithoutRename) {
 }
 #endif
 
+/// Applies one seeded mutation to a non-empty \p Bytes: 1-4 byte flips, a
+/// truncation or an extension by random bytes, the last two sometimes
+/// after a flip.
+/// Flips draw from \p Alphabet when it is non-empty, so text formats see
+/// plausible tokens (digits, quotes, signs) and not only binary noise.
+std::string mutate(std::string Bytes, int Case, std::mt19937_64 &Rng,
+                   const std::string &Alphabet) {
+  auto Below = [&](size_t N) { return static_cast<size_t>(Rng() % N); };
+  auto Flip = [&] {
+    if (!Alphabet.empty() && Below(2)) {
+      Bytes[Below(Bytes.size())] = Alphabet[Below(Alphabet.size())];
+      return;
+    }
+    const char X = static_cast<char>(1 + Below(255));
+    Bytes[Below(Bytes.size())] ^= X;
+  };
+  switch (Case % 3) {
+  case 0:
+    for (size_t F = 0, N = 1 + Below(4); F < N; ++F)
+      Flip();
+    break;
+  case 1:
+    if (Case % 2)
+      Flip();
+    Bytes.resize(Below(Bytes.size()));
+    break;
+  default:
+    if (Case % 2)
+      Flip();
+    for (size_t E = 0, N = 1 + Below(300); E < N; ++E)
+      Bytes += static_cast<char>(Below(256));
+    break;
+  }
+  return Bytes;
+}
+
 // Seeded byte flips, truncations and extensions of a valid manifest: the
 // loader returns one of the two committed states or an error, never
 // anything else, and never crashes (the sanitize lane runs this too).
@@ -576,27 +647,9 @@ TEST(ShardManifestFuzz, MutatedManifestLoadsACommittedStateOrFails) {
   ASSERT_EQ(Valid.size(), 2 * ManifestSlotBytes);
 
   std::mt19937_64 Rng(0x5EED0F1A);
-  auto Below = [&](size_t N) { return static_cast<size_t>(Rng() % N); };
   size_t Errors = 0, Olders = 0, Newers = 0;
   for (int Case = 0; Case < 600; ++Case) {
-    std::string Bytes = Valid;
-    switch (Case % 3) {
-    case 0: // 1-4 byte flips.
-      for (size_t F = 0, N = 1 + Below(4); F < N; ++F)
-        Bytes[Below(Bytes.size())] ^= static_cast<char>(1 + Below(255));
-      break;
-    case 1: // Truncation, sometimes after a flip.
-      if (Case % 2)
-        Bytes[Below(Bytes.size())] ^= static_cast<char>(1 + Below(255));
-      Bytes.resize(Below(Bytes.size()));
-      break;
-    default: // Extension by random bytes, sometimes after a flip.
-      if (Case % 2)
-        Bytes[Below(Bytes.size())] ^= static_cast<char>(1 + Below(255));
-      for (size_t E = 0, N = 1 + Below(300); E < N; ++E)
-        Bytes += static_cast<char>(Below(256));
-      break;
-    }
+    std::string Bytes = mutate(Valid, Case, Rng, "");
     writeFile(Path, Bytes);
     ShardManifest M;
     bool Loaded = loadShardManifest(Path, M, Err);
@@ -619,6 +672,128 @@ TEST(ShardManifestFuzz, MutatedManifestLoadsACommittedStateOrFails) {
   EXPECT_GT(Errors, 0u);
   EXPECT_GT(Olders, 0u);
   EXPECT_GT(Newers, 0u);
+}
+
+/// True when \p Err is "<Path>:<line>: ...", the reader's diagnostic shape.
+bool isLineNumbered(const std::string &Err, const std::string &Path) {
+  if (Err.compare(0, Path.size() + 1, Path + ":") != 0)
+    return false;
+  size_t I = Path.size() + 1, Digits = 0;
+  while (I < Err.size() && std::isdigit(static_cast<unsigned char>(Err[I])))
+    ++I, ++Digits;
+  return Digits > 0 && I < Err.size() && Err[I] == ':';
+}
+
+class ResultFileFuzz : public ::testing::TestWithParam<SinkFormat> {};
+
+// Seeded mutations of a valid JSONL or CSV result file: the reader returns
+// a record list or a line-numbered error, never anything else, and never
+// crashes (the sanitize lane runs this too).
+TEST_P(ResultFileFuzz, MutatedResultFileParsesOrFailsWithALine) {
+  SinkFormat Format = GetParam();
+  std::string Dir = freshDir(std::string("result-fuzz-") +
+                             sinkFormatExtension(Format));
+  std::string Path = Dir + "/fuzz." + sinkFormatExtension(Format);
+  std::string Err;
+  {
+    auto Sink = openResultSink(Path, Format, -1, Err);
+    ASSERT_TRUE(Sink) << Err;
+    for (const CellRecord &R : trickyRecords())
+      Sink->append(R);
+    ASSERT_TRUE(Sink->flush(Err)) << Err;
+  }
+  const std::string Valid = slurp(Path);
+
+  std::mt19937_64 Rng(0x5EED0F1B + static_cast<unsigned>(Format));
+  size_t Parsed = 0, Rejected = 0;
+  for (int Case = 0; Case < 600; ++Case) {
+    std::string Bytes = mutate(Valid, Case, Rng, "0123456789-+.e\",\\\n ");
+    writeFile(Path, Bytes);
+    std::vector<CellRecord> Got;
+    Err.clear();
+    if (readResultFile(Path, Format, Got, Err)) {
+      // At most one record per line of the mutated file.
+      EXPECT_LE(Got.size(),
+                static_cast<size_t>(
+                    std::count(Bytes.begin(), Bytes.end(), '\n')) +
+                    1)
+          << "case " << Case;
+      ++Parsed;
+    } else {
+      EXPECT_TRUE(isLineNumbered(Err, Path) ||
+                  Err == Path + ": empty file (missing CSV header)")
+          << "case " << Case << ": " << Err;
+      ++Rejected;
+    }
+  }
+  // Both outcomes occur: a flip inside the trap string still parses; most
+  // damage is rejected.
+  EXPECT_GT(Parsed, 0u);
+  EXPECT_GT(Rejected, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Formats, ResultFileFuzz,
+                         ::testing::Values(SinkFormat::Jsonl,
+                                           SinkFormat::Csv));
+
+// Seeded mutations of a `.progress` sidecar: the advisory reader returns
+// the last heartbeat it can parse or false, and never crashes.
+TEST(ShardProgressFuzz, MutatedSidecarReadsARecordOrFalse) {
+  std::string Dir = freshDir("progress-fuzz");
+  std::string Path = Dir + "/fuzz.progress";
+  std::remove(Path.c_str());
+  ProgressWriter W(Path, /*MinIntervalSec=*/0);
+  for (size_t Done = 0; Done <= 3; ++Done) {
+    ShardProgress P;
+    P.Shard = 1;
+    P.ShardCount = 3;
+    P.CellsBegin = 100;
+    P.CellsEnd = 103;
+    P.CellsDone = Done;
+    P.CellsPerSec = 12.5;
+    P.EtaSec = 0.25 * static_cast<double>(3 - Done);
+    P.WallMs = 40 * Done;
+    W.heartbeat(P, /*Force=*/true);
+  }
+  const std::string Valid = slurp(Path);
+  ShardProgress Last;
+  ASSERT_TRUE(readLastShardProgress(Path, Last));
+  ASSERT_EQ(Last.CellsDone, 3u);
+
+  // A count outside its type's range or a non-finite rate is no record.
+  for (const char *Bad :
+       {"\"cells_done\": -1", "\"cells_done\": 1e300",
+        "\"cells_per_sec\": nan", "\"eta_sec\": inf"}) {
+    std::string Line = "{\"shard\": 1, \"of\": 3, \"cells_begin\": 100, "
+                       "\"cells_end\": 103, \"cells_done\": 2, "
+                       "\"cells_per_sec\": 1.5, \"eta_sec\": 0.5, "
+                       "\"wall_ms\": 9}\n";
+    std::string Key = std::string(Bad).substr(0, std::string(Bad).find(':'));
+    size_t At = Line.find(Key);
+    Line.replace(At, Line.find_first_of(",}", At) - At, Bad);
+    writeFile(Path, Line);
+    ShardProgress P;
+    EXPECT_FALSE(readLastShardProgress(Path, P)) << Line;
+  }
+
+  std::mt19937_64 Rng(0x5EED0F1C);
+  size_t Read = 0, Ignored = 0;
+  for (int Case = 0; Case < 600; ++Case) {
+    std::string Bytes = mutate(Valid, Case, Rng, "0123456789-+.eE\":,\n ");
+    writeFile(Path, Bytes);
+    ShardProgress P;
+    if (readLastShardProgress(Path, P)) {
+      // Counts outside their type's range and non-finite rates are
+      // rejected, not converted (the conversion would be undefined).
+      EXPECT_TRUE(std::isfinite(P.CellsPerSec) && std::isfinite(P.EtaSec))
+          << "case " << Case;
+      ++Read;
+    } else {
+      ++Ignored;
+    }
+  }
+  EXPECT_GT(Read, 0u);
+  EXPECT_GT(Ignored, 0u);
 }
 
 TEST(FleetErrors, MergeNamesTheIncompleteShardAndItsResumeCommand) {

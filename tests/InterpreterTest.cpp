@@ -145,8 +145,9 @@ TEST(Interp, JitResumeDoesNotReExecute) {
                             ExecModel::JitOnly);
   RunConfig Cfg;
   Cfg.RecordTrace = true;
-  Cfg.Plan = FailurePlan::periodic(400, 0.0);
-  Cfg.Plan.setOffTime(100, 100);
+  // Every charge holds 400 cycles above the reserve; recharges take 100.
+  Cfg.Plan = FailurePlan::energyDriven();
+  Cfg.Energy = EnergyConfig{750, 350, 4.0, 0.0, 0.0};
   Simulation I(A, Cfg);
   uint64_t Reboots = 0;
   for (int Run = 1; Run <= 10; ++Run) {
@@ -161,9 +162,11 @@ TEST(Interp, JitResumeDoesNotReExecute) {
 
 TEST(Interp, TauAdvancesAcrossReboots) {
   CompiledArtifact A = compile("fn main() { log(1); }", ExecModel::JitOnly);
+  // Every charge holds 400 cycles above the reserve, and a recharge
+  // harvests at least those 400 at 1/16 cycle per tau unit.
   RunConfig Cfg;
-  Cfg.Plan = FailurePlan::periodic(400, 0.0);
-  Cfg.Plan.setOffTime(5000, 5000);
+  Cfg.Plan = FailurePlan::energyDriven();
+  Cfg.Energy = EnergyConfig{750, 350, 0.0625, 0.0, 0.0};
   Simulation I(A, Cfg);
   uint64_t Reboots = 0, Off = 0;
   for (int Run = 0; Run < 20; ++Run) {
@@ -173,7 +176,7 @@ TEST(Interp, TauAdvancesAcrossReboots) {
     Off += Res.OffCycles;
   }
   ASSERT_GE(Reboots, 1u);
-  EXPECT_GE(Off, 5000u * Reboots); // Each reboot waits the full off time.
+  EXPECT_GE(Off, 6400u * Reboots); // Each reboot waits out its recharge.
   EXPECT_GE(I.tau(), Off);         // tau includes off time.
   EXPECT_EQ(I.epoch(), Reboots);
 }
@@ -261,8 +264,9 @@ TEST(Interp, StarvationDetectedForOversizedRegion) {
                             "fn main() { atomic { for i in 0..50 { n += 1; } "
                             "} log(n); }");
   RunConfig Cfg;
-  Cfg.Plan = FailurePlan::periodic(20, 0.0); // Region needs > 20 cycles.
-  Cfg.Plan.setOffTime(50, 50);
+  // A charge holds 20 cycles above the reserve; the region needs more.
+  Cfg.Plan = FailurePlan::energyDriven();
+  Cfg.Energy = EnergyConfig{370, 350, 0.1, 0.0, 0.0};
   Cfg.MaxAbortsPerRegion = 30;
   Simulation I(A, Cfg);
   RunResult Res = I.runOnce();
@@ -293,8 +297,9 @@ TEST(Interp, EnergyDrivenChargingAccounting) {
 TEST(Interp, CheckpointCostsCounted) {
   CompiledArtifact A = compile("fn main() { log(1); }", ExecModel::JitOnly);
   RunConfig Cfg;
-  Cfg.Plan = FailurePlan::periodic(300, 0.0);
-  Cfg.Plan.setOffTime(10, 10);
+  // Every charge holds 300 cycles above the reserve; recharges take 10.
+  Cfg.Plan = FailurePlan::energyDriven();
+  Cfg.Energy = EnergyConfig{650, 350, 30.0, 0.0, 0.0};
   Simulation I(A, Cfg);
   RunConfig Cfg2;
   Simulation I2(A, Cfg2);

@@ -52,24 +52,36 @@ CompileResult compileMutableOcelot(const BenchmarkDef &B) {
   return R;
 }
 
-std::vector<FailurePlan> plansFor(const CompiledArtifact &A) {
-  std::vector<FailurePlan> Plans;
-  Plans.push_back(FailurePlan::pathological(pathologicalPoints(A)));
-  Plans.push_back(FailurePlan::random(0.002));
-  Plans.push_back(FailurePlan::periodic(2500, 0.4));
-  Plans.push_back(FailurePlan::energyDriven());
-  for (FailurePlan &P : Plans)
-    P.setOffTime(5000, 120000);
+/// One failure distribution: a plan, plus the capacitor an energy-driven
+/// plan draws from.
+struct PlanCase {
+  FailurePlan Plan;
+  EnergyConfig Energy{};
+};
+
+/// Four distinct failure distributions: targeted (pathological), memoryless
+/// (random), phase-locked (energy-driven without jitter: every charge
+/// holds exactly 2500 cycles above the reserve) and jittered energy-driven.
+std::vector<PlanCase> plansFor(const CompiledArtifact &A) {
+  std::vector<PlanCase> Plans;
+  Plans.push_back({FailurePlan::pathological(pathologicalPoints(A))});
+  Plans.push_back({FailurePlan::random(0.002)});
+  Plans.push_back({FailurePlan::energyDriven(),
+                   EnergyConfig{2850, 350, 0.1, 0.0, 0.0}});
+  Plans.push_back({FailurePlan::energyDriven()});
+  for (PlanCase &C : Plans)
+    C.Plan.setOffTime(5000, 120000);
   return Plans;
 }
 
 TEST_P(PropertySweep, OcelotNeverViolatesUnderAnyPlan) {
   CompiledBenchmark CB = compileBenchmark(def(), ExecModel::Ocelot);
-  for (FailurePlan &Plan : plansFor(CB.Artifact)) {
+  for (const PlanCase &Case : plansFor(CB.Artifact)) {
     RunConfig Cfg;
     Cfg.Sensors = def().scenario(seed());
     Cfg.Seed = seed();
-    Cfg.Plan = Plan;
+    Cfg.Plan = Case.Plan;
+    Cfg.Energy = Case.Energy;
     Cfg.MonitorBitVector = true;
     Cfg.MonitorFormal = true;
     Simulation Sim(CB.Artifact, std::move(Cfg));

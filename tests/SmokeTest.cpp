@@ -103,12 +103,15 @@ TEST(Smoke, OcelotNeverViolates) {
 TEST(Smoke, IntermittentTraceRefinesContinuous) {
   CompiledArtifact A = compile(ExecModel::Ocelot);
   RunConfig Cfg;
-  Cfg.Plan = FailurePlan::periodic(300, 0.3);
-  Cfg.Plan.setOffTime(5000, 20000);
+  // Each charge holds 300 cycles above the reserve, so the run's ~500
+  // cycles reboot at least once; each recharge takes 300 / 0.03 = 10000.
+  Cfg.Plan = FailurePlan::energyDriven();
+  Cfg.Energy = EnergyConfig{650, 350, 0.03, 0.0, 0.0};
   Cfg.RecordTrace = true;
   Simulation Sim(A, std::move(Cfg));
   RunResult Res = Sim.runOnce();
   ASSERT_TRUE(Res.Completed) << Res.Trap;
+  EXPECT_GT(Res.Reboots, 0u);
   std::string Why;
   EXPECT_TRUE(replayRefines(A.program(), &A.monitorPlan(), Res.TraceData, 1,
                             Sim.nvmSnapshot(), Why))

@@ -127,15 +127,6 @@ TEST(FailurePlan, PathologicalFiresOncePerRun) {
   EXPECT_TRUE(P.firesBefore(Point, R));
 }
 
-TEST(FailurePlan, PeriodicRearmsAfterTrigger) {
-  FailurePlan P = FailurePlan::periodic(100, 0.0);
-  EXPECT_FALSE(P.firesAfterCycles(50)); // First query arms at 50 + 100.
-  EXPECT_FALSE(P.firesAfterCycles(120));
-  EXPECT_TRUE(P.firesAfterCycles(150));
-  EXPECT_FALSE(P.firesAfterCycles(200)); // Re-armed at 250.
-  EXPECT_TRUE(P.firesAfterCycles(260));
-}
-
 TEST(FailurePlan, OffTimeWithinConfiguredRange) {
   FailurePlan P = FailurePlan::none();
   P.setOffTime(100, 200);
