@@ -153,18 +153,26 @@ constexpr int ThroughputReps = 64;
 
 // -- Sweep-throughput section (cells/sec, in-memory vs fleet shard) --------
 
+/// Timed (in-memory, fleet) repetition pairs of the sweep section outside
+/// smoke mode. Odd, so the median pair ratio is one pair's.
+constexpr int SweepReps = 21;
+
 struct SweepRates {
   size_t Cells = 0;
   uint64_t TauBudget = 0;
   double MemCellsPerSec = 0;  ///< SweepRunner(1), in-memory aggregation.
   double FleetCellsPerSec = 0; ///< runShard: streaming + checkpoints.
+  /// Median over repetitions of fleet / in-memory cells per second, each
+  /// ratio from one back-to-back pair of phases.
+  double FleetRelative = 0;
 };
 
 /// Evaluates a table2b-shaped grid (all benchmarks x {ocelot, jit}) twice —
 /// once through the in-memory SweepRunner, once as a single fleet shard
 /// streaming to a JSONL sink — and reports cells per second for both. The
 /// committed, gated number is the *ratio* (fleet / in-memory), which
-/// normalizes out host speed. Checkpoints commit in place (no rename), so
+/// normalizes out host speed: the median of per-pair ratios, each from an
+/// in-memory phase and the fleet phase right after it. Checkpoints commit in place (no rename), so
 /// the ratio measures streaming: record formatting and sink writes, plus
 /// the shard's few syncs (manifest creation, the final sink flush and one
 /// slot commit).
@@ -193,22 +201,6 @@ SweepRates measureSweepRates(bool Smoke) {
   R.Cells = Spec.cellCount();
   R.TauBudget = Fleet.TauBudget;
 
-  // Best-of-N on both phases: each phase runs tens of milliseconds, so a
-  // single scheduler hiccup on a busy CI host would otherwise swamp the
-  // gated ratio.
-  const int Reps = Smoke ? 1 : 3;
-
-  double MemSec = 0;
-  for (int Rep = 0; Rep < Reps; ++Rep) {
-    auto T0 = std::chrono::steady_clock::now();
-    std::vector<SweepCellResult> Mem = SweepRunner(1).run(Spec);
-    auto T1 = std::chrono::steady_clock::now();
-    double Sec = std::chrono::duration<double>(T1 - T0).count();
-    if (Rep == 0 || Sec < MemSec)
-      MemSec = Sec;
-  }
-  R.MemCellsPerSec = static_cast<double>(R.Cells) / MemSec;
-
   char Dir[] = "/tmp/ocelot-fleet-bench-XXXXXX";
   if (!mkdtemp(Dir)) {
     std::fprintf(stderr, "sweep section: cannot create temp dir\n");
@@ -222,8 +214,21 @@ SweepRates measureSweepRates(bool Smoke) {
   // varies widely across CI runners and is covered by FleetTest and the
   // CI fleet lane instead).
   Opts.CheckpointEvery = R.Cells;
-  double FleetSec = 0;
+
+  // Interleaved pairs: each phase runs a few milliseconds, so a
+  // scheduler hiccup or a burst of host load moves one phase's time by
+  // tens of percent. The two phases of a pair sample the same stretch of
+  // load, so their ratio cancels most of it, and the median pair drops
+  // the pairs a hiccup split. The rates are best-of, as diagnostics.
+  const int Reps = Smoke ? 1 : SweepReps;
+  double MemSec = 0, FleetSec = 0;
+  std::vector<double> Ratios;
   for (int Rep = 0; Rep < Reps; ++Rep) {
+    auto T0 = std::chrono::steady_clock::now();
+    std::vector<SweepCellResult> Mem = SweepRunner(1).run(Spec);
+    auto T1 = std::chrono::steady_clock::now();
+    double MemRep = std::chrono::duration<double>(T1 - T0).count();
+
     // A completed shard resumes as a no-op; wipe it between reps.
     std::remove(shardResultPath(Opts).c_str());
     std::remove(shardManifestPath(Opts).c_str());
@@ -234,10 +239,15 @@ SweepRates measureSweepRates(bool Smoke) {
       std::abort();
     }
     auto T3 = std::chrono::steady_clock::now();
-    double Sec = std::chrono::duration<double>(T3 - T2).count();
-    if (Rep == 0 || Sec < FleetSec)
-      FleetSec = Sec;
+    double FleetRep = std::chrono::duration<double>(T3 - T2).count();
+
+    MemSec = Rep == 0 ? MemRep : std::min(MemSec, MemRep);
+    FleetSec = Rep == 0 ? FleetRep : std::min(FleetSec, FleetRep);
+    Ratios.push_back(MemRep / FleetRep);
   }
+  std::nth_element(Ratios.begin(), Ratios.begin() + Reps / 2, Ratios.end());
+  R.FleetRelative = Ratios[Reps / 2];
+  R.MemCellsPerSec = static_cast<double>(R.Cells) / MemSec;
   R.FleetCellsPerSec = static_cast<double>(R.Cells) / FleetSec;
 
   std::remove(shardResultPath(Opts).c_str());
@@ -447,17 +457,12 @@ int runInterpReport(const std::string &Path) {
                "\"peak_rss_mb\": %.1f}\n}\n",
                SR.Cells, static_cast<unsigned long long>(SR.TauBudget),
                SR.MemCellsPerSec, SR.FleetCellsPerSec,
-               SR.MemCellsPerSec > 0
-                   ? SR.FleetCellsPerSec / SR.MemCellsPerSec
-                   : 0,
-               RSS.Cells, RSS.PeakRssMb);
+               SR.FleetRelative, RSS.Cells, RSS.PeakRssMb);
   std::fprintf(stderr,
                "sweep: %zu cells  in-memory %.1f cells/s  fleet %.1f "
                "cells/s (x%.2f)\n",
                SR.Cells, SR.MemCellsPerSec, SR.FleetCellsPerSec,
-               SR.MemCellsPerSec > 0
-                   ? SR.FleetCellsPerSec / SR.MemCellsPerSec
-                   : 0);
+               SR.FleetRelative);
   std::fprintf(stderr, "fleet shard of %zu cell(s): peak RSS %.1f MB\n",
                RSS.Cells, RSS.PeakRssMb);
   std::fclose(Out);
