@@ -14,8 +14,8 @@
 /// independent of any ExecModel. This driver sweeps the fusion
 /// benchmarks (EKF-style primary+secondary correction, multi-sensor
 /// alarm voting) x {Ocelot, JIT, Atomics} x correlated-scenario preset
-/// with both monitors and oracle armed, then cross-references the two
-/// verdict streams per cell:
+/// with the bit-vector (§7.3) violation monitor and the oracle armed, then
+/// cross-references the two verdict streams per cell:
 ///
 ///   over-enforcement  = runs the model flagged but the oracle scored
 ///                       clean (enforcement cost charged for no hazard);

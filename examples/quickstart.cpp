@@ -61,8 +61,10 @@ fn main() {
   }
 
   // 3. Run on intermittent power (Capybara-like capacitor + harvester)
-  //    with both violation detectors armed. The Simulation owns all mutable
-  //    run state; the artifact stays shared and read-only.
+  //    with both violation detectors armed: the bit-vector (§7.3) monitor,
+  //    the only one the evaluation harness arms, and the formal one, which
+  //    turns runtime taint tracking on. The Simulation owns all mutable run
+  //    state; the artifact stays shared and read-only.
   RunConfig Cfg;
   Cfg.Sensors = SensorScenario::Builder()
                     .channel(0, noiseChannel(10, 40, 400, 42))

@@ -46,7 +46,7 @@ struct FleetSpec {
   std::vector<std::string> Scenarios;
   std::vector<uint64_t> Seeds;
   uint64_t TauBudget = 0;
-  bool Monitors = true;
+  bool Monitors = true; ///< Arm the bit-vector (§7.3) violation monitor.
   /// Score outputs with the input-epoch consistency oracle and carry the
   /// oracle/enforcement columns in every cell record (table7 grids).
   bool Oracle = false;

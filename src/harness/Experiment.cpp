@@ -105,8 +105,11 @@ IntermittentMetrics ocelot::measureIntermittent(const CompiledBenchmark &CB,
   Cfg.Plan = FailurePlan::energyDriven();
   Cfg.Energy = Spec.Energy;
   Cfg.Power = Spec.Power;
+  // The evaluation's detector is the paper's §7.3 bit vector alone; the
+  // formal monitor (which forces runtime taint) is a cross-check in the
+  // tests, and counts the same runs on every grid the harness evaluates
+  // (BenchmarksTest's one-monitor guard). Taint stays on for the oracle.
   Cfg.MonitorBitVector = Spec.Monitors;
-  Cfg.MonitorFormal = Spec.Monitors;
   Cfg.Oracle = Spec.Oracle;
   Simulation Sim(CB.Artifact, std::move(Cfg));
 
@@ -170,8 +173,7 @@ double ocelot::pathologicalViolationPct(const CompiledBenchmark &CB,
   Cfg.Plan = FailurePlan::pathological(pathologicalPoints(CB.Artifact));
   // Long, environment-shifting off times so staleness is observable.
   Cfg.Plan.setOffTime(20000, 200000);
-  Cfg.MonitorBitVector = true;
-  Cfg.MonitorFormal = true;
+  Cfg.MonitorBitVector = true; // As in measureIntermittent: §7.3 only.
   Cfg.Telemetry = Trace;
   Simulation Sim(CB.Artifact, std::move(Cfg));
 

@@ -139,7 +139,9 @@ struct IntermittentSpec {
   EnergyConfig Energy{};
   uint64_t TauBudget = 0; ///< Simulated-time budget (τ) of the run loop.
   uint64_t Seed = 1;
-  bool Monitors = false; ///< Arm both violation detectors.
+  /// Arm the bit-vector (§7.3) violation monitor. The formal monitor stays
+  /// off, so runtime taint runs only when Oracle asks for it.
+  bool Monitors = false;
   /// Harvesting environment (src/power/); null keeps the legacy-jitter
   /// recharge behavior.
   std::shared_ptr<const PowerSource> Power = nullptr;

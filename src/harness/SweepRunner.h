@@ -51,7 +51,7 @@ struct SweepSpec {
   /// Simulated-time budget per cell. Must be set: evaluateCells aborts on
   /// a zero budget (it would yield all-zero metrics in every cell).
   uint64_t TauBudget = 0;
-  bool Monitors = true;   ///< Arm both violation detectors.
+  bool Monitors = true;   ///< Arm the bit-vector (§7.3) violation monitor.
   bool Oracle = false;    ///< Score outputs with the input-epoch oracle
                           ///< (src/fusion/FusionOracle.h).
 

@@ -215,10 +215,11 @@ MonitorCounts intermittentCounts(const CompiledBenchmark &CB,
 }
 
 TEST_P(BenchmarkSuite, OneMonitorCountsMatchBothOnTable2Grids) {
-  // The harness counts a run as violating if an armed monitor flags it.
-  // Every run of a cell is the same execution whichever monitors are
-  // armed, so equal violating counts under the bit-vector monitor alone,
-  // the formal one alone and both mean the two flag the same runs.
+  // The harness arms the bit-vector monitor alone and counts a run as
+  // violating if it flags it. Every run of a cell is the same execution
+  // whichever monitors are armed, so equal violating counts under the
+  // bit-vector monitor alone, the formal one alone and both mean the two
+  // flag the same runs.
   const IntermittentSpec Cell{
       .TauBudget = TableTwoBSmokeTau, .Seed = 99, .Monitors = true};
   for (ExecModel M :
