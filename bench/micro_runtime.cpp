@@ -155,7 +155,7 @@ constexpr int ThroughputReps = 64;
 
 /// Timed (in-memory, fleet) repetition pairs of the sweep section outside
 /// smoke mode. Odd, so the median pair ratio is one pair's.
-constexpr int SweepReps = 21;
+constexpr int SweepReps = 61;
 
 struct SweepRates {
   size_t Cells = 0;
@@ -167,15 +167,15 @@ struct SweepRates {
   double FleetRelative = 0;
 };
 
-/// Evaluates a table2b-shaped grid (all benchmarks x {ocelot, jit}) twice —
-/// once through the in-memory SweepRunner, once as a single fleet shard
+/// Evaluates a table2b-shaped grid (all benchmarks x {ocelot, jit}) two
+/// ways — through the in-memory SweepRunner and as a single fleet shard
 /// streaming to a JSONL sink — and reports cells per second for both. The
 /// committed, gated number is the *ratio* (fleet / in-memory), which
 /// normalizes out host speed: the median of per-pair ratios, each from an
-/// in-memory phase and the fleet phase right after it. Checkpoints commit in place (no rename), so
-/// the ratio measures streaming: record formatting and sink writes, plus
-/// the shard's few syncs (manifest creation, the final sink flush and one
-/// slot commit).
+/// in-memory phase and the fleet phase right after it. Checkpoints commit
+/// in place (no rename), so the ratio measures streaming: record
+/// formatting and sink writes, plus the shard's few syncs (manifest
+/// creation, the final sink flush and one slot commit).
 SweepRates measureSweepRates(bool Smoke) {
   FleetSpec Fleet;
   Fleet.Models = {"ocelot", "jit"};

@@ -11,9 +11,9 @@
 /// Ocelot never violates its policies, JIT always does under pathological
 /// failure placement (Table 2(a)) — and arming the bit-vector monitor alone
 /// counts the same violating runs as arming both on every grid the
-/// evaluation runs: Table 2(a)/(b), table5's power
-/// profiles, table6's sensor scenarios, table7's oracle-scored fusion grid
-/// and the fleet CLI's default grid.
+/// evaluation runs: Table 2(a)/(b), table5's power profiles, table6's
+/// sensor scenarios, table7's oracle-scored fusion grid and the fleet
+/// CLI's default grid.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -266,10 +266,10 @@ SweepSpec paperGrid(uint64_t Seed) {
 
 /// Evaluates \p Spec through SweepRunner, then replays every cell with the
 /// bit-vector monitor alone and with both armed. Per cell the two replicas
-/// must count the same runs (the bit-vector verdict implies the OR of
-/// both, so equal counts mean equal runs), and the both-armed replica must
-/// be the harness's own result. Returns the grid's violating runs, so a
-/// caller can check the grid exercises a verdict at all.
+/// must count the same runs (a run the bit vector flags is one the OR of
+/// both flags, so equal counts mean equal runs), and the both-armed
+/// replica must be the harness's own result. Returns the grid's violating
+/// runs, so a caller can check the grid exercises a verdict at all.
 uint64_t expectOneMonitorMatchesBoth(const SweepSpec &Spec) {
   std::vector<SweepCellResult> Cells = SweepRunner(1).run(Spec);
   EXPECT_EQ(Cells.size(), Spec.cellCount());
