@@ -238,6 +238,8 @@ TEST_P(BenchmarkSuite, OneMonitorCountsMatchBothOnTable2Grids) {
 
     Both = intermittentCounts(CB, def(), Cell, Armed::Both);
     EXPECT_GT(Both.Completed, 0u) << What;
+    EXPECT_FALSE(Both.Trapped) << What;
+    EXPECT_FALSE(Both.Starved) << What;
     EXPECT_EQ(intermittentCounts(CB, def(), Cell, Armed::BitVector), Both)
         << What;
     EXPECT_EQ(intermittentCounts(CB, def(), Cell, Armed::Formal), Both)
