@@ -154,28 +154,24 @@ constexpr int ThroughputReps = 64;
 // -- Sweep-throughput section (cells/sec, in-memory vs fleet shard) --------
 
 /// Timed (in-memory, fleet) repetition pairs of the sweep section outside
-/// smoke mode. Odd, so the median pair ratio is one pair's.
-constexpr int SweepReps = 61;
+/// smoke mode.
+constexpr int SweepReps = 401;
 
 struct SweepRates {
   size_t Cells = 0;
   uint64_t TauBudget = 0;
   double MemCellsPerSec = 0;  ///< SweepRunner(1), in-memory aggregation.
   double FleetCellsPerSec = 0; ///< runShard: streaming + checkpoints.
-  /// Median over repetitions of fleet / in-memory cells per second, each
-  /// ratio from one back-to-back pair of phases.
-  double FleetRelative = 0;
 };
 
-/// Evaluates a table2b-shaped grid (all benchmarks x {ocelot, jit}) two
-/// ways — through the in-memory SweepRunner and as a single fleet shard
+/// Evaluates a table2b-shaped grid (all benchmarks x {ocelot, jit}) twice —
+/// once through the in-memory SweepRunner, once as a single fleet shard
 /// streaming to a JSONL sink — and reports cells per second for both. The
 /// committed, gated number is the *ratio* (fleet / in-memory), which
-/// normalizes out host speed: the median of per-pair ratios, each from an
-/// in-memory phase and the fleet phase right after it. Checkpoints commit
-/// in place (no rename), so the ratio measures streaming: record
-/// formatting and sink writes, plus the shard's few syncs (manifest
-/// creation, the final sink flush and one slot commit).
+/// normalizes out host speed. Checkpoints commit in place (no rename), so
+/// the ratio measures streaming: record formatting and sink writes, plus
+/// the shard's few syncs (manifest creation, the final sink flush and one
+/// slot commit).
 SweepRates measureSweepRates(bool Smoke) {
   FleetSpec Fleet;
   Fleet.Models = {"ocelot", "jit"};
@@ -215,14 +211,13 @@ SweepRates measureSweepRates(bool Smoke) {
   // CI fleet lane instead).
   Opts.CheckpointEvery = R.Cells;
 
-  // Interleaved pairs: each phase runs a few milliseconds, so a
-  // scheduler hiccup or a burst of host load moves one phase's time by
-  // tens of percent. The two phases of a pair sample the same stretch of
-  // load, so their ratio cancels most of it, and the median pair drops
-  // the pairs a hiccup split. The rates are best-of, as diagnostics.
+  // Best-of-N on both phases, alternating rep by rep: each phase runs a
+  // few milliseconds, so a scheduler hiccup or a burst of host load moves
+  // one phase's time by tens of percent. Interleaved, both bests sample
+  // the same stretches of load, and N is large enough that each finds a
+  // quiet one.
   const int Reps = Smoke ? 1 : SweepReps;
   double MemSec = 0, FleetSec = 0;
-  std::vector<double> Ratios;
   for (int Rep = 0; Rep < Reps; ++Rep) {
     auto T0 = std::chrono::steady_clock::now();
     std::vector<SweepCellResult> Mem = SweepRunner(1).run(Spec);
@@ -243,10 +238,7 @@ SweepRates measureSweepRates(bool Smoke) {
 
     MemSec = Rep == 0 ? MemRep : std::min(MemSec, MemRep);
     FleetSec = Rep == 0 ? FleetRep : std::min(FleetSec, FleetRep);
-    Ratios.push_back(MemRep / FleetRep);
   }
-  std::nth_element(Ratios.begin(), Ratios.begin() + Reps / 2, Ratios.end());
-  R.FleetRelative = Ratios[Reps / 2];
   R.MemCellsPerSec = static_cast<double>(R.Cells) / MemSec;
   R.FleetCellsPerSec = static_cast<double>(R.Cells) / FleetSec;
 
@@ -457,12 +449,17 @@ int runInterpReport(const std::string &Path) {
                "\"peak_rss_mb\": %.1f}\n}\n",
                SR.Cells, static_cast<unsigned long long>(SR.TauBudget),
                SR.MemCellsPerSec, SR.FleetCellsPerSec,
-               SR.FleetRelative, RSS.Cells, RSS.PeakRssMb);
+               SR.MemCellsPerSec > 0
+                   ? SR.FleetCellsPerSec / SR.MemCellsPerSec
+                   : 0,
+               RSS.Cells, RSS.PeakRssMb);
   std::fprintf(stderr,
                "sweep: %zu cells  in-memory %.1f cells/s  fleet %.1f "
                "cells/s (x%.2f)\n",
                SR.Cells, SR.MemCellsPerSec, SR.FleetCellsPerSec,
-               SR.FleetRelative);
+               SR.MemCellsPerSec > 0
+                   ? SR.FleetCellsPerSec / SR.MemCellsPerSec
+                   : 0);
   std::fprintf(stderr, "fleet shard of %zu cell(s): peak RSS %.1f MB\n",
                RSS.Cells, RSS.PeakRssMb);
   std::fclose(Out);
