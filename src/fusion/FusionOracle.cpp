@@ -22,8 +22,8 @@ const char *ocelot::oracleVerdictName(OracleVerdict V) {
 
 OracleVerdict ocelot::classifyOracleInputs(EpochSpan Inputs,
                                            uint64_t EmitEpoch) {
-  // The empty span has Min > Max, so it falls through both tests.
-  if (Inputs.Min < Inputs.Max)
+  // The empty span has min() > max(), so it falls through both tests.
+  if (Inputs.min() < Inputs.max())
     return OracleVerdict::CrossEpoch;
-  return Inputs.Min < EmitEpoch ? OracleVerdict::Stale : OracleVerdict::Fresh;
+  return Inputs.min() < EmitEpoch ? OracleVerdict::Stale : OracleVerdict::Fresh;
 }

@@ -191,7 +191,7 @@ void Interpreter::recordOracleOutput(OutputKind Kind, EpochSpan Inputs) {
   Rec.Verdict = classifyOracleInputs(Inputs, Epoch);
   if (TraceSink *T = Cfg.Telemetry)
     T->oracleVerdict(Tau, static_cast<int>(Rec.Verdict),
-                     Inputs.empty() ? -1 : static_cast<int64_t>(Inputs.Min),
+                     Inputs.empty() ? -1 : static_cast<int64_t>(Inputs.min()),
                      oracleVerdictName(Rec.Verdict));
   if (ExecMode == Mode::Atomic)
     PendingOracle.push_back(std::move(Rec));
@@ -220,6 +220,11 @@ void Interpreter::finishOracle(RunResult &R) {
 }
 
 void Interpreter::rebootCommon(RunResult &R, uint64_t TotalRegs) {
+  // EpochSpan holds 32-bit epochs: stop before one would wrap.
+  if (TrackTaint && Epoch == UINT32_MAX) {
+    R.Trap = "reboot epoch past the 32-bit taint range";
+    return;
+  }
   ++R.Reboots;
   ++Epoch;
   ++Committed.Reboots;
@@ -285,11 +290,6 @@ void Interpreter::powerFail(RunResult &R) {
 }
 
 RunResult Interpreter::runOnce() {
-  // Only NVM outlives a run: registers, the undo log, the region snapshot
-  // and the monitor's set records are all reset before they are read
-  // again, so NVM is the whole root set of the taint table here.
-  if (TrackTaint)
-    Taints.compactIfGrown(Nvm);
   return Cfg.Dispatch == DispatchEngine::Tree ? runOnceTree()
                                               : runOnceThreaded();
 }
@@ -361,8 +361,7 @@ RunResult Interpreter::runOnceTree() {
       if (It != Monitor->plan().UseRegs.end())
         for (int Reg : It->second)
           Monitor->onFreshUseFormal(
-              Site, Taints, Top.Regs[static_cast<size_t>(Reg)].Taint, Epoch,
-              Tau);
+              Site, Top.Regs[static_cast<size_t>(Reg)].Taint, Epoch, Tau);
     }
 
     ++Frames.back().Idx; // Advance before executing (branches overwrite).
@@ -389,10 +388,8 @@ RunResult Interpreter::runOnceTree() {
                  "@" + std::to_string(Site.Label);
         break;
       }
-      RtValue Out(V);
-      if (TrackTaint)
-        Out.Taint = Taints.merge(A.Taint, B.Taint);
-      Frames.back().Regs[static_cast<size_t>(I->Dst)] = Out;
+      Frames.back().Regs[static_cast<size_t>(I->Dst)] =
+          RtValue(V, A.Taint.join(B.Taint));
       break;
     }
     case Opcode::LoadG:
@@ -459,10 +456,9 @@ RunResult Interpreter::runOnceTree() {
       E.Tau = Tau;
       E.Epoch = Epoch;
       E.Value = V;
-      RtValue Out(V);
-      if (TrackTaint)
-        Out.Taint = Taints.single(Epoch);
-      Frames.back().Regs[static_cast<size_t>(I->Dst)] = Out;
+      Frames.back().Regs[static_cast<size_t>(I->Dst)] = RtValue(
+          V, TrackTaint ? EpochSpan::of(static_cast<uint32_t>(Epoch))
+                        : EpochSpan());
       if (TraceSink *T = Cfg.Telemetry)
         T->sensorRead(Tau, I->SensorId, V);
       if (Cfg.MonitorBitVector)
@@ -517,7 +513,7 @@ RunResult Interpreter::runOnceTree() {
     case Opcode::Consistent:
       if (Cfg.MonitorFormal)
         Monitor->onConsistentMarker(Img->markerOrdinal(I->SetId, I->Label),
-                                    Taints, eval(I->A).Taint, Tau);
+                                    eval(I->A).Taint, Tau);
       break;
     case Opcode::AtomicStart:
       enterAtomic(*I, R);
@@ -540,7 +536,7 @@ RunResult Interpreter::runOnceTree() {
       for (const Operand &A : I->Args) {
         const RtValue V = eval(A);
         E.Args.push_back(V.V);
-        Fused.join(Taints.span(V.Taint));
+        Fused = Fused.join(V.Taint);
       }
       if (Cfg.Oracle)
         recordOracleOutput(E.Kind, Fused);

@@ -184,8 +184,6 @@ public:
   uint64_t tau() const { return Tau; }
   uint64_t epoch() const { return Epoch; }
   const ViolationMonitor &monitor() const { return *Monitor; }
-  /// The device's interned taint (empty unless taint tracking is on).
-  const TaintTable &taints() const { return Taints; }
   const ExecutableImage &image() const { return *Img; }
 
 private:
@@ -221,14 +219,13 @@ private:
   RunResult runOnceThreaded();
   /// The threaded dispatch loop (InterpreterThreaded.cpp): computed-goto
   /// (or switch-fallback) dispatch over the image's ThreadedOp view. The
-  /// TaintOn instantiation carries a TaintId next to every payload and
-  /// merges ids through the TaintTable; taint-off, values move as raw
-  /// int64 payloads, legal because with taint off every id in
-  /// registers and NVM is 0 (the empty sequence) by construction. The Hot
-  /// (taint-off) instantiation additionally assumes no failure plan, no
-  /// energy model, no monitors and no observers (the steady-state
-  /// throughput configuration), dropping the per-step failure, energy and
-  /// monitor checks the other two perform.
+  /// TaintOn instantiation carries an EpochSpan next to every payload and
+  /// joins spans; taint-off, values move as raw int64 payloads, legal
+  /// because with taint off every span in registers and NVM is the empty
+  /// one by construction. The Hot (taint-off) instantiation additionally
+  /// assumes no failure plan, no energy model, no monitors and no
+  /// observers (the steady-state throughput configuration), dropping the
+  /// per-step failure, energy and monitor checks the other two perform.
   template <bool Hot, bool TaintOn> RunResult runThreadedLoop();
 
   const Instruction *fetch() const;
@@ -242,7 +239,8 @@ private:
   void powerFailFlat(RunResult &R);
   /// Engine-independent reboot core: charges the JIT checkpoint, draws the
   /// off time (folded into R.OffCycles and tau), clears the monitor bit
-  /// vector.
+  /// vector. With taint tracked, a reboot that would take the epoch past
+  /// EpochSpan's 32-bit range traps instead.
   void rebootCommon(RunResult &R, uint64_t TotalRegs);
   void enterAtomic(const Instruction &I, RunResult &R);
   void enterAtomicFlat(const FlatInst &I, RunResult &R);
@@ -285,9 +283,6 @@ private:
   uint64_t Tau = 0;
   uint64_t Epoch = 0;
   std::unique_ptr<ViolationMonitor> Monitor;
-  /// Every RtValue::Taint id of this device names a sequence here. Lives
-  /// as long as NVM; compacted at the start of runOnce.
-  TaintTable Taints;
   std::unique_ptr<EnergyModel> Energy;
   Rng Rand;
 

@@ -40,9 +40,9 @@
 ///    configuration — and drops the checks they would need.
 ///  * Checked (taint off) adds failure injection, the energy comparator,
 ///    the bit-vector monitor and the observers. Values move as raw int64
-///    payloads: with taint off every taint id is 0 by construction.
+///    payloads: with taint off every span is empty by construction.
 ///  * TaintOn (the formal monitor and the oracle force it) moves whole
-///    `RtValue`s, merges ids through the TaintTable, runs the formal
+///    `RtValue`s, joins their epoch spans, runs the formal
 ///    checks, and dispatches every slot's plain code: a fused head is
 ///    never taken, which is exact because each pair's tail keeps its
 ///    plain code too.
@@ -107,12 +107,12 @@ void Interpreter::outputFlat(const FlatInst &FI) {
   E.Kind = FI.OutKind;
   E.Tau = Tau;
   E.Args.reserve(FI.ArgsCount);
-  // The oracle turns taint on, so the ids read here are live.
+  // The oracle turns taint on, so the spans read here are live.
   EpochSpan Fused;
   for (uint32_t A = 0; A < FI.ArgsCount; ++A) {
     const RtValue V = evalFlat(Args[A]);
     E.Args.push_back(V.V);
-    Fused.join(Taints.span(V.Taint));
+    Fused = Fused.join(V.Taint);
   }
   if (Cfg.Oracle)
     recordOracleOutput(E.Kind, Fused);
@@ -334,7 +334,7 @@ template <bool Hot, bool TaintOn> RunResult Interpreter::runThreadedLoop() {
       return Regs[O.Reg].V;
     return evalKindless().V;
   };
-  // A whole operand value. Taint-off its id is 0 by construction and
+  // A whole operand value. Taint-off its span is empty by construction and
   // never read, so this compiles down to RawVal.
   auto Val = [&](const Operand &O) -> RtValue {
     if constexpr (TaintOn) {
@@ -348,7 +348,7 @@ template <bool Hot, bool TaintOn> RunResult Interpreter::runThreadedLoop() {
     }
   };
   // Writes a register or NVM cell: the whole value under TaintOn, only the
-  // payload otherwise (every id stays 0 while taint is off).
+  // payload otherwise (every span stays empty while taint is off).
   auto Put = [](RtValue &Slot, const RtValue &V) {
     if constexpr (TaintOn)
       Slot = V;
@@ -391,8 +391,8 @@ template <bool Hot, bool TaintOn> RunResult Interpreter::runThreadedLoop() {
   [[maybe_unused]] auto FormalUses = [this](const FlatInst &I, uint64_t Tau) {
     const RtValue *Frame = RegStack.data() + FFrames.back().RegBase;
     for (uint32_t Reg : Img->useRegs(I))
-      Monitor->onFreshUseFormal(InstrRef(I.Func, I.Label), Taints,
-                                Frame[Reg].Taint, Epoch, Tau);
+      Monitor->onFreshUseFormal(InstrRef(I.Func, I.Label), Frame[Reg].Taint,
+                                Epoch, Tau);
   };
   auto InputAt = [this](const FlatInst &I, int64_t V, uint64_t Tau) {
     InputEvent E;
@@ -592,7 +592,7 @@ LSwitch:
       OCELOT_TRAPPED(*FI);
     }
     Put(Regs[FI->Dst],
-        RtValue(V, TaintOn ? Taints.merge(A.Taint, B.Taint) : 0));
+        RtValue(V, TaintOn ? A.Taint.join(B.Taint) : EpochSpan()));
     OCELOT_NEXT(*FI);
   }
 
@@ -665,7 +665,8 @@ LSwitch:
       RESULT_ = Sensors->sample(FI->SensorId, OCELOT_TAU());                   \
     }                                                                          \
     if constexpr (TaintOn)                                                     \
-      Regs[FI->Dst] = RtValue(RESULT_, Taints.single(Epoch));                  \
+      Regs[FI->Dst] =                                                          \
+          RtValue(RESULT_, EpochSpan::of(static_cast<uint32_t>(Epoch)));       \
     else                                                                       \
       Regs[FI->Dst].V = RESULT_;                                               \
     if constexpr (!Hot) {                                                      \
@@ -740,8 +741,7 @@ LSwitch:
   OCELOT_CASE(Consistent) : {
     if constexpr (TaintOn) {
       if (Formal)
-        Monitor->onConsistentMarker(FI->Ord, Taints, Val(FI->A).Taint,
-                                    OCELOT_TAU());
+        Monitor->onConsistentMarker(FI->Ord, Val(FI->A).Taint, OCELOT_TAU());
       OCELOT_NEXT(*FI);
     } else {
       OCELOT_NEXT_NOCHECK(); // The formal monitor's marker: taint-on only.

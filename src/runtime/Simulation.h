@@ -73,7 +73,6 @@ public:
   uint64_t tau() const { return Interp->tau(); }
   uint64_t epoch() const { return Interp->epoch(); }
   const ViolationMonitor &monitor() const { return Interp->monitor(); }
-  const TaintTable &taints() const { return Interp->taints(); }
 
   const CompiledArtifact &artifact() const { return A; }
 

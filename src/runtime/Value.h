@@ -11,11 +11,13 @@
 /// freshness / temporal-consistency checker (Definitions 2 and 3) and the
 /// input-epoch oracle read, and both evaluate it directly at run time.
 ///
-/// A value does not hold its epochs itself: it holds a `TaintId` naming an
-/// epoch sequence interned in its interpreter's `TaintTable`
-/// (runtime/TaintTable.h). Id 0 is the empty sequence, which every value
-/// carries while taint tracking is off. `InputEvent` is for execution
-/// traces and replay only; taint never stores one.
+/// Every verdict depends only on the oldest and newest epoch of a value's
+/// inputs, so a value carries exactly that: an inline `EpochSpan`. Merging
+/// two values' taint is two `std::max`, independent of operand order. The
+/// empty span (an untainted value, and every value while taint tracking is
+/// off) is all-zero bits, so a value-initialized register file or NVM
+/// array is one memset. `InputEvent` is for execution traces and replay
+/// only; taint never stores one.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -44,31 +46,45 @@ struct InputEvent {
   }
 };
 
-/// Handle to an interned taint sequence in a `TaintTable`; 0 is empty.
-using TaintId = uint32_t;
+/// The oldest and newest reboot epoch of a value's inputs, in 32 bits each
+/// (the interpreter traps before a reboot would take the epoch past
+/// UINT32_MAX). Stored as `~min` and `max`, so the empty span is all-zero
+/// bits and `join` needs no special case: two `std::max`.
+class EpochSpan {
+public:
+  EpochSpan() = default;
+  /// The span of one input collected in \p Epoch.
+  static EpochSpan of(uint32_t Epoch) { return EpochSpan(~Epoch, Epoch); }
 
-/// The oldest and newest reboot epoch of a value's inputs. The empty span
-/// (an untainted value) has Min > Max, so `join` needs no special case.
-struct EpochSpan {
-  uint64_t Min = UINT64_MAX;
-  uint64_t Max = 0;
+  bool empty() const { return ~NotMin > Max; }
+  /// Oldest and newest epoch; min() > max() when empty().
+  uint32_t min() const { return ~NotMin; }
+  uint32_t max() const { return Max; }
+  /// True when every input was collected in \p Epoch (vacuously true when
+  /// empty).
+  bool allIn(uint64_t Epoch) const { return min() >= Epoch && Max <= Epoch; }
 
-  bool empty() const { return Min > Max; }
-  void join(EpochSpan O) {
-    Min = std::min(Min, O.Min);
-    Max = std::max(Max, O.Max);
+  /// The span of both operands' inputs.
+  [[nodiscard]] EpochSpan join(EpochSpan O) const {
+    return EpochSpan(std::max(NotMin, O.NotMin), std::max(Max, O.Max));
   }
   bool operator==(const EpochSpan &) const = default;
+
+private:
+  EpochSpan(uint32_t NotMin, uint32_t Max) : NotMin(NotMin), Max(Max) {}
+
+  uint32_t NotMin = 0; ///< ~min; 0 when empty.
+  uint32_t Max = 0;
 };
 
 /// A runtime value: the 64-bit payload plus (when taint tracking is on) the
-/// id of the input epochs it depends on. Plain data, copied by value.
+/// epoch span of the inputs it depends on. Plain data, copied by value.
 struct RtValue {
   int64_t V = 0;
-  TaintId Taint = 0;
+  EpochSpan Taint;
 
   RtValue() = default;
-  explicit RtValue(int64_t V, TaintId Taint = 0) : V(V), Taint(Taint) {}
+  explicit RtValue(int64_t V, EpochSpan Taint = {}) : V(V), Taint(Taint) {}
 };
 
 static_assert(sizeof(RtValue) == 16 &&

@@ -93,8 +93,8 @@ void ViolationMonitor::beginRun() {
     Set.Gen = ++LastGen;
   RunFresh = false;
   RunConsistent = false;
-  // Records are per-run detail (the cumulative history is summarized by
-  // the saw*() flags); clearing keeps the cap from starving later runs.
+  // Records are per-run detail (moved into each RunResult); clearing keeps
+  // the cap from starving later runs.
   Records.clear();
 }
 
@@ -106,13 +106,10 @@ void ViolationMonitor::record(ViolationRecord R) {
   if (Sink)
     Sink->violation(R.Tau, R.Site.Label, R.SetId, violationKindName(R.K));
   if (R.K == ViolationRecord::Kind::FreshBitVec ||
-      R.K == ViolationRecord::Kind::FreshFormal) {
-    FreshViolated = true;
+      R.K == ViolationRecord::Kind::FreshFormal)
     RunFresh = true;
-  } else {
-    ConsistentViolated = true;
+  else
     RunConsistent = true;
-  }
   if (Records.size() < 256)
     Records.push_back(std::move(R));
 }
@@ -177,34 +174,25 @@ void ViolationMonitor::onFreshUse(InstrRef Site,
     Sink->monitorCheck(Tau, Site.Label, Failed);
 }
 
-void ViolationMonitor::freshUseFormal(InstrRef Site,
-                                      const TaintTable &Taints,
-                                      TaintId Taint, uint64_t Epoch,
-                                      uint64_t Tau) {
-  bool Failed = false;
-  if (!Taints.allInEpoch(Taint, Epoch)) {
-    for (size_t I = 0, N = Taints.length(Taint); I < N; ++I) {
-      const uint64_t InputEpoch = Taints.at(Taint, I);
-      if (InputEpoch == Epoch)
-        continue;
-      Failed = true;
-      ViolationRecord R;
-      R.K = ViolationRecord::Kind::FreshFormal;
-      R.Site = Site;
-      R.Tau = Tau;
-      R.EpochA = InputEpoch;
-      R.EpochB = Epoch;
-      record(std::move(R));
-      break;
-    }
+void ViolationMonitor::freshUseFormal(InstrRef Site, EpochSpan Taint,
+                                      uint64_t Epoch, uint64_t Tau) {
+  // Epochs never decrease, so an input outside the use's epoch is older.
+  const bool Failed = !Taint.allIn(Epoch);
+  if (Failed) {
+    ViolationRecord R;
+    R.K = ViolationRecord::Kind::FreshFormal;
+    R.Site = Site;
+    R.Tau = Tau;
+    R.EpochA = Taint.min();
+    R.EpochB = Epoch;
+    record(std::move(R));
   }
   if (Sink)
     Sink->monitorCheck(Tau, Site.Label, Failed);
 }
 
-void ViolationMonitor::onConsistentMarker(uint32_t MarkerOrd,
-                                          const TaintTable &Taints,
-                                          TaintId Taint, uint64_t Tau) {
+void ViolationMonitor::onConsistentMarker(uint32_t MarkerOrd, EpochSpan Taint,
+                                          uint64_t Tau) {
   MarkerSlot &Slot = Slots[MarkerOrd];
   MarkerSet &Set = MarkerSets[Slot.Set];
   // A marker already recorded in this activation starts a new dynamic
@@ -214,39 +202,22 @@ void ViolationMonitor::onConsistentMarker(uint32_t MarkerOrd,
   Slot.Taint = Taint;
   Slot.Gen = Set.Gen;
 
-  // All inputs across the set's recorded members must share one epoch:
-  // the first one's, in (marker label, first-appearance) order.
+  // All inputs across the set's recorded members must share one epoch.
+  EpochSpan Joined;
+  for (uint32_t I = Set.Begin; I < Set.End; ++I)
+    if (Slots[I].Gen == Set.Gen)
+      Joined = Joined.join(Slots[I].Taint);
   const ConsistentMarker &Marker = Img.marker(MarkerOrd);
-  bool HaveEpoch = false;
-  uint64_t SetEpoch = 0;
-  for (uint32_t I = Set.Begin; I < Set.End; ++I) {
-    if (Slots[I].Gen != Set.Gen)
-      continue;
-    const TaintId T = Slots[I].Taint;
-    if (Taints.length(T) == 0)
-      continue;
-    if (!HaveEpoch) {
-      SetEpoch = Taints.at(T, 0);
-      HaveEpoch = true;
-    }
-    if (Taints.allInEpoch(T, SetEpoch))
-      continue;
-    for (size_t EI = 0, N = Taints.length(T); EI < N; ++EI) {
-      const uint64_t InputEpoch = Taints.at(T, EI);
-      if (InputEpoch == SetEpoch)
-        continue;
-      ViolationRecord R;
-      R.K = ViolationRecord::Kind::ConsistentFormal;
-      R.SetId = Marker.SetId;
-      R.Tau = Tau;
-      R.EpochA = SetEpoch;
-      R.EpochB = InputEpoch;
-      record(std::move(R));
-      if (Sink)
-        Sink->monitorCheck(Tau, Marker.Label, true);
-      return;
-    }
+  const bool Failed = !Joined.empty() && Joined.min() != Joined.max();
+  if (Failed) {
+    ViolationRecord R;
+    R.K = ViolationRecord::Kind::ConsistentFormal;
+    R.SetId = Marker.SetId;
+    R.Tau = Tau;
+    R.EpochA = Joined.min();
+    R.EpochB = Joined.max();
+    record(std::move(R));
   }
   if (Sink)
-    Sink->monitorCheck(Tau, Marker.Label, false);
+    Sink->monitorCheck(Tau, Marker.Label, Failed);
 }

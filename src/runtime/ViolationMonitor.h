@@ -14,12 +14,12 @@
 ///    consistent set the other executed members' bits must be set.
 ///
 ///  * Formal (Definitions 2/3 over the taint-augmented semantics of
-///    Appendix B): every value carries the id of its inputs' reboot epochs
-///    in the interpreter's TaintTable. A fresh use whose value carries an
-///    earlier epoch crossed a power failure; a consistent set whose
-///    members' inputs span different epochs was split by one. A fresh use
-///    whose value is all in the current epoch costs one inline test; a
-///    Consistent marker writes its fixed slot.
+///    Appendix B): every value carries the span of its inputs' reboot
+///    epochs. A fresh use whose value carries an earlier epoch crossed a
+///    power failure; a consistent set whose members' inputs span different
+///    epochs was split by one. A fresh use whose value is all in the
+///    current epoch costs one inline test; a Consistent marker writes its
+///    fixed slot and joins its set's.
 ///
 /// A ViolationRecord keeps the numbers its message names; detail()
 /// formats the text only when someone reads it.
@@ -31,7 +31,7 @@
 
 #include "runtime/ExecutableImage.h"
 #include "runtime/MonitorPlan.h"
-#include "runtime/TaintTable.h"
+#include "runtime/Value.h"
 
 #include <cassert>
 #include <string>
@@ -55,9 +55,9 @@ struct ViolationRecord {
   uint64_t Tau = 0;
   /// What detail() names besides SetId. FreshBitVec: the label of the
   /// input operation whose bit a power failure cleared. FreshFormal: the
-  /// reboot epochs of the input (EpochA) and of the use (EpochB).
-  /// ConsistentFormal: the set's first epoch (EpochA) and the first one
-  /// that differs (EpochB).
+  /// oldest reboot epoch of the value's inputs (EpochA) and the epoch of
+  /// the use (EpochB). ConsistentFormal: the oldest (EpochA) and newest
+  /// (EpochB) epoch of the set's inputs.
   uint32_t StaleOp = 0;
   uint64_t EpochA = 0, EpochB = 0;
 
@@ -115,32 +115,25 @@ public:
   void onFreshUse(InstrRef Site, std::span<const uint32_t> InputOrds,
                   uint64_t Tau);
 
-  /// Formal freshness check: \p Taint names the used value's input epochs
-  /// in \p Taints and \p Epoch is the current reboot epoch. A value all
-  /// in the current epoch passes without a call unless a sink wants the
-  /// check event.
-  void onFreshUseFormal(InstrRef Site, const TaintTable &Taints,
-                        TaintId Taint, uint64_t Epoch, uint64_t Tau) {
-    if (!Sink && Taints.allInEpoch(Taint, Epoch))
+  /// Formal freshness check: \p Taint spans the used value's input epochs
+  /// and \p Epoch is the current reboot epoch. A value all in the current
+  /// epoch passes without a call unless a sink wants the check event.
+  void onFreshUseFormal(InstrRef Site, EpochSpan Taint, uint64_t Epoch,
+                        uint64_t Tau) {
+    if (!Sink && Taint.allIn(Epoch))
       return;
-    freshUseFormal(Site, Taints, Taint, Epoch, Tau);
+    freshUseFormal(Site, Taint, Epoch, Tau);
   }
 
   /// Formal consistency check at the execution of the Consistent marker
-  /// with image marker ordinal \p MarkerOrd. The recorded id must stay
-  /// valid until beginRun (the interpreter compacts its table only at run
-  /// start).
-  void onConsistentMarker(uint32_t MarkerOrd, const TaintTable &Taints,
-                          TaintId Taint, uint64_t Tau);
+  /// with image marker ordinal \p MarkerOrd, whose value spans \p Taint.
+  void onConsistentMarker(uint32_t MarkerOrd, EpochSpan Taint, uint64_t Tau);
 
   /// Moves out the current run's violation records (beginRun clears them
   /// anyway, so nothing reads them after the run's epilogue).
   std::vector<ViolationRecord> takeViolations() {
     return std::exchange(Records, {});
   }
-  bool sawFreshViolation() const { return FreshViolated; }
-  bool sawConsistentViolation() const { return ConsistentViolated; }
-  bool sawAny() const { return FreshViolated || ConsistentViolated; }
 
   /// Per-run flags (reset by beginRun; immune to the record-list cap).
   bool runFreshViolation() const { return RunFresh; }
@@ -171,10 +164,10 @@ private:
   /// onInput's tail: the telemetry event and setting the bit.
   void finishInput(uint32_t InputOrd, InstrRef Site, bool Checked,
                    bool Failed, uint64_t Tau);
-  /// onFreshUseFormal's full check: finds the first input epoch other than
-  /// \p Epoch and reports the check to the sink.
-  void freshUseFormal(InstrRef Site, const TaintTable &Taints, TaintId Taint,
-                      uint64_t Epoch, uint64_t Tau);
+  /// onFreshUseFormal's full check: records a violation unless every
+  /// input is in \p Epoch and reports the check to the sink.
+  void freshUseFormal(InstrRef Site, EpochSpan Taint, uint64_t Epoch,
+                      uint64_t Tau);
 
   TraceSink *Sink = nullptr;
   MonitorPlan Plan;
@@ -194,13 +187,11 @@ private:
   /// Per consistent set: which members executed in the current activation.
   std::vector<std::vector<bool>> MemberExecuted;
   /// The formal consistency records: one slot per image marker ordinal,
-  /// so each set's slots are consecutive and in label order (the order
-  /// the check visits them in, and so which epoch a detail names). A
-  /// slot holds a record of its set's current activation iff its Gen
-  /// equals the set's; starting an activation bumps the set's Gen, which
-  /// drops every record at once.
+  /// so each set's slots are consecutive. A slot holds a record of its
+  /// set's current activation iff its Gen equals the set's; starting an
+  /// activation bumps the set's Gen, which drops every record at once.
   struct MarkerSlot {
-    TaintId Taint = 0;
+    EpochSpan Taint;
     uint32_t Set = 0; ///< Index into MarkerSets.
     uint64_t Gen = 0;
   };
@@ -212,8 +203,6 @@ private:
   std::vector<MarkerSet> MarkerSets;
   uint64_t LastGen = 0;
   std::vector<ViolationRecord> Records;
-  bool FreshViolated = false;
-  bool ConsistentViolated = false;
   bool RunFresh = false;
   bool RunConsistent = false;
 };

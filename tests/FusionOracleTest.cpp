@@ -20,11 +20,13 @@
 ///  * the same cross-epoch program under Ocelot -> Fresh (the inferred
 ///    atomic region aborts and re-executes both reads after the reboot).
 ///
-/// The suite also pins the classifier's pure-function edge cases, the
-/// tree/threaded bitwise agreement of oracle records on the pinned
-/// programs, and the oracle-off contract: disarming the oracle leaves
-/// every other RunResult field bitwise unchanged (the bench goldens —
-/// table2a/table2b/fig8 — extend the same contract to whole tables).
+/// The suite also pins the classifier's pure-function edge cases,
+/// `EpochSpan`'s encoding and its agreement with an event-level model of
+/// the taint-augmented semantics, the tree/threaded bitwise agreement of
+/// oracle records on the pinned programs, and the oracle-off contract:
+/// disarming the oracle leaves every other RunResult field bitwise
+/// unchanged (the bench goldens — table2a/table2b/fig8 — extend the same
+/// contract to whole tables).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -34,6 +36,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -101,38 +106,161 @@ FailurePlan planAt(InstrRef Point) {
 
 // -- Classifier edge cases (pure function, no interpreter) -----------------
 
+/// The span of inputs from epochs \p Lo and \p Hi.
+EpochSpan span(uint32_t Lo, uint32_t Hi) {
+  return EpochSpan::of(Lo).join(EpochSpan::of(Hi));
+}
+
 TEST(OracleClassifier, EmptyInputsAreFresh) {
   EXPECT_TRUE(EpochSpan().empty());
   EXPECT_EQ(classifyOracleInputs(EpochSpan(), 5), OracleVerdict::Fresh);
 }
 
 TEST(OracleClassifier, CurrentEpochInputsAreFresh) {
-  EXPECT_EQ(classifyOracleInputs(EpochSpan{3, 3}, 3), OracleVerdict::Fresh);
+  EXPECT_EQ(classifyOracleInputs(EpochSpan::of(3), 3), OracleVerdict::Fresh);
 }
 
 TEST(OracleClassifier, OlderEpochIsStale) {
-  EXPECT_EQ(classifyOracleInputs(EpochSpan{2, 2}, 3), OracleVerdict::Stale);
-  EXPECT_EQ(classifyOracleInputs(EpochSpan{0, 0}, 3), OracleVerdict::Stale);
+  EXPECT_EQ(classifyOracleInputs(EpochSpan::of(2), 3), OracleVerdict::Stale);
+  EXPECT_EQ(classifyOracleInputs(EpochSpan::of(0), 3), OracleVerdict::Stale);
 }
 
 TEST(OracleClassifier, TwoEpochsAreCrossEpoch) {
   // Cross-epoch dominates stale: fusing epochs 2 and 3 is inconsistent
   // even though the epoch-3 read on its own would be fresh.
-  EXPECT_EQ(classifyOracleInputs(EpochSpan{2, 3}, 3),
-            OracleVerdict::CrossEpoch);
-  EXPECT_EQ(classifyOracleInputs(EpochSpan{0, 2}, 3),
-            OracleVerdict::CrossEpoch);
+  EXPECT_EQ(classifyOracleInputs(span(2, 3), 3), OracleVerdict::CrossEpoch);
+  EXPECT_EQ(classifyOracleInputs(span(0, 2), 3), OracleVerdict::CrossEpoch);
 }
 
 TEST(OracleClassifier, SpansJoinByMinAndMax) {
-  EpochSpan S;
-  S.join(EpochSpan());
+  EpochSpan S = EpochSpan().join(EpochSpan());
   EXPECT_TRUE(S.empty());
-  S.join(EpochSpan{4, 4});
-  S.join(EpochSpan());
-  EXPECT_EQ(S, (EpochSpan{4, 4}));
-  S.join(EpochSpan{2, 3});
-  EXPECT_EQ(S, (EpochSpan{2, 4}));
+  S = S.join(EpochSpan::of(4)).join(EpochSpan());
+  EXPECT_EQ(S, EpochSpan::of(4));
+  S = S.join(span(2, 3));
+  EXPECT_EQ(S, span(2, 4));
+  EXPECT_EQ(S.min(), 2u);
+  EXPECT_EQ(S.max(), 4u);
+  EXPECT_EQ(span(4, 2), S.join(EpochSpan::of(3))) << "join is order-free";
+}
+
+// -- EpochSpan: encoding and the event-level reference model ---------------
+
+TEST(EpochSpan, EmptyValueIsAllZeroBytes) {
+  // A value-initialized register file or NVM array is then one memset.
+  const RtValue V{};
+  const unsigned char Zero[sizeof(RtValue)] = {};
+  EXPECT_EQ(std::memcmp(&V, Zero, sizeof(RtValue)), 0);
+  EXPECT_TRUE(V.Taint.empty());
+  EXPECT_TRUE(V.Taint.allIn(0));
+  EXPECT_TRUE(V.Taint.allIn(UINT32_MAX));
+}
+
+TEST(EpochSpan, Uint32MaxBoundary) {
+  const EpochSpan Top = EpochSpan::of(UINT32_MAX);
+  EXPECT_FALSE(Top.empty());
+  EXPECT_EQ(Top.min(), UINT32_MAX);
+  EXPECT_EQ(Top.max(), UINT32_MAX);
+  EXPECT_TRUE(Top.allIn(UINT32_MAX));
+  EXPECT_FALSE(Top.allIn(UINT32_MAX - 1));
+  EXPECT_EQ(Top.join(EpochSpan()), Top);
+  EXPECT_EQ(EpochSpan().join(Top), Top);
+  const EpochSpan Whole = Top.join(EpochSpan::of(0));
+  EXPECT_FALSE(Whole.empty());
+  EXPECT_EQ(Whole.min(), 0u);
+  EXPECT_EQ(Whole.max(), UINT32_MAX);
+  EXPECT_FALSE(Whole.allIn(0));
+  EXPECT_EQ(classifyOracleInputs(Top, UINT32_MAX), OracleVerdict::Fresh);
+  EXPECT_EQ(classifyOracleInputs(Whole, UINT32_MAX),
+            OracleVerdict::CrossEpoch);
+  const EpochSpan Zero = EpochSpan::of(0);
+  EXPECT_FALSE(Zero.empty());
+  EXPECT_EQ(Zero.min(), 0u);
+  EXPECT_EQ(Zero.max(), 0u);
+}
+
+using Events = std::vector<InputEvent>;
+
+/// The taint-augmented semantics over whole input events: A, then B's
+/// events not in A.
+Events modelMerge(Events A, const Events &B) {
+  for (const InputEvent &E : B)
+    if (std::find(A.begin(), A.end(), E) == A.end())
+      A.push_back(E);
+  return A;
+}
+
+/// The oracle's verdict rule over whole events: two or more distinct
+/// epochs are CrossEpoch; otherwise an epoch older than \p EmitEpoch is
+/// Stale; otherwise (no events included) Fresh.
+OracleVerdict eventRule(const Events &Es, uint64_t EmitEpoch) {
+  for (const InputEvent &E : Es)
+    if (E.Epoch != Es.front().Epoch)
+      return OracleVerdict::CrossEpoch;
+  for (const InputEvent &E : Es)
+    if (E.Epoch < EmitEpoch)
+      return OracleVerdict::Stale;
+  return OracleVerdict::Fresh;
+}
+
+TEST(EpochSpan, JoinMatchesTheEventModel) {
+  // A random script of inputs and merges, mirrored on the event-level
+  // model: after every operation the span keeps exactly what the monitors
+  // and the oracle read of the model's events.
+  std::mt19937_64 Rng(42);
+  for (int Round = 0; Round < 20; ++Round) {
+    SCOPED_TRACE("round " + std::to_string(Round));
+    std::vector<EpochSpan> Spans{EpochSpan()};
+    std::vector<Events> Model{{}};
+    uint64_t Tau = 0, Epoch = 0;
+    for (int Op = 0; Op < 400; ++Op) {
+      if (Rng() % 4 == 0 || Spans.size() < 3) {
+        // Tau and the epoch never run backward; equal-tau inputs
+        // (zero-cost steps) can repeat an event exactly, which the model
+        // dedups by value.
+        Tau += Rng() % 3;
+        if (Rng() % 16 == 0)
+          ++Epoch;
+        InputEvent E;
+        E.Sensor = static_cast<int>(Rng() % 3);
+        E.Tau = Tau;
+        E.Epoch = Epoch;
+        E.Value = static_cast<int64_t>(Rng() % 2);
+        Spans.push_back(EpochSpan::of(static_cast<uint32_t>(Epoch)));
+        Model.push_back({E});
+      } else {
+        size_t A = Rng() % Spans.size(), B = Rng() % Spans.size();
+        Spans.push_back(Spans[A].join(Spans[B]));
+        Model.push_back(modelMerge(Model[A], Model[B]));
+      }
+      SCOPED_TRACE("op " + std::to_string(Op));
+      const EpochSpan S = Spans.back();
+      const Events &Es = Model.back();
+      ASSERT_EQ(S.empty(), Es.empty());
+      if (!Es.empty()) {
+        auto [Lo, Hi] = std::minmax_element(
+            Es.begin(), Es.end(), [](const InputEvent &X, const InputEvent &Y) {
+              return X.Epoch < Y.Epoch;
+            });
+        ASSERT_EQ(S.min(), Lo->Epoch);
+        ASSERT_EQ(S.max(), Hi->Epoch);
+        // "Two or more distinct epochs" is exactly min() != max().
+        const bool Distinct =
+            std::any_of(Es.begin(), Es.end(), [&](const InputEvent &X) {
+              return X.Epoch != Es.front().Epoch;
+            });
+        ASSERT_EQ(Distinct, S.min() != S.max());
+      }
+      for (uint64_t Ep = 0; Ep <= Epoch + 1; ++Ep) {
+        const bool AllIn =
+            std::all_of(Es.begin(), Es.end(),
+                        [&](const InputEvent &X) { return X.Epoch == Ep; });
+        ASSERT_EQ(S.allIn(Ep), AllIn) << "epoch " << Ep;
+        ASSERT_EQ(classifyOracleInputs(S, Ep), eventRule(Es, Ep))
+            << "emission epoch " << Ep;
+      }
+    }
+  }
 }
 
 // -- Pinned end-to-end verdicts --------------------------------------------
@@ -158,8 +286,8 @@ TEST(FusionOracle, NoFailuresAllFresh) {
   ASSERT_EQ(R.OracleRecords.size(), 1u);
   const OracleRecord &Rec = R.OracleRecords[0];
   EXPECT_EQ(Rec.Verdict, OracleVerdict::Fresh);
-  EXPECT_EQ(Rec.Inputs.Min, Rec.Epoch);
-  EXPECT_EQ(Rec.Inputs.Max, Rec.Epoch);
+  EXPECT_EQ(Rec.Inputs.min(), Rec.Epoch);
+  EXPECT_EQ(Rec.Inputs.max(), Rec.Epoch);
   EXPECT_EQ(R.OracleFresh, 1u);
   EXPECT_EQ(R.OracleStale, 0u);
   EXPECT_EQ(R.OracleCrossEpoch, 0u);
@@ -184,8 +312,8 @@ TEST(FusionOracle, RebootBeforeOutputIsStaleUnderJit) {
   ASSERT_EQ(R.OracleRecords.size(), 1u);
   const OracleRecord &Rec = R.OracleRecords[0];
   EXPECT_EQ(Rec.Verdict, OracleVerdict::Stale);
-  EXPECT_EQ(Rec.Inputs.Min, Rec.Epoch - 1);
-  EXPECT_EQ(Rec.Inputs.Max, Rec.Epoch - 1);
+  EXPECT_EQ(Rec.Inputs.min(), Rec.Epoch - 1);
+  EXPECT_EQ(Rec.Inputs.max(), Rec.Epoch - 1);
   EXPECT_EQ(R.OracleStale, 1u);
   EXPECT_EQ(R.OracleCrossEpoch, 0u);
 }
@@ -199,8 +327,8 @@ TEST(FusionOracle, RebootBetweenFusedReadsIsCrossEpochUnderJit) {
   ASSERT_EQ(R.OracleRecords.size(), 1u);
   const OracleRecord &Rec = R.OracleRecords[0];
   EXPECT_EQ(Rec.Verdict, OracleVerdict::CrossEpoch);
-  EXPECT_EQ(Rec.Inputs.Min + 1, Rec.Inputs.Max);
-  EXPECT_EQ(Rec.Inputs.Max, Rec.Epoch);
+  EXPECT_EQ(Rec.Inputs.min() + 1, Rec.Inputs.max());
+  EXPECT_EQ(Rec.Inputs.max(), Rec.Epoch);
   EXPECT_EQ(R.OracleCrossEpoch, 1u);
 }
 
@@ -215,8 +343,8 @@ TEST(FusionOracle, OcelotRegionPreventsTheCrossEpoch) {
   ASSERT_EQ(R.OracleRecords.size(), 1u);
   const OracleRecord &Rec = R.OracleRecords[0];
   EXPECT_EQ(Rec.Verdict, OracleVerdict::Fresh);
-  EXPECT_EQ(Rec.Inputs.Min, Rec.Epoch);
-  EXPECT_EQ(Rec.Inputs.Max, Rec.Epoch);
+  EXPECT_EQ(Rec.Inputs.min(), Rec.Epoch);
+  EXPECT_EQ(Rec.Inputs.max(), Rec.Epoch);
   EXPECT_EQ(R.OracleFresh, 1u);
   EXPECT_EQ(R.OracleCrossEpoch, 0u);
 }

@@ -410,6 +410,59 @@ TEST(Interp, BitVectorFreshUseChecksEveryInput) {
   }
 }
 
+TEST(Interp, FormalDetailIsOperandOrderFree) {
+  // a is read in epoch 0 and b in epoch 1, and z = a + b is used in epoch
+  // 2. The formal freshness check names the oldest input epoch whichever
+  // operand comes first, on both engines.
+  std::vector<std::string> Details;
+  for (const char *Sum : {"a + b", "b + a"}) {
+    const std::string Src = "io sa, sb;\n"
+                            "fn readA() -> int { return sa(); }\n"
+                            "fn readB() -> int { return sb(); }\n"
+                            "fn pause() { }\n"
+                            "fn main() {\n"
+                            "  let a = readA();\n"
+                            "  let b = readB();\n"
+                            "  let z = " +
+                            std::string(Sum) +
+                            ";\n"
+                            "  pause();\n"
+                            "  Fresh(z);\n"
+                            "  log(z);\n"
+                            "}\n";
+    CompiledArtifact A = compile(Src, ExecModel::JitOnly);
+    const Program &P = A.program();
+    std::set<InstrRef> Points;
+    const Function *Main = P.function(P.mainFunction());
+    for (int B = 0; B < Main->numBlocks(); ++B)
+      for (const Instruction &I : Main->block(B)->instructions())
+        if (I.Op == Opcode::Call && (P.function(I.Callee)->name() == "readB" ||
+                                     P.function(I.Callee)->name() == "pause"))
+          Points.insert(InstrRef(P.mainFunction(), I.Label));
+    ASSERT_EQ(Points.size(), 2u);
+    for (DispatchEngine E : {DispatchEngine::Tree, DispatchEngine::Threaded}) {
+      SCOPED_TRACE(std::string(Sum) + " on engine " +
+                   std::to_string(static_cast<int>(E)));
+      RunConfig Cfg;
+      Cfg.Plan = FailurePlan::pathological(Points);
+      Cfg.MonitorFormal = true;
+      Cfg.Dispatch = E;
+      Simulation I(A, Cfg);
+      RunResult Res = I.runOnce();
+      ASSERT_TRUE(Res.Completed) << Res.Trap;
+      ASSERT_EQ(Res.Reboots, 2u);
+      ASSERT_EQ(Res.Violations.size(), 1u);
+      EXPECT_EQ(Res.Violations[0].K, ViolationRecord::Kind::FreshFormal);
+      Details.push_back(Res.Violations[0].detail());
+    }
+  }
+  ASSERT_EQ(Details.size(), 4u);
+  EXPECT_EQ(Details[0], "value depends on an input collected in reboot "
+                        "epoch 0 but is used in epoch 2");
+  for (const std::string &D : Details)
+    EXPECT_EQ(D, Details[0]);
+}
+
 TEST(Interp, RandomFailurePlanCompletes) {
   CompiledArtifact A = compile("static n = 0;\n"
                             "fn main() { atomic { n += 1; } log(n); }");

@@ -13,10 +13,10 @@
 // epoch, verdict, input epoch span) and compares the text against
 // tests/goldens/run_taint.golden.
 //
-// A violation's detail() names the *first* epoch of a value's taint that
-// fails a check, so this golden is what pins the order in which taint
-// merges keep epochs. The same cells with the oracle off must render the
-// golden minus its oracle lines: arming the oracle changes no violation.
+// A violation's detail() names epochs of the value's input span: the
+// oldest one for a stale use, the oldest and newest for a split consistent
+// set. The same cells with the oracle off must render the golden minus its
+// oracle lines: arming the oracle changes no violation.
 //
 // To re-bless after an intended change of run output:
 //   OCELOT_BLESS_GOLDEN=1 ./RunTaintGoldenTest
@@ -77,7 +77,7 @@ void renderCell(const BenchmarkDef &B, ExecModel Model, DispatchEngine E,
           << " epoch=" << O.Epoch << " " << oracleVerdictName(O.Verdict)
           << ":";
       if (!O.Inputs.empty())
-        Out << " e" << O.Inputs.Min << "..e" << O.Inputs.Max;
+        Out << " e" << O.Inputs.min() << "..e" << O.Inputs.max();
       Out << "\n";
     }
     if (R.Starved || !R.Trap.empty())

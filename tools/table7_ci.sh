@@ -1,12 +1,9 @@
 #!/usr/bin/env bash
-# CI golden-diff for the table7 fusion sweep: run table7_fusion in smoke
-# mode with the fixed built-in seed and byte-compare stdout against the
-# committed golden (bench/goldens/table7_smoke.golden). The golden pins
-# the oracle's verdicts — stale / cross-epoch rates, the over/under-
-# enforcement cross-reference, and the closing witness line naming a
-# preset where a weak model commits cross-epoch outputs and Ocelot does
-# not. A single-worker rerun is compared too (stdout must be diff-stable
-# for any --workers=N).
+# CI invariance checks for the table7 fusion sweep: run table7_fusion in
+# smoke mode with the fixed built-in seed, then rerun it with one worker;
+# stdout must be byte-identical for any --workers=N. (The smoke stdout
+# itself is diffed against bench/goldens/table7_fusion_smoke.golden by
+# the bench_smoke_table7_fusion ctest entry.)
 #
 # When a second argument names the ocelot-fleet binary, a small --oracle
 # grid is additionally run as two shards and merged, once with
@@ -18,8 +15,6 @@ set -euo pipefail
 
 BENCH=${1:?usage: table7_ci.sh PATH/TO/table7_fusion [PATH/TO/ocelot-fleet]}
 FLEET=${2:-}
-HERE=$(cd "$(dirname "$0")" && pwd)
-GOLDEN="$HERE/../bench/goldens/table7_smoke.golden"
 WORK=$(mktemp -d)
 trap 'rm -rf "$WORK"' EXIT
 
@@ -31,9 +26,6 @@ echo "== table7 smoke run =="
 echo "== stdout must be worker-count invariant =="
 "$BENCH" --workers=1 > "$WORK/table7.w1.out"
 cmp "$WORK/table7.out" "$WORK/table7.w1.out"
-
-echo "== golden diff =="
-diff -u "$GOLDEN" "$WORK/table7.out"
 
 if [ -n "$FLEET" ]; then
   echo "== sharded oracle grid: non-zero oracle columns, worker-invariant =="
@@ -51,5 +43,4 @@ if [ -n "$FLEET" ]; then
   grep -q '"oracle_fresh_outputs": [1-9]' "$WORK/w1/merged.jsonl"
 fi
 
-echo "PASS: table7 output matches the golden and oracle verdicts are" \
-     "worker-invariant"
+echo "PASS: table7 output and oracle verdicts are worker-invariant"
