@@ -6,12 +6,15 @@
 
 #include "fleet/ResultSink.h"
 
+#include "support/ParseNumber.h"
+
 #include <cerrno>
-#include <cinttypes>
-#include <cmath>
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <string_view>
+#include <type_traits>
 
 #ifndef _WIN32
 #include <unistd.h>
@@ -21,21 +24,72 @@ using namespace ocelot;
 
 namespace {
 
-/// Deterministic double formatting: %.17g round-trips every finite double
-/// exactly through strtod, so parse + re-emit reproduces the bytes.
-void appendDouble(std::string &Out, double V) {
-  char Buf[40];
-  std::snprintf(Buf, sizeof(Buf), "%.17g", V);
-  Out += Buf;
+// Field order shared by both formats (and the readers below).
+constexpr std::string_view FieldNames[] = {
+    "cell",           "model",
+    "bench",          "energy",
+    "power",          "scenario",
+    "seed",           "completed_runs",
+    "violating_runs", "oracle_fresh_outputs",
+    "oracle_stale_outputs", "oracle_cross_epoch_outputs",
+    "oracle_dirty_runs", "over_enforced_runs",
+    "under_enforced_runs", "on_cycles_per_run",
+    "off_cycles_per_run", "reboots_per_run",
+    "starved",        "trapped",
+    "trap"};
+constexpr size_t NumFields = sizeof(FieldNames) / sizeof(FieldNames[0]);
+constexpr size_t TrapField = NumFields - 1;
+static_assert(NumFields == 21 && FieldNames[TrapField] == "trap");
+
+/// Calls \p F with field \p I (in FieldNames order) of \p R, which may be
+/// const: the one map from a field index to its member.
+template <typename Record, typename Fn>
+decltype(auto) withField(Record &R, size_t I, Fn &&F) {
+  auto &C = R.Result;
+  auto &M = C.Metrics;
+  switch (I) {
+  case 0: return F(R.Cell);
+  case 1: return F(C.Model);
+  case 2: return F(C.Bench);
+  case 3: return F(C.Energy);
+  case 4: return F(C.Power);
+  case 5: return F(C.Scenario);
+  case 6: return F(C.Seed);
+  case 7: return F(M.CompletedRuns);
+  case 8: return F(M.ViolatingRuns);
+  case 9: return F(M.OracleFreshOutputs);
+  case 10: return F(M.OracleStaleOutputs);
+  case 11: return F(M.OracleCrossEpochOutputs);
+  case 12: return F(M.OracleDirtyRuns);
+  case 13: return F(M.OverEnforcedRuns);
+  case 14: return F(M.UnderEnforcedRuns);
+  case 15: return F(M.OnCyclesPerRun);
+  case 16: return F(M.OffCyclesPerRun);
+  case 17: return F(M.RebootsPerRun);
+  case 18: return F(M.Starved);
+  case 19: return F(M.Trapped);
+  default: return F(M.Trap); // TrapField.
+  }
 }
 
 void appendU64(std::string &Out, uint64_t V) {
-  char Buf[24];
-  std::snprintf(Buf, sizeof(Buf), "%" PRIu64, V);
-  Out += Buf;
+  char Buf[20];
+  Out.append(Buf, std::to_chars(Buf, Buf + sizeof(Buf), V).ptr);
+}
+
+/// Deterministic double formatting: `to_chars` with precision 17 is
+/// specified as printf's `%.17g` in the C locale, whatever the process
+/// locale, and 17 significant digits round-trip every finite double, so
+/// parse + re-emit reproduces the bytes.
+void appendDouble(std::string &Out, double V) {
+  char Buf[32]; // "-2.2250738585072014e-308" is the longest, 24 bytes.
+  Out.append(Buf, std::to_chars(Buf, Buf + sizeof(Buf), V,
+                                std::chars_format::general, 17)
+                      .ptr);
 }
 
 void appendJsonString(std::string &Out, const std::string &S) {
+  static constexpr char Hex[] = "0123456789abcdef";
   Out += '"';
   for (char C : S) {
     switch (C) {
@@ -55,11 +109,10 @@ void appendJsonString(std::string &Out, const std::string &S) {
       Out += "\\t";
       break;
     default:
-      if (static_cast<unsigned char>(C) < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x",
-                      static_cast<unsigned>(static_cast<unsigned char>(C)));
-        Out += Buf;
+      if (unsigned char U = static_cast<unsigned char>(C); U < 0x20) {
+        Out += "\\u00";
+        Out += Hex[U >> 4];
+        Out += Hex[U & 0xf];
       } else {
         Out += C;
       }
@@ -82,27 +135,47 @@ void appendCsvField(std::string &Out, const std::string &S) {
   Out += '"';
 }
 
-// Field order shared by both formats (and the readers below).
-constexpr const char *FieldNames[] = {
-    "cell",           "model",
-    "bench",          "energy",
-    "power",          "scenario",
-    "seed",           "completed_runs",
-    "violating_runs", "oracle_fresh_outputs",
-    "oracle_stale_outputs", "oracle_cross_epoch_outputs",
-    "oracle_dirty_runs", "over_enforced_runs",
-    "under_enforced_runs", "on_cycles_per_run",
-    "off_cycles_per_run", "reboots_per_run",
-    "starved",        "trapped",
-    "trap"};
-constexpr size_t NumFields = sizeof(FieldNames) / sizeof(FieldNames[0]);
+/// Appends one record line (with its newline) to \p L.
+void appendCellRecord(std::string &L, const CellRecord &R, SinkFormat Format) {
+  const bool Json = Format == SinkFormat::Jsonl;
+  for (size_t I = 0; I < NumFields; ++I) {
+    if (Json) {
+      L += I ? ", \"" : "{\"";
+      L += FieldNames[I];
+      L += "\": ";
+    } else if (I) {
+      L += ',';
+    }
+    withField(R, I, [&](const auto &V) {
+      using T = std::decay_t<decltype(V)>;
+      if constexpr (std::is_same_v<T, bool>)
+        L += Json ? (V ? "true" : "false") : (V ? "1" : "0");
+      else if constexpr (std::is_same_v<T, double>)
+        appendDouble(L, V);
+      else if constexpr (std::is_same_v<T, std::string>) {
+        if (Json)
+          appendJsonString(L, V);
+        else
+          appendCsvField(L, V);
+      } else
+        appendU64(L, V);
+    });
+  }
+  L += Json ? "}\n" : "\n";
+}
 
-/// A FILE*-backed append sink shared by both formats; the subclasses only
-/// differ in their line serialization (formatCellRecord).
+/// Room for any record without a long trap message: the longest JSONL
+/// line without one (20-digit counters, 24-byte doubles) is 764 bytes.
+constexpr size_t LineReserve = 1024;
+
+/// A FILE*-backed append sink shared by both formats; the formats only
+/// differ in their line serialization (appendCellRecord).
 class FileSink final : public ResultSink {
 public:
   FileSink(std::FILE *F, SinkFormat Format, uint64_t Offset)
-      : F(F), Format(Format), Durable(Offset), Position(Offset) {}
+      : F(F), Format(Format), Durable(Offset), Position(Offset) {
+    Line.reserve(LineReserve);
+  }
 
   ~FileSink() override {
     if (F)
@@ -110,7 +183,8 @@ public:
   }
 
   void append(const CellRecord &R) override {
-    std::string Line = formatCellRecord(R, Format);
+    Line.clear();
+    appendCellRecord(Line, R, Format);
     std::fwrite(Line.data(), 1, Line.size(), F);
     Position += Line.size();
   }
@@ -137,6 +211,7 @@ private:
   SinkFormat Format;
   uint64_t Durable;
   uint64_t Position;
+  std::string Line; ///< Reused by every append.
 };
 
 } // namespace
@@ -175,97 +250,9 @@ std::string ocelot::csvHeaderLine() {
 }
 
 std::string ocelot::formatCellRecord(const CellRecord &R, SinkFormat Format) {
-  const SweepCellResult &C = R.Result;
-  const IntermittentMetrics &M = C.Metrics;
   std::string L;
-  if (Format == SinkFormat::Jsonl) {
-    L += "{\"cell\": ";
-    appendU64(L, R.Cell);
-    L += ", \"model\": ";
-    appendU64(L, C.Model);
-    L += ", \"bench\": ";
-    appendU64(L, C.Bench);
-    L += ", \"energy\": ";
-    appendU64(L, C.Energy);
-    L += ", \"power\": ";
-    appendU64(L, C.Power);
-    L += ", \"scenario\": ";
-    appendU64(L, C.Scenario);
-    L += ", \"seed\": ";
-    appendU64(L, C.Seed);
-    L += ", \"completed_runs\": ";
-    appendU64(L, M.CompletedRuns);
-    L += ", \"violating_runs\": ";
-    appendU64(L, M.ViolatingRuns);
-    L += ", \"oracle_fresh_outputs\": ";
-    appendU64(L, M.OracleFreshOutputs);
-    L += ", \"oracle_stale_outputs\": ";
-    appendU64(L, M.OracleStaleOutputs);
-    L += ", \"oracle_cross_epoch_outputs\": ";
-    appendU64(L, M.OracleCrossEpochOutputs);
-    L += ", \"oracle_dirty_runs\": ";
-    appendU64(L, M.OracleDirtyRuns);
-    L += ", \"over_enforced_runs\": ";
-    appendU64(L, M.OverEnforcedRuns);
-    L += ", \"under_enforced_runs\": ";
-    appendU64(L, M.UnderEnforcedRuns);
-    L += ", \"on_cycles_per_run\": ";
-    appendDouble(L, M.OnCyclesPerRun);
-    L += ", \"off_cycles_per_run\": ";
-    appendDouble(L, M.OffCyclesPerRun);
-    L += ", \"reboots_per_run\": ";
-    appendDouble(L, M.RebootsPerRun);
-    L += ", \"starved\": ";
-    L += M.Starved ? "true" : "false";
-    L += ", \"trapped\": ";
-    L += M.Trapped ? "true" : "false";
-    L += ", \"trap\": ";
-    appendJsonString(L, M.Trap);
-    L += "}\n";
-    return L;
-  }
-  appendU64(L, R.Cell);
-  L += ',';
-  appendU64(L, C.Model);
-  L += ',';
-  appendU64(L, C.Bench);
-  L += ',';
-  appendU64(L, C.Energy);
-  L += ',';
-  appendU64(L, C.Power);
-  L += ',';
-  appendU64(L, C.Scenario);
-  L += ',';
-  appendU64(L, C.Seed);
-  L += ',';
-  appendU64(L, M.CompletedRuns);
-  L += ',';
-  appendU64(L, M.ViolatingRuns);
-  L += ',';
-  appendU64(L, M.OracleFreshOutputs);
-  L += ',';
-  appendU64(L, M.OracleStaleOutputs);
-  L += ',';
-  appendU64(L, M.OracleCrossEpochOutputs);
-  L += ',';
-  appendU64(L, M.OracleDirtyRuns);
-  L += ',';
-  appendU64(L, M.OverEnforcedRuns);
-  L += ',';
-  appendU64(L, M.UnderEnforcedRuns);
-  L += ',';
-  appendDouble(L, M.OnCyclesPerRun);
-  L += ',';
-  appendDouble(L, M.OffCyclesPerRun);
-  L += ',';
-  appendDouble(L, M.RebootsPerRun);
-  L += ',';
-  L += M.Starved ? "1" : "0";
-  L += ',';
-  L += M.Trapped ? "1" : "0";
-  L += ',';
-  appendCsvField(L, M.Trap);
-  L += '\n';
+  L.reserve(LineReserve);
+  appendCellRecord(L, R, Format);
   return L;
 }
 
@@ -333,12 +320,14 @@ namespace {
 
 /// Minimal scanner for the flat one-line JSON objects the sink emits.
 /// Values are strings, unsigned/float numbers, or true/false — exactly
-/// what formatCellRecord produces; anything else is a parse error.
+/// what formatCellRecord produces; anything else is a parse error. Tokens
+/// are views into the line; only a string holding a `\` escape is decoded,
+/// into a caller-owned buffer.
 class JsonLineScanner {
 public:
-  explicit JsonLineScanner(const std::string &S) : S(S) {}
+  explicit JsonLineScanner(std::string_view S) : S(S) {}
 
-  bool fail(const std::string &Why) {
+  bool fail(const char *Why) {
     if (Err.empty())
       Err = Why;
     return false;
@@ -352,8 +341,11 @@ public:
 
   bool expect(char C) {
     skipWs();
-    if (I >= S.size() || S[I] != C)
-      return fail(std::string("expected '") + C + "'");
+    if (I >= S.size() || S[I] != C) {
+      if (Err.empty())
+        Err = std::string("expected '") + C + "'";
+      return false;
+    }
     ++I;
     return true;
   }
@@ -368,14 +360,24 @@ public:
     return I < S.size() && S[I] == C;
   }
 
-  bool parseString(std::string &Out) {
+  /// A JSON string: \p Out views the line when the string has no escape,
+  /// else \p Buf, which holds the decoded bytes.
+  bool parseString(std::string_view &Out, std::string &Buf) {
     if (!expect('"'))
       return false;
-    Out.clear();
+    size_t Start = I;
+    while (I < S.size() && S[I] != '"' && S[I] != '\\')
+      ++I;
+    if (I < S.size() && S[I] == '"') {
+      Out = S.substr(Start, I - Start);
+      ++I; // Closing quote.
+      return true;
+    }
+    Buf.assign(S, Start, I - Start);
     while (I < S.size() && S[I] != '"') {
       char C = S[I++];
       if (C != '\\') {
-        Out += C;
+        Buf += C;
         continue;
       }
       if (I >= S.size())
@@ -383,22 +385,22 @@ public:
       char E = S[I++];
       switch (E) {
       case '"':
-        Out += '"';
+        Buf += '"';
         break;
       case '\\':
-        Out += '\\';
+        Buf += '\\';
         break;
       case '/':
-        Out += '/';
+        Buf += '/';
         break;
       case 'n':
-        Out += '\n';
+        Buf += '\n';
         break;
       case 'r':
-        Out += '\r';
+        Buf += '\r';
         break;
       case 't':
-        Out += '\t';
+        Buf += '\t';
         break;
       case 'u': {
         if (I + 4 > S.size())
@@ -418,7 +420,7 @@ public:
         }
         if (V > 0xff)
           return fail("non-latin1 \\u escape");
-        Out += static_cast<char>(V);
+        Buf += static_cast<char>(V);
         break;
       }
       default:
@@ -428,11 +430,12 @@ public:
     if (I >= S.size())
       return fail("unterminated string");
     ++I; // Closing quote.
+    Out = Buf;
     return true;
   }
 
   /// The raw token of a number/true/false value.
-  bool parseScalarToken(std::string &Out) {
+  bool parseScalarToken(std::string_view &Out) {
     skipWs();
     size_t Start = I;
     while (I < S.size() && S[I] != ',' && S[I] != '}' && S[I] != ' ' &&
@@ -445,197 +448,162 @@ public:
   }
 
 private:
-  const std::string &S;
+  std::string_view S;
   size_t I = 0;
   std::string Err;
 };
 
-bool parseU64(const std::string &Tok, uint64_t &Out) {
-  if (Tok.empty() || Tok[0] == '-')
-    return false;
-  errno = 0;
-  char *End = nullptr;
-  Out = std::strtoull(Tok.c_str(), &End, 10);
-  return End && *End == '\0' && errno == 0;
+/// The whole of \p Tok as a double (`from_chars`: decimal or inf/nan, no
+/// leading '+' or whitespace, independent of the locale). Out-of-range
+/// values, either way, are rejected.
+bool parseDouble(std::string_view Tok, double &Out) {
+  const char *End = Tok.data() + Tok.size();
+  auto [Ptr, Ec] = std::from_chars(Tok.data(), End, Out);
+  return Ec == std::errc() && Ptr == End;
 }
 
-bool parseDouble(const std::string &Tok, double &Out) {
-  if (Tok.empty())
-    return false;
-  errno = 0;
-  char *End = nullptr;
-  Out = std::strtod(Tok.c_str(), &End);
-  if (!End || *End != '\0')
-    return false;
-  // Denormal underflow sets ERANGE but still yields the exact value %.17g
-  // printed; only overflow (±HUGE_VAL) is a real failure.
-  if (errno == ERANGE && (Out == HUGE_VAL || Out == -HUGE_VAL))
-    return false;
-  return true;
+/// FieldNames index of \p Key, or NumFields when it names no field.
+/// Records list their fields in FieldNames order, so \p Hint (the key's
+/// position in its record) nearly always matches first.
+size_t fieldIndex(std::string_view Key, size_t Hint) {
+  if (Hint < NumFields && FieldNames[Hint] == Key)
+    return Hint;
+  for (size_t F = 0; F < NumFields; ++F)
+    if (FieldNames[F] == Key)
+      return F;
+  return NumFields;
 }
 
-/// Assigns one parsed (key, raw-or-string value) pair into \p R. \p IsStr
-/// says the value came from a JSON string / CSV field (so booleans in it
-/// are the CSV 0/1 spelling).
-bool assignField(CellRecord &R, const std::string &Key,
-                 const std::string &Value, bool Csv, std::string &Why) {
-  SweepCellResult &C = R.Result;
-  IntermittentMetrics &M = C.Metrics;
-  uint64_t U;
-  double D;
-  auto Size = [&](size_t &Field) {
-    if (!parseU64(Value, U))
-      return false;
-    Field = static_cast<size_t>(U);
-    return true;
-  };
-  auto Bool = [&](bool &Field) {
-    if (Value == (Csv ? "1" : "true"))
-      Field = true;
-    else if (Value == (Csv ? "0" : "false"))
-      Field = false;
-    else
-      return false;
-    return true;
-  };
-  bool Ok;
-  if (Key == "cell")
-    Ok = Size(R.Cell);
-  else if (Key == "model")
-    Ok = Size(C.Model);
-  else if (Key == "bench")
-    Ok = Size(C.Bench);
-  else if (Key == "energy")
-    Ok = Size(C.Energy);
-  else if (Key == "power")
-    Ok = Size(C.Power);
-  else if (Key == "scenario")
-    Ok = Size(C.Scenario);
-  else if (Key == "seed")
-    Ok = Size(C.Seed);
-  else if (Key == "completed_runs")
-    Ok = parseU64(Value, M.CompletedRuns);
-  else if (Key == "violating_runs")
-    Ok = parseU64(Value, M.ViolatingRuns);
-  else if (Key == "oracle_fresh_outputs")
-    Ok = parseU64(Value, M.OracleFreshOutputs);
-  else if (Key == "oracle_stale_outputs")
-    Ok = parseU64(Value, M.OracleStaleOutputs);
-  else if (Key == "oracle_cross_epoch_outputs")
-    Ok = parseU64(Value, M.OracleCrossEpochOutputs);
-  else if (Key == "oracle_dirty_runs")
-    Ok = parseU64(Value, M.OracleDirtyRuns);
-  else if (Key == "over_enforced_runs")
-    Ok = parseU64(Value, M.OverEnforcedRuns);
-  else if (Key == "under_enforced_runs")
-    Ok = parseU64(Value, M.UnderEnforcedRuns);
-  else if (Key == "on_cycles_per_run")
-    Ok = parseDouble(Value, D), M.OnCyclesPerRun = D;
-  else if (Key == "off_cycles_per_run")
-    Ok = parseDouble(Value, D), M.OffCyclesPerRun = D;
-  else if (Key == "reboots_per_run")
-    Ok = parseDouble(Value, D), M.RebootsPerRun = D;
-  else if (Key == "starved")
-    Ok = Bool(M.Starved);
-  else if (Key == "trapped")
-    Ok = Bool(M.Trapped);
-  else if (Key == "trap") {
-    M.Trap = Value;
-    Ok = true;
-  } else {
-    Why = "unknown field '" + Key + "'";
-    return false;
-  }
+/// Parses \p Value into field \p F of \p R; on failure sets \p Why. \p Csv
+/// selects the boolean spelling (1/0 in CSV, true/false in JSONL).
+bool assignField(CellRecord &R, size_t F, std::string_view Value, bool Csv,
+                 std::string &Why) {
+  bool Ok = withField(R, F, [&](auto &Field) {
+    using T = std::decay_t<decltype(Field)>;
+    if constexpr (std::is_same_v<T, bool>) {
+      if (Value == (Csv ? "1" : "true"))
+        Field = true;
+      else if (Value == (Csv ? "0" : "false"))
+        Field = false;
+      else
+        return false;
+      return true;
+    } else if constexpr (std::is_same_v<T, double>) {
+      return parseDouble(Value, Field);
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      Field = Value;
+      return true;
+    } else {
+      return parseUnsigned(Value, Field);
+    }
+  });
   if (!Ok) {
-    Why = "bad value '" + Value + "' for field '" + Key + "'";
-    return false;
+    Why = "bad value '";
+    Why += Value;
+    Why += "' for field '";
+    Why += FieldNames[F];
+    Why += "'";
   }
-  return true;
+  return Ok;
 }
 
-bool parseJsonlLine(const std::string &Line, CellRecord &R,
+/// Decode buffers a reader reuses across records, so parsing a record
+/// allocates only for its trap message.
+struct ReadBuffers {
+  std::string Key, Value;  ///< JSONL strings holding escapes.
+  std::string CsvFields;   ///< A CSV record's decoded fields, back to back.
+  std::vector<size_t> CsvEnds; ///< End offset of each field in CsvFields.
+};
+
+bool parseJsonlLine(std::string_view Line, CellRecord &R, ReadBuffers &Sc,
                     std::string &Why) {
-  JsonLineScanner Sc(Line);
-  if (!Sc.expect('{'))
-    return (Why = Sc.error(), false);
+  JsonLineScanner In(Line);
+  if (!In.expect('{'))
+    return (Why = In.error(), false);
   size_t Seen = 0;
   bool SeenField[NumFields] = {};
-  while (!Sc.peekIs('}')) {
-    if (Seen && !Sc.expect(','))
-      return (Why = Sc.error(), false);
-    std::string Key, Value;
-    if (!Sc.parseString(Key) || !Sc.expect(':'))
-      return (Why = Sc.error(), false);
-    if (Key == "trap") {
-      if (!Sc.parseString(Value))
-        return (Why = Sc.error(), false);
-    } else if (!Sc.parseScalarToken(Value)) {
-      return (Why = Sc.error(), false);
-    }
-    if (!assignField(R, Key, Value, /*Csv=*/false, Why))
+  while (!In.peekIs('}')) {
+    if (Seen && !In.expect(','))
+      return (Why = In.error(), false);
+    std::string_view Key, Value;
+    if (!In.parseString(Key, Sc.Key) || !In.expect(':'))
+      return (Why = In.error(), false);
+    size_t F = fieldIndex(Key, Seen);
+    if (F == TrapField ? !In.parseString(Value, Sc.Value)
+                       : !In.parseScalarToken(Value))
+      return (Why = In.error(), false);
+    if (F == NumFields) {
+      Why = "unknown field '";
+      Why += Key;
+      Why += "'";
       return false;
-    for (size_t F = 0; F < NumFields; ++F)
-      if (Key == FieldNames[F]) {
-        if (SeenField[F])
-          return (Why = "duplicate field '" + Key + "'", false);
-        SeenField[F] = true;
-      }
+    }
+    if (!assignField(R, F, Value, /*Csv=*/false, Why))
+      return false;
+    if (SeenField[F]) {
+      Why = "duplicate field '";
+      Why += FieldNames[F];
+      Why += "'";
+      return false;
+    }
+    SeenField[F] = true;
     ++Seen;
   }
-  if (!Sc.expect('}') || !Sc.atEnd())
+  if (!In.expect('}') || !In.atEnd())
     return (Why = "trailing characters after the record", false);
   if (Seen != NumFields)
     return (Why = "record is missing fields", false);
   return true;
 }
 
-bool splitCsvLine(const std::string &Line, std::vector<std::string> &Fields,
-                  std::string &Why) {
-  Fields.clear();
-  std::string Cur;
-  bool InQuotes = false;
-  for (size_t I = 0; I < Line.size(); ++I) {
-    char C = Line[I];
+/// Splits one line of a CSV record (RFC-4180 quoting) into \p Sc's field
+/// buffers, starting in the quote state \p InQuotes the previous line left:
+/// a quoted field may run over several lines, and each continuation line
+/// is scanned once, from where the last one stopped. \returns false while
+/// a quoted field is still open at the end of \p Text.
+bool scanCsv(std::string_view Text, bool &InQuotes, ReadBuffers &Sc) {
+  std::string &Buf = Sc.CsvFields;
+  auto FieldEmpty = [&] {
+    return Buf.size() == (Sc.CsvEnds.empty() ? 0 : Sc.CsvEnds.back());
+  };
+  for (size_t I = 0; I < Text.size(); ++I) {
+    char C = Text[I];
     if (InQuotes) {
-      if (C == '"') {
-        if (I + 1 < Line.size() && Line[I + 1] == '"') {
-          Cur += '"';
-          ++I;
-        } else {
-          InQuotes = false;
-        }
+      if (C != '"') {
+        Buf += C;
+      } else if (I + 1 < Text.size() && Text[I + 1] == '"') {
+        Buf += '"';
+        ++I;
       } else {
-        Cur += C;
+        InQuotes = false;
       }
-    } else if (C == '"' && Cur.empty()) {
+    } else if (C == '"' && FieldEmpty()) {
       InQuotes = true;
     } else if (C == ',') {
-      Fields.push_back(Cur);
-      Cur.clear();
+      Sc.CsvEnds.push_back(Buf.size());
     } else {
-      Cur += C;
+      Buf += C;
     }
   }
-  if (InQuotes) {
-    Why = "unterminated quoted field";
-    return false;
-  }
-  Fields.push_back(Cur);
-  return true;
+  return !InQuotes;
 }
 
-bool parseCsvLine(const std::string &Line, CellRecord &R, std::string &Why) {
-  std::vector<std::string> Fields;
-  if (!splitCsvLine(Line, Fields, Why))
-    return false;
-  if (Fields.size() != NumFields) {
+/// Assigns the fields scanCsv split (the last one still open).
+bool parseCsvFields(CellRecord &R, ReadBuffers &Sc, std::string &Why) {
+  Sc.CsvEnds.push_back(Sc.CsvFields.size());
+  if (Sc.CsvEnds.size() != NumFields) {
     Why = "expected " + std::to_string(NumFields) + " fields, got " +
-          std::to_string(Fields.size());
+          std::to_string(Sc.CsvEnds.size());
     return false;
   }
-  for (size_t F = 0; F < NumFields; ++F)
-    if (!assignField(R, FieldNames[F], Fields[F], /*Csv=*/true, Why))
+  std::string_view All = Sc.CsvFields;
+  size_t Begin = 0;
+  for (size_t F = 0; F < NumFields; ++F) {
+    size_t End = Sc.CsvEnds[F];
+    if (!assignField(R, F, All.substr(Begin, End - Begin), /*Csv=*/true, Why))
       return false;
+    Begin = End;
+  }
   return true;
 }
 
@@ -651,6 +619,8 @@ bool ocelot::readResultFile(const std::string &Path, SinkFormat Format,
   }
   Out.clear();
   std::string Line;
+  Line.reserve(LineReserve);
+  ReadBuffers Sc;
   size_t LineNo = 0;
   bool SawHeader = false;
   while (std::getline(In, Line)) {
@@ -667,21 +637,28 @@ bool ocelot::readResultFile(const std::string &Path, SinkFormat Format,
     }
     if (Line.empty())
       continue;
-    // A quoted CSV field may legally contain a newline; keep pulling
-    // continuation lines until the quotes balance.
-    if (Format == SinkFormat::Csv) {
-      std::vector<std::string> Probe;
-      std::string QuoteWhy, More;
-      while (!splitCsvLine(Line, Probe, QuoteWhy) && std::getline(In, More)) {
-        ++LineNo;
-        Line += '\n';
-        Line += More;
-      }
-    }
     CellRecord R;
     std::string Why;
-    bool Ok = Format == SinkFormat::Jsonl ? parseJsonlLine(Line, R, Why)
-                                          : parseCsvLine(Line, R, Why);
+    bool Ok;
+    if (Format == SinkFormat::Jsonl) {
+      Ok = parseJsonlLine(Line, R, Sc, Why);
+    } else {
+      // A quoted CSV field may legally contain a newline; keep pulling
+      // continuation lines until the quotes balance.
+      Sc.CsvFields.clear();
+      Sc.CsvEnds.clear();
+      bool InQuotes = false;
+      while (!scanCsv(Line, InQuotes, Sc) && std::getline(In, Line)) {
+        ++LineNo;
+        Sc.CsvFields += '\n'; // The open quoted field's line break.
+      }
+      if (InQuotes) {
+        Why = "unterminated quoted field";
+        Ok = false;
+      } else {
+        Ok = parseCsvFields(R, Sc, Why);
+      }
+    }
     if (!Ok) {
       Error = Path + ":" + std::to_string(LineNo) + ": " + Why;
       return false;

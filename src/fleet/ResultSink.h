@@ -9,10 +9,18 @@
 /// grid in memory the fleet runner appends one self-contained record per
 /// cell to a JSONL or CSV file, so a shard's resident memory is bounded by
 /// its reorder window, not its cell count. Records are emitted in flat
-/// cell-index order, one line per cell, doubles formatted `%.17g` so a
-/// read-back (`readResultFile`) reconstitutes every field bit-for-bit —
-/// the property the shard-merge determinism invariant rests on: re-emitting
-/// a parsed record reproduces the original line byte-for-byte.
+/// cell-index order, one line per cell. Numbers are written by
+/// `std::to_chars`: doubles with precision 17, the same bytes as `%.17g`
+/// but independent of the process locale. A read-back (`readResultFile`)
+/// reconstitutes every field bit-for-bit — the property the shard-merge
+/// determinism invariant rests on: re-emitting a parsed record reproduces
+/// the original line byte-for-byte.
+///
+/// The reader parses numbers with `std::from_chars`, which accepts no
+/// leading '+' or whitespace, no hex and no out-of-range value (and no '-'
+/// on a counter); it matches each JSONL key in place and decodes a string
+/// only when it holds an escape. The CSV reader splits each line once,
+/// resuming the split on the next line when a quoted field holds a newline.
 ///
 /// Durability contract: `append` may buffer; after `flush` every appended
 /// record is on stable storage (fsync) and `durableOffset` is the byte
@@ -21,8 +29,9 @@
 ///
 /// Adding a sink format safely: implement both the writer and the reader,
 /// keep emission deterministic (fixed field order, `%.17g` doubles, no
-/// locale dependence), and extend FleetTest's round-trip suite before
-/// wiring it into the CLI (docs/ARCHITECTURE.md, "Fleet sweeps").
+/// locale dependence), and extend FleetTest's round-trip suite and its
+/// pinned record bytes before wiring it into the CLI (docs/ARCHITECTURE.md,
+/// "Fleet sweeps").
 ///
 //===----------------------------------------------------------------------===//
 

@@ -32,7 +32,8 @@ const TimeSeriesCsvSpec &powerCsvSpec() {
       /*FileNoun=*/"power trace",
       /*ValueNonNegative=*/true,
       /*SeriesCheck=*/
-      [](const std::vector<TimeSeriesSegment> &Segs) -> std::string {
+      [](const std::vector<TimeSeriesSegment> &Segs,
+         const std::vector<std::string> &) -> std::string {
         double CycleEnergy = 0.0;
         for (const TimeSeriesSegment &S : Segs)
           CycleEnergy += S.Value * static_cast<double>(S.DurationTau);

@@ -27,17 +27,18 @@ const TimeSeriesCsvSpec &sensorCsvSpec() {
       /*FileNoun=*/"sensor trace",
       /*ValueNonNegative=*/false,
       /*SeriesCheck=*/
-      [](const std::vector<TimeSeriesSegment> &Segs) -> std::string {
+      [](const std::vector<TimeSeriesSegment> &Segs,
+         const std::vector<std::string> &Where) -> std::string {
         // The channel samples llround(value), which is unspecified outside
         // [-2^63, 2^63); every double inside rounds exactly.
         for (size_t I = 0; I < Segs.size(); ++I)
           if (!(Segs[I].Value >= -0x1p63 && Segs[I].Value < 0x1p63)) {
             char Buf[128];
             std::snprintf(Buf, sizeof(Buf),
-                          "segment %zu: sensor value %g is outside the "
-                          "int64 range [-2^63, 2^63)",
-                          I, Segs[I].Value);
-            return Buf;
+                          ": sensor value %g is outside the int64 range "
+                          "[-2^63, 2^63)",
+                          Segs[I].Value);
+            return Where[I] + Buf;
           }
         return "";
       }};

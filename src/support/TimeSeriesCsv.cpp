@@ -37,7 +37,7 @@ std::string timeseries::validate(const std::vector<TimeSeriesSegment> &Segs,
     TotalTau += Segs[I].DurationTau;
   }
   if (Spec.SeriesCheck)
-    return Spec.SeriesCheck(Segs);
+    return Spec.SeriesCheck(Segs, Where);
   return "";
 }
 

@@ -65,9 +65,11 @@ struct TimeSeriesCsvSpec {
   /// When true, values must additionally be >= 0 (power traces); sensor
   /// values may be negative.
   bool ValueNonNegative = false;
-  /// Optional whole-series rule run after the per-segment checks; returns
-  /// an error message or "" (e.g. power's "trace harvests no energy").
-  std::string (*SeriesCheck)(const std::vector<TimeSeriesSegment> &) = nullptr;
+  /// Optional whole-series rule run after the per-segment checks, given
+  /// the same \p Where prefixes as validate(); returns an error message or
+  /// "" (e.g. power's "trace harvests no energy").
+  std::string (*SeriesCheck)(const std::vector<TimeSeriesSegment> &,
+                             const std::vector<std::string> &Where) = nullptr;
 };
 
 namespace timeseries {

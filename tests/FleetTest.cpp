@@ -28,8 +28,11 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cfloat>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <random>
@@ -253,6 +256,228 @@ TEST(ResultSink, ReaderRejectsGarbageWithLineNumbers) {
   EXPECT_FALSE(readResultFile(Path, SinkFormat::Jsonl, Got, Err));
   EXPECT_NE(Err.find(":2:"), std::string::npos) << Err;
   std::remove(Path.c_str());
+}
+
+// Each record-level check names its problem: a record is one line (JSONL)
+// or row (CSV) edited from a valid one.
+TEST(ResultSink, ReaderNamesEachRecordProblem) {
+  const std::string Json = formatCellRecord(CellRecord{}, SinkFormat::Jsonl);
+  const std::string Csv = formatCellRecord(CellRecord{}, SinkFormat::Csv);
+  auto Edit = [](std::string S, const std::string &From,
+                 const std::string &To) {
+    return S.replace(S.find(From), From.size(), To);
+  };
+  struct Case {
+    SinkFormat Format;
+    std::string Bytes, Want;
+  } Cases[] = {
+      {SinkFormat::Jsonl, Edit(Json, "\"model\"", "\"modle\""),
+       "unknown field 'modle'"},
+      {SinkFormat::Jsonl, Edit(Json, "\"model\"", "\"cell\""),
+       "duplicate field 'cell'"},
+      {SinkFormat::Jsonl, Edit(Json, "\"cell\": 0, ", ""),
+       "record is missing fields"},
+      {SinkFormat::Jsonl, Edit(Json, "}\n", "} x\n"),
+       "trailing characters after the record"},
+      {SinkFormat::Jsonl, Edit(Json, "\"seed\": 0", "\"seed\": 1.5"),
+       "bad value '1.5' for field 'seed'"},
+      {SinkFormat::Jsonl, Edit(Json, "\"starved\": false", "\"starved\": 0"),
+       "bad value '0' for field 'starved'"},
+      {SinkFormat::Csv, csvHeaderLine() + Edit(Csv, "0,", ""),
+       "expected 21 fields, got 20"},
+      {SinkFormat::Csv, csvHeaderLine() + Edit(Csv, ",\n", ",\"open\n"),
+       "unterminated quoted field"},
+      {SinkFormat::Csv, Edit(csvHeaderLine(), "cell", "cel") + Csv,
+       "bad CSV header"},
+  };
+  std::string Path = freshDir("record-problems") + "/problem";
+  for (const Case &C : Cases) {
+    writeFile(Path, C.Bytes);
+    std::vector<CellRecord> Got;
+    std::string Err;
+    EXPECT_FALSE(readResultFile(Path, C.Format, Got, Err)) << C.Bytes;
+    EXPECT_NE(Err.find(C.Want), std::string::npos) << Err;
+  }
+}
+
+// Records whose every byte was written by the earlier snprintf formatter
+// ("%.17g" doubles, "%" PRIu64 counters, "\\u%04x" control characters).
+// Shard files written by older binaries resume and merge byte-identically
+// only while formatCellRecord reproduces these lines exactly.
+std::vector<CellRecord> pinnedRecords() {
+  CellRecord A;
+  A.Cell = UINT64_MAX;
+  A.Result.Bench = (1ull << 53) + 1;
+  A.Result.Seed = 1;
+  A.Result.Metrics.CompletedRuns = UINT64_MAX;
+  A.Result.Metrics.OracleCrossEpochOutputs = (1ull << 53) + 1;
+  A.Result.Metrics.OnCyclesPerRun = 0.1;
+  A.Result.Metrics.OffCyclesPerRun = 1.0 / 3;
+  A.Result.Metrics.RebootsPerRun = 5e-324;
+  A.Result.Metrics.Trapped = true;
+  A.Result.Metrics.Trap = "say \"hi\", then\nstop\x01\x1f";
+  CellRecord B;
+  B.Result.Metrics.Starved = true;
+  B.Result.Metrics.OnCyclesPerRun = DBL_MAX;
+  // 2^53 + 1 is not a double; it rounds to 2^53.
+  B.Result.Metrics.OffCyclesPerRun = static_cast<double>((1ull << 53) + 1);
+  B.Result.Metrics.RebootsPerRun = -0.0;
+  return {A, B};
+}
+
+TEST(ResultSink, RecordBytesArePinned) {
+  const std::string WantJsonl[] = {
+      "{\"cell\": 18446744073709551615, \"model\": 0, \"bench\": "
+      "9007199254740993, \"energy\": 0, \"power\": 0, \"scenario\": 0, "
+      "\"seed\": 1, \"completed_runs\": 18446744073709551615, "
+      "\"violating_runs\": 0, \"oracle_fresh_outputs\": 0, "
+      "\"oracle_stale_outputs\": 0, \"oracle_cross_epoch_outputs\": "
+      "9007199254740993, \"oracle_dirty_runs\": 0, \"over_enforced_runs\": "
+      "0, \"under_enforced_runs\": 0, \"on_cycles_per_run\": "
+      "0.10000000000000001, \"off_cycles_per_run\": 0.33333333333333331, "
+      "\"reboots_per_run\": 4.9406564584124654e-324, \"starved\": false, "
+      "\"trapped\": true, \"trap\": \"say \\\"hi\\\", "
+      "then\\nstop\\u0001\\u001f\"}\n",
+      "{\"cell\": 0, \"model\": 0, \"bench\": 0, \"energy\": 0, \"power\": "
+      "0, \"scenario\": 0, \"seed\": 0, \"completed_runs\": 0, "
+      "\"violating_runs\": 0, \"oracle_fresh_outputs\": 0, "
+      "\"oracle_stale_outputs\": 0, \"oracle_cross_epoch_outputs\": 0, "
+      "\"oracle_dirty_runs\": 0, \"over_enforced_runs\": 0, "
+      "\"under_enforced_runs\": 0, \"on_cycles_per_run\": "
+      "1.7976931348623157e+308, \"off_cycles_per_run\": 9007199254740992, "
+      "\"reboots_per_run\": -0, \"starved\": true, \"trapped\": false, "
+      "\"trap\": \"\"}\n"};
+  const std::string WantCsv[] = {
+      "18446744073709551615,0,9007199254740993,0,0,0,1,18446744073709551615,"
+      "0,0,0,9007199254740993,0,0,0,0.10000000000000001,0.33333333333333331,"
+      "4.9406564584124654e-324,0,1,\"say \"\"hi\"\", then\nstop\x01"
+      "\x1f"
+      "\"\n",
+      "0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,1.7976931348623157e+308,"
+      "9007199254740992,-0,1,0,\n"};
+  std::vector<CellRecord> Rs = pinnedRecords();
+  for (size_t I = 0; I < Rs.size(); ++I) {
+    EXPECT_EQ(formatCellRecord(Rs[I], SinkFormat::Jsonl), WantJsonl[I]);
+    EXPECT_EQ(formatCellRecord(Rs[I], SinkFormat::Csv), WantCsv[I]);
+  }
+
+  // The pinned bytes read back and re-emit unchanged: an old shard file
+  // merges to the same bytes.
+  for (SinkFormat Format : {SinkFormat::Jsonl, SinkFormat::Csv}) {
+    std::string Path =
+        freshDir("pinned") + "/pinned." + sinkFormatExtension(Format);
+    std::string File =
+        Format == SinkFormat::Csv ? csvHeaderLine() : std::string();
+    for (const std::string &L : Format == SinkFormat::Csv ? WantCsv
+                                                           : WantJsonl)
+      File += L;
+    writeFile(Path, File);
+    std::vector<CellRecord> Got;
+    std::string Err;
+    ASSERT_TRUE(readResultFile(Path, Format, Got, Err)) << Err;
+    std::string ReEmitted =
+        Format == SinkFormat::Csv ? csvHeaderLine() : std::string();
+    for (const CellRecord &R : Got)
+      ReEmitted += formatCellRecord(R, Format);
+    EXPECT_EQ(ReEmitted, File);
+    std::remove(Path.c_str());
+  }
+}
+
+// What the reader's number parsers accept, through a uint64 field
+// (completed_runs) and a double field (on_cycles_per_run) of a CSV record,
+// and of a JSONL record where the token is a JSON scalar. An accepted
+// token must read as the value strtoull/strtod give it; "stricter" names
+// the tokens strtoull/strtod accepted that the from_chars reader rejects
+// (no sink ever writes them).
+TEST(ResultSink, ReaderTokenTable) {
+  struct TokenCase {
+    const char *Tok;
+    bool U64, Dbl;      ///< Accepted by a uint64 / a double field.
+    const char *Stricter; ///< "" or what strtoull/strtod made of it.
+  } Cases[] = {
+      {"", false, false, ""},
+      {"0", true, true, ""},
+      {"007", true, true, ""},
+      {"18446744073709551615", true, true, ""},
+      {"18446744073709551616", false, true, ""},
+      {"-1", false, true, ""},
+      {"-0", false, true, ""},
+      {"1.5", false, true, ""},
+      {"1E5", false, true, ""},
+      {".5", false, true, ""},
+      {"5.", false, true, ""},
+      {"5e-324", false, true, ""},
+      {"2.2250738585072009e-308", false, true, ""}, // Largest subnormal.
+      {"1e400", false, false, ""},
+      {"-1e400", false, false, ""},
+      {"inf", false, true, ""},
+      {"-inf", false, true, ""},
+      {"nan", false, true, ""},
+      {"1e", false, false, ""},
+      {".", false, false, ""},
+      {"5 ", false, false, ""},
+      {"1;5", false, false, ""},
+      {"+5", false, false, "strtoull and strtod: 5"},
+      {" 5", false, false, "strtoull and strtod: 5 (CSV)"},
+      {"\v-5", false, false, "strtoull: 2^64 - 5, strtod: -5"},
+      {"0x10", false, false, "strtod: 16"},
+      {"0x1p3", false, false, "strtod: 8"},
+      {"1e-400", false, false, "strtod: 0"},
+  };
+  const size_t U64Field = 7, DblField = 15; // completed_runs, on_cycles_per_run
+  std::string Dir = freshDir("tokens");
+  // Reads a default record with field \p F replaced by \p Tok.
+  auto Read = [&](SinkFormat Format, size_t F, const std::string &Tok,
+                  CellRecord &Out) {
+    std::string Line = formatCellRecord(CellRecord{}, Format);
+    if (Format == SinkFormat::Jsonl) {
+      const char *Key = F == U64Field ? "\"completed_runs\": 0,"
+                                      : "\"on_cycles_per_run\": 0,";
+      size_t At = Line.find(Key);
+      Line.replace(At, std::strlen(Key),
+                   std::string(Key, std::strlen(Key) - 2) + Tok + ",");
+    } else {
+      size_t At = 0;
+      for (size_t I = 0; I < F; ++I)
+        At = Line.find(',', At) + 1;
+      Line.replace(At, 1, Tok); // Every field of the default record is "0".
+    }
+    std::string Path = Dir + "/token." + sinkFormatExtension(Format);
+    writeFile(Path, (Format == SinkFormat::Csv ? csvHeaderLine() : "") + Line);
+    std::vector<CellRecord> Got;
+    std::string Err;
+    bool Ok = readResultFile(Path, Format, Got, Err);
+    if (Ok)
+      Out = Got.at(0);
+    return Ok;
+  };
+  for (const TokenCase &C : Cases) {
+    std::string Tok = C.Tok;
+    for (SinkFormat Format : {SinkFormat::Csv, SinkFormat::Jsonl}) {
+      // The JSONL scanner ends a scalar at whitespace, so a token with a
+      // space is not a JSONL value.
+      if (Format == SinkFormat::Jsonl && Tok.find(' ') != std::string::npos)
+        continue;
+      SCOPED_TRACE("token '" + Tok + "' in " + sinkFormatName(Format));
+      CellRecord R;
+      ASSERT_EQ(Read(Format, U64Field, Tok, R), C.U64);
+      if (C.U64) {
+        EXPECT_EQ(R.Result.Metrics.CompletedRuns,
+                  std::strtoull(C.Tok, nullptr, 10));
+      }
+      ASSERT_EQ(Read(Format, DblField, Tok, R), C.Dbl);
+      if (C.Dbl) {
+        double Want = std::strtod(C.Tok, nullptr);
+        double Got = R.Result.Metrics.OnCyclesPerRun;
+        if (std::isnan(Want)) {
+          EXPECT_TRUE(std::isnan(Got));
+        } else {
+          EXPECT_EQ(std::memcmp(&Got, &Want, sizeof(double)), 0) << Got;
+        }
+      }
+    }
+  }
 }
 
 // -- Determinism spine ------------------------------------------------------

@@ -334,11 +334,13 @@ TEST(SensorTrace, ValuesOutsideInt64AreRejected) {
     EXPECT_FALSE(
         SensorTrace::parseCsv("100,0\n100," + std::string(Bad) + "\n", Error))
         << Bad;
-    EXPECT_NE(Error.find("segment 1"), std::string::npos) << Error;
+    EXPECT_NE(Error.find("line 2: sensor value"), std::string::npos)
+        << Error;
     EXPECT_NE(Error.find("int64 range"), std::string::npos) << Error;
   }
   EXPECT_FALSE(SensorTrace::Builder().segment(100, 1e300).build(Error));
-  EXPECT_NE(Error.find("segment 0"), std::string::npos) << Error;
+  EXPECT_NE(Error.find("segment 0: sensor value"), std::string::npos)
+      << Error;
 }
 
 TEST(SensorTrace, ExtremeInt64ValuesReadBackExactly) {
