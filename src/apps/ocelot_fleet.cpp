@@ -51,9 +51,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <cinttypes>
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -114,17 +112,12 @@ bool parseEnergyFlag(const std::string &Value, EnergyConfig &Out,
       !parseUnsigned(Parts[1], Out.ReserveCycles))
     return Bad(Shape);
   double *Doubles[] = {&Out.ChargeRate, &Out.ChargeJitter, &Out.RefillJitter};
-  for (size_t I = 2; I < Parts.size(); ++I) {
-    errno = 0;
-    char *End = nullptr;
-    double D = std::strtod(Parts[I].c_str(), &End);
-    if (Parts[I].empty() || !End || *End != '\0' || errno != 0)
+  for (size_t I = 2; I < Parts.size(); ++I)
+    if (!parseDouble(Parts[I], *Doubles[I - 2]))
       return Bad(Shape);
-    *Doubles[I - 2] = D;
-  }
   if (Out.ReserveCycles >= Out.CapacityCycles)
     return Bad("the reserve RES must be below the capacity CAP");
-  if (!(std::isfinite(Out.ChargeRate) && Out.ChargeRate > 0))
+  if (!(Out.ChargeRate > 0))
     return Bad("the charge rate RATE must be finite and above 0");
   for (double Jitter : {Out.ChargeJitter, Out.RefillJitter})
     if (!(Jitter >= 0 && Jitter <= 1))

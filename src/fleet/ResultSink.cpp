@@ -455,8 +455,9 @@ private:
 
 /// The whole of \p Tok as a double (`from_chars`: decimal or inf/nan, no
 /// leading '+' or whitespace, independent of the locale). Out-of-range
-/// values, either way, are rejected.
-bool parseDouble(std::string_view Tok, double &Out) {
+/// values, either way, are rejected. Unlike parseDouble (ParseNumber.h) it
+/// takes inf and nan, which a record's metrics can hold.
+bool parseRecordDouble(std::string_view Tok, double &Out) {
   const char *End = Tok.data() + Tok.size();
   auto [Ptr, Ec] = std::from_chars(Tok.data(), End, Out);
   return Ec == std::errc() && Ptr == End;
@@ -489,7 +490,7 @@ bool assignField(CellRecord &R, size_t F, std::string_view Value, bool Csv,
         return false;
       return true;
     } else if constexpr (std::is_same_v<T, double>) {
-      return parseDouble(Value, Field);
+      return parseRecordDouble(Value, Field);
     } else if constexpr (std::is_same_v<T, std::string>) {
       Field = Value;
       return true;

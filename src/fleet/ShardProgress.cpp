@@ -7,10 +7,10 @@
 #include "fleet/ShardProgress.h"
 
 #include "fleet/FleetRunner.h"
+#include "support/ParseNumber.h"
 
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <limits>
 
@@ -52,29 +52,26 @@ void ProgressWriter::heartbeat(const ShardProgress &P, bool Force) {
 
 namespace {
 
-/// Parses `"Key": <number>` out of one JSONL line. Returns false when the
-/// key is absent or not followed by a number.
+/// Parses `"Key": <number>` out of one JSONL line: the number runs to the
+/// next ',' or '}' and must be all of that text (parseDouble). Returns
+/// false when the key is absent or not followed by such a number.
 bool findNum(const std::string &Line, const char *Key, double &Val) {
   std::string Needle = std::string("\"") + Key + "\": ";
   size_t Pos = Line.find(Needle);
   if (Pos == std::string::npos)
     return false;
-  const char *Start = Line.c_str() + Pos + Needle.size();
-  char *End = nullptr;
-  Val = std::strtod(Start, &End);
-  return End != Start;
+  const size_t Start = Pos + Needle.size();
+  const size_t End = Line.find_first_of(",}", Start);
+  if (End == std::string::npos)
+    return false;
+  return parseDouble(std::string_view(Line).substr(Start, End - Start), Val);
 }
 
 /// findNum for a count stored in an unsigned type of \p Bits bits: it must
-/// lie in [0, 2^Bits), or converting it would be undefined (NaN fails too).
+/// lie in [0, 2^Bits), or converting it would be undefined.
 bool findCount(const std::string &Line, const char *Key, int Bits,
                double &Val) {
   return findNum(Line, Key, Val) && Val >= 0 && Val < std::ldexp(1.0, Bits);
-}
-
-/// findNum for a rate or a duration: any finite value.
-bool findFinite(const std::string &Line, const char *Key, double &Val) {
-  return findNum(Line, Key, Val) && std::isfinite(Val);
 }
 
 bool parseProgressLine(const std::string &Line, ShardProgress &Out) {
@@ -87,8 +84,8 @@ bool parseProgressLine(const std::string &Line, ShardProgress &Out) {
       !findCount(Line, "cells_begin", SizeBits, Begin) ||
       !findCount(Line, "cells_end", SizeBits, End) ||
       !findCount(Line, "cells_done", SizeBits, Done) ||
-      !findFinite(Line, "cells_per_sec", Rate) ||
-      !findFinite(Line, "eta_sec", Eta) ||
+      !findNum(Line, "cells_per_sec", Rate) ||
+      !findNum(Line, "eta_sec", Eta) ||
       !findCount(Line, "wall_ms", U64Bits, Wall))
     return false;
   Out.Shard = static_cast<unsigned>(Shard);

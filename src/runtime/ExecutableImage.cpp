@@ -181,6 +181,19 @@ ExecutableImage::build(const Program &P,
   Img->Costs.reserve(Img->Code.size());
   for (const FlatInst &FI : Img->Code)
     Img->Costs.push_back(MachineCosts.costOfOp(FI.Op));
+  // The watched step-cost tables, in stepCosts' block order.
+  const size_t N = Img->Costs.size();
+  Img->WatchedCosts.assign(4 * N, WatchedStep);
+  for (size_t Pc = 0; Pc < N; ++Pc) {
+    const FlatInst &FI = Img->Code[Pc];
+    const uint64_t C = Img->Costs[Pc];
+    if (!FI.HasUseCheck)
+      Img->WatchedCosts[Pc] = C;
+    if (!FI.UseRegsCount)
+      Img->WatchedCosts[N + Pc] = C;
+    if (!FI.HasUseCheck && !FI.UseRegsCount)
+      Img->WatchedCosts[2 * N + Pc] = C;
+  }
   Img->buildThreadedView();
   return Img;
 }
@@ -433,6 +446,14 @@ std::string ExecutableImage::disassemble(const Program &P) const {
       if (Body.size() < 44)
         Body.resize(44, ' ');
       Out += Body + " ; cost=" + std::to_string(Costs[Pc]);
+      // Which monitor sends this step through the full step header.
+      const bool WatchBv = stepCosts(WatchUseChecks)[Pc] == WatchedStep;
+      const bool WatchFormal = stepCosts(WatchUseRegs)[Pc] == WatchedStep;
+      if (WatchBv || WatchFormal)
+        Out += std::string(" watched=") +
+               (WatchBv && WatchFormal ? "bit-vector+formal"
+                : WatchBv              ? "bit-vector"
+                                       : "formal");
       if (FI.Op == Opcode::AtomicStart && FI.OmegaCount) {
         Out += " omega={";
         const int32_t *Omega = omegaGlobals(FI);

@@ -15,7 +15,9 @@
 ///  * Branch, call and fall-through targets are pre-resolved to absolute
 ///    PCs at build time.
 ///  * The per-instruction cycle cost (`MachineCosts.costOf`'s switch) is
-///    folded into a PC-indexed table.
+///    folded into a PC-indexed table. Step-cost copies of it mark the PCs
+///    whose step needs more than the threaded engine's one-compare step
+///    header (monitor sites, or every PC) with a sentinel cost.
 ///  * Dense side tables map each PC to its monitor actions (bit-vector
 ///    fresh-use checks, formal-checker use registers) and each
 ///    `AtomicStart` to its region's flattened omega set, replacing the
@@ -308,6 +310,30 @@ public:
   /// PC-indexed cycle costs under MachineCosts.
   const std::vector<uint64_t> &costs() const { return Costs; }
 
+  /// The PCs whose step a checked threaded loop runs through its full
+  /// step header (see stepCosts). Flags combine.
+  enum Watch : unsigned {
+    WatchNone = 0,
+    WatchUseChecks = 1, ///< Bit-vector fresh-use sites (HasUseCheck).
+    WatchUseRegs = 2,   ///< Formal-checker use-register sites.
+    WatchEvery = 4,     ///< Every PC: failure plans and the profiler.
+  };
+  /// What a step-cost table holds at a watched PC. It is at least every
+  /// comparator headroom, so the countdown compare `Cost >= Headroom`
+  /// always sends a watched step to the full header, and with no energy
+  /// model (headroom ~0, counted down by real costs only) nothing else
+  /// gets there.
+  static constexpr uint64_t WatchedStep = ~uint64_t(0);
+  /// The PC-indexed step-cost table of watch set \p W: costs() with
+  /// WatchedStep at every watched PC (costs() itself for WatchNone). All
+  /// tables are built once per image, so no interpreter copies one.
+  const uint64_t *stepCosts(unsigned W) const {
+    if (W == WatchNone)
+      return Costs.data();
+    const size_t Table = (W & WatchEvery) ? 3 : W - 1;
+    return WatchedCosts.data() + Table * Costs.size();
+  }
+
   // -- Threaded dispatch view --------------------------------------------
   /// PC-indexed dispatch codes for the threaded engine. Non-fused slots
   /// (including every fused pair's tail) carry their FlatInst's opcode
@@ -357,6 +383,9 @@ private:
   std::map<InstrRef, uint32_t> InputOrdinals;
   std::vector<GlobalSlot> Globals;
   std::vector<uint64_t> Costs;
+  /// stepCosts' watched tables back to back, one Costs.size() block each:
+  /// use checks, use registers, both, every PC.
+  std::vector<uint64_t> WatchedCosts;
   uint32_t NvmCellCount = 0;
   uint32_t MainEntry = 0;
   uint32_t MainRegs = 0;

@@ -22,10 +22,10 @@
 /// (pinned by ExecImageTest and DifferentialFuzzTest). Three properties
 /// carry that guarantee through fusion:
 ///
-///  * A fused handler replicates the complete per-instruction step
-///    header (failure injection, energy draw, cost/tau charging, monitor
-///    checks) for *both* slots — only the dispatch between them is
-///    elided — so a power failure can still strike between head and tail.
+///  * A fused handler runs the step header for *both* slots — only the
+///    dispatch between them is elided — so a power failure can still
+///    strike between head and tail. When the tail's step needs the full
+///    header (see below), it leaves the pair and runs as a plain step.
 ///  * A pair's tail keeps its plain dispatch code. A JIT reboot resumes
 ///    at the interrupted PC, which may be mid-pair; dispatching the
 ///    tail's plain code there is exactly the unfused semantics.
@@ -41,11 +41,18 @@
 ///  * Checked (taint off) adds failure injection, the energy comparator,
 ///    the bit-vector monitor and the observers. Values move as raw int64
 ///    payloads: with taint off every span is empty by construction.
+///    Its step header is one compare (the budget check aside): the step's
+///    entry in the image's step-cost table against the comparator
+///    headroom. The table holds a sentinel at every *watched* PC — a
+///    monitor site, or every PC under a failure plan or the profiler —
+///    so a step leaves the fast header only when energy runs low or its
+///    PC is watched. It then runs the one full reference header, the
+///    slow step, and dispatches from there.
 ///  * TaintOn (the formal monitor and the oracle force it) moves whole
 ///    `RtValue`s, joins their epoch spans, runs the formal
 ///    checks, and dispatches every slot's plain code: a fused head is
 ///    never taken, which is exact because each pair's tail keeps its
-///    plain code too.
+///    plain code too. It shares the checked loop's step header.
 ///
 /// PC, the on-cycle and step counters and (non-Hot) the comparator
 /// headroom live in locals for the whole run; tau and the lifetime
@@ -238,7 +245,11 @@ template <bool Hot, bool TaintOn> RunResult Interpreter::runThreadedLoop() {
   Committed.clear();
   AbortsThisRegion = 0;
   CurrentRegion = -1;
+  // Power failures with no step between them (the tree engine's count,
+  // which it resets on every step that passes its header): the count
+  // restarts at a failure only when Steps moved since the one before.
   [[maybe_unused]] uint64_t ConsecutiveFailures = 0;
+  [[maybe_unused]] uint64_t StepsAtFailure = 0;
 
   const FlatInst *const Code = Img->code().data();
   [[maybe_unused]] const ThreadedOp *const TOps = Img->threadedOps().data();
@@ -266,6 +277,18 @@ template <bool Hot, bool TaintOn> RunResult Interpreter::runThreadedLoop() {
                    Telem || Prof)) &&
          "Hot instantiation requires no plan, no energy, no monitors, no "
          "telemetry");
+  // The step header's cost table. The checked loops read the image's table
+  // with this run's watched PCs set to WatchedStep, so the header's one
+  // compare also catches every step that needs the slow step.
+  const uint64_t *const StepCosts =
+      Hot ? Costs
+          : Img->stepCosts(
+                (PlanMayFireBefore || Prof ? ExecutableImage::WatchEvery
+                                           : ExecutableImage::WatchNone) |
+                (BitVector ? ExecutableImage::WatchUseChecks
+                           : ExecutableImage::WatchNone) |
+                (TaintOn && Formal ? ExecutableImage::WatchUseRegs
+                                   : ExecutableImage::WatchNone));
 
   // Loop state mirrored into locals (the members stay authoritative for
   // everything out of line; see SyncOut/SyncIn). Every charge lands on
@@ -286,9 +309,13 @@ template <bool Hot, bool TaintOn> RunResult Interpreter::runThreadedLoop() {
   // reserve; otherwise Headroom -= C. 0 means the level is already at or
   // below the reserve (the next step fires whatever its cost) and the
   // model holds the exact level; a positive Headroom is the level minus
-  // ReserveCycles, written back by SyncOut.
-  [[maybe_unused]] uint64_t Headroom = Store ? Store->headroom() : 0;
-  // Why the step header stopped short of its instruction; handled once,
+  // ReserveCycles, written back by SyncOut. With no energy model it
+  // starts at ~0, and a run's costs (bounded by RunOnCycleBudget) never
+  // count it down to a real cost: only WatchedStep entries reach the slow
+  // step.
+  [[maybe_unused]] uint64_t Headroom =
+      Store ? Store->headroom() : ExecutableImage::WatchedStep;
+  // Why the slow step stopped short of its instruction; handled once,
   // out of the handlers, at the loop head (non-Hot only).
   enum class Stop : uint8_t { None, FailBefore, PowerLow };
   [[maybe_unused]] Stop Pending = Stop::None;
@@ -311,7 +338,7 @@ template <bool Hot, bool TaintOn> RunResult Interpreter::runThreadedLoop() {
     R.OnCycles = OnCycles;
     R.Steps = Steps;
     if constexpr (!Hot) {
-      if (Headroom)
+      if (Store && Headroom)
         Store->setHeadroom(Headroom);
     }
   };
@@ -321,7 +348,7 @@ template <bool Hot, bool TaintOn> RunResult Interpreter::runThreadedLoop() {
     TauMinusOn = this->Tau - OnCycles;
     Steps = R.Steps;
     if constexpr (!Hot)
-      Headroom = Store ? Store->headroom() : 0;
+      Headroom = Store ? Store->headroom() : ExecutableImage::WatchedStep;
     RegBase = FFrames.empty() ? 0 : FFrames.back().RegBase;
     Regs = RegStack.data() + RegBase;
   };
@@ -403,12 +430,16 @@ template <bool Hot, bool TaintOn> RunResult Interpreter::runThreadedLoop() {
     return E;
   };
 
-// One instruction's step header, identical to one tree-engine iteration
-// header: budget check, failure injection, energy draw, cost/tau/step
-// accounting, monitor use checks, PC advance. Fused handlers invoke it a
-// second time for their tail slot, so a power failure can still strike
-// between the two halves (resuming at the tail's plain code). A failure
-// leaves through the loop head, which handles it out of the handlers.
+// One instruction's step header: the budget check, then one compare of
+// the step's StepCosts entry against the comparator headroom. A step that
+// passes it is charged its cost (it is not watched, so that entry is its
+// true cost) and needs nothing more of the reference header: no plan can
+// fire before it, its energy draw is the countdown, and no observer or
+// monitor acts at its PC. Every other step leaves for LSlowStep, which
+// runs the reference header and dispatches the instruction itself.
+// Fused handlers invoke this a second time for their tail slot, so a
+// power failure can still strike between the two halves, and a slow tail
+// runs as its plain code (the head has already written its result).
 #define OCELOT_STEP()                                                          \
   do {                                                                         \
     if (OnCycles > RunOnCycleBudget) {                                         \
@@ -417,39 +448,14 @@ template <bool Hot, bool TaintOn> RunResult Interpreter::runThreadedLoop() {
     }                                                                          \
     FI = Code + Pc;                                                            \
     TOp = TaintOn ? static_cast<ThreadedOp>(FI->Op) : TOps[Pc];                \
-    Cost = Costs[Pc];                                                          \
+    Cost = StepCosts[Pc];                                                      \
     if constexpr (!Hot) {                                                      \
-      if (PlanMayFireBefore &&                                                 \
-          Cfg.Plan.firesBefore(InstrRef(FI->Func, FI->Label), Rand)) {         \
-        Pending = Stop::FailBefore;                                            \
-        goto LTop;                                                             \
-      }                                                                        \
-      if (Store) {                                                             \
-        if (Cost >= Headroom) {                                                \
-          Pending = Stop::PowerLow;                                            \
-          goto LTop;                                                           \
-        }                                                                      \
-        Headroom -= Cost;                                                      \
-      }                                                                        \
-      ConsecutiveFailures = 0;                                                 \
+      if (Cost >= Headroom)                                                    \
+        goto LSlowStep;                                                        \
+      Headroom -= Cost;                                                        \
     }                                                                          \
     OnCycles += Cost;                                                          \
     ++Steps;                                                                   \
-    if constexpr (!Hot) {                                                      \
-      if (Prof) {                                                              \
-        Prof->step(Pc, static_cast<uint16_t>(FI->Op), ProfPrevPc,              \
-                   ProfPrevOp);                                                \
-        ProfPrevPc = Pc;                                                       \
-        ProfPrevOp = static_cast<uint16_t>(FI->Op);                            \
-      }                                                                        \
-      if (BitVector && FI->HasUseCheck)                                        \
-        Monitor->onFreshUse(InstrRef(FI->Func, FI->Label),                     \
-                            Img->useChecks(*FI), OCELOT_TAU());                \
-      if constexpr (TaintOn) {                                                 \
-        if (Formal && FI->UseRegsCount)                                        \
-          FormalUses(*FI, OCELOT_TAU());                                       \
-      }                                                                        \
-    }                                                                          \
     ++Pc; /* Advance before executing (branches overwrite). */                 \
   } while (0)
 
@@ -539,14 +545,15 @@ LTop:
       // The step header stopped before charging its instruction.
       SyncOut();
       if (Pending == Stop::PowerLow) {
-        if (Store) {
-          // The comparator fired: apply consume's clamp to the exact
-          // level SyncOut just wrote back. It leaves the level at or below
-          // the reserve, so the model is authoritative again.
-          [[maybe_unused]] const bool Fired = Store->consume(Cost);
-          assert(Fired && "the countdown fired where consume does not");
-          Headroom = 0;
-        }
+        // The comparator fired: apply consume's clamp to the exact level
+        // SyncOut just wrote back. It leaves the level at or below the
+        // reserve, so the model is authoritative again.
+        [[maybe_unused]] const bool Fired = Store->consume(Cost);
+        assert(Fired && "the countdown fired where consume does not");
+        Headroom = 0;
+        if (Steps != StepsAtFailure)
+          ConsecutiveFailures = 0;
+        StepsAtFailure = Steps;
         if (++ConsecutiveFailures > Cfg.MaxAbortsPerRegion)
           R.Starved = true;
       }
@@ -561,6 +568,43 @@ LTop:
     goto LDone;
   OCELOT_STEP();
   OCELOT_DISPATCH();
+
+[[maybe_unused]] LSlowStep: // Unreferenced in the Hot instantiation.
+  // The reference step header, identical to one tree-engine iteration
+  // header after its budget check: failure injection, energy draw, cost,
+  // tau and step accounting, the profiler, monitor use checks, PC advance.
+  // OCELOT_STEP has set FI and TOp and left Pc at the instruction.
+  if constexpr (!Hot) {
+    if (PlanMayFireBefore &&
+        Cfg.Plan.firesBefore(InstrRef(FI->Func, FI->Label), Rand)) {
+      Pending = Stop::FailBefore;
+      goto LTop;
+    }
+    Cost = Costs[Pc];
+    if (Store) {
+      if (Cost >= Headroom) {
+        Pending = Stop::PowerLow;
+        goto LTop;
+      }
+      Headroom -= Cost;
+    }
+    OnCycles += Cost;
+    ++Steps;
+    if (Prof) {
+      Prof->step(Pc, static_cast<uint16_t>(FI->Op), ProfPrevPc, ProfPrevOp);
+      ProfPrevPc = Pc;
+      ProfPrevOp = static_cast<uint16_t>(FI->Op);
+    }
+    if (BitVector && FI->HasUseCheck)
+      Monitor->onFreshUse(InstrRef(FI->Func, FI->Label), Img->useChecks(*FI),
+                          OCELOT_TAU());
+    if constexpr (TaintOn) {
+      if (Formal && FI->UseRegsCount)
+        FormalUses(*FI, OCELOT_TAU());
+    }
+    ++Pc; // Advance before executing (branches overwrite).
+    OCELOT_DISPATCH();
+  }
 
 #if !defined(OCELOT_HAVE_COMPUTED_GOTO)
 LSwitch:
@@ -778,9 +822,9 @@ LSwitch:
   // -- Superinstructions --------------------------------------------------
   // One per OCELOT_FUSED_PAIRS row (ExecutableImage.h). Taint-off only:
   // the TaintOn instantiation dispatches plain codes, so it never reaches
-  // these. Each executes head then tail with the full step header
-  // replicated for the tail (OCELOT_STEP), forwarding the head's result
-  // through a local instead of re-reading the register file.
+  // these. Each executes head then tail with the step header run again
+  // for the tail (OCELOT_STEP), forwarding the head's result through a
+  // local instead of re-reading the register file.
 
   OCELOT_CASE(FuseBinCondBr) : {
     const FlatInst &H = *FI;

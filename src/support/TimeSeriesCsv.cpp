@@ -6,11 +6,10 @@
 
 #include "support/TimeSeriesCsv.h"
 
-#include <cctype>
-#include <cerrno>
+#include "support/ParseNumber.h"
+
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 
@@ -66,39 +65,34 @@ bool timeseries::parseCsv(std::string_view Text,
     if (Line.empty() || Line.front() == '#')
       continue;
 
-    // Parse strictly: an unsigned decimal duration (no sign — sscanf %llu
-    // would silently wrap "-100" to ~2^64), a comma, a finite double
-    // value, and nothing else.
-    std::string Ln(Line);
-    std::string BadLine = "line " + std::to_string(LineNo) + ": expected '" +
-                          Spec.Columns + "', got '" + Ln + "'";
-    const char *C = Ln.c_str();
-    if (!std::isdigit(static_cast<unsigned char>(*C))) {
-      Error = BadLine;
-      return false;
-    }
-    char *End = nullptr;
-    errno = 0;
-    unsigned long long Dur = std::strtoull(C, &End, 10);
-    if (errno == ERANGE) {
-      Error = "line " + std::to_string(LineNo) +
-              ": segment duration exceeds 64 bits";
-      return false;
-    }
-    if (*End != ',') {
-      Error = BadLine;
+    // Parse strictly (ParseNumber.h's grammar): an unsigned decimal
+    // duration, a comma, a finite decimal value, and nothing else. No
+    // sign on the duration (it would wrap), and no '+', whitespace, hex
+    // or underflow to 0 in either number, so toCsv writes back the text
+    // it read.
+    const std::string At = "line " + std::to_string(LineNo);
+    const size_t Comma = Line.find(',');
+    const std::string_view DurText = Line.substr(0, Comma);
+    if (Comma == std::string_view::npos || DurText.empty() ||
+        DurText.find_first_not_of("0123456789") != std::string_view::npos) {
+      Error = At + ": expected '" + Spec.Columns + "', got '" +
+              std::string(Line) + "'";
       return false;
     }
     TimeSeriesSegment S;
-    const char *ValStart = End + 1;
-    S.Value = std::strtod(ValStart, &End);
-    if (End == ValStart || *End != '\0') {
-      Error = BadLine;
+    if (!parseUnsigned(DurText, S.DurationTau)) {
+      Error = At + ": segment duration exceeds 64 bits";
       return false;
     }
-    S.DurationTau = Dur;
+    const std::string_view ValText = Line.substr(Comma + 1);
+    if (!parseDouble(ValText, S.Value)) {
+      Error = At + ": " + Spec.ValueName +
+              " must be a finite decimal number, got '" +
+              std::string(ValText) + "'";
+      return false;
+    }
     Segs.push_back(S);
-    Where.push_back("line " + std::to_string(LineNo));
+    Where.push_back(At);
   }
   Error = validate(Segs, Spec, Where);
   if (!Error.empty())

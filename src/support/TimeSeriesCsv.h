@@ -83,8 +83,10 @@ std::string validate(const std::vector<TimeSeriesSegment> &Segs,
 
 /// Parses and validates CSV text: `#` comments and blank lines are
 /// skipped; every data line must be exactly an unsigned decimal duration,
-/// a comma and a finite double. On success fills \p Out and returns true;
-/// otherwise sets \p Error to a message naming the offending line.
+/// a comma and a finite decimal number, read by ParseNumber.h (no '+',
+/// inner whitespace or hex, and no value that rounds to 0 or overflows).
+/// On success fills \p Out and returns true; otherwise sets \p Error to a
+/// message naming the offending line.
 bool parseCsv(std::string_view Text, const TimeSeriesCsvSpec &Spec,
               std::vector<TimeSeriesSegment> &Out, std::string &Error);
 

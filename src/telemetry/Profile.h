@@ -14,11 +14,11 @@
 /// `ocelotc --profile` can say which hot pairs the table has a row for
 /// and which it misses.
 ///
-/// Cost discipline: one `if (Prof)` test per step in the engines (a
-/// never-taken, perfectly predicted branch when profiling is off), and
-/// the threaded engine's Hot instantiation excludes profiling entirely —
-/// a profiled run takes the non-Hot loop. Profiling never changes
-/// simulated results; it only counts.
+/// Cost discipline: an unprofiled run pays nothing. A profiled run takes
+/// the threaded engine's checked loop with every PC watched, so each
+/// step runs the out-of-line slow step, the one place that calls
+/// `step()`; the Hot instantiation excludes profiling entirely.
+/// Profiling never changes simulated results; it only counts.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -30,11 +30,14 @@
 /// to zero.
 ///
 /// The config matrix is chosen to reach every instantiation of the
-/// threaded loop: continuous power without monitors (the Hot loop with
-/// the trace-off output fast path), bit-vector monitors alone (the
-/// taint-off checked loop), energy-driven failures with each monitor
-/// setting (the formal monitor selects the taint loop), and an
-/// oracle-armed config whose OracleRecords must also agree bitwise. The
+/// threaded loop and every evaluated configuration: continuous power
+/// without monitors (the Hot loop with the trace-off output fast path),
+/// bit-vector monitors alone (the taint-off checked loop), energy-driven
+/// failures with no monitor (fig8), with each monitor setting (the
+/// formal monitor selects the taint loop) and with a small starvation
+/// bound, table2a's pathological plan and a random plan with the bit
+/// vector, and an oracle-armed config whose OracleRecords must also agree
+/// bitwise; one config runs again with telemetry attached. The
 /// Hot and taint-off checked loops take fused pairs; the taint loop
 /// dispatches every PC's plain code, so it is the unfused reference. On
 /// each engine, the formal config's violation records must also be the
@@ -46,8 +49,10 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "harness/Experiment.h"
 #include "ocelot/Toolchain.h"
 #include "runtime/Simulation.h"
+#include "support/ParseNumber.h"
 #include "telemetry/TraceSink.h"
 
 #include <gtest/gtest.h>
@@ -58,17 +63,27 @@
 #include <random>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 using namespace ocelot;
 
 namespace {
 
+/// OCELOT_FUZZ_PROGRAMS, or 30 when it is unset. Anything but a positive
+/// decimal count fails the test instead of running the default budget.
 int fuzzBudget() {
-  if (const char *V = std::getenv("OCELOT_FUZZ_PROGRAMS"))
-    if (int N = std::atoi(V); N > 0)
-      return N;
-  return 30;
+  const char *V = std::getenv("OCELOT_FUZZ_PROGRAMS");
+  if (!V)
+    return 30;
+  unsigned N = 0;
+  if (!parseUnsigned(std::string_view(V), N) || N == 0 ||
+      N > static_cast<unsigned>(std::numeric_limits<int>::max())) {
+    ADD_FAILURE() << "OCELOT_FUZZ_PROGRAMS='" << V
+                  << "' is not a positive decimal program count";
+    return 0;
+  }
+  return static_cast<int>(N);
 }
 
 // -- Random program generator ----------------------------------------------
@@ -509,7 +524,10 @@ private:
       if (!First)
         Out << ", ";
       First = false;
-      std::string Name = "p" + std::to_string(P);
+      // Appended, not "p" + to_string: GCC 12 -O3 flags that with a
+      // false -Wrestrict.
+      std::string Name = "p";
+      Name += std::to_string(P);
       Out << Name << ": int";
       Scope.push_back({Name, false, false}); // params are not addressable
     }
@@ -731,6 +749,36 @@ TEST(DifferentialFuzz, TreeAndThreadedAgreeOnRandomPrograms) {
       RunConfig Energy = BitVec;
       Energy.Plan = FailurePlan::energyDriven();
       runDifferential(A, Energy, GenSeed * 31 + 7, 4, What + "/energy");
+
+      // Energy-driven with no monitor (fig8's loop): no PC is watched, so
+      // only the energy countdown leaves the fast step header.
+      RunConfig Unmonitored;
+      Unmonitored.Plan = FailurePlan::energyDriven();
+      Unmonitored.RecordTrace = true;
+      runDifferential(A, Unmonitored, GenSeed * 37 + 3, 4,
+                      What + "/energy-unmonitored");
+
+      // The smallest starvation bound on a small capacitor (250 cycles a
+      // charge): a run starves on its second failure in a row with no
+      // step between them, or on a region's second abort.
+      RunConfig Starving = Energy;
+      Starving.Energy.CapacityCycles = 600;
+      Starving.MaxAbortsPerRegion = 1;
+      runDifferential(A, Starving, GenSeed * 41 + 5, 4,
+                      What + "/energy-max-aborts-1");
+
+      // table2a's pathological plan with the bit vector, and a random
+      // plan: no energy model, and every PC is watched.
+      RunConfig Pathological = BitVec;
+      Pathological.Plan =
+          FailurePlan::pathological(pathologicalPoints(A));
+      Pathological.Plan.setOffTime(20000, 200000);
+      runDifferential(A, Pathological, GenSeed * 43 + 11, 4,
+                      What + "/pathological");
+      RunConfig Random = BitVec;
+      Random.Plan = FailurePlan::random(0.01);
+      Random.Plan.setOffTime(50, 500);
+      runDifferential(A, Random, GenSeed * 47 + 17, 4, What + "/random");
 
       RunConfig Full = Energy;
       Full.MonitorFormal = true;

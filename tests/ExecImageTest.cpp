@@ -25,9 +25,16 @@
 ///    the formal monitor and the oracle run the taint loop) and the
 ///    monitor-free continuous configuration (the Hot loop).
 ///
+///  * Split step header — the checked loops' one-compare header and its
+///    slow step, at their edges: a use check on a fused pair's tail, a
+///    watched step that drains the headroom, the consecutive-failure
+///    rule, a profiled run's counts and the bit vector with no energy
+///    model.
+///
 ///  * Image construction — linearization order, branch/call target
-///    resolution, cost-table folding, monitor/omega side-table density
-///    and the NVM layout table are checked against the source Program.
+///    resolution, cost-table folding (and the watched step-cost tables),
+///    monitor/omega side-table density and the NVM layout table are
+///    checked against the source Program.
 ///
 ///  * Fusion passes — every superinstruction the peephole pass formed is
 ///    re-validated against its pattern-table row: correct
@@ -42,10 +49,12 @@
 #include "harness/Experiment.h"
 #include "ocelot/Toolchain.h"
 #include "runtime/Simulation.h"
+#include "telemetry/Profile.h"
 #include "telemetry/TraceSink.h"
 
 #include <gtest/gtest.h>
 
+#include <numeric>
 #include <tuple>
 
 using namespace ocelot;
@@ -112,19 +121,23 @@ void expectSameResult(const RunResult &Got /*engine under test*/,
 /// Runs \p Runs activations of \p A on the tree engine and on the
 /// threaded engine, with otherwise identical specs, and compares every
 /// activation plus the final device state against the tree reference. A
-/// null \p Scenario selects the default noise world. \returns the tree
-/// engine's results, so a caller can check that its configuration reached
-/// the path it targets.
+/// null \p Scenario selects the default noise world. \p Traced attaches a
+/// TraceSink per engine, whose exports (every monitor check among them)
+/// must match byte for byte. \returns the tree engine's results, so a
+/// caller can check that its configuration reached the path it targets.
 std::vector<RunResult>
 runDifferential(const CompiledArtifact &A, uint64_t Seed,
                 const RunConfig &Base, int Runs,
                 std::shared_ptr<const SensorScenario> Scenario,
-                const std::string &What) {
+                const std::string &What, bool Traced = false) {
+  TraceSink Sinks[2];
   auto mkSim = [&](DispatchEngine E) {
     RunConfig Cfg = Base;
     Cfg.Sensors = Scenario;
     Cfg.Seed = Seed;
     Cfg.Dispatch = E;
+    if (Traced)
+      Cfg.Telemetry = &Sinks[E == DispatchEngine::Tree ? 0 : 1];
     return Simulation(A, std::move(Cfg));
   };
   Simulation Tree = mkSim(DispatchEngine::Tree);
@@ -144,6 +157,10 @@ runDifferential(const CompiledArtifact &A, uint64_t Seed,
   EXPECT_EQ(Threaded.tau(), Tree.tau()) << What;
   EXPECT_EQ(Threaded.epoch(), Tree.epoch()) << What;
   EXPECT_EQ(Threaded.nvmSnapshot(), Tree.nvmSnapshot()) << What;
+  if (Traced) {
+    EXPECT_EQ(Sinks[1].exportChromeJson(), Sinks[0].exportChromeJson())
+        << What << " [threaded trace diverged]";
+  }
   return TreeRuns;
 }
 
@@ -479,6 +496,17 @@ void checkImageAgainstProgram(const CompiledArtifact &A) {
 
         // Cost folding matches the original switch.
         EXPECT_EQ(Img.costs()[Pc], MachineCosts.costOf(I)) << "pc " << Pc;
+        // Each step-cost table is the cost table with the sentinel at
+        // exactly the PCs its watch set names.
+        for (unsigned W = 0; W <= 7; ++W) {
+          const bool Watched =
+              (W & ExecutableImage::WatchEvery) ||
+              ((W & ExecutableImage::WatchUseChecks) && FI.HasUseCheck) ||
+              ((W & ExecutableImage::WatchUseRegs) && FI.UseRegsCount);
+          EXPECT_EQ(Img.stepCosts(W)[Pc],
+                    Watched ? ExecutableImage::WatchedStep : Img.costs()[Pc])
+              << "pc " << Pc << " watch " << W;
+        }
 
         // Branch targets resolve to the first instruction of the named
         // block in the same function.
@@ -630,6 +658,9 @@ TEST(ExecImage, MainEntryAndDisassembly) {
   EXPECT_NE(Dis.find("cost=80"), std::string::npos);  // input cost folded
   EXPECT_NE(Dis.find("-> pc"), std::string::npos);    // resolved targets
   EXPECT_NE(Dis.find("monitor=fresh-use"), std::string::npos);
+  // Both monitors' use of x sends its steps through the full step header.
+  EXPECT_NE(Dis.find(" watched=bit-vector+formal monitor=fresh-use"),
+            std::string::npos);
 }
 
 // -- Superinstruction fusion pass ------------------------------------------
@@ -812,6 +843,174 @@ TEST(FusionPass, NeverFusesAcrossBlockLeaders) {
         EXPECT_FALSE(Img.isFusedHead(FI.Target2 - 1))
             << "target of pc " << Pc << " is a fused tail";
       }
+    }
+  }
+}
+
+// -- The split step header ---------------------------------------------------
+// The checked threaded loops charge a step with one compare of its
+// step-cost table entry against the comparator headroom. A watched PC
+// (sentinel cost) or low energy sends the step to the slow step, which
+// runs the reference header. These cases pin the edges of that split
+// against the tree engine.
+
+TEST(SplitStepHeader, UseCheckAtAFusedTail) {
+  // `y = c + x` is the tail of a mov+bin pair and a bit-vector use-check
+  // site: the pair's tail step leaves for the slow step, which runs the
+  // check and dispatches the tail's plain code. A failure at `log(i)`
+  // clears x's bit, so some checks fail.
+  CompiledArtifact A = compileSource(
+      "io s;\nstatic n = 0;\nfn main() { for i in 0..8 { let fresh x = s();\n"
+      "  log(i); let c = 3; let y = c + x; n += y; } log(n); }\n",
+      ExecModel::JitOnly);
+  const ExecutableImage &Img = A.image();
+  bool CheckAtTail = false;
+  for (uint32_t Pc = 1; Pc < Img.size(); ++Pc)
+    CheckAtTail |= Img.isFusedHead(Pc - 1) && Img.code()[Pc].HasUseCheck;
+  ASSERT_TRUE(CheckAtTail);
+
+  RunConfig Cfg;
+  Cfg.MonitorBitVector = true;
+  Cfg.RecordTrace = true;
+  runDifferential(A, 3, Cfg, /*Runs=*/2, nullptr, "fused-tail check",
+                  /*Traced=*/true);
+  Cfg.Plan = FailurePlan::energyDriven();
+  Cfg.Energy = EnergyConfig{700, 350, 7.0, 0.25, 0.2};
+  size_t Flagged = 0;
+  for (const RunResult &R :
+       runDifferential(A, 3, Cfg, /*Runs=*/6, nullptr,
+                       "fused-tail check/energy", /*Traced=*/true))
+    Flagged += R.Violations.size();
+  EXPECT_GT(Flagged, 0u);
+}
+
+TEST(SplitStepHeader, WatchedStepDrainsTheHeadroom) {
+  // `log(x)` (200 cycles) is watched by both monitors. The steps before
+  // it cost 281 (input 80, mov 1, fresh 0, log 200), and without jitter a
+  // charge holds Capacity - 350 cycles above the reserve, so the watched
+  // step meets a headroom of Capacity - 631. At 200 it fires on the
+  // watched step itself (cost >= headroom); at 201 it runs, and the
+  // 1-cycle branch after it fires. MaxAbortsPerRegion = 0 starves the run
+  // at its first failure, so Steps counts the steps before that failure.
+  CompiledArtifact A = compileSource(
+      "io s;\nfn main() { let fresh x = s(); log(1); log(x); }\n",
+      ExecModel::JitOnly);
+  const ExecutableImage &Img = A.image();
+  const FlatInst &Use = Img.code()[Img.mainEntryPc() + 4];
+  ASSERT_TRUE(Use.Op == Opcode::Output && Use.HasUseCheck &&
+              Use.UseRegsCount > 0);
+
+  for (int Monitors = 0; Monitors < 4; ++Monitors) {
+    RunConfig Cfg;
+    Cfg.Plan = FailurePlan::energyDriven();
+    Cfg.MonitorBitVector = Monitors & 1;
+    Cfg.MonitorFormal = Monitors & 2;
+    Cfg.Oracle = Monitors == 3;
+    Cfg.RecordTrace = true;
+    Cfg.MaxAbortsPerRegion = 0;
+    for (const auto &[Capacity, WantSteps] :
+         {std::pair<uint64_t, uint64_t>{831, 4}, {832, 5}}) {
+      Cfg.Energy = EnergyConfig{Capacity, 350, 7.0, 0.0, 0.0};
+      const std::string What = "monitors " + std::to_string(Monitors) +
+                               " capacity " + std::to_string(Capacity);
+      std::vector<RunResult> Runs =
+          runDifferential(A, 5, Cfg, /*Runs=*/1, nullptr, What);
+      ASSERT_EQ(Runs.size(), 1u);
+      EXPECT_TRUE(Runs[0].Starved) << What;
+      EXPECT_EQ(Runs[0].Steps, WantSteps) << What;
+      EXPECT_EQ(Runs[0].Reboots, 0u) << What;
+    }
+  }
+}
+
+TEST(SplitStepHeader, OnlyBackToBackFailuresStarve) {
+  // MaxAbortsPerRegion = 1 under JIT: failures with steps between them
+  // never starve a run, two with no step between them do. The threaded
+  // engine restarts its count only when Steps moved since the last
+  // failure, where the tree engine resets it on every step.
+  RunConfig Cfg;
+  Cfg.Plan = FailurePlan::energyDriven();
+  Cfg.MonitorBitVector = true;
+  Cfg.RecordTrace = true;
+  Cfg.MaxAbortsPerRegion = 1;
+  CompiledArtifact A = compileSource(
+      "fn main() { log(1); log(2); log(3); log(4); log(5); log(6); }\n",
+      ExecModel::JitOnly);
+
+  // 350 cycles per charge: each holds one or two 200-cycle logs.
+  Cfg.Energy = EnergyConfig{700, 350, 7.0, 0.0, 0.0};
+  std::vector<RunResult> Progress =
+      runDifferential(A, 7, Cfg, /*Runs=*/2, nullptr, "progress");
+  for (const RunResult &R : Progress) {
+    EXPECT_TRUE(R.Completed);
+    EXPECT_GE(R.Reboots, 2u);
+  }
+
+  // 150 cycles per charge: the first log never fits, so the second
+  // failure follows the first with no step between them.
+  Cfg.Energy = EnergyConfig{500, 350, 7.0, 0.0, 0.0};
+  std::vector<RunResult> Starving =
+      runDifferential(A, 7, Cfg, /*Runs=*/2, nullptr, "back to back");
+  ASSERT_EQ(Starving.size(), 1u);
+  EXPECT_TRUE(Starving[0].Starved);
+  EXPECT_EQ(Starving[0].Reboots, 1u);
+}
+
+TEST(SplitStepHeader, ProfiledRunCountsEveryStep) {
+  // The profiler watches every PC, so each step runs the slow step, which
+  // counts it once. Two inputs per region let failures abort regions
+  // part-way, so re-executed PCs count more than once. The per-PC counts
+  // were recorded from the engine with the full per-step header.
+  CompiledArtifact A = compileSource(
+      "io s;\nstatic n = 0;\nstatic m = 0;\nfn main() {\n"
+      "  for i in 0..6 { atomic { let x = s(); let z = s();\n"
+      "    let y = x * 3 + z; n += y + i; m = n - 1; } }\n  log(n); }\n",
+      ExecModel::AtomicsOnly);
+  PcProfile Prof;
+  Prof.prepare(A.image().size(), static_cast<size_t>(NumOpcodes));
+  RunConfig Cfg;
+  Cfg.Plan = FailurePlan::energyDriven();
+  Cfg.Energy = EnergyConfig{700, 350, 7.0, 0.25, 0.2};
+  Cfg.MonitorBitVector = true;
+  Cfg.Seed = 9;
+  Cfg.Profile = &Prof;
+  Simulation Sim(A, Cfg);
+  uint64_t Steps = 0;
+  for (int Run = 0; Run < 3; ++Run) {
+    const RunResult R = Sim.runOnce();
+    Steps += R.Steps;
+    EXPECT_EQ(Prof.Steps, Steps) << "run " << Run;
+  }
+  std::vector<uint64_t> Want(A.image().size(), 3);
+  for (uint32_t Pc : {7u, 8u, 79u, 80u, 97u, 98u})
+    Want[Pc] = 4;
+  for (uint32_t Pc : {43u, 44u, 61u})
+    Want[Pc] = 5;
+  Want[25] = Want[26] = 6;
+  Want[62] = 4;
+  EXPECT_EQ(Prof.PcCounts, Want);
+  EXPECT_EQ(std::accumulate(Prof.PairCounts.begin(), Prof.PairCounts.end(),
+                            uint64_t{0}),
+            336u);
+  // The tree engine does not profile; the two engines still agree.
+  Cfg.Profile = nullptr;
+  runDifferential(A, 9, Cfg, /*Runs=*/3, nullptr, "profiled program");
+}
+
+TEST(SplitStepHeader, BitVectorWithoutEnergy) {
+  // No energy model: the headroom starts at ~0, so only the bit vector's
+  // sentinels leave the fast header. Each check is a trace event, so the
+  // traces pin every one of them under continuous power.
+  RunConfig Cfg;
+  Cfg.MonitorBitVector = true;
+  Cfg.RecordTrace = true;
+  for (const char *Name : {"tire", "cem", "greenhouse"}) {
+    const BenchmarkDef &B = *findBenchmark(Name);
+    for (ExecModel Model : {ExecModel::Ocelot, ExecModel::JitOnly}) {
+      CompiledBenchmark CB = compileBenchmark(B, Model);
+      runDifferential(CB.Artifact, 13, Cfg, /*Runs=*/3, B.scenario(13),
+                      B.Name + "/" + execModelName(Model) + "/continuous",
+                      /*Traced=*/true);
     }
   }
 }

@@ -9,12 +9,14 @@
 /// mutant to both trace parsers. A parser either rejects the text with a
 /// diagnostic that names the offending line (or, for a whole-trace
 /// problem, says which), or returns a trace whose toCsv() re-parses to the
-/// same segments. It never crashes (the sanitize lane runs this too).
+/// same segments. It never crashes (the sanitize lane runs this too). A
+/// token table pins which number spellings the shared parser accepts.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "power/PowerTrace.h"
 #include "sensors/SensorTrace.h"
+#include "support/TimeSeriesCsv.h"
 
 #include "Mutate.h"
 
@@ -22,6 +24,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <random>
@@ -108,6 +111,65 @@ TEST(TraceFuzz, MutatedTraceParsesOrFailsWithALine) {
   // most damage to a data line is rejected.
   EXPECT_GT(Parsed, 0u);
   EXPECT_GT(Rejected, 0u);
+}
+
+// What the shared trace parser accepts in each column, one data line per
+// case. "Stricter" names the spellings the strtoull/strtod parser read
+// that this one rejects: each loaded as a different number than its text
+// says, and toCsv then wrote that number back.
+TEST(TraceTokens, TokenTable) {
+  const TimeSeriesCsvSpec Spec{"# test trace\n# duration_tau,value\n",
+                               "duration_tau,value", "value", "test trace"};
+  struct TokenCase {
+    const char *Line;
+    bool Ok;
+    uint64_t Duration; ///< When Ok.
+    double Value;      ///< When Ok.
+    const char *Error;    ///< When rejected: a fragment of the message.
+    const char *Stricter; ///< "" or what strtoull/strtod made of it.
+  } Cases[] = {
+      {"100,0", true, 100, 0.0, "", ""},
+      {"007,1.5", true, 7, 1.5, "", ""},
+      {"100,-0", true, 100, -0.0, "", ""},
+      {"100,-17.25", true, 100, -17.25, "", ""},
+      {"100,1E5", true, 100, 1e5, "", ""},
+      {"100,.5", true, 100, 0.5, "", ""},
+      {"100,5.", true, 100, 5.0, "", ""},
+      {"100,5e-324", true, 100, 5e-324, "", ""}, // Smallest subnormal.
+      {"18446744073709551615,1", true, UINT64_MAX, 1.0, "", ""},
+      {" 100,5 ", true, 100, 5.0, "", ""}, // The line is trimmed.
+      {"18446744073709551616,1", false, 0, 0, "exceeds 64 bits", ""},
+      {"-100,1", false, 0, 0, "expected 'duration_tau,value'",
+       "strtoull: 2^64 - 100"},
+      {"+100,1", false, 0, 0, "expected 'duration_tau,value'",
+       "strtoull: 100"},
+      {"1e3,1", false, 0, 0, "expected 'duration_tau,value'", ""},
+      {"100", false, 0, 0, "expected 'duration_tau,value'", ""},
+      {"100,", false, 0, 0, "value must be a finite decimal number", ""},
+      {"100,1e400", false, 0, 0, "value must be a finite", ""},
+      {"100,inf", false, 0, 0, "value must be a finite", ""},
+      {"100,nan", false, 0, 0, "value must be a finite", ""},
+      {"100,5,6", false, 0, 0, "got '5,6'", ""},
+      {"100,0x10", false, 0, 0, "got '0x10'", "strtod: 16"},
+      {"100, 5", false, 0, 0, "got ' 5'", "strtod: 5"},
+      {"100,+5", false, 0, 0, "got '+5'", "strtod: 5"},
+      {"100,1e-400", false, 0, 0, "got '1e-400'", "strtod: 0"},
+  };
+  for (const TokenCase &C : Cases) {
+    SCOPED_TRACE(std::string("line '") + C.Line + "'");
+    std::vector<TimeSeriesSegment> Segs;
+    std::string Err;
+    ASSERT_EQ(timeseries::parseCsv(C.Line, Spec, Segs, Err), C.Ok) << Err;
+    if (!C.Ok) {
+      EXPECT_EQ(Err.rfind("line 1: ", 0), 0u) << Err;
+      EXPECT_NE(Err.find(C.Error), std::string::npos) << Err;
+      continue;
+    }
+    ASSERT_EQ(Segs.size(), 1u);
+    EXPECT_EQ(Segs[0].DurationTau, C.Duration);
+    EXPECT_EQ(std::memcmp(&Segs[0].Value, &C.Value, sizeof(double)), 0)
+        << Segs[0].Value;
+  }
 }
 
 } // namespace
