@@ -49,16 +49,21 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "fleet/FleetSpec.h"
 #include "harness/Experiment.h"
 #include "ocelot/Toolchain.h"
 #include "runtime/Simulation.h"
 #include "support/ParseNumber.h"
 #include "telemetry/TraceSink.h"
 
+#include "RenderMonitorPlan.h"
+
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <limits>
 #include <random>
 #include <sstream>
@@ -808,6 +813,66 @@ TEST(DifferentialFuzz, TreeAndThreadedAgreeOnRandomPrograms) {
   RecordProperty("rejected_compiles", Rejected);
   RecordProperty("oracle_off_on_violations_compared",
                  static_cast<int>(OracleOffOnViolations));
+}
+
+// Pins the compile-time analysis on generated programs: one line per
+// program and model with the policy, region and use-check counts and an
+// FNV-1a digest of the `--emit-policies` text plus the MonitorPlan, compared
+// against tests/goldens/generated_policies.golden. PolicyGoldenTest pins
+// the benchmarks in full; this covers the shapes only the generator
+// reaches. Re-bless after an intended change of analysis output with
+//   OCELOT_BLESS_GOLDEN=1 ./DifferentialFuzzTest
+TEST(DifferentialFuzz, GeneratedProgramPoliciesMatchGolden) {
+  const char *const GoldenPath =
+      OCELOT_GOLDEN_DIR "/generated_policies.golden";
+  std::string Actual;
+  for (int P = 0; P < 300; ++P) {
+    const uint64_t GenSeed = 0x0CE107u + 977u * static_cast<uint64_t>(P);
+    std::string Src = ProgramGen(GenSeed).generate();
+    for (ExecModel Model :
+         {ExecModel::Ocelot, ExecModel::JitOnly, ExecModel::AtomicsOnly}) {
+      Actual += "p" + std::to_string(P) + " " + execModelName(Model);
+      CompiledArtifact A = compileAt(Src, Model);
+      if (!A) {
+        Actual += " rejected\n";
+        continue;
+      }
+      const PolicySet &PS = A.policies();
+      std::ostringstream Plan;
+      test::renderMonitorPlan(A.program(), A.monitorPlan(), Plan);
+      char Digest[17];
+      std::snprintf(Digest, sizeof(Digest), "%016llx",
+                    static_cast<unsigned long long>(
+                        fnv1a64(renderPolicies(A) + Plan.str())));
+      Actual += " policies=" +
+                std::to_string(PS.Fresh.size() + PS.Consistent.size()) +
+                " regions=" + std::to_string(A.regions().size()) +
+                " use-checks=" +
+                std::to_string(A.monitorPlan().UseChecks.size()) +
+                " digest=" + Digest + "\n";
+    }
+  }
+  const char *Bless = std::getenv("OCELOT_BLESS_GOLDEN");
+  if (Bless && *Bless && std::string(Bless) != "0") {
+    std::ofstream(GoldenPath, std::ios::binary) << Actual;
+    GTEST_SKIP() << "wrote " << GoldenPath;
+  }
+  std::ifstream In(GoldenPath, std::ios::binary);
+  ASSERT_TRUE(In) << "missing golden " << GoldenPath;
+  std::stringstream Expected;
+  Expected << In.rdbuf();
+  std::istringstream E(Expected.str()), Got(Actual);
+  std::string EL, AL;
+  for (int Line = 1;; ++Line) {
+    bool HasE = static_cast<bool>(std::getline(E, EL));
+    bool HasA = static_cast<bool>(std::getline(Got, AL));
+    if (!HasE && !HasA)
+      break;
+    ASSERT_TRUE(HasE && HasA && EL == AL)
+        << "generated-program analysis differs from " << GoldenPath
+        << " at line " << Line << "\n  golden: " << (HasE ? EL : "<eof>")
+        << "\n  actual: " << (HasA ? AL : "<eof>");
+  }
 }
 
 // A fixed regression corpus: hand-written programs that previously needed

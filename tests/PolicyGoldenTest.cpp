@@ -24,6 +24,8 @@
 #include "fusion/FusionBenchmarks.h"
 #include "ocelot/Toolchain.h"
 
+#include "RenderMonitorPlan.h"
+
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -89,31 +91,6 @@ void renderTaint(const Program &P, const TaintAnalysis &TA,
   }
 }
 
-void renderMonitorPlan(const Program &P, const MonitorPlan &M,
-                       std::ostream &Out) {
-  auto Ref = [&](const InstrRef &R) {
-    return P.function(R.Func)->name() + "@" + std::to_string(R.Label);
-  };
-  for (const auto &[Use, Inputs] : M.UseChecks) {
-    Out << "use-check " << Ref(Use) << ":";
-    for (const InstrRef &I : Inputs)
-      Out << " " << Ref(I);
-    Out << "\n";
-  }
-  for (const auto &[Use, Regs] : M.UseRegs) {
-    Out << "use-regs " << Ref(Use) << ":";
-    for (int R : Regs)
-      Out << " r" << R;
-    Out << "\n";
-  }
-  for (const ConsistentSetPlan &S : M.Sets) {
-    Out << "set " << S.SetId << "\n";
-    for (size_t I = 0; I < S.Members.size(); ++I)
-      Out << "  member [" << chainToString(P, S.Members[I]) << "] sensor "
-          << S.MemberSensors[I] << "\n";
-  }
-}
-
 void renderSource(const std::string &Title, const std::string &Src,
                   std::ostream &Out) {
   Out << "=== " << Title << "\n--- taint\n";
@@ -139,7 +116,7 @@ void renderSource(const std::string &Title, const std::string &Src,
     Out << "placement " << (A.placementValid() ? "valid" : "invalid")
         << "\n"
         << renderPolicies(A);
-    renderMonitorPlan(A.program(), A.monitorPlan(), Out);
+    test::renderMonitorPlan(A.program(), A.monitorPlan(), Out);
   }
 }
 
