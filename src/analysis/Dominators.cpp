@@ -158,19 +158,14 @@ DominatorTree DominatorTree::compute(const Function &F, bool Post) {
   T.Depth.assign(NB, -1);
   bool Virtual = G.NumNodes != NB;
 
-  // Compute depths by walking idom chains (graphs are small).
-  auto DepthOf = [&](int Node, auto &&Self) -> int {
-    if (Node == G.Root)
-      return 0;
-    if (Idom[Node] == -1 || PostIndex[Node] < 0)
-      return -1;
-    int D = Self(Idom[Node], Self);
-    return D < 0 ? -1 : D + 1;
-  };
+  // A node's immediate dominator precedes it in reverse postorder, so one
+  // pass in that order sets every depth from its parent's.
+  std::vector<int> NodeDepth(G.NumNodes, -1);
+  for (int Node : Order)
+    NodeDepth[Node] = Node == G.Root ? 0 : NodeDepth[Idom[Node]] + 1;
   for (int B = 0; B < NB; ++B) {
-    int D = DepthOf(B, DepthOf);
-    T.Depth[B] = D;
-    if (D < 0)
+    T.Depth[B] = NodeDepth[B];
+    if (NodeDepth[B] < 0)
       continue;
     int Parent = (B == G.Root) ? -1 : Idom[B];
     // A virtual root is reported as -1.

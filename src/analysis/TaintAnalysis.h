@@ -32,33 +32,47 @@
 #include "ir/Program.h"
 
 #include <map>
+#include <memory>
 #include <set>
 #include <vector>
 
 namespace ocelot {
 
-/// Symbolic taint of a value within one function's analysis space.
+/// Handle of an immutable sorted set of 32-bit values, hash-consed in the
+/// TaintAnalysis that made it: equal sets have equal handles, and handle 0
+/// is the empty set. A handle is only a name; its number says nothing about
+/// the set's members or their order.
+struct IdSet {
+  uint32_t Id = 0;
+
+  bool empty() const { return Id == 0; }
+  friend bool operator==(IdSet, IdSet) = default;
+};
+
+/// Symbolic taint of a value within one function's analysis space. Each
+/// field is a hash-consed set of its owning TaintAnalysis, so a TokenSet
+/// copies and compares as four integers; read the members through
+/// TaintAnalysis::members and TaintAnalysis::resolveRelative.
 /// (ProvChain itself is defined with the IR in ir/Instruction.h.)
 struct TokenSet {
-  /// Taint entering through value parameters (paper: argBy).
-  std::set<int> Params;
+  /// Taint entering through value parameters (paper: argBy): parameter
+  /// indices.
+  IdSet Params;
   /// Taint read through reference parameters' referents (resolved to the
-  /// target global at each call site).
-  std::set<int> RefContents;
+  /// target global at each call site): parameter indices.
+  IdSet RefContents;
   /// Inputs reached without leaving this function's subtree: chains whose
   /// first element is an instruction of this function (paper: local /
-  /// retBy composition).
-  std::set<ProvChain> Locals;
-  /// Taint obtained by reading a non-volatile global's content.
-  std::set<int> Globals;
+  /// retBy composition), as interned chain ids.
+  IdSet Locals;
+  /// Taint obtained by reading a non-volatile global's content: global ids.
+  IdSet Globals;
 
   bool empty() const {
     return Params.empty() && RefContents.empty() && Locals.empty() &&
            Globals.empty();
   }
-
-  /// Set-union; \returns true if this set grew.
-  bool mergeFrom(const TokenSet &O);
+  friend bool operator==(const TokenSet &, const TokenSet &) = default;
 };
 
 /// Per-function analysis results.
@@ -80,15 +94,23 @@ struct FunctionTaint {
 };
 
 /// Runs the analysis over a whole program. The call graph must be acyclic.
+///
+/// The analysis owns the tables its TokenSets name: interned chains (a
+/// call site prefixed onto a chain is one memoized lookup) and hash-consed
+/// sets with memoized unions. They live as long as the analysis and are
+/// touched only while it is constructed, so the const queries below are
+/// safe to call from any thread.
 class TaintAnalysis {
 public:
   TaintAnalysis(const Program &P, const CallGraph &CG);
+  TaintAnalysis(TaintAnalysis &&) noexcept;
+  ~TaintAnalysis();
 
   const FunctionTaint &functionTaint(int Func) const { return FT[Func]; }
 
   /// Program-wide content taint of global \p G as absolute chains (rooted
-  /// at main).
-  const std::set<ProvChain> &globalContent(int G) const {
+  /// at main), sorted.
+  const std::vector<ProvChain> &globalContent(int G) const {
     return GlobalContent[G];
   }
 
@@ -98,39 +120,48 @@ public:
     return Contexts[Func];
   }
 
+  /// The members of \p S in ascending order: parameter or global ids, or,
+  /// for a Locals set, chain ids (ascending ids are not chain order; use
+  /// resolveRelative for the chains).
+  std::vector<uint32_t> members(IdSet S) const;
+
   /// \returns true if \p T only contains Locals tokens, i.e. every input it
   /// depends on is reached inside the owning function's subtree.
   static bool isSelfContained(const TokenSet &T) {
     return T.Params.empty() && T.RefContents.empty() && T.Globals.empty();
   }
 
-  /// Expands \p T (in \p Func's space) into absolute chains rooted at main:
-  /// Params through every caller, RefContents/Globals through the global
-  /// content map, Locals by prefixing with every context of \p Func.
-  std::set<ProvChain> resolveAbsolute(int Func, const TokenSet &T) const;
+  /// Expands \p T (in \p Func's space) into absolute chains rooted at main,
+  /// sorted and without duplicates: Params through every caller,
+  /// RefContents/Globals through the global content map, Locals by
+  /// prefixing with every context of \p Func.
+  std::vector<ProvChain> resolveAbsolute(int Func, const TokenSet &T) const;
 
-  /// Expands \p T keeping chains relative to \p Func. Only valid for
-  /// self-contained sets.
-  std::set<ProvChain> resolveRelative(const TokenSet &T) const {
-    return T.Locals;
-  }
+  /// The Locals chains of \p T, relative to its function, sorted. Only
+  /// complete for self-contained sets.
+  std::vector<ProvChain> resolveRelative(const TokenSet &T) const;
 
 private:
+  struct Tables;
+
   void analyzeFunction(int Func);
   void computeContexts();
   void computeGlobalContent();
+  /// Joins \p From into \p Into; \returns true if \p Into grew.
+  bool merge(TokenSet &Into, const TokenSet &From);
   TokenSet translateCalleeTokens(const Instruction &Call,
                                  const TokenSet &CalleeTokens,
                                  const std::vector<TokenSet> &ArgTokens,
-                                 int CallerFunc) const;
-  std::set<ProvChain>
-  resolveAbsoluteImpl(int Func, const TokenSet &T,
-                      std::set<std::pair<int, int>> &ParamGuard) const;
+                                 int CallerFunc);
+  void resolveAbsoluteInto(int Func, const TokenSet &T,
+                           std::vector<ProvChain> &Out,
+                           std::set<std::pair<int, int>> &ParamGuard) const;
 
   const Program &P;
   const CallGraph &CG;
+  std::unique_ptr<Tables> Tab;
   std::vector<FunctionTaint> FT;
-  std::vector<std::set<ProvChain>> GlobalContent;
+  std::vector<std::vector<ProvChain>> GlobalContent;
   std::vector<std::vector<ProvChain>> Contexts;
 };
 

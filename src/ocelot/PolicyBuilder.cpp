@@ -60,10 +60,6 @@ std::vector<InstrRef> collectUses(const Function &F, int Reg,
   return Uses;
 }
 
-std::vector<ProvChain> sortedChains(const std::set<ProvChain> &Chains) {
-  return std::vector<ProvChain>(Chains.begin(), Chains.end());
-}
-
 } // namespace
 
 PolicySet ocelot::buildPolicies(const Program &P, const CallGraph &CG,
@@ -104,10 +100,10 @@ PolicySet ocelot::buildPolicies(const Program &P, const CallGraph &CG,
           Pol.DeclFunc = FI;
           if (TaintAnalysis::isSelfContained(Taint)) {
             Pol.RootFunc = FI;
-            Pol.Inputs = sortedChains(TA.resolveRelative(Taint));
+            Pol.Inputs = TA.resolveRelative(Taint);
           } else {
             Pol.RootFunc = P.mainFunction();
-            Pol.Inputs = sortedChains(TA.resolveAbsolute(FI, Taint));
+            Pol.Inputs = TA.resolveAbsolute(FI, Taint);
           }
           if (I.A.isReg())
             Pol.Uses = collectUses(F, I.A.Reg, I.Label);
@@ -137,20 +133,16 @@ PolicySet ocelot::buildPolicies(const Program &P, const CallGraph &CG,
     for (const InstrRef &D : Pol.Decls)
       if (D.Func != Pol.Decls[0].Func)
         SameFunc = false;
-    std::set<ProvChain> Inputs;
-    if (SameFunc && SetSelfContained[SetId]) {
-      Pol.RootFunc = Pol.Decls[0].Func;
-      for (const auto &[Func, Taint] : SetDeclTaints[SetId]) {
-        std::set<ProvChain> C = TA.resolveRelative(Taint);
-        Inputs.insert(C.begin(), C.end());
-      }
-    } else {
-      Pol.RootFunc = P.mainFunction();
-      for (const auto &[Func, Taint] : SetDeclTaints[SetId]) {
-        std::set<ProvChain> C = TA.resolveAbsolute(Func, Taint);
-        Inputs.insert(C.begin(), C.end());
-      }
+    std::vector<ProvChain> Inputs;
+    bool Relative = SameFunc && SetSelfContained[SetId];
+    Pol.RootFunc = Relative ? Pol.Decls[0].Func : P.mainFunction();
+    for (const auto &[Func, Taint] : SetDeclTaints[SetId]) {
+      std::vector<ProvChain> C = Relative ? TA.resolveRelative(Taint)
+                                          : TA.resolveAbsolute(Func, Taint);
+      Inputs.insert(Inputs.end(), C.begin(), C.end());
     }
+    std::sort(Inputs.begin(), Inputs.end());
+    Inputs.erase(std::unique(Inputs.begin(), Inputs.end()), Inputs.end());
     if (Inputs.empty()) {
       Diags.warning({}, "consistent set " + std::to_string(SetId) +
                             " depends on no input operations; dropped");
@@ -161,7 +153,7 @@ PolicySet ocelot::buildPolicies(const Program &P, const CallGraph &CG,
                             " has a single member and a single input; "
                             "consistency is trivial");
     Pol.Id = NextId++;
-    Pol.Inputs = sortedChains(Inputs);
+    Pol.Inputs = std::move(Inputs);
     PS.Consistent.push_back(std::move(Pol));
   }
   return PS;

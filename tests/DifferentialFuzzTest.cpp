@@ -831,10 +831,13 @@ TEST(DifferentialFuzz, GeneratedProgramPoliciesMatchGolden) {
     std::string Src = ProgramGen(GenSeed).generate();
     for (ExecModel Model :
          {ExecModel::Ocelot, ExecModel::JitOnly, ExecModel::AtomicsOnly}) {
-      Actual += "p" + std::to_string(P) + " " + execModelName(Model);
+      // Appended piecewise: GCC 12's inlined `"p" + std::to_string(P)`
+      // trips a false -Wrestrict at -O3.
+      std::ostringstream Line;
+      Line << "p" << P << " " << execModelName(Model);
       CompiledArtifact A = compileAt(Src, Model);
       if (!A) {
-        Actual += " rejected\n";
+        Actual += Line.str() + " rejected\n";
         continue;
       }
       const PolicySet &PS = A.policies();
@@ -844,12 +847,11 @@ TEST(DifferentialFuzz, GeneratedProgramPoliciesMatchGolden) {
       std::snprintf(Digest, sizeof(Digest), "%016llx",
                     static_cast<unsigned long long>(
                         fnv1a64(renderPolicies(A) + Plan.str())));
-      Actual += " policies=" +
-                std::to_string(PS.Fresh.size() + PS.Consistent.size()) +
-                " regions=" + std::to_string(A.regions().size()) +
-                " use-checks=" +
-                std::to_string(A.monitorPlan().UseChecks.size()) +
-                " digest=" + Digest + "\n";
+      Line << " policies=" << PS.Fresh.size() + PS.Consistent.size()
+           << " regions=" << A.regions().size()
+           << " use-checks=" << A.monitorPlan().UseChecks.size()
+           << " digest=" << Digest << "\n";
+      Actual += Line.str();
     }
   }
   const char *Bless = std::getenv("OCELOT_BLESS_GOLDEN");

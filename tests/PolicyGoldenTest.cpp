@@ -38,7 +38,8 @@ namespace {
 
 const char *const GoldenPath = OCELOT_GOLDEN_DIR "/policy_taint.golden";
 
-std::string tokens(const Program &P, const TokenSet &T) {
+std::string tokens(const Program &P, const TaintAnalysis &TA,
+                   const TokenSet &T) {
   std::string S = "{";
   const char *Sep = "";
   // Appends piecewise: GCC 12's inlined `"P" + std::to_string(I)` trips a
@@ -49,13 +50,13 @@ std::string tokens(const Program &P, const TokenSet &T) {
     S += X;
     Sep = " ";
   };
-  for (int I : T.Params)
+  for (uint32_t I : TA.members(T.Params))
     Item("P", std::to_string(I));
-  for (int I : T.RefContents)
+  for (uint32_t I : TA.members(T.RefContents))
     Item("R", std::to_string(I));
-  for (int G : T.Globals)
-    Item("G:", P.global(G).Name);
-  for (const ProvChain &C : T.Locals)
+  for (uint32_t G : TA.members(T.Globals))
+    Item("G:", P.global(static_cast<int>(G)).Name);
+  for (const ProvChain &C : TA.resolveRelative(T))
     Item("[", chainToString(P, C) + "]");
   return S + "}";
 }
@@ -65,20 +66,20 @@ void renderTaint(const Program &P, const TaintAnalysis &TA,
   for (int F = 0; F < P.numFunctions(); ++F) {
     const FunctionTaint &FT = TA.functionTaint(F);
     Out << "fn " << P.function(F)->name() << "\n";
-    Out << "  ret " << tokens(P, FT.Ret) << "\n";
+    Out << "  ret " << tokens(P, TA, FT.Ret) << "\n";
     for (const auto &[Param, T] : FT.RefOut)
-      Out << "  refout p" << Param << " " << tokens(P, T) << "\n";
+      Out << "  refout p" << Param << " " << tokens(P, TA, T) << "\n";
     for (const auto &[G, T] : FT.GlobalWrites)
-      Out << "  gwrite " << P.global(G).Name << " " << tokens(P, T) << "\n";
+      Out << "  gwrite " << P.global(G).Name << " " << tokens(P, TA, T) << "\n";
     for (const auto &[Label, T] : FT.AnnotTaint)
-      Out << "  annot @" << Label << " " << tokens(P, T) << "\n";
+      Out << "  annot @" << Label << " " << tokens(P, TA, T) << "\n";
     for (const auto &[Label, Args] : FT.CallArgTaint)
       for (size_t A = 0; A < Args.size(); ++A)
         Out << "  callarg @" << Label << " #" << A << " "
-            << tokens(P, Args[A]) << "\n";
+            << tokens(P, TA, Args[A]) << "\n";
     for (size_t R = 0; R < FT.RegTaint.size(); ++R)
       if (!FT.RegTaint[R].empty())
-        Out << "  reg r" << R << " " << tokens(P, FT.RegTaint[R]) << "\n";
+        Out << "  reg r" << R << " " << tokens(P, TA, FT.RegTaint[R]) << "\n";
     for (const ProvChain &C : TA.contexts(F))
       Out << "  context [" << chainToString(P, C) << "]\n";
   }
