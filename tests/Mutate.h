@@ -7,7 +7,7 @@
 /// \file
 /// The one mutation helper the parser fuzz tests share (result files,
 /// manifests and progress sidecars in FleetTest, power and sensor traces
-/// in TraceFuzzTest).
+/// in TraceFuzzTest, OCL benchmark sources in SourceFuzzTest).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -16,6 +16,8 @@
 
 #include <random>
 #include <string>
+#include <utility>
+#include <vector>
 
 namespace ocelot::test {
 
@@ -53,6 +55,37 @@ inline std::string mutate(std::string Bytes, int Case, std::mt19937_64 &Rng,
     break;
   }
   return Bytes;
+}
+
+/// Applies 1-3 seeded line edits to \p Text: each drops, duplicates or
+/// swaps a line with the next. Source text keeps its tokens, so many such
+/// mutants still parse and reach the later passes, unlike most byte flips.
+inline std::string mutateLines(const std::string &Text, std::mt19937_64 &Rng) {
+  std::vector<std::string> Lines;
+  for (size_t Begin = 0; Begin < Text.size();) {
+    size_t End = Text.find('\n', Begin);
+    End = End == std::string::npos ? Text.size() : End + 1;
+    Lines.push_back(Text.substr(Begin, End - Begin));
+    Begin = End;
+  }
+  for (size_t E = 0, N = 1 + Rng() % 3; E < N && Lines.size() > 1; ++E) {
+    const size_t L = static_cast<size_t>(Rng() % (Lines.size() - 1));
+    switch (Rng() % 3) {
+    case 0:
+      Lines.erase(Lines.begin() + static_cast<ptrdiff_t>(L));
+      break;
+    case 1:
+      Lines.insert(Lines.begin() + static_cast<ptrdiff_t>(L), Lines[L]);
+      break;
+    default:
+      std::swap(Lines[L], Lines[L + 1]);
+      break;
+    }
+  }
+  std::string Out;
+  for (const std::string &Line : Lines)
+    Out += Line;
+  return Out;
 }
 
 } // namespace ocelot::test
