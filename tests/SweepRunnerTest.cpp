@@ -309,6 +309,21 @@ size_t threadCount() {
   return N;
 }
 
+/// The thread count once joined threads have left /proc/self/task. A thread
+/// can stay listed for a moment after join() returns, so a count only ever
+/// reads high: this polls until it is at most \p Want or a few seconds
+/// pass, and returns the last count.
+size_t settledThreadCount(size_t Want) {
+  const auto Deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  size_t N = threadCount();
+  while (N > Want && std::chrono::steady_clock::now() < Deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    N = threadCount();
+  }
+  return N;
+}
+
 TEST(EvaluateCells, EmitReturningFalseStopsAndJoinsEveryWorker) {
   auto Source = std::make_shared<CountingSource>();
   SweepSpec Spec;
@@ -328,7 +343,9 @@ TEST(EvaluateCells, EmitReturningFalseStopsAndJoinsEveryWorker) {
   ASSERT_GT(PerCell, 0u) << "cells must reboot for the count to work";
 
   const bool CanCountThreads = std::filesystem::exists("/proc/self/task");
-  const size_t ThreadsBefore = CanCountThreads ? threadCount() : 0;
+  // The one-worker run above just joined its worker; wait until it is gone
+  // (this test process runs no other thread).
+  const size_t ThreadsBefore = CanCountThreads ? settledThreadCount(1) : 0;
   const size_t K = 5;
   std::vector<size_t> Order;
   EXPECT_FALSE(evaluateCells(Spec, 0, Spec.cellCount(), 3,
@@ -351,7 +368,7 @@ TEST(EvaluateCells, EmitReturningFalseStopsAndJoinsEveryWorker) {
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
   EXPECT_EQ(Source->Recharges.load(), Recharges);
   if (CanCountThreads) {
-    EXPECT_EQ(threadCount(), ThreadsBefore);
+    EXPECT_EQ(settledThreadCount(ThreadsBefore), ThreadsBefore);
   }
 }
 
