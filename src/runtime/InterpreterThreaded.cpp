@@ -562,6 +562,8 @@ LTop:
         goto LDone;
       powerFailFlat(R);
       SyncIn();
+      // The profiler counts no pair across the off-period.
+      ProfPrevPc = ~0u;
     }
   }
   if (FFrames.empty() || R.Starved || !R.Trap.empty())
