@@ -80,6 +80,10 @@ struct TaintAnalysis::Tables {
   static uint64_t pairKey(uint32_t A, uint32_t B) {
     return static_cast<uint64_t>(A) << 32 | B;
   }
+  /// The memo key of the union of \p A and \p B, in either order.
+  static uint64_t unionKey(IdSet A, IdSet B) {
+    return pairKey(std::min(A.Id, B.Id), std::max(A.Id, B.Id));
+  }
 
   std::span<const Word> words(IdSet S) const {
     return {Sets[S.Id].Data, Sets[S.Id].Size};
@@ -182,7 +186,7 @@ struct TaintAnalysis::Tables {
       return A;
     if (A.empty())
       return B;
-    uint64_t Key = pairKey(std::min(A.Id, B.Id), std::max(A.Id, B.Id));
+    uint64_t Key = unionKey(A, B);
     if (auto It = Unions.find(Key); It != Unions.end())
       return {It->second};
     std::span<const Word> WA = words(A), WB = words(B);
@@ -209,8 +213,8 @@ struct TaintAnalysis::Tables {
       for (size_t K = 0; K < N; ++K)
         Hash += hashOf(Out[K]);
       U = commit(N, Hash);
-      Unions.emplace(pairKey(A.Id, U.Id), U.Id);
-      Unions.emplace(pairKey(B.Id, U.Id), U.Id);
+      Unions.emplace(unionKey(A, U), U.Id);
+      Unions.emplace(unionKey(B, U), U.Id);
     }
     Unions.emplace(Key, U.Id);
     return U;
@@ -325,14 +329,17 @@ struct LiveSets {
 LiveSets liveness(const Function &F, const std::vector<int> &Order,
                   const std::vector<std::vector<int>> &Succs, bool Cyclic) {
   int NumBlocks = F.numBlocks();
-  std::vector<std::vector<int>> Use(NumBlocks), Def(NumBlocks);
+  // Block B's upward-exposed reads are Use[UseEnd[B-1] .. UseEnd[B]), and
+  // likewise its definitions in Def.
+  std::vector<int> Use, Def;
+  std::vector<size_t> UseEnd(NumBlocks), DefEnd(NumBlocks);
   std::vector<int> UseStamp(F.numRegs(), -1), DefStamp(F.numRegs(), -1);
   std::vector<char> Exposed(F.numRegs(), 0);
   for (int B = 0; B < NumBlocks; ++B) {
     auto Read = [&](const Operand &O) {
       if (O.isReg() && DefStamp[O.Reg] != B && UseStamp[O.Reg] != B) {
         UseStamp[O.Reg] = B;
-        Use[B].push_back(O.Reg);
+        Use.push_back(O.Reg);
         Exposed[O.Reg] = 1;
       }
     };
@@ -343,9 +350,11 @@ LiveSets liveness(const Function &F, const std::vector<int> &Order,
         Read(A);
       if (I.Dst >= 0 && DefStamp[I.Dst] != B) {
         DefStamp[I.Dst] = B;
-        Def[B].push_back(I.Dst);
+        Def.push_back(I.Dst);
       }
     }
+    UseEnd[B] = Use.size();
+    DefEnd[B] = Def.size();
   }
   LiveSets Live{{}, BitRows(0, 0)};
   std::vector<int> Col(F.numRegs(), -1);
@@ -363,11 +372,11 @@ LiveSets liveness(const Function &F, const std::vector<int> &Order,
     for (auto It = Order.rbegin(); It != Order.rend(); ++It) {
       int B = *It;
       Live.liveOut(Succs[B], Row);
-      for (int R : Def[B])
-        if (Col[R] >= 0)
-          Row[Col[R] / 64] &= ~(uint64_t(1) << (Col[R] % 64));
-      for (int R : Use[B])
-        Row[Col[R] / 64] |= uint64_t(1) << (Col[R] % 64);
+      for (size_t I = B ? DefEnd[B - 1] : 0; I < DefEnd[B]; ++I)
+        if (int C = Col[Def[I]]; C >= 0)
+          Row[C / 64] &= ~(uint64_t(1) << (C % 64));
+      for (size_t I = B ? UseEnd[B - 1] : 0; I < UseEnd[B]; ++I)
+        Row[Col[Use[I]] / 64] |= uint64_t(1) << (Col[Use[I]] % 64);
       if (!std::equal(Row.begin(), Row.end(), Live.In.row(B))) {
         std::copy(Row.begin(), Row.end(), Live.In.row(B));
         Changed = true;
@@ -443,12 +452,14 @@ void TaintAnalysis::analyzeFunction(int Func) {
   std::vector<int> Position(NumBlocks);
   for (int I = 0; I < NumBlocks; ++I)
     Position[Order[I]] = I;
-  std::vector<std::vector<int>> Succs(NumBlocks);
+  std::vector<std::vector<int>> Succs(NumBlocks), Preds(NumBlocks);
   bool Cyclic = false; // Some edge runs back in Order.
   for (int B = 0; B < NumBlocks; ++B) {
     Succs[B] = F.block(B)->successors();
-    for (int S : Succs[B])
+    for (int S : Succs[B]) {
+      Preds[S].push_back(B);
       Cyclic |= Position[S] <= Position[B];
+    }
   }
 
   // Control dependence (transitive) via the post-dominator tree: one row
@@ -465,7 +476,7 @@ void TaintAnalysis::analyzeFunction(int Func) {
   BitRows CtrlDeps(NumBlocks, Branches.size());
   for (size_t Col = 0; Col < Branches.size(); ++Col) {
     int C = Branches[Col];
-    for (int S : F.block(C)->successors()) {
+    for (int S : Succs[C]) {
       int Runner = S;
       while (Runner >= 0 && Runner != PDT.idom(C)) {
         if (Runner != C)
@@ -505,7 +516,6 @@ void TaintAnalysis::analyzeFunction(int Func) {
   // Flow-insensitive: everything stored through a reference parameter
   // anywhere in the function is visible to every load through it.
   std::vector<TokenSet> RefLocalWritten(F.numParams());
-  auto Preds = F.computePredecessors();
 
   // Worklist of blocks keyed by reverse-postorder position, so a block is
   // visited after its forward predecessors. Every block (unreachable ones
