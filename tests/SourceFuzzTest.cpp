@@ -7,10 +7,11 @@
 /// \file
 /// Flips, truncates and extends the bytes, or drops, duplicates and swaps
 /// the lines, of the OCL sources of the six paper and two fusion benchmarks
-/// and compiles every mutant under one of the four ExecModels. The toolchain either rejects the text with at least one
-/// error diagnostic or returns an artifact; it never crashes (the sanitize
-/// lane runs this too, so the whole pipeline, taint analysis included, sees
-/// malformed programs under ASan and UBSan).
+/// and compiles every mutant under one of the four ExecModels. The
+/// toolchain either rejects the text with at least one error diagnostic or
+/// returns an artifact; it never crashes (the sanitize lane runs this too,
+/// so the whole pipeline, taint analysis included, sees malformed programs
+/// under ASan and UBSan).
 ///
 //===----------------------------------------------------------------------===//
 

@@ -161,7 +161,7 @@ TEST(Toolchain, OneArtifactBacksConcurrentSimulations) {
 // a 4,096-iteration loop whose accumulator depends on every iteration's
 // input is the largest single loop a program may hold, and its taint grows
 // with every iteration. The quadratic analysis this bound guards against
-// took 13.6 s here in a Release build; it now takes about 0.1 s. Sanitizer
+// took 13.6 s in a Release build; it now takes about 0.1 s. Sanitizer
 // builds are too slow for a wall-clock bound and skip it.
 TEST(CompileScaling, LargestUnrolledLoopCompilesUnderFiveSeconds) {
 #if defined(__SANITIZE_ADDRESS__)
